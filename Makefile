@@ -28,6 +28,12 @@
 #                     class, plus trunk and switch management), each
 #                     verified fast == reference kernel including the
 #                     per-class savings rows
+#   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3"
+#                     same-machine A/B of the perfbench benchmark: checks
+#                     BASE out into a temporary git worktree, runs
+#                     perfbench/run.py --trace 0 per seed on BASE and on
+#                     this working tree, interleaved, and prints every
+#                     end-to-end metric's per-side median (benchmarks/ab.py)
 #   make service-smoke gate the simulation service end-to-end against a
 #                     real daemon subprocess: cold == warm bit-for-bit
 #                     (warm costs zero pipeline stages), worker SIGKILL
@@ -38,8 +44,11 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-full bench bench-smoke bench-record \
+.PHONY: test test-fast test-full bench bench-smoke bench-record bench-ab \
 	topo-smoke fault-smoke cluster-smoke policy-smoke service-smoke
+
+WORKLOAD ?= paper-grid
+SEEDS ?= 1 2 3
 
 test:
 	$(PY) -m pytest -x -q
@@ -59,6 +68,11 @@ bench-smoke:
 bench-record:
 	rm -f benchmarks/BENCH_pipeline.json
 	REPRO_ITERATIONS=10 $(PY) -m repro.cli bench --smoke
+
+bench-ab:
+	@test -n "$(BASE)" || { echo 'usage: make bench-ab BASE=<rev>' \
+		'WORKLOAD=<name> SEEDS="1 2 3"'; exit 2; }
+	$(PY) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS)
 
 topo-smoke:
 	$(PY) -m repro.cli topo-sweep --apps alya --nranks 8 \

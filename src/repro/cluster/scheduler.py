@@ -57,7 +57,9 @@ from ..power.switchpower import fabric_switch_rollup
 from ..sim.dimemas import ReplayConfig, fabric_for
 from ..sim.engine import Engine
 from ..sim.mpi import MPIWorld
+from ..sim.program import CompiledTrace
 from ..sim.results import ManagedResult
+from ..trace.trace import Trace
 from .jobs import Job
 from .placement import PLACEMENT_POLICIES, PlacementError, leaf_groups, place_job
 
@@ -127,10 +129,16 @@ class ClusterJob:
     directive dicts for the reference kernel, and
     ``isolated_exec_time_us`` the job's *isolated* managed span — the
     reference for slowdown-vs-isolated.
+
+    ``trace`` is the job's :class:`~repro.trace.trace.Trace` — which
+    only the reference kernel needs — or, on the fast kernel, its base
+    :class:`~repro.sim.program.CompiledTrace`: either one names the job
+    (``name``, ``nranks``, ``total_records``), so a warm cluster replay
+    never regenerates a trace.
     """
 
     job: Job
-    trace: object
+    trace: Trace | CompiledTrace
     programs: object | None = None
     directives: Sequence[dict] | None = None
     grouping_thresholds_us: Sequence[float] = ()
@@ -464,6 +472,11 @@ class ClusterScheduler:
                 )
                 self._ranks_spawned += 1
         else:
+            if not isinstance(cj.trace, Trace):
+                raise ValueError(
+                    f"job {cj.job.index}: the reference kernel interprets "
+                    "trace records — give the ClusterJob its Trace"
+                )
             directives = cj.directives
             for proc in cj.trace.processes:
                 gen = world.rank_program(

@@ -168,9 +168,10 @@ class PMPIRuntime:
             post = self._learn_step(closed)
 
         if pre > 0 or post > 0 or shutdown is not None:
-            self._attach(index, pre=pre, post=post)
-            if shutdown is not None:
-                self._attach(index, timer=shutdown.timer_us)
+            self._attach(
+                index, pre, post,
+                None if shutdown is None else shutdown.timer_us,
+            )
 
     def finish(self) -> None:
         """Flush the trailing gram at end of stream (learning mode only)."""
@@ -275,20 +276,22 @@ class PMPIRuntime:
     # ---------------------------------------------------------------- output
 
     def _attach(
-        self,
-        index: int,
-        pre: float = 0.0,
-        post: float = 0.0,
-        timer: float | None = None,
+        self, index: int, pre: float, post: float, timer: float | None
     ) -> None:
+        # directives are frozen: build the call's one directive (summed
+        # onto an earlier one at the same index, if any) in one go
         d = self.directives.get(index)
         if d is None:
-            d = RankDirective()
-            self.directives[index] = d
-        d.pre_overhead_us += pre
-        d.post_overhead_us += post
-        if timer is not None:
-            d.shutdown_timer_us = timer
+            self.directives[index] = RankDirective(
+                0.0 + pre, 0.0 + post, timer
+            )
+        else:
+            self.directives[index] = RankDirective(
+                d.pre_overhead_us + pre,
+                d.post_overhead_us + post,
+                d.shutdown_timer_us if timer is None else timer,
+                d.shutdown_delay_us,
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,6 +316,11 @@ class RankPlan:
     displacement factor with exactly the float arithmetic of
     :meth:`repro.core.powerctl.PowerModeMonitor.plan_shutdown`, so the
     result is bit-for-bit equal to a dedicated per-displacement pass.
+
+    The rebind is copy-on-write: it builds a new directive only at a
+    candidate index that gets a timer and shares every other entry with
+    the plan (:class:`~repro.sim.mpi.RankDirective` is frozen, so a
+    shared entry cannot be changed through a rebind result).
     """
 
     directives: dict[int, RankDirective]
@@ -327,9 +335,7 @@ class RankPlan:
     ) -> tuple[dict[int, RankDirective], RuntimeStats]:
         if not 0.0 <= displacement < 1.0:
             raise ValueError("displacement factor must be in [0, 1)")
-        directives = {
-            index: replace(d) for index, d in self.directives.items()
-        }
+        directives = dict(self.directives)
         planned = 0
         for cand in self.candidates:
             timer = shutdown_timer_us(
@@ -343,9 +349,12 @@ class RankPlan:
                 continue
             d = directives.get(cand.index)
             if d is None:
-                d = RankDirective()
-                directives[cand.index] = d
-            d.shutdown_timer_us = timer
+                directives[cand.index] = RankDirective(shutdown_timer_us=timer)
+            else:
+                directives[cand.index] = RankDirective(
+                    d.pre_overhead_us, d.post_overhead_us, timer,
+                    d.shutdown_delay_us,
+                )
             planned += 1
         stats = replace(self.stats, shutdowns_planned=planned)
         return directives, stats

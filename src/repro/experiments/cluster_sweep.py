@@ -12,7 +12,10 @@ Per-job pipeline: each distinct (app, nranks) in the stream runs the
 full *isolated* pipeline once (:func:`~repro.experiments.common.
 run_cell`, memoised and deduplicated via :func:`~repro.concurrency.
 unique_by`) — baseline replay, GT selection, planning — and its
-directives are carried into the cluster replay unchanged.  The isolated
+directives are carried into the cluster replay unchanged.  On a warm
+memo a job costs one rebind and one weave: the fast kernel replays the
+cell's compiled programs, so no trace is regenerated (the reference
+kernel, which interprets records, still generates its trace).  The isolated
 reference always runs on a pristine fabric, even when the cluster replay
 is faulted: the planning side has no knowledge of the fault schedule
 (it plans from clean baseline gaps), and the slowdown-vs-isolated
@@ -153,14 +156,17 @@ def run_cluster_cell(
         )
         gt_us = max(cell.gt_us, params.min_worthwhile_idle_us)
         directives, _stats = cell.plan.rebind_displacement(displacement)
-        trace = make_trace(
-            job.app, job.nranks, iterations=iters, seed=seed,
-            scaling="strong",
-        )
         fast = kernel != "reference"
         prepared.append(
             dict(
-                trace=trace,
+                # the fast kernel replays the cell's compiled programs;
+                # only the reference interpreter needs the records
+                trace=(
+                    cell.programs if fast else make_trace(
+                        job.app, job.nranks, iterations=iters, seed=seed,
+                        scaling="strong",
+                    )
+                ),
                 base_programs=cell.programs if fast else None,
                 woven_programs=(
                     cell.programs.with_directives(directives) if fast

@@ -45,6 +45,15 @@ outermost in:
   routes are paid for once per cell.  The replay itself runs on the
   fast kernel (memoised collective schedules, precompiled routes,
   batched link accounting; see :mod:`repro.sim`).
+* **warm what-if = one managed replay** — a new displacement on a
+  memoised cell costs one copy-on-write rebind (fresh directives only
+  where a shutdown timer lands; every other entry is shared with the
+  plan), one weave of the directives into the cell's compiled programs,
+  and one managed replay.  The fast kernel replays straight from the
+  compiled programs, so the trace is regenerated only for the reference
+  kernel, which interprets records (and for a cell that came back from
+  a ``run_cells`` worker or a journal without its programs and fabric).
+  An exact repeat is a memo hit and runs no stage at all.
 
 Environment knobs:
 
@@ -200,20 +209,18 @@ def run_cell(
         topology, kernel, faults, policy,
     )
     cell = _CACHE.get(key) if use_cache else None
+    if cell is not None and all(d in cell.managed for d in displacements):
+        return cell  # memo hit: zero stages
+    replay_cfg = ReplayConfig(
+        seed=seed, topology=topology, kernel=kernel, faults=faults,
+        policy=policy,
+    )
+    trace = None
     if cell is None:
-        trace = make_trace(app, nranks, iterations=iters, seed=seed, scaling=scaling)
-        replay_cfg = ReplayConfig(
-            seed=seed, topology=topology, kernel=kernel, faults=faults,
-            policy=policy,
+        trace = make_trace(
+            app, nranks, iterations=iters, seed=seed, scaling=scaling
         )
-        # one fabric per cell: construction and route compilation are
-        # shared by the baseline and every managed replay (reset
-        # between); one compiled program set likewise
-        fabric = fabric_for(nranks, replay_cfg)
-        programs = compile_trace(trace)
-        # routes for every pair the trace communicates on, ahead of the
-        # first replay (the subnet manager programs tables before traffic)
-        fabric.precompile_pairs(programs.comm_pairs())
+        programs, fabric = _replay_artefacts(trace, replay_cfg)
         baseline = replay_baseline(
             trace, replay_cfg, fabric=fabric, programs=programs
         )
@@ -232,15 +239,16 @@ def run_cell(
         )
         if use_cache:
             _CACHE[key] = cell
-    else:
-        trace = None
+    elif cell.programs is None:
+        # computed in a run_cells worker or loaded from a journal, both
+        # of which strip the heavy artefacts: rebuild them once here
+        trace = make_trace(
+            app, nranks, iterations=iters, seed=seed, scaling=scaling
+        )
+        cell.programs, cell.fabric = _replay_artefacts(trace, replay_cfg)
 
     missing = [d for d in displacements if d not in cell.managed]
     if missing:
-        if trace is None:
-            trace = make_trace(
-                app, nranks, iterations=iters, seed=seed, scaling=scaling
-            )
         # a custom WRPS (e.g. deep sleep) may raise the break-even above
         # the hit-rate-optimal GT; the mechanism requires GT >= 2*T_react
         gt_us = max(cell.gt_us, params.min_worthwhile_idle_us)
@@ -255,14 +263,6 @@ def run_cell(
             cell.plan = plan_trace_directives_shared(
                 cell.baseline.event_logs, cfg
             )
-        replay_cfg = ReplayConfig(
-            seed=seed, topology=topology, kernel=kernel, faults=faults,
-            policy=policy,
-        )
-        if cell.fabric is None:
-            cell.fabric = fabric_for(nranks, replay_cfg)
-        if cell.programs is None:
-            cell.programs = compile_trace(trace)
         bound = [
             (disp,) + cell.plan.rebind_displacement(disp) for disp in missing
         ]
@@ -301,9 +301,16 @@ def run_cell(
                 if not cell.runtime_stats:
                     cell.runtime_stats = stats
         else:
+            if trace is None and kernel == "reference":
+                # the interpreter replays records; the fast kernel
+                # replays the cell's compiled programs, no trace needed
+                trace = make_trace(
+                    app, nranks, iterations=iters, seed=seed, scaling=scaling
+                )
+            source = cell.programs if trace is None else trace
             for disp, directives, stats in bound:
                 managed = replay_managed(
-                    trace,
+                    source,
                     directives,
                     baseline_exec_time_us=cell.baseline.exec_time_us,
                     displacement=disp,
@@ -317,13 +324,29 @@ def run_cell(
                 cell.managed[disp] = managed
                 if not cell.runtime_stats:
                     cell.runtime_stats = stats
-    if cell.fabric is not None:
-        # drop the last replay's busy logs before the cell lingers in
-        # the cache — compiled routes/hop tables (the expensive,
-        # reusable part) survive the reset, the O(messages x hops)
-        # busy arrays do not
-        cell.fabric.reset()
+    # drop the last replay's busy logs before the cell lingers in the
+    # cache — compiled routes/hop tables (the expensive, reusable part)
+    # survive the reset, the O(messages x hops) busy arrays do not
+    cell.fabric.reset()
     return cell
+
+
+def _replay_artefacts(
+    trace, replay_cfg: ReplayConfig
+) -> tuple[CompiledTrace, Fabric]:
+    """A cell's compiled programs and fabric, shared by every replay.
+
+    One fabric per cell: construction and route compilation are shared
+    by the baseline and every managed replay (reset between); one
+    compiled program set likewise.  Routes for every pair the trace
+    communicates on are compiled ahead of the first replay (the subnet
+    manager programs tables before traffic).
+    """
+
+    programs = compile_trace(trace)
+    fabric = fabric_for(trace.nranks, replay_cfg)
+    fabric.precompile_pairs(programs.comm_pairs())
+    return programs, fabric
 
 
 def _cache_key(

@@ -8,8 +8,10 @@ managed replay per displacement — but caches the displacement-
 independent artefacts in a bounded LRU keyed by the full cell spec
 ``(app, nranks, iterations, seed, scaling, topology, kernel, scheduler,
 faults, policy)``.  A warm what-if query (same cell, new displacement)
-therefore costs **one replay**; a repeated query is a pure result hit
-and costs nothing.
+therefore costs **one replay** (one copy-on-write rebind, one weave,
+one managed replay straight from the cached compiled programs — a
+bundle keeps its trace only for a reference-kernel spec); a repeated
+query is a pure result hit and costs nothing.
 
 Every stage execution increments a counter (:attr:`WarmPipeline.
 stage_runs`), so "no trace-gen / compile / fabric-build on a cache hit"
@@ -203,9 +205,13 @@ class LRUCache:
 
 @dataclass(slots=True)
 class _CellBundle:
-    """Displacement-independent artefacts of one cell, LRU-cached."""
+    """Displacement-independent artefacts of one cell, LRU-cached.
 
-    trace: object
+    ``trace`` is kept only for a reference-kernel spec (the interpreter
+    replays records); the fast kernel replays ``programs`` alone.
+    """
+
+    trace: object | None
     programs: object
     fabric: object
     baseline: object
@@ -335,7 +341,8 @@ class WarmPipeline:
             RuntimeConfig(gt_us=gt_us, wrps=params, charge_overheads=True),
         )
         return _CellBundle(
-            trace=trace, programs=programs, fabric=fabric,
+            trace=trace if spec["kernel"] == "reference" else None,
+            programs=programs, fabric=fabric,
             baseline=baseline, best_gt=selection.best, gt_us=gt_us,
             plan=plan, params=params, replay_cfg=replay_cfg,
         )
@@ -363,7 +370,7 @@ class WarmPipeline:
             spec["displacement"]
         )
         managed = replay_managed(
-            bundle.trace,
+            bundle.programs if bundle.trace is None else bundle.trace,
             directives,
             baseline_exec_time_us=bundle.baseline.exec_time_us,
             displacement=spec["displacement"],

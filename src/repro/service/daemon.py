@@ -214,7 +214,8 @@ class ServiceDaemon:
             cell_capacity=self.config.cache_cells,
             result_capacity=self.config.cache_results,
         )
-        self._queue: queue.Queue[_Ticket] = queue.Queue(
+        # None is the dispatcher's wake-up sentinel (see stop())
+        self._queue: queue.Queue[_Ticket | None] = queue.Queue(
             maxsize=self.config.queue_limit
         )
         self._lock = threading.Lock()
@@ -237,6 +238,8 @@ class ServiceDaemon:
         self._started_at = time.monotonic()
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
+        #: open client connections -> their handler threads
+        self._conns: dict[socket.socket, threading.Thread] = {}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -285,10 +288,20 @@ class ServiceDaemon:
 
         self._stopping.set()
         if self._listener is not None:
+            # closing a listening socket does not wake a thread blocked
+            # in accept() on Linux; shutting it down first does
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
+        try:
+            self._queue.put_nowait(None)  # wake an idle dispatcher now
+        except queue.Full:
+            pass  # a busy dispatcher sees the stop flag when it drains
         if drain:
             self._drained.wait(timeout_s)
         try:
@@ -297,6 +310,21 @@ class ServiceDaemon:
             pass
         for thread in self._threads:
             thread.join(timeout=1.0)
+        # the acceptor is gone, so no connection registers from here on;
+        # SHUT_RD turns an idle handler's blocking recv() into EOF while
+        # a reply still being written goes out unharmed
+        with self._lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        # one budget for all handlers: without a drain, some may still be
+        # waiting on their tickets
+        deadline = time.monotonic() + 1.0
+        for thread in conns.values():
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     # -- socket side --------------------------------------------------
 
@@ -306,36 +334,45 @@ class ServiceDaemon:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
-                break  # listener closed: stopping
+                break  # listener shut down: stopping
             thread = threading.Thread(
                 target=self._handle_conn, args=(conn,),
                 name="service-conn", daemon=True,
             )
+            with self._lock:
+                self._conns[conn] = thread
             thread.start()
 
     def _handle_conn(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
+        try:
+            self._serve_conn(conn)
+        finally:
+            with self._lock:
+                self._conns.pop(conn, None)
+            conn.close()
+
+    def _serve_conn(self, conn: socket.socket) -> None:
+        while True:
+            try:
+                message = protocol.recv_message(conn)
+            except protocol.ProtocolError as exc:
                 try:
-                    message = protocol.recv_message(conn)
-                except protocol.ProtocolError as exc:
-                    try:
-                        protocol.send_message(
-                            conn,
-                            protocol.error_reply(
-                                protocol.BAD_REQUEST, str(exc)
-                            ),
-                        )
-                    except OSError:
-                        pass
-                    return
-                if message is None:
-                    return  # client closed cleanly
-                reply = self._route(message)
-                try:
-                    protocol.send_message(conn, reply)
+                    protocol.send_message(
+                        conn,
+                        protocol.error_reply(
+                            protocol.BAD_REQUEST, str(exc)
+                        ),
+                    )
                 except OSError:
-                    return  # client gone; result (if any) stays cached
+                    pass
+                return
+            if message is None:
+                return  # client closed cleanly
+            reply = self._route(message)
+            try:
+                protocol.send_message(conn, reply)
+            except OSError:
+                return  # client gone; result (if any) stays cached
 
     # -- request routing ----------------------------------------------
 
@@ -469,7 +506,9 @@ class ServiceDaemon:
             try:
                 ticket = self._queue.get(timeout=0.1)
             except queue.Empty:
-                if self._stopping.is_set():
+                ticket = None
+            if ticket is None:
+                if self._stopping.is_set() and self._queue.empty():
                     break  # queue drained and no new admissions: done
                 continue
             self._execute(ticket)

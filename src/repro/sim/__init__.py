@@ -69,6 +69,10 @@ Drivers reuse fabrics and compiled programs across replays
 parameters of the replay entry points): construction, route compilation
 and program lowering are run-invariant, and :meth:`Fabric.reset` clears
 the rest, with back-to-back-equals-fresh covered by regression tests.
+On the fast kernel a replay may take the compiled programs alone in
+place of the trace (they carry the rank set, ``nranks`` and name), so a
+warm what-if never regenerates its trace; only the reference kernel
+interprets trace records.
 Every (kernel, scheduler) combination is pinned bit-for-bit to the
 ``("reference", "heap")`` oracle by the differential harness
 (``tests/sim/test_differential_kernels.py``).

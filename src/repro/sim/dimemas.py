@@ -137,16 +137,32 @@ def fabric_for(nranks: int, config: ReplayConfig | None = None) -> Fabric:
     return fabric
 
 
-def _resolve_programs(
-    trace: Trace, config: ReplayConfig, programs: CompiledTrace | None
-) -> CompiledTrace | None:
-    """The compiled programs a replay should run, or None (reference).
+def _resolve_inputs(
+    source: Trace | CompiledTrace,
+    config: ReplayConfig,
+    programs: CompiledTrace | None,
+) -> tuple[Trace | None, CompiledTrace | None]:
+    """Split a replay's input into ``(trace, programs)`` for its kernel.
 
-    ``programs`` reuses a pre-compiled set (the ``fabric=`` idiom);
-    compiled for a different trace it is rejected rather than silently
-    replayed.
+    ``source`` is the trace, or, on the fast kernel, the base
+    :func:`~repro.sim.program.compile_trace` result on its own: the
+    compiled programs carry the rank set, ``nranks`` and name, so a
+    warm replay needs no ``Trace``.  ``programs`` reuses a pre-compiled
+    set beside a trace (the ``fabric=`` idiom); compiled for a
+    different trace it is rejected rather than silently replayed.  The
+    returned programs are None on the reference kernel, which
+    interprets the trace's records.
     """
 
+    if isinstance(source, CompiledTrace):
+        if programs is not None and programs is not source:
+            raise ValueError(
+                "got two program sets: pass the compiled programs either "
+                "as the replay's source or as programs=, not both"
+            )
+        trace, programs = None, source
+    else:
+        trace = source
     if programs is not None and programs.managed:
         # guard on every kernel: the reference path would silently
         # ignore the set, masking the sharing mistake on one kernel only
@@ -157,10 +173,15 @@ def _resolve_programs(
             "set itself)"
         )
     if config.kernel == "reference":
-        return None
+        if trace is None:
+            raise ValueError(
+                "the reference kernel interprets trace records: replay "
+                "the Trace, not its compiled programs"
+            )
+        return trace, None
     if programs is None:
-        return compile_trace(trace)
-    if not programs.matches(trace):
+        return trace, compile_trace(trace)
+    if trace is not None and not programs.matches(trace):
         raise ValueError(
             f"programs were compiled for trace "
             f"({programs.trace_name!r}, {programs.nranks} ranks, "
@@ -169,18 +190,51 @@ def _resolve_programs(
             f"{trace.total_records} records) — compile_trace() the "
             "right trace"
         )
-    return programs
+    return trace, programs
+
+
+def _spawn_ranks(
+    engine: Engine,
+    world: MPIWorld,
+    trace: Trace | None,
+    programs: CompiledTrace | None,
+    directives: Sequence[dict[int, RankDirective]] | None = None,
+    on_shutdown=None,
+) -> None:
+    """Spawn every rank: compiled programs, else the record interpreter."""
+
+    if programs is not None:
+        for prog in programs.programs:
+            engine.spawn(
+                world.run_program(
+                    prog.rank, prog, on_shutdown=on_shutdown
+                ),
+                name=f"rank{prog.rank}",
+            )
+        return
+    for proc in trace.processes:
+        engine.spawn(
+            world.rank_program(
+                proc.rank,
+                proc.records,
+                directives=(
+                    directives[proc.rank] if directives is not None else None
+                ),
+                on_shutdown=on_shutdown,
+            ),
+            name=f"rank{proc.rank}",
+        )
 
 
 def _build_world(
-    trace: Trace,
+    nranks: int,
     config: ReplayConfig,
     power_hook=None,
     fabric: Fabric | None = None,
 ) -> tuple[Engine, Fabric, MPIWorld]:
     engine = Engine(scheduler=config.scheduler)
     if fabric is None:
-        fabric = fabric_for(trace.nranks, config)
+        fabric = fabric_for(nranks, config)
     else:
         expected = (
             config.seed, config.hosts_per_leaf, config.random_routing,
@@ -201,7 +255,7 @@ def _build_world(
     world = MPIWorld(
         engine,
         fabric,
-        trace.nranks,
+        nranks,
         eager_threshold_bytes=config.eager_threshold_bytes,
         power_hook=power_hook,
         cpu_speedup=config.cpu_speedup,
@@ -210,7 +264,7 @@ def _build_world(
 
 
 def replay_baseline(
-    trace: Trace,
+    trace: Trace | CompiledTrace,
     config: ReplayConfig | None = None,
     *,
     fabric: Fabric | None = None,
@@ -218,32 +272,24 @@ def replay_baseline(
 ) -> BaselineResult:
     """Replay with always-on links; returns timing and event streams.
 
-    ``fabric`` reuses a pre-built (matching) fabric: it is reset, not
-    rebuilt, so compiled routes and hop tables are shared across runs.
-    ``programs`` likewise reuses a :func:`~repro.sim.program.
-    compile_trace` result for the fast kernel (compiled on the fly when
+    ``trace`` is the trace to replay or, on the fast kernel, its
+    compiled programs alone (see :func:`_resolve_inputs`).  ``fabric``
+    reuses a pre-built (matching) fabric: it is reset, not rebuilt, so
+    compiled routes and hop tables are shared across runs.  ``programs``
+    likewise reuses a :func:`~repro.sim.program.compile_trace` result
+    for the fast kernel beside a trace (compiled on the fly when
     omitted; ignored by the reference kernel, which interprets records).
     """
 
     cfg = config or ReplayConfig()
-    engine, fabric, world = _build_world(trace, cfg, fabric=fabric)
-    progs = _resolve_programs(trace, cfg, programs)
-    if progs is not None:
-        for proc in trace.processes:
-            engine.spawn(
-                world.run_program(proc.rank, progs.programs[proc.rank]),
-                name=f"rank{proc.rank}",
-            )
-    else:
-        for proc in trace.processes:
-            engine.spawn(
-                world.rank_program(proc.rank, proc.records),
-                name=f"rank{proc.rank}",
-            )
+    source = trace
+    trace, progs = _resolve_inputs(source, cfg, programs)
+    engine, fabric, world = _build_world(source.nranks, cfg, fabric=fabric)
+    _spawn_ranks(engine, world, trace, progs)
     exec_time = _run_engine(engine)
     return BaselineResult(
-        trace_name=trace.name,
-        nranks=trace.nranks,
+        trace_name=source.name,
+        nranks=source.nranks,
         exec_time_us=exec_time,
         event_logs=world.event_logs,
         messages_sent=fabric.messages_sent,
@@ -254,7 +300,7 @@ def replay_baseline(
 
 
 def replay_managed(
-    trace: Trace,
+    trace: Trace | CompiledTrace,
     directives: Sequence[dict[int, RankDirective]],
     *,
     baseline_exec_time_us: float,
@@ -268,20 +314,26 @@ def replay_managed(
 ) -> ManagedResult:
     """Replay with the power mechanism's directives applied.
 
-    ``directives[rank]`` maps MPI-call index to :class:`RankDirective`.
-    Each rank's HCA link becomes a :class:`ManagedLink`; transfers that
-    find a link below full width pay the reactivation penalty through the
-    fabric's power hook.  ``fabric`` reuses a pre-built fabric (reset,
-    not rebuilt) — ``run_cell`` passes one fabric to the baseline replay
-    and every per-displacement managed replay of a cell — and
-    ``programs`` shares one compiled program set the same way.
+    ``trace`` is the trace or, on the fast kernel, its base compiled
+    programs alone (a warm what-if replays from the programs it already
+    holds).  ``directives[rank]`` maps MPI-call index to
+    :class:`RankDirective`.  Each rank's HCA link becomes a
+    :class:`ManagedLink`; transfers that find a link below full width
+    pay the reactivation penalty through the fabric's power hook.
+    ``fabric`` reuses a pre-built fabric (reset, not rebuilt) —
+    ``run_cell`` passes one fabric to the baseline replay and every
+    per-displacement managed replay of a cell — and ``programs`` shares
+    one compiled program set the same way.
     """
 
-    if len(directives) != trace.nranks:
-        raise ValueError(
-            f"need directives for {trace.nranks} ranks, got {len(directives)}"
-        )
     cfg = config or ReplayConfig()
+    source = trace
+    trace, progs = _resolve_inputs(source, cfg, programs)
+    nranks = source.nranks
+    if len(directives) != nranks:
+        raise ValueError(
+            f"need directives for {nranks} ranks, got {len(directives)}"
+        )
     params = wrps or WRPSParams.paper()
     spec = parse_policy(cfg.policy)
 
@@ -307,11 +359,11 @@ def replay_managed(
         return ml.request_full(t_us)
 
     engine, fabric, world = _build_world(
-        trace, cfg, power_hook=power_hook, fabric=fabric
+        nranks, cfg, power_hook=power_hook, fabric=fabric
     )
 
     rank_links, trunk_links, gated_switches = _build_policy_controllers(
-        fabric, trace.nranks, spec, params, managed
+        fabric, nranks, spec, params, managed
     )
 
     def on_shutdown(
@@ -332,7 +384,6 @@ def replay_managed(
         else:
             ml.shutdown(t_us, timer_us)
 
-    progs = _resolve_programs(trace, cfg, programs)
     if progs is not None:
         # resolve the per-call directive lookups at compile time: the
         # shared base program set is woven with this displacement's
@@ -340,26 +391,7 @@ def replay_managed(
         # semantics allow), so the driver below runs the same
         # probe-free hot loop as the baseline replay
         progs = progs.with_directives(directives)
-        for proc in trace.processes:
-            engine.spawn(
-                world.run_program(
-                    proc.rank,
-                    progs.programs[proc.rank],
-                    on_shutdown=on_shutdown,
-                ),
-                name=f"rank{proc.rank}",
-            )
-    else:
-        for proc in trace.processes:
-            engine.spawn(
-                world.rank_program(
-                    proc.rank,
-                    proc.records,
-                    directives=directives[proc.rank],
-                    on_shutdown=on_shutdown,
-                ),
-                name=f"rank{proc.rank}",
-            )
+    _spawn_ranks(engine, world, trace, progs, directives, on_shutdown)
     exec_time = _run_engine(engine)
 
     hca_links = [ml for ml in rank_links if ml is not None]
@@ -398,8 +430,8 @@ def replay_managed(
         class_accounts["switch"] = [gs.account for gs in gated_switches]
 
     return ManagedResult(
-        trace_name=trace.name,
-        nranks=trace.nranks,
+        trace_name=source.name,
+        nranks=nranks,
         exec_time_us=exec_time,
         baseline_exec_time_us=baseline_exec_time_us,
         power=report,

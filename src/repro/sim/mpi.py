@@ -148,7 +148,7 @@ class _RankContext:
 PowerHook = Callable[[object, float], float]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RankDirective:
     """Managed-run instrumentation attached to one MPI call of one rank.
 
@@ -168,6 +168,10 @@ class RankDirective:
     ``directives=``) lowers them into dedicated opcodes at compile time.
     The reference interpreter (:meth:`MPIWorld.rank_program`) keeps the
     per-call dict probes as the oracle.
+
+    Frozen: a displacement rebind (:meth:`repro.core.runtime.RankPlan.
+    rebind_displacement`) shares every timer-free directive with its
+    plan, so no caller may change one in place.
     """
 
     pre_overhead_us: float = 0.0

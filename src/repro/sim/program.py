@@ -209,6 +209,13 @@ class CompiledTrace:
     managed: bool = False
 
     @property
+    def name(self) -> str:
+        """The source trace's name: a replay driver reads a program set's
+        identity (``name``, ``nranks``) exactly as it reads a trace's."""
+
+        return self.trace_name
+
+    @property
     def total_instructions(self) -> int:
         return sum(len(p) for p in self.programs)
 

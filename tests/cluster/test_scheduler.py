@@ -101,6 +101,27 @@ class TestIsolationInvariant:
         assert mr.baseline_exec_time_us == iso.exec_time_us
         assert mr.exec_time_increase_pct == 0.0
 
+    def test_compiled_programs_stand_in_for_the_trace(self, prepared):
+        """The fast kernel names a job from its base programs alone."""
+
+        iso = prepared["cell"].managed[DISP]
+        cj = one_job(prepared, managed=True)
+        cj.trace = prepared["cell"].programs
+        cm = replay_cluster_managed(
+            [cj], ReplayConfig(seed=SEED), num_hosts=NRANKS,
+        )
+        mr = cm.jobs[0]
+        assert mr.trace_name == iso.trace_name
+        assert mr.exec_time_us == iso.exec_time_us
+        assert mr.event_logs == iso.event_logs
+        assert mr.power == iso.power
+        # the reference interpreter needs the records
+        with pytest.raises(ValueError, match="reference kernel"):
+            replay_cluster_managed(
+                [cj], ReplayConfig(seed=SEED, kernel="reference"),
+                num_hosts=NRANKS,
+            )
+
 
 def three_jobs(prepared, arrivals=(0.0, 2000.0, 4000.0)):
     return [

@@ -4,6 +4,8 @@ per-displacement runtime pass, all the way through the managed replay."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.constants import DISPLACEMENT_FACTORS
@@ -16,6 +18,7 @@ from repro.core import (
 from repro.experiments.common import clear_cache, run_cell
 from repro.power.states import WRPSParams
 from repro.sim import ReplayConfig, replay_baseline, replay_managed
+from repro.sim.mpi import RankDirective
 from tests.conftest import alya_like_stream, ring_trace
 from tests.core.test_fastscan import random_stream
 
@@ -72,6 +75,58 @@ class TestRebindEquivalence:
         assert plan_trace_directives(
             logs, cfg, workers=2
         ) == plan_trace_directives(logs, cfg)
+
+
+class TestCopyOnWriteRebind:
+    @staticmethod
+    def _plan():
+        return plan_trace_directives_shared(_logs(), RuntimeConfig(gt_us=20.0))
+
+    def test_later_rebind_equals_a_fresh_plans_rebind(self):
+        plan = self._plan()
+        for first, second in ((0.10, 0.01), (0.0, 0.05), (0.05, 0.05)):
+            plan.rebind_displacement(first)
+            assert plan.rebind_displacement(
+                second
+            ) == self._plan().rebind_displacement(second)
+
+    def test_only_timed_entries_are_fresh(self):
+        plan = self._plan()
+        directives, _ = plan.rebind_displacement(0.05)
+        shared = fresh = 0
+        for rank_plan, rank_dirs in zip(plan.ranks, directives):
+            assert rank_dirs is not rank_plan.directives
+            for index, d in rank_dirs.items():
+                if d.shutdown_timer_us is None:
+                    assert d is rank_plan.directives[index]
+                    shared += 1
+                else:
+                    assert d is not rank_plan.directives.get(index)
+                    fresh += 1
+        assert shared and fresh
+        # the plan itself never gains a timer
+        assert all(
+            d.shutdown_timer_us is None
+            for rank_plan in plan.ranks
+            for d in rank_plan.directives.values()
+        )
+
+    def test_a_rebind_result_cannot_change_the_plan(self):
+        plan = self._plan()
+        want = self._plan().rebind_displacement(0.05)
+        directives, _ = plan.rebind_displacement(0.05)
+        rank0 = list(directives[0].values())
+        untimed = next(d for d in rank0 if d.shutdown_timer_us is None)
+        timed = next(d for d in rank0 if d.shutdown_timer_us is not None)
+        for d in (untimed, timed):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.shutdown_timer_us = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.pre_overhead_us += 1.0
+        # the per-rank maps are the caller's own
+        directives[0].clear()
+        directives[1][0] = RankDirective(shutdown_timer_us=1.0)
+        assert plan.rebind_displacement(0.05) == want
 
 
 class TestManagedReplayEquivalence:

@@ -5,6 +5,7 @@ pinned against in-process daemons with the test failpoints armed."""
 from __future__ import annotations
 
 import os
+import socket
 import threading
 import time
 
@@ -250,6 +251,32 @@ def test_shutdown_op_drains_and_removes_socket(daemon_factory):
     assert client.shutdown()["stopping"] is True
     _wait_for(lambda: not os.path.exists(daemon.config.socket_path))
     _wait_for(lambda: daemon._drained.is_set())
+
+
+def _service_threads() -> set[threading.Thread]:
+    return {
+        t for t in threading.enumerate()
+        if t.name.startswith("service-") and t.is_alive()
+    }
+
+
+def test_stop_is_prompt_and_leaves_no_service_thread(daemon_factory):
+    before = _service_threads()
+    daemon, client = daemon_factory()
+    client.cell(**SMALL_SPEC)
+    # an idle client connection must not pin its handler thread
+    idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    idle.connect(daemon.config.socket_path)
+    try:
+        _wait_for(lambda: len(_service_threads() - before) == 3)
+        t0 = time.monotonic()
+        daemon.stop(drain=True)
+        elapsed = time.monotonic() - t0
+    finally:
+        idle.close()
+    assert elapsed < 0.2, f"stop() took {elapsed:.3f} s"
+    assert _service_threads() - before == set()
+    assert not os.path.exists(daemon.config.socket_path)
 
 
 def test_sigterm_drain_completes_queued_requests(daemon_factory):

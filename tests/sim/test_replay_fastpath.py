@@ -228,3 +228,56 @@ class TestCompiledProgramGuard:
         a = replay_baseline(trace, cfg, programs=progs)
         b = replay_baseline(trace, cfg, programs=progs)
         assert a.exec_time_us == b.exec_time_us
+
+
+class TestReplayFromPrograms:
+    """The fast kernel replays a ``CompiledTrace`` alone, no ``Trace``."""
+
+    @staticmethod
+    def _inputs():
+        from repro.sim import compile_trace
+
+        trace = make_trace("alya", 8, iterations=3, seed=1)
+        return trace, compile_trace(trace)
+
+    def test_programs_alone_equal_the_trace_replay(self):
+        trace, progs = self._inputs()
+        cfg = ReplayConfig(seed=1)
+        want = replay_baseline(trace, cfg, programs=progs)
+        got = replay_baseline(progs, cfg)
+        assert (got.trace_name, got.nranks) == (trace.name, trace.nranks)
+        assert got.exec_time_us == want.exec_time_us
+        assert got.event_logs == want.event_logs
+
+        directives, _ = plan_trace_directives(
+            want.event_logs, RuntimeConfig(gt_us=20.0, displacement=0.05)
+        )
+        kw = dict(
+            baseline_exec_time_us=want.exec_time_us, displacement=0.05,
+            grouping_thresholds_us=[20.0] * 8, config=cfg,
+        )
+        m_want = replay_managed(trace, directives, programs=progs, **kw)
+        m_got = replay_managed(progs, directives, programs=progs, **kw)
+        assert m_got.trace_name == m_want.trace_name
+        assert m_got.exec_time_us == m_want.exec_time_us
+        assert m_got.event_logs == m_want.event_logs
+        assert m_got.power == m_want.power
+
+    def test_reference_kernel_needs_the_trace(self):
+        _trace, progs = self._inputs()
+        with pytest.raises(ValueError, match="reference kernel"):
+            replay_baseline(progs, ReplayConfig(seed=1, kernel="reference"))
+
+    def test_two_different_program_sets_rejected(self):
+        from repro.sim import compile_trace
+
+        _trace, progs = self._inputs()
+        other = compile_trace(make_trace("alya", 8, iterations=3, seed=1))
+        with pytest.raises(ValueError, match="two program sets"):
+            replay_baseline(progs, ReplayConfig(seed=1), programs=other)
+
+    def test_woven_programs_rejected_as_source(self):
+        _trace, progs = self._inputs()
+        woven = progs.with_directives([{}] * progs.nranks)
+        with pytest.raises(ValueError, match="directive-specialised"):
+            replay_baseline(woven, ReplayConfig(seed=1))
