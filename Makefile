@@ -10,7 +10,7 @@
 #   make bench-smoke  quick perf-regression gate: REPRO_ITERATIONS=10,
 #                     fails on a >3x stage slowdown vs the recorded
 #                     benchmarks/BENCH_pipeline.json (covers the compiled
-#                     fast kernel and both schedulers' stage timings)
+#                     fast kernel's stage timings)
 #   make bench-record re-record the smoke reference on this machine
 #   make topo-smoke   gate the topology sweep: one small cell per family
 #                     (fitted / torus / dragonfly / fattree2), each
@@ -21,8 +21,8 @@
 #                     faults — including identical partitions
 #   make cluster-smoke gate the multi-job cluster sweep: small job
 #                     streams x placements x (fitted, torus), each cell
-#                     verified (fast, calendar) == (reference, heap)
-#                     bit-for-bit plus the per-job energy-sum invariant
+#                     verified fast == reference kernel bit-for-bit
+#                     plus the per-job energy-sum invariant
 #   make policy-smoke gate the power-policy registry: one small cell per
 #                     policy family (gate / width / scale on the HCA
 #                     class, plus trunk and switch management), each

@@ -22,9 +22,8 @@ Each subcommand prints the regenerated table/figure; ``--csv PATH``
 additionally writes machine-readable output.  ``gen``/``replay`` export
 synthetic traces to the text ``.dim`` format and run the full pipeline
 on any trace file (including hand-written ones); ``replay`` takes
-``--kernel``/``--scheduler`` to select the compiled-program fast kernel
-or the reference interpreter and the calendar-queue or heapq event
-queue (all combinations are bit-for-bit identical).  ``--workers N``
+``--kernel`` to select the compiled-program fast kernel or the
+reference interpreter (bit-for-bit identical).  ``--workers N``
 (or ``REPRO_WORKERS``) fans the per-rank planning passes and the
 independent cells of the figure/table/sweep grids out over worker
 processes; results are identical to the sequential run.  ``topo-sweep``
@@ -43,8 +42,8 @@ fabric per cell (``--jobs`` takes job-stream specs like
 ``poisson:n=3,mean_gap_us=1500,seed=3`` — see ``repro.cluster.jobs`` —
 and ``--placements`` picks host-placement policies) and reports
 per-tenant savings plus each job's slowdown against its own isolated
-run; ``--verify`` additionally pins the (fast kernel, calendar queue)
-cluster replay bit-for-bit against (reference, heap) and checks that
+run; ``--verify`` additionally pins the fast-kernel cluster replay
+bit-for-bit against the reference kernel and checks that
 per-job attributed link energies sum to the fabric-level total.
 ``bench`` times
 the pipeline stages and writes ``BENCH_pipeline.json`` (schema 6:
@@ -230,13 +229,11 @@ def _cmd_replay(args) -> None:
         for p in problems[:10]:
             print(f"  {p}", file=sys.stderr)
         raise SystemExit(2)
-    replay_cfg = ReplayConfig(kernel=args.kernel, scheduler=args.scheduler,
-                              topology=args.topology)
+    replay_cfg = ReplayConfig(kernel=args.kernel, topology=args.topology)
     baseline = replay_baseline(trace, replay_cfg)
     print(f"{trace.name}: {trace.nranks} ranks, baseline "
           f"{baseline.exec_time_us / 1e3:.3f} ms "
-          f"[{args.kernel} kernel, {args.scheduler} scheduler, "
-          f"{args.topology} topology]")
+          f"[{args.kernel} kernel, {args.topology} topology]")
     gt = select_gt(baseline.event_logs)
     print(f"GT = {gt.gt_us:.0f} us, hit rate = {gt.hit_rate_pct:.1f}%")
     cfg = RuntimeConfig(gt_us=gt.gt_us, displacement=args.displacement)
@@ -324,7 +321,7 @@ def _cmd_cluster_sweep(args) -> None:
     )
     print(format_cluster_sweep(rows))
     if args.verify:
-        print("[fast/calendar == reference/heap cluster equality verified; "
+        print("[fast == reference kernel cluster equality verified; "
               "per-job energy rollups sum to the fabric total]",
               file=sys.stderr)
     if args.csv:
@@ -446,8 +443,7 @@ def _cmd_query(args) -> None:
         else:  # cell
             spec = {"app": args.app, "nranks": args.nranks}
             for field in ("displacement", "iterations", "seed", "scaling",
-                          "topology", "kernel", "scheduler", "faults",
-                          "policy"):
+                          "topology", "kernel", "faults", "policy"):
                 value = getattr(args, field)
                 if value is not None:
                     spec[field] = value
@@ -631,9 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(isolated references stay pristine). Grammar: "
                         + faults_help())
     p.add_argument("--verify", action="store_true",
-                   help="re-run every cell on the (reference kernel, heap "
-                        "scheduler) axes, fail on any divergence, and "
-                        "check the per-job energy-sum invariant")
+                   help="re-run every cell on the reference kernel, fail "
+                        "on any divergence, and check the per-job "
+                        "energy-sum invariant")
     p.add_argument("--cell-timeout", type=float, default=None,
                    help="per-cell wall-clock timeout in seconds "
                         "(default: REPRO_CELL_TIMEOUT_S or none)")
@@ -671,10 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "tables (fast) or the record interpreter + "
                         "per-message route walk (reference); bit-for-bit "
                         "identical")
-    p.add_argument("--scheduler", default="calendar",
-                   choices=("calendar", "heap"),
-                   help="DES event queue: calendar queue (default) or "
-                        "the heapq reference; bit-for-bit identical")
     topology_option(p)
     common(p)
     p.set_defaults(func=_cmd_replay)
@@ -749,8 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scaling", default=None, choices=("strong", "weak"))
     p.add_argument("--kernel", default=None, choices=("fast", "reference"))
-    p.add_argument("--scheduler", default=None,
-                   choices=("calendar", "heap"))
     p.add_argument("--topology", default=None,
                    help="topology spec 'family[:key=value,...]'. Families: "
                         + topology_help())

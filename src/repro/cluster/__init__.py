@@ -17,8 +17,8 @@ and power-management directives:
   drivers.
 
 Determinism contract: ``(seed, topology, job stream) -> identical
-timeline``, on every (kernel, scheduler) combination — pinned by the
-cluster differential tier.
+timeline``, on both replay kernels — pinned by the cluster
+differential tier.
 """
 
 from .jobs import (

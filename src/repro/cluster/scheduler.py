@@ -35,10 +35,9 @@ timeline``.  Admissions are engine events ordered by ``(time, seq)``;
 placement is deterministic per (policy, free set, seed, job index); no
 draw depends on wall clock, ``hash()`` or dict iteration over
 non-deterministic keys.  The cluster differential tier
-(``tests/sim/test_differential_cluster.py``) pins every (kernel,
-scheduler) combination bit-for-bit to the ``("reference", "heap")``
-oracle, multi-job, on three topology families, including a faulted
-fabric.
+(``tests/sim/test_differential_cluster.py``) pins the fast kernel
+bit-for-bit to the ``"reference"`` kernel oracle, multi-job, on three
+topology families, including a faulted fabric.
 """
 
 from __future__ import annotations
@@ -353,7 +352,7 @@ class ClusterScheduler:
         if spec is not None and spec.active:
             self.fabric.install_faults(spec)
 
-        self.engine = Engine(scheduler=self.cfg.scheduler)
+        self.engine = Engine()
         self._groups = leaf_groups(self.fabric.topo)
         self._free: set[int] = set(range(self.fabric.topo.num_hosts))
         self._pending: list[_JobRun] = []  # FIFO queue of unplaced jobs

@@ -23,10 +23,10 @@ column should isolate *contention + faults* against a clean yardstick.
 
 The robustness properties mirror :mod:`~repro.experiments.fault_sweep`:
 a partitioned cell becomes a ``partitioned`` row instead of killing the
-grid; ``verify=True`` re-runs the cell on the (reference kernel, heap
-scheduler) axes and asserts bit-for-bit equality, plus the energy-sum
-consistency check (per-job attributed link energy must sum to the
-fabric-level total integrated over the independent episode registry);
+grid; ``verify=True`` re-runs the cell on the reference kernel and
+asserts bit-for-bit equality, plus the energy-sum consistency check
+(per-job attributed link energy must sum to the fabric-level total
+integrated over the independent episode registry);
 the grid fans out through :func:`~repro.concurrency.run_resilient` with
 journal checkpointing.
 """
@@ -125,7 +125,6 @@ def run_cluster_cell(
     seed: int = 1234,
     topology: str = DEFAULT_TOPOLOGY,
     kernel: str = "fast",
-    scheduler: str = "calendar",
     faults: str = NO_FAULTS,
 ) -> ClusterCell:
     """Run the full multi-job pipeline for one cell.
@@ -140,8 +139,7 @@ def run_cluster_cell(
     iters = iterations if iterations is not None else default_iterations()
     params = WRPSParams.paper()
     cfg = ReplayConfig(
-        seed=seed, topology=topology, kernel=kernel, scheduler=scheduler,
-        faults=faults,
+        seed=seed, topology=topology, kernel=kernel, faults=faults,
     )
     if num_hosts is None:
         num_hosts = resolve_cluster_hosts(topology, jobs)
@@ -246,10 +244,6 @@ class ClusterSweepRow:
         )
 
 
-def _partition_key(exc: FabricPartitioned) -> tuple:
-    return (exc.src_host, exc.dst_host, exc.t_us)
-
-
 def check_energy_sum(managed: ClusterResult) -> None:
     """Assert per-job link energies sum to the fabric-level total."""
 
@@ -267,10 +261,10 @@ def check_energy_sum(managed: ClusterResult) -> None:
 def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
     """One sweep cell in a worker process (module-level for pickling).
 
-    With ``verify`` set, re-runs the cell on the (reference kernel, heap
-    scheduler) axes and asserts bit-for-bit equality — cluster makespan,
-    per-job spans, windows, savings and event streams, or the *same*
-    partition — and checks the energy-sum invariant on both runs.
+    With ``verify`` set, re-runs the cell on the reference kernel and
+    asserts bit-for-bit equality — cluster makespan, per-job spans,
+    windows, savings and event streams, or the *same* partition — and
+    checks the energy-sum invariant on both runs.
     """
 
     if multiprocessing.parent_process() is not None:
@@ -280,7 +274,7 @@ def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
     where = (
         f"{spec['topology']!r}/{spec['jobs_spec']!r}/{spec['placement']!r}"
     )
-    ref_spec = dict(spec, kernel="reference", scheduler="heap")
+    ref_spec = dict(spec, kernel="reference")
     try:
         cell = run_cluster_cell(**spec)
     except FabricPartitioned as exc:
@@ -288,11 +282,10 @@ def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
             try:
                 run_cluster_cell(**ref_spec)
             except FabricPartitioned as ref:
-                if _partition_key(ref) != _partition_key(exc):
+                if ref.key != exc.key:
                     raise AssertionError(
                         f"fast != reference kernel on {where}: partitions "
-                        f"diverged ({_partition_key(exc)} vs "
-                        f"{_partition_key(ref)})"
+                        f"diverged ({exc.key} vs {ref.key})"
                     ) from None
             else:
                 raise AssertionError(

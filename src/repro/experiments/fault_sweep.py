@@ -80,10 +80,6 @@ class FaultSweepRow:
         )
 
 
-def _partition_key(exc: FabricPartitioned) -> tuple:
-    return (exc.src_host, exc.dst_host, exc.t_us)
-
-
 def _fault_sweep_worker(job: dict) -> FaultSweepRow:
     """One sweep cell in a worker process (module-level for pickling).
 
@@ -106,11 +102,10 @@ def _fault_sweep_worker(job: dict) -> FaultSweepRow:
             try:
                 run_cell(**dict(spec, kernel="reference"))
             except FabricPartitioned as ref:
-                if _partition_key(ref) != _partition_key(exc):
+                if ref.key != exc.key:
                     raise AssertionError(
                         f"fast != reference kernel on {where}: partitions "
-                        f"diverged ({_partition_key(exc)} vs "
-                        f"{_partition_key(ref)})"
+                        f"diverged ({exc.key} vs {ref.key})"
                     ) from None
             else:
                 raise AssertionError(

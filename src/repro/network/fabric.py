@@ -27,10 +27,10 @@ manager programs forwarding tables ahead of traffic.  On top of the path
 the fabric precompiles a flat per-pair hop table — ``(link, channel,
 switch)`` triples plus the pipelining constants — so the replay hot path
 never walks routing dicts or recomputes subtree arithmetic per message.
-:meth:`Fabric.transfer` executes that fast kernel; the straightforward
-per-message walk is kept as :meth:`Fabric.transfer_reference` (selected
-with ``use_fast_path=False``) and the two are property-tested to be
-bit-for-bit identical.
+:meth:`Fabric.transfer_hot` (the replay path) executes that fast kernel;
+:meth:`Fabric.transfer` is the straightforward per-message walk, which
+also backs ``transfer_hot`` when ``use_fast_path=False``, and the two are
+property-tested to be bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class Fabric:
     messages_sent: int = 0
     #: compiled static routes; derived from ``router`` when not given
     routes: RouteTable | None = None
-    #: select the flat-hop-table kernel (True) or the reference
-    #: per-message walk (False); both are bit-for-bit identical
+    #: run :meth:`transfer_hot` on the flat hop tables (True) or on the
+    #: reference per-message walk (False); both are bit-for-bit identical
     use_fast_path: bool = True
 
     def __post_init__(self) -> None:
@@ -277,168 +277,10 @@ class Fabric:
         callback, links are assumed always-on (the baseline run).
 
         Returns the transfer timing; the overlapping busy intervals are
-        recorded on every traversed channel.
+        recorded on every traversed channel.  This is the reference
+        kernel: a per-message walk of the static route, the equivalence
+        oracle for :meth:`transfer_hot`.
         """
-
-        if self._faults is not None:
-            return self._transfer_faulted(
-                src_host, dst_host, size_bytes, earliest_us, on_power_block
-            )
-        if not self.use_fast_path:
-            return self.transfer_reference(
-                src_host, dst_host, size_bytes, earliest_us,
-                on_power_block=on_power_block,
-            )
-        if size_bytes < 0:
-            raise ValueError("negative message size")
-        self.messages_sent += 1
-        if src_host == dst_host:
-            # loopback: no network involvement, only the software latency
-            arrive = earliest_us + self.mpi_latency_us
-            return TransferTiming(
-                earliest_us, arrive, self.mpi_latency_us, 0.0, 0, arrive
-            )
-
-        route = self._hops.get(src_host * self._num_hosts + dst_host)
-        if route is None:
-            route = self._compile_hops(src_host, dst_host)
-        size = max(1, size_bytes)
-
-        # software injection latency happens before the wire
-        head_ready = earliest_us + self.mpi_latency_us
-        hop_latency = self.hop_latency_us
-        full = LinkPowerMode.FULL
-        power_wait = 0.0
-        depart = None
-        src_release = None
-        channel = None
-        end = 0.0
-        for link, channel, switch, seg_time, bandwidth, s_append, e_append in route:
-            if link.mode is not full:
-                if on_power_block is not None:
-                    usable = on_power_block(link, head_ready)
-                else:
-                    usable = link.ready_time(head_ready)
-                if usable > head_ready:
-                    power_wait += usable - head_ready
-                    head_ready = usable
-            # channel.reserve, inlined (same float ops — start is
-            # max(earliest, next_free), end adds the serialisation time)
-            next_free = channel.next_free_us
-            start = next_free if next_free > head_ready else head_ready
-            serial = size / bandwidth
-            end = start + serial
-            channel.next_free_us = end
-            channel.bytes_carried += size
-            s_append(start)
-            e_append(end)
-            if depart is None:
-                depart = start
-                src_release = end
-            if switch is not None:
-                switch.messages_forwarded += 1
-                switch.bytes_switched += size
-            # head of the message reaches the next hop after one segment
-            # plus the switch traversal latency
-            head_ready = (
-                start + (seg_time if seg_time < serial else serial) + hop_latency
-            )
-
-        assert depart is not None and src_release is not None
-        # the last byte arrives when the final channel finishes serialising
-        arrive = end
-        return TransferTiming(
-            depart_us=depart,
-            arrive_us=arrive,
-            wire_us=arrive - depart,
-            power_wait_us=power_wait,
-            hops=len(route),
-            src_release_us=src_release,
-        )
-
-    def transfer_hot(
-        self,
-        src_host: int,
-        dst_host: int,
-        size_bytes: int,
-        earliest_us: float,
-        on_power_block=None,
-    ) -> tuple[float, float]:
-        """Allocation-free :meth:`transfer`: ``(arrive_us, src_release_us)``.
-
-        The MPI replay layer only consumes those two fields, so its hot
-        path skips the per-message :class:`TransferTiming` construction.
-        Identical arithmetic and identical channel/switch bookkeeping;
-        with ``use_fast_path`` off it simply wraps the reference walk.
-        """
-
-        if self._faults is not None:
-            t = self._transfer_faulted(
-                src_host, dst_host, size_bytes, earliest_us, on_power_block
-            )
-            return t.arrive_us, t.src_release_us
-        if not self.use_fast_path:
-            t = self.transfer_reference(
-                src_host, dst_host, size_bytes, earliest_us,
-                on_power_block=on_power_block,
-            )
-            return t.arrive_us, t.src_release_us
-        if size_bytes < 0:
-            raise ValueError("negative message size")
-        self.messages_sent += 1
-        if src_host == dst_host:
-            arrive = earliest_us + self.mpi_latency_us
-            return arrive, arrive
-
-        route = self._hops.get(src_host * self._num_hosts + dst_host)
-        if route is None:
-            route = self._compile_hops(src_host, dst_host)
-        size = size_bytes if size_bytes > 1 else 1
-
-        head_ready = earliest_us + self.mpi_latency_us
-        hop_latency = self.hop_latency_us
-        full = LinkPowerMode.FULL
-        src_release = None
-        end = 0.0
-        for link, channel, switch, seg_time, bandwidth, s_append, e_append in route:
-            if link.mode is not full:
-                if on_power_block is not None:
-                    usable = on_power_block(link, head_ready)
-                else:
-                    usable = link.ready_time(head_ready)
-                if usable > head_ready:
-                    head_ready = usable
-            next_free = channel.next_free_us
-            start = next_free if next_free > head_ready else head_ready
-            serial = size / bandwidth
-            end = start + serial
-            channel.next_free_us = end
-            channel.bytes_carried += size
-            s_append(start)
-            e_append(end)
-            if src_release is None:
-                src_release = end
-            if switch is not None:
-                switch.messages_forwarded += 1
-                switch.bytes_switched += size
-            head_ready = (
-                start + (seg_time if seg_time < serial else serial) + hop_latency
-            )
-
-        assert src_release is not None
-        return end, src_release
-
-    def transfer_reference(
-        self,
-        src_host: int,
-        dst_host: int,
-        size_bytes: int,
-        earliest_us: float,
-        *,
-        on_power_block=None,
-    ) -> TransferTiming:
-        """Reference kernel: per-message route walk over the same static
-        routes (the equivalence oracle for :meth:`transfer`)."""
 
         if self._faults is not None:
             # both kernels share one faulted implementation, so the
@@ -503,6 +345,81 @@ class Fabric:
             hops=hops,
             src_release_us=src_release,
         )
+
+    def transfer_hot(
+        self,
+        src_host: int,
+        dst_host: int,
+        size_bytes: int,
+        earliest_us: float,
+        on_power_block=None,
+    ) -> tuple[float, float]:
+        """The replay kernel: :meth:`transfer` over the precompiled flat
+        hop table, returning only ``(arrive_us, src_release_us)``.
+
+        The MPI replay layer only consumes those two fields, so its hot
+        path skips the per-message :class:`TransferTiming` construction.
+        Identical arithmetic and identical channel/switch bookkeeping;
+        with ``use_fast_path`` off it simply wraps the reference walk.
+        """
+
+        if self._faults is not None:
+            t = self._transfer_faulted(
+                src_host, dst_host, size_bytes, earliest_us, on_power_block
+            )
+            return t.arrive_us, t.src_release_us
+        if not self.use_fast_path:
+            t = self.transfer(
+                src_host, dst_host, size_bytes, earliest_us,
+                on_power_block=on_power_block,
+            )
+            return t.arrive_us, t.src_release_us
+        if size_bytes < 0:
+            raise ValueError("negative message size")
+        self.messages_sent += 1
+        if src_host == dst_host:
+            arrive = earliest_us + self.mpi_latency_us
+            return arrive, arrive
+
+        route = self._hops.get(src_host * self._num_hosts + dst_host)
+        if route is None:
+            route = self._compile_hops(src_host, dst_host)
+        size = size_bytes if size_bytes > 1 else 1
+
+        head_ready = earliest_us + self.mpi_latency_us
+        hop_latency = self.hop_latency_us
+        full = LinkPowerMode.FULL
+        src_release = None
+        end = 0.0
+        for link, channel, switch, seg_time, bandwidth, s_append, e_append in route:
+            if link.mode is not full:
+                if on_power_block is not None:
+                    usable = on_power_block(link, head_ready)
+                else:
+                    usable = link.ready_time(head_ready)
+                if usable > head_ready:
+                    head_ready = usable
+            # channel.reserve, inlined (same float ops — start is
+            # max(earliest, next_free), end adds the serialisation time)
+            next_free = channel.next_free_us
+            start = next_free if next_free > head_ready else head_ready
+            serial = size / bandwidth
+            end = start + serial
+            channel.next_free_us = end
+            channel.bytes_carried += size
+            s_append(start)
+            e_append(end)
+            if src_release is None:
+                src_release = end
+            if switch is not None:
+                switch.messages_forwarded += 1
+                switch.bytes_switched += size
+            head_ready = (
+                start + (seg_time if seg_time < serial else serial) + hop_latency
+            )
+
+        assert src_release is not None
+        return end, src_release
 
     # -- fault injection -----------------------------------------------------
 

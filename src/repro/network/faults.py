@@ -24,7 +24,7 @@ Every per-element draw comes from its own
 never from a shared sequential generator — so the events scheduled for
 one link are a pure function of the spec and that link's position in the
 (sorted, topology-determined) element order: independent of replay
-history, process, kernel or scheduler.
+history, process or kernel.
 
 ## How fault timing reaches both kernels identically
 
@@ -117,6 +117,13 @@ class FabricPartitioned(RuntimeError):
 
         self.blocked = tuple(names)
         return self
+
+    @property
+    def key(self) -> tuple:
+        """``(src_host, dst_host, t_us)`` — what two replays must agree
+        on for their partitions to count as the same one."""
+
+        return (self.src_host, self.dst_host, self.t_us)
 
     def __str__(self) -> str:
         recent = ", ".join(e.describe() for e in self.timeline[-6:])
@@ -308,8 +315,8 @@ class WakeFaultModel:
 
     A reactivation of the managed link with ordinal ``wake_key`` (its
     host rank) draws once per shutdown ordinal — a pure function of
-    ``(seed, wake_key, ordinal)``, so fast/reference and calendar/heap
-    replays see identical spikes.
+    ``(seed, wake_key, ordinal)``, so fast and reference replays see
+    identical spikes.
     """
 
     seed: int

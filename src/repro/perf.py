@@ -13,14 +13,11 @@ Schema 6 mirrors the ``run_cell`` replay structure (one shared fabric
 and one compiled program set, reset/reused between replays) and times
 the replay pipeline of the compiled-program fast kernel: a
 ``program_compile_s`` stage for the trace -> opcode lowering, the
-default-path ``baseline_replay_s``/``managed_replay_s`` (compiled
-programs on the calendar-queue scheduler; the managed stage runs the
-directive-compiled programs and includes the per-displacement
-directive weave), and a
-``baseline_replay_heap_s`` stage that re-runs the baseline on the heapq
-reference scheduler so the smoke gate covers *both* schedulers.  The
-config carries a **topology dimension** (``--topology``, any family
-spec from :mod:`repro.network.topologies`) and a **fault dimension**
+default-path ``baseline_replay_s``/``managed_replay_s`` (the managed
+stage runs the directive-compiled programs and includes the
+per-displacement directive weave).  The config carries a **topology
+dimension** (``--topology``, any family spec from
+:mod:`repro.network.topologies`) and a **fault dimension**
 (``--faults``, a spec from :mod:`repro.network.faults`; default
 ``"none"`` keeps every existing reference number untouched); timings
 recorded on one (family, fault spec) pair never gate against a
@@ -205,10 +202,6 @@ def run_pipeline_benchmark(
     replay_cfg = ReplayConfig(
         seed=seed, topology=topology, faults=faults, policy=policy
     )
-    heap_cfg = ReplayConfig(
-        seed=seed, scheduler="heap", topology=topology, faults=faults,
-        policy=policy,
-    )
     stages: dict[str, float] = {}
     # cold schedule cache: stage timings stay reproducible whatever ran
     # in this process before, and it also zeroes the process-cumulative
@@ -235,13 +228,6 @@ def run_pipeline_benchmark(
     fabric = fabric_for(nranks, replay_cfg)
     fabric.precompile_pairs(programs.comm_pairs())
     stages["fabric_build_s"] = time.perf_counter() - t0
-
-    # the heapq reference scheduler first (control before optimized —
-    # it also absorbs interpreter warm-up), so the smoke gate protects
-    # both event-queue implementations
-    t0 = time.perf_counter()
-    replay_baseline(trace, heap_cfg, fabric=fabric, programs=programs)
-    stages["baseline_replay_heap_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with profiler:
@@ -364,7 +350,6 @@ def run_pipeline_benchmark(
             # gated against (or recorded as) a sequential reference
             "workers": resolve_workers(None),
             "kernel": replay_cfg.kernel,
-            "scheduler": replay_cfg.scheduler,
             "topology": topology,
             "faults": faults,
             # schema 8: the power-policy scenario is part of the key —

@@ -6,8 +6,8 @@ generation, program compilation, fabric build + route precompilation,
 baseline replay, GT selection, the shared planning pass, then one
 managed replay per displacement — but caches the displacement-
 independent artefacts in a bounded LRU keyed by the full cell spec
-``(app, nranks, iterations, seed, scaling, topology, kernel, scheduler,
-faults, policy)``.  A warm what-if query (same cell, new displacement)
+``(app, nranks, iterations, seed, scaling, topology, kernel, faults,
+policy)``.  A warm what-if query (same cell, new displacement)
 therefore costs **one replay** (one copy-on-write rebind, one weave,
 one managed replay straight from the cached compiled programs — a
 bundle keeps its trace only for a reference-kernel spec); a repeated
@@ -74,7 +74,6 @@ SPEC_FIELDS = (
     "scaling",
     "topology",
     "kernel",
-    "scheduler",
     "faults",
     "policy",
 )
@@ -127,9 +126,6 @@ def normalize_spec(raw: dict) -> dict:
     kernel = raw.get("kernel", "fast")
     if kernel not in ("fast", "reference"):
         raise SpecError(f"kernel must be fast|reference, got {kernel!r}")
-    scheduler = raw.get("scheduler", "calendar")
-    if scheduler not in ("calendar", "heap"):
-        raise SpecError(f"scheduler must be calendar|heap, got {scheduler!r}")
     return {
         "app": app,
         "nranks": nranks,
@@ -139,7 +135,6 @@ def normalize_spec(raw: dict) -> dict:
         "scaling": scaling,
         "topology": str(raw.get("topology", DEFAULT_TOPOLOGY)),
         "kernel": kernel,
-        "scheduler": scheduler,
         "faults": str(raw.get("faults", NO_FAULTS)),
         "policy": str(raw.get("policy", DEFAULT_POLICY)),
     }
@@ -314,7 +309,6 @@ class WarmPipeline:
             seed=spec["seed"],
             topology=spec["topology"],
             kernel=spec["kernel"],
-            scheduler=spec["scheduler"],
             faults=spec["faults"],
             policy=spec["policy"],
         )

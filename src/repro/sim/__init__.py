@@ -50,19 +50,16 @@ per-message hot path touches only flat, already-compiled state:
    :class:`~repro.network.routing.RouteTable` compiles each pair once,
    the fabric flattens it into per-pair ``(link, channel, switch)`` hop
    tables, and ``Fabric.precompile_pairs`` builds them ahead of traffic
-   from the compiled trace's ``comm_pairs()``.  ``Fabric.transfer`` /
-   ``transfer_hot`` walk that flat table; the per-message route walk is
-   kept as ``Fabric.transfer_reference``
-   (``ReplayConfig(kernel="reference")``) and property-tested bit-for-bit
-   identical.  Channel busy intervals append to flat start/end arrays;
+   from the compiled trace's ``comm_pairs()``.  ``Fabric.transfer_hot``
+   walks that flat table; the per-message route walk is kept as
+   ``Fabric.transfer`` (``ReplayConfig(kernel="reference")``) and
+   property-tested bit-for-bit identical.  Channel busy intervals append to flat start/end arrays;
    coalescing and utilisation/energy aggregation are deferred to query
    time.
-5. **The DES engine** (:mod:`repro.sim.engine`) — selectable event
-   queue (``ReplayConfig(scheduler=...)``): a calendar queue by
-   default, heapq kept as the reference, both honouring the same
-   ``(time, insertion-order)`` determinism contract.  Plain-tuple
-   entries, no per-event closures, pooled signals, and synchronous
-   resume of pre-registered signal waiters.
+5. **The DES engine** (:mod:`repro.sim.engine`) — one heapq event
+   queue with a ``(time, insertion-order)`` determinism contract.
+   Plain-tuple entries, no per-event closures, pooled signals, and
+   synchronous resume of pre-registered signal waiters.
 
 Drivers reuse fabrics and compiled programs across replays
 (``fabric_for`` / ``compile_trace`` + the ``fabric=`` / ``programs=``
@@ -73,8 +70,8 @@ On the fast kernel a replay may take the compiled programs alone in
 place of the trace (they carry the rank set, ``nranks`` and name), so a
 warm what-if never regenerates its trace; only the reference kernel
 interprets trace records.
-Every (kernel, scheduler) combination is pinned bit-for-bit to the
-``("reference", "heap")`` oracle by the differential harness
+The fast kernel is pinned bit-for-bit to the ``"reference"`` kernel
+oracle by the differential harness
 (``tests/sim/test_differential_kernels.py``).
 """
 
@@ -86,7 +83,7 @@ from .dimemas import (
     replay_baseline,
     replay_managed,
 )
-from .engine import SCHEDULERS, AllOf, Delay, Engine, Signal, SimulationError
+from .engine import AllOf, Delay, Engine, Signal, SimulationError
 from .mpi import MPIWorld, RankDirective
 from .program import CompiledTrace, RankProgram, compile_trace
 from .results import BaselineResult, ManagedResult
@@ -99,7 +96,6 @@ from .venus import (
 
 __all__ = [
     "KERNELS",
-    "SCHEDULERS",
     "FabricPartitioned",
     "FaultSummary",
     "ReplayConfig",

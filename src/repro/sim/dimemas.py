@@ -41,7 +41,7 @@ from ..power.policies import (
 from ..power.switchpower import fabric_switch_rollup
 from ..power.states import WRPSParams
 from ..trace.trace import Trace
-from .engine import SCHEDULERS, Engine
+from .engine import Engine
 from .mpi import MPIWorld, RankDirective
 from .program import CompiledTrace, compile_trace
 from .results import BaselineResult, ManagedResult
@@ -59,11 +59,9 @@ class ReplayConfig:
     (:mod:`repro.sim.program`) over the precompiled-route flat-hop-table
     fabric kernel; ``"reference"`` interprets the raw trace records
     (:meth:`~repro.sim.mpi.MPIWorld.rank_program`) over the
-    straightforward per-message route walk.  ``scheduler`` selects the
-    engine's event queue: ``"calendar"`` (the calendar-queue scheduler)
-    or ``"heap"`` (the heapq reference).  Every (kernel, scheduler)
-    combination is bit-for-bit identical; the reference axes exist as
-    the equivalence oracles for the differential test harness
+    straightforward per-message route walk.  Both kernels are
+    bit-for-bit identical; the reference kernel exists as the
+    equivalence oracle for the differential test harness
     (``tests/sim/test_differential_kernels.py``).
 
     ``topology`` is a topology spec string (``"fitted"``,
@@ -79,12 +77,11 @@ class ReplayConfig:
     eager_threshold_bytes: int = EAGER_THRESHOLD_BYTES
     cpu_speedup: float = 1.0
     kernel: str = "fast"
-    scheduler: str = "calendar"
     topology: str = DEFAULT_TOPOLOGY
     #: fault spec string (``"none"`` or ``"faults:seed=7,link_fail=..."``
     #: — see :mod:`repro.network.faults`); the compiled fault schedule is
-    #: a pure function of (seed, topology, spec), so every kernel and
-    #: scheduler sees the identical fault timeline
+    #: a pure function of (seed, topology, spec), so every kernel sees
+    #: the identical fault timeline
     faults: str = NO_FAULTS
     #: power-policy spec string (``"policy:hca=gate,trunk=width"``,
     #: ``"none"``, ... — see :mod:`repro.power.policies`); selects which
@@ -97,11 +94,6 @@ class ReplayConfig:
         if self.kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; pick one of {KERNELS}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"pick one of {SCHEDULERS}"
             )
         # fail fast on a typo'd family/parameter string; the topology
         # itself is built lazily per fabric
@@ -232,7 +224,7 @@ def _build_world(
     power_hook=None,
     fabric: Fabric | None = None,
 ) -> tuple[Engine, Fabric, MPIWorld]:
-    engine = Engine(scheduler=config.scheduler)
+    engine = Engine()
     if fabric is None:
         fabric = fabric_for(nranks, config)
     else:

@@ -10,31 +10,8 @@ else (MPI semantics, the network, power) is layered on top in
 
 Determinism: events scheduled for the same timestamp are processed in
 insertion order (a monotonically increasing sequence number breaks ties),
-so repeated runs of the same trace are bit-for-bit identical.  Both
-schedulers below honour the same ``(time_us, seq)`` total order.
-
-Schedulers
-----------
-
-``Engine(scheduler=...)`` selects the event-queue implementation:
-
-* ``"heap"`` (the default, and the reference for the differential test
-  harness) — a single binary heap via :mod:`heapq`.
-* ``"calendar"`` — a calendar queue (Brown 1988): a power-of-two ring of
-  time buckets with the serving pointer sweeping bucket windows.  An
-  entry lands in virtual bucket ``int(t / width)``; the same expression
-  gates serving, so placement and serving can never disagree under
-  float rounding.  Every bucket is kept sorted by a C ``insort`` on
-  push — replay events arrive in near-time-order, so the insertion
-  point is almost always the tail and the memmove is empty — and pops
-  walk an index cursor: one list index and one float compare per
-  event, no heap discipline anywhere on the hot path, and no size
-  bookkeeping (the window sweep detects emptiness).  Served prefixes
-  are compacted away when a window is exhausted.  When a full ring
-  sweep finds nothing (a sparse region of simulated time), a direct
-  search over the sorted bucket heads locates the global minimum and
-  the pointer jumps there — correctness never depends on the bucket
-  width.
+so repeated runs of the same trace are bit-for-bit identical.  The event
+queue is a single binary heap (:mod:`heapq`) ordered on ``(time_us, seq)``.
 
 Hot-path layout: queue entries are plain ``(time_us, seq, fn, arg)``
 tuples (ordered on the first two fields; ``seq`` is unique so the
@@ -52,25 +29,9 @@ state replay allocates no new Signal objects per message.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
-
-#: event-queue implementations selectable via ``Engine(scheduler=...)``
-SCHEDULERS = ("heap", "calendar")
-
-#: default calendar-queue geometry: bucket width in simulated
-#: microseconds and ring size (must be a power of two).  Replay events
-#: cluster within a few microseconds of ``now`` (MPI latency is 1 us),
-#: so a few-tens-of-us window keeps the current bucket hot while the
-#: ring spans one ~2 ms "day" before the direct-search fallback kicks
-#: in (replay idle gaps — GT-scale, hundreds of us — stay inside a
-#: day).  Replay timings are flat across a wide band (2-32 us measured
-#: on alya@64), so the exact values are not load-bearing.
-CALENDAR_BUCKET_US = 16.0
-CALENDAR_NBUCKETS = 128
-
 
 class SimulationError(RuntimeError):
     """Deadlock or protocol violation detected by the engine."""
@@ -234,10 +195,9 @@ class Engine:
     """The event loop."""
 
     # slots: the scheduling hot paths touch these attributes per event;
-    # ``_schedule`` is a slot (not a method) bound per instance to the
-    # selected scheduler's push implementation
+    # ``_schedule`` is a slot (not a method) holding the per-instance
+    # push closure built by ``_make_schedule``
     __slots__ = (
-        "scheduler",
         "now",
         "_seq",
         "_processes",
@@ -245,27 +205,11 @@ class Engine:
         "_signal_pool",
         "_queue",
         "_schedule",
-        "_buckets",
-        "_cal_mask",
-        "_cal_inv",
-        "_cal_cur",
-        "_direct_searches",
         "blocked_reporter",
         "spawn_count",
     )
 
-    def __init__(
-        self,
-        scheduler: str = "heap",
-        *,
-        calendar_bucket_us: float = CALENDAR_BUCKET_US,
-        calendar_nbuckets: int = CALENDAR_NBUCKETS,
-    ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._seq = itertools.count()
         self._processes: list[_Process] = []
@@ -281,23 +225,7 @@ class Engine:
         #: no-helper-spawn invariant is asserted against it
         self.spawn_count = 0
         self._queue: list[tuple] = []
-        self._schedule = self._make_schedule_heap()
-        if scheduler == "calendar":
-            n = int(calendar_nbuckets)
-            if n <= 0 or n & (n - 1):
-                raise ValueError(
-                    f"calendar_nbuckets must be a power of two, got {n}"
-                )
-            if calendar_bucket_us <= 0:
-                raise ValueError("calendar_bucket_us must be positive")
-            self._buckets: list[list[tuple]] = [[] for _ in range(n)]
-            self._cal_mask = n - 1
-            self._cal_inv = 1.0 / float(calendar_bucket_us)
-            #: last fully-served virtual bucket number (the scan resumes
-            #: at ``_cal_cur + 1``); -1 so the first scan checks window 0
-            self._cal_cur = -1
-            self._direct_searches = 0
-            self._schedule = self._make_schedule_calendar()
+        self._schedule = self._make_schedule()
 
     # -- public API ----------------------------------------------------------
 
@@ -316,7 +244,7 @@ class Engine:
 
         self._schedule(t_us, _invoke, action)
 
-    def _make_schedule_heap(self) -> Callable:
+    def _make_schedule(self) -> Callable:
         """Build the heap push as a closure — ``_schedule(t, fn, arg)``.
 
         The single-argument ``fn(arg)`` form lets hot paths schedule
@@ -339,33 +267,6 @@ class Engine:
 
         return schedule
 
-    def _make_schedule_calendar(self) -> Callable:
-        """Build the calendar push as a closure (see
-        :meth:`_make_schedule_heap` for why)."""
-
-        buckets = self._buckets
-        mask = self._cal_mask
-        inv = self._cal_inv
-        seq_next = self._seq.__next__
-
-        def schedule(t_us: float, fn: Callable[[Any], None], arg: Any,
-                     _insort=insort, _int=int) -> None:
-            now = self.now
-            if t_us <= now:
-                if t_us < now - 1e-9:
-                    raise SimulationError(
-                        f"cannot schedule in the past: {t_us} < now={now}"
-                    )
-                t_us = now
-            # (t, seq) is globally fresh, so within the serving window
-            # the entry always lands at-or-after the cursor position
-            _insort(
-                buckets[_int(t_us * inv) & mask],
-                (t_us, seq_next(), fn, arg),
-            )
-
-        return schedule
-
     def run(self, until_us: float | None = None) -> float:
         """Drain the event queue; returns the final simulation time.
 
@@ -373,8 +274,6 @@ class Engine:
         the queue empties (deadlock — e.g. an unmatched receive).
         """
 
-        if self.scheduler == "calendar":
-            return self._run_calendar(until_us)
         queue = self._queue
         now = self.now
         limit = float("inf") if until_us is None else until_us
@@ -394,86 +293,6 @@ class Engine:
         self._check_deadlock()
         return self.now
 
-    def _run_calendar(self, until_us: float | None = None) -> float:
-        buckets = self._buckets
-        mask = self._cal_mask
-        inv = self._cal_inv
-        nbuckets = mask + 1
-        cur = self._cal_cur
-        curb: list[tuple] | None = None
-        cursor = 0
-        now = self.now
-        limit = float("inf") if until_us is None else until_us
-        # the serving-window bound (cur + 1.0), maintained wherever the
-        # window pointer moves so the per-event gate is one float mul
-        # and one compare
-        bound = cur + 1.0
-        while True:
-            if curb is not None and cursor < len(curb):
-                entry = curb[cursor]
-                t_us = entry[0]
-                if t_us * inv < bound:
-                    if t_us > limit:
-                        # pause without consuming the entry; rewind the
-                        # serving pointer so events scheduled while
-                        # paused (spawn / call_at at now=until_us) are
-                        # not missed by the resuming scan
-                        del curb[:cursor]
-                        self._cal_cur = int(until_us * inv) - 1
-                        self.now = until_us
-                        return until_us
-                    cursor += 1
-                    if t_us > now:
-                        now = t_us
-                        self.now = t_us
-                    elif t_us < now - 1e-9:
-                        raise SimulationError(
-                            "time went backwards in event queue"
-                        )
-                    entry[2](entry[3])
-                    continue
-            if curb is not None:
-                # window exhausted: drop the served prefix (entries of
-                # future ring laps stay, still sorted)
-                del curb[:cursor]
-                cursor = 0
-                curb = None
-            # sweep the ring for the next non-empty window; after a full
-            # fruitless day, either the queue is drained or all entries
-            # are a day+ away — find the global minimum directly
-            scanned = 0
-            nonempty = False
-            while True:
-                cur += 1
-                bound += 1.0
-                bucket = buckets[cur & mask]
-                if bucket:
-                    if bucket[0][0] * inv < bound:
-                        curb = bucket
-                        break
-                    nonempty = True
-                scanned += 1
-                if scanned >= nbuckets:
-                    if not nonempty:
-                        # drained: rewind the serving pointer to now's
-                        # window — events pushed before a later run()
-                        # land at t >= now, and the resuming sweep must
-                        # meet them in window order
-                        self._cal_cur = int(self.now * inv) - 1
-                        self._check_deadlock()
-                        return self.now
-                    self._direct_searches += 1
-                    best = None
-                    for b in buckets:
-                        if b and (best is None or b[0] < best):
-                            best = b[0]
-                    assert best is not None
-                    cur = int(best[0] * inv)
-                    bound = cur + 1.0
-                    curb = buckets[cur & mask]
-                    break
-            cursor = 0
-
     def blocked_names(self) -> list[str]:
         """Names of processes still blocked, plus any processless
         in-flight work registered via ``blocked_reporter`` — the
@@ -492,13 +311,6 @@ class Engine:
                 + ", ".join(blocked[:8])
                 + ("..." if len(blocked) > 8 else "")
             )
-
-    def scheduler_stats(self) -> dict[str, int]:
-        """Instrumentation snapshot (calendar queue fallback counter)."""
-
-        if self.scheduler != "calendar":
-            return {}
-        return {"direct_searches": self._direct_searches}
 
     def new_signal(self, name: str = "") -> Signal:
         pool = self._signal_pool

@@ -46,7 +46,7 @@ Equivalence contract: a compiled program must drive the engine through
 calls in the same order, same float arithmetic) as the interpreter on the
 same records — the differential harness
 (``tests/sim/test_differential_kernels.py``) holds the two bit-for-bit
-equal across the full workload × protocol × scheduler matrix.  The one
+equal across the full workload × protocol × topology matrix.  The one
 intentional difference is invisible to the simulation: traces whose
 builders did not already coalesce adjacent compute bursts sum the raw
 durations at compile time (``ProcessTrace.compute`` performs the same

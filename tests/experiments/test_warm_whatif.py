@@ -144,9 +144,7 @@ class TestClusterWarmWhatIf:
     def test_reference_kernel_still_builds_its_traces(self, trace_calls):
         fast = run_cluster_cell(STREAM, **self.KW)
         trace_calls.clear()
-        ref = run_cluster_cell(
-            STREAM, kernel="reference", scheduler="heap", **self.KW
-        )
+        ref = run_cluster_cell(STREAM, kernel="reference", **self.KW)
         # the reference cells are cold (kernel is part of the memo key),
         # and every job's interpreter needs the records
         assert sorted(trace_calls) == [

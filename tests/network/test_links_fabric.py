@@ -1,6 +1,7 @@
 """Tests for links, channels and the fabric's transfer timing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import (
     LINK_BANDWIDTH_BYTES_PER_US,
@@ -188,3 +189,78 @@ class TestSwitchAccounting:
         fab.transfer(0, 1, 4096, 0.0)
         fab.reset()
         assert all(m == 0 for m, _ in fab.switch_traffic().values())
+
+
+def _channel_state(fab):
+    return {
+        key: [
+            (ch.busy_starts, ch.busy_ends, ch.next_free_us, ch.bytes_carried)
+            for ch in (link.forward, link.backward)
+        ]
+        for key, link in fab.links.items()
+    }
+
+
+def _waking_hook(calls):
+    """A power-block hook that logs the call and wakes the link 7.5 us
+    later (the controller's role in a managed replay)."""
+
+    def hook(link, t):
+        calls.append((link.a, link.b, t))
+        link.mode = LinkPowerMode.FULL
+        return t + 7.5
+
+    return hook
+
+
+class TestHotEqualsReference:
+    """``transfer_hot`` (the replay kernel over flat hop tables) against
+    ``transfer`` (the per-message route walk) on twin fabrics."""
+
+    NRANKS = 40  # three leaves: same-leaf and cross-spine routes
+
+    @given(
+        seed=st.integers(0, 3),
+        messages=st.lists(
+            st.tuples(
+                st.integers(0, NRANKS - 1),               # src
+                # dst offset: loopback, same leaf, across the spine
+                st.sampled_from([0, 1, 2, 17, 18, 39]),
+                st.sampled_from([0, 1, 64, 4096, 70_000, 1 << 20]),
+                st.floats(0.0, 40.0),                     # gap after last
+                st.booleans(),                            # gate src HCA
+                st.booleans(),                            # pass the hook
+            ),
+            min_size=1, max_size=40,
+        ),
+        precompiled=st.integers(0, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_timings_and_bookkeeping(self, seed, messages, precompiled):
+        hot = Fabric.for_ranks(self.NRANKS, seed=seed)
+        ref = Fabric.for_ranks(self.NRANKS, seed=seed)
+        # a prefix of the pairs is compiled ahead, the rest lazily
+        messages = [
+            (src, (src + off) % self.NRANKS, *rest)
+            for src, off, *rest in messages
+        ]
+        hot.precompile_pairs({(m[0], m[1]) for m in messages[:precompiled]})
+        hot_calls, ref_calls = [], []
+        hot_hook, ref_hook = _waking_hook(hot_calls), _waking_hook(ref_calls)
+        t = 0.0
+        for src, dst, size, gap, gate, hooked in messages:
+            t += gap
+            if gate:
+                hot.host_link(src).mode = LinkPowerMode.LOW
+                ref.host_link(src).mode = LinkPowerMode.LOW
+            got = hot.transfer_hot(
+                src, dst, size, t, hot_hook if hooked else None
+            )
+            want = ref.transfer(
+                src, dst, size, t, on_power_block=ref_hook if hooked else None
+            )
+            assert got == (want.arrive_us, want.src_release_us)
+        assert hot_calls == ref_calls
+        assert _channel_state(hot) == _channel_state(ref)
+        assert hot.switch_traffic() == ref.switch_traffic()
+        assert hot.messages_sent == ref.messages_sent == len(messages)

@@ -64,7 +64,6 @@ def test_normalize_fills_defaults():
     assert spec["seed"] == 1234
     assert spec["scaling"] == "strong"
     assert spec["kernel"] == "fast"
-    assert spec["scheduler"] == "calendar"
     assert spec["faults"] == "none"
     assert spec["iterations"] > 0
 
@@ -80,7 +79,8 @@ def test_normalize_fills_defaults():
         ({"app": "alya", "nranks": 8, "displacement": -0.1}, "displacement"),
         ({"app": "alya", "nranks": 8, "scaling": "sideways"}, "scaling"),
         ({"app": "alya", "nranks": 8, "kernel": "turbo"}, "kernel"),
-        ({"app": "alya", "nranks": 8, "scheduler": "fifo"}, "scheduler"),
+        # a removed field fails as unknown, whatever its old value
+        ({"app": "alya", "nranks": 8, "scheduler": "heap"}, "scheduler"),
         ({"app": "alya", "nranks": 8, "bogus": 1}, "bogus"),
     ],
 )

@@ -236,6 +236,11 @@ def test_bad_request_spec_is_structured(daemon_factory):
     with pytest.raises(ServiceError) as excinfo:
         client.request({"op": "frobnicate"})
     assert excinfo.value.code == "BAD_REQUEST"
+    # a field the spec no longer has is refused as unknown, not ignored
+    with pytest.raises(ServiceError) as excinfo:
+        client.cell(scheduler="heap", **SMALL_SPEC)
+    assert excinfo.value.code == "BAD_REQUEST"
+    assert "unknown cell spec field(s): ['scheduler']" in str(excinfo.value)
 
 
 def test_unknown_socket_is_service_unavailable(tmp_path):
@@ -260,10 +265,19 @@ def _service_threads() -> set[threading.Thread]:
     }
 
 
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
 def test_stop_is_prompt_and_leaves_no_service_thread(daemon_factory):
     before = _service_threads()
+    fds_before = _open_fds()
     daemon, client = daemon_factory()
     client.cell(**SMALL_SPEC)
+    client.ping()
+    client.stats()
     # an idle client connection must not pin its handler thread
     idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     idle.connect(daemon.config.socket_path)
@@ -277,6 +291,9 @@ def test_stop_is_prompt_and_leaves_no_service_thread(daemon_factory):
     assert elapsed < 0.2, f"stop() took {elapsed:.3f} s"
     assert _service_threads() - before == set()
     assert not os.path.exists(daemon.config.socket_path)
+    # listener, per-connection sockets (the idle one included) and
+    # anything the warm pipeline opened are all closed again
+    assert _open_fds() == fds_before
 
 
 def test_sigterm_drain_completes_queued_requests(daemon_factory):

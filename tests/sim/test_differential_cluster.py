@@ -1,8 +1,8 @@
 """Differential matrix for the multi-job cluster layer.
 
 The cluster scheduler composes jobs onto one fabric through the same
-transfer kernels and event schedulers the single-job replays use, so
-every (kernel, scheduler) combo must produce a bit-for-bit identical
+transfer kernels the single-job replays use, so every kernel must
+produce a bit-for-bit identical
 cluster timeline — makespan, per-job spans and windows, placements,
 power reports, event streams, per-link account intervals, fabric-level
 link energy, tenant rollups, and the folded fault summary — on every
@@ -18,12 +18,8 @@ from repro.sim.collectives import clear_schedule_cache
 
 pytestmark = pytest.mark.differential
 
+#: the oracle first; every other kernel is compared against it
 KERNELS = ("reference", "fast")
-SCHEDULERS = ("heap", "calendar")
-ORACLE = ("reference", "heap")
-COMBOS = [ORACLE] + [
-    (k, s) for k in KERNELS for s in SCHEDULERS if (k, s) != ORACLE
-]
 
 #: two tenants, two shapes, overlapping by arrival: contention + an
 #: episode handoff on every topology family below
@@ -45,15 +41,14 @@ FAULTS = (
 )
 
 
-def _cluster_snapshot(kernel, scheduler, topology, faults="none"):
+def _cluster_snapshot(kernel, topology, faults="none"):
     """Every comparable field of one cluster cell, caches cleared."""
 
     clear_schedule_cache()
     clear_cache()
     cell = run_cluster_cell(
         STREAM, placement="spread", displacement=DISP, iterations=ITERS,
-        seed=SEED, topology=topology, kernel=kernel, scheduler=scheduler,
-        faults=faults,
+        seed=SEED, topology=topology, kernel=kernel, faults=faults,
     )
     managed = cell.managed
     return {
@@ -87,8 +82,8 @@ class TestClusterMatrix:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_every_combo_same_cluster_timeline(self, topology):
         want = None
-        for kernel, scheduler in COMBOS:
-            got = _cluster_snapshot(kernel, scheduler, topology)
+        for kernel in KERNELS:
+            got = _cluster_snapshot(kernel, topology)
             if want is None:
                 want = got
                 # guard against a vacuous matrix: jobs must overlap
@@ -99,26 +94,25 @@ class TestClusterMatrix:
                     for b in windows[i + 1:]
                 )
             else:
-                _assert_equal(got, want, (topology, kernel, scheduler))
+                _assert_equal(got, want, (topology, kernel))
 
 
 class TestFaultedClusterMatrix:
     def test_every_combo_same_faulted_timeline(self):
         want = None
-        for kernel, scheduler in COMBOS:
-            got = _cluster_snapshot(kernel, scheduler, "fitted",
-                                    faults=FAULTS)
+        for kernel in KERNELS:
+            got = _cluster_snapshot(kernel, "fitted", faults=FAULTS)
             if want is None:
                 want = got
                 # the fault schedule must actually fire on the cluster
                 assert got["faults"] is not None
                 assert got["faults"].events_applied > 0
             else:
-                _assert_equal(got, want, ("fitted", kernel, scheduler))
+                _assert_equal(got, want, ("fitted", kernel))
 
     def test_faults_actually_change_the_cluster(self):
-        clean = _cluster_snapshot(*ORACLE, "fitted")
-        faulted = _cluster_snapshot(*ORACLE, "fitted", faults=FAULTS)
+        clean = _cluster_snapshot("reference", "fitted")
+        faulted = _cluster_snapshot("reference", "fitted", faults=FAULTS)
         assert faulted["makespan"] != clean["makespan"]
         assert clean["faults"] is None
 

@@ -2,11 +2,10 @@
 
 Faults are applied lazily at the simulation clock inside the fabric's
 shared faulted transfer kernel, so the compiled fast kernel and the
-reference walk — and both event schedulers — must observe the *same*
-fault timeline and produce bit-for-bit identical results: execution
-times, event logs, counters, busy logs, and the fault summaries
-themselves.  Partitions must also be deterministic: when no surviving
-route exists, every combo raises :class:`FabricPartitioned` at the same
+reference walk must observe the *same* fault timeline and produce
+bit-for-bit identical results: execution times, event logs, counters,
+busy logs, and the fault summaries themselves.  Partitions must also be
+deterministic: when no surviving route exists, every kernel raises :class:`FabricPartitioned` at the same
 simulated instant with the same blocked-rank report, within bounded
 simulated time (no wall-clock hang).
 """
@@ -27,12 +26,8 @@ from repro.workloads import make_trace
 
 pytestmark = pytest.mark.differential
 
+#: the oracle first; every other kernel is compared against it
 KERNELS = ("reference", "fast")
-SCHEDULERS = ("heap", "calendar")
-ORACLE = ("reference", "heap")
-COMBOS = [ORACLE] + [
-    (k, s) for k in KERNELS for s in SCHEDULERS if (k, s) != ORACLE
-]
 
 #: a rich degraded-fabric scenario whose horizon fits the short test
 #: replays (the default 20ms horizon would outlive them untouched)
@@ -72,8 +67,7 @@ def _faulted_baseline(trace, cfg):
 def _faulted_managed(trace, cfg, displacement=0.05):
     clear_schedule_cache()
     baseline = replay_baseline(trace, ReplayConfig(
-        seed=cfg.seed, kernel=cfg.kernel, scheduler=cfg.scheduler,
-        topology=cfg.topology,
+        seed=cfg.seed, kernel=cfg.kernel, topology=cfg.topology,
     ))
     gt = select_gt(baseline.event_logs)
     directives, stats = plan_trace_directives(
@@ -109,9 +103,9 @@ class TestFaultedBaselineMatrix:
     def test_every_combo_sees_the_same_faults(self, topology):
         trace = make_trace("alya", 8, iterations=3, seed=11)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=11, kernel=kernel, scheduler=scheduler,
+                seed=11, kernel=kernel,
                 topology=topology, faults=FAULTS,
             )
             got = _faulted_baseline(trace, cfg)
@@ -121,7 +115,7 @@ class TestFaultedBaselineMatrix:
                 assert got["faults"] is not None
                 assert got["faults"].events_applied > 0
             else:
-                _assert_equal(got, want, (topology, kernel, scheduler))
+                _assert_equal(got, want, (topology, kernel))
 
     def test_faults_actually_change_the_replay(self):
         trace = make_trace("alya", 8, iterations=3, seed=11)
@@ -138,16 +132,16 @@ class TestFaultedManagedMatrix:
     def test_managed_pipeline_combo_invariant(self, topology):
         trace = make_trace("gromacs", 8, iterations=4, seed=23)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=23, kernel=kernel, scheduler=scheduler,
+                seed=23, kernel=kernel,
                 topology=topology, faults=FAULTS,
             )
             got = _faulted_managed(trace, cfg)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (topology, kernel, scheduler))
+                _assert_equal(got, want, (topology, kernel))
         # wake-timeout spikes hit the managed (LOW) links and are
         # accounted in the managed summary, identically on every combo
         assert want["faults"].wake_timeouts > 0
@@ -158,9 +152,9 @@ class TestPartitionDeterminism:
     def test_partition_is_identical_on_every_combo(self):
         trace = make_trace("alya", 8, iterations=3, seed=11)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=11, kernel=kernel, scheduler=scheduler,
+                seed=11, kernel=kernel,
                 faults=PARTITION_FAULTS,
             )
             clear_schedule_cache()
@@ -172,7 +166,7 @@ class TestPartitionDeterminism:
             if want is None:
                 want = got
             else:
-                assert got == want, (kernel, scheduler)
+                assert got == want, kernel
         # the report is structured and readable: names the pair, the
         # instant, and the ranks that were blocked when the fabric died
         assert want[3], "blocked-rank report must not be empty"

@@ -1,22 +1,19 @@
 """Differential test harness: every replay variant is one simulator.
 
-The replay pipeline now has two independently-selectable fast layers —
-the compiled-rank-program kernel (``ReplayConfig(kernel=...)``) and the
-calendar-queue event scheduler (``ReplayConfig(scheduler=...)``) — with
-``kernel="reference"`` / ``scheduler="heap"`` kept as the plain oracle
-implementations.  This module is the standing safety net for engine
-rewrites: it replays a workload × {ranks, displacement, eager/rendezvous
-mix} matrix through **every** (kernel, scheduler) combination and
-asserts that everything observable is bit-for-bit identical to the
-oracle — execution times, per-rank timed event streams, message/byte
-counters, per-channel busy logs, switch traffic, power reports, event
-counters and the full per-link power-state timelines.
+The replay pipeline has one selectable fast layer — the
+compiled-rank-program kernel (``ReplayConfig(kernel=...)``) — with
+``kernel="reference"`` kept as the plain oracle implementation.  This
+module is the standing safety net for engine rewrites: it replays a
+workload × {ranks, displacement, eager/rendezvous mix} matrix through
+**every** kernel and asserts that everything observable is bit-for-bit
+identical to the oracle — execution times, per-rank timed event streams,
+message/byte counters, per-channel busy logs, switch traffic, power
+reports, event counters and the full per-link power-state timelines.
 
 Adding a kernel variant
 -----------------------
 
-Add the new axis value to :data:`KERNELS` or :data:`SCHEDULERS` below
-(they feed ``COMBOS``) once the variant is selectable through
+Add the new kernel to :data:`KERNELS` below once it is selectable through
 :class:`repro.sim.ReplayConfig`.  Nothing else changes — the whole
 matrix, including the hypothesis-generated random traces, immediately
 runs through the new variant and pins it to the oracle.
@@ -44,14 +41,9 @@ from repro.workloads import make_trace
 
 pytestmark = pytest.mark.differential
 
-#: the variant axes; the oracle combo is listed first so every other
-#: (kernel, scheduler) pair is compared against it
+#: the variant axis; the oracle is listed first so every other kernel
+#: is compared against it
 KERNELS = ("reference", "fast")
-SCHEDULERS = ("heap", "calendar")
-ORACLE = ("reference", "heap")
-COMBOS = [ORACLE] + [
-    (k, s) for k in KERNELS for s in SCHEDULERS if (k, s) != ORACLE
-]
 
 #: eager/rendezvous protocol mixes: everything-rendezvous (only
 #: zero-byte control messages stay eager), the paper's default mix, and
@@ -144,31 +136,31 @@ class TestBaselineMatrix:
     def test_workload(self, app, nranks, threshold):
         trace = make_trace(app, nranks, iterations=3, seed=11)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=11, kernel=kernel, scheduler=scheduler,
+                seed=11, kernel=kernel,
                 eager_threshold_bytes=threshold,
             )
             got, _ = _baseline_observables(trace, cfg)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (kernel, scheduler))
+                _assert_equal(got, want, kernel)
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_mixed_trace(self, threshold):
         trace = _mixed_trace(6)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=5, kernel=kernel, scheduler=scheduler,
+                seed=5, kernel=kernel,
                 eager_threshold_bytes=threshold,
             )
             got, _ = _baseline_observables(trace, cfg)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (kernel, scheduler))
+                _assert_equal(got, want, kernel)
 
 
 class TestManagedMatrix:
@@ -180,21 +172,21 @@ class TestManagedMatrix:
     def test_workload(self, app, nranks, displacement, threshold):
         trace = make_trace(app, nranks, iterations=4, seed=23)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=23, kernel=kernel, scheduler=scheduler,
+                seed=23, kernel=kernel,
                 eager_threshold_bytes=threshold,
             )
             got = _managed_observables(trace, cfg, displacement)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (kernel, scheduler))
+                _assert_equal(got, want, kernel)
 
 
 #: one small instance per non-XGFT topology family (plus the explicit
-#: oversubscribed tree): the whole (kernel, scheduler) matrix must stay
-#: bit-for-bit on every family, not just the paper fat tree
+#: oversubscribed tree): every kernel must stay bit-for-bit on every
+#: family, not just the paper fat tree
 TOPOLOGIES = (
     "torus:k=3,n=2",
     "dragonfly:a=2,p=2,h=1",
@@ -209,31 +201,31 @@ class TestTopologyMatrix:
     def test_baseline(self, topology):
         trace = make_trace("alya", 8, iterations=3, seed=31)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=31, kernel=kernel, scheduler=scheduler,
+                seed=31, kernel=kernel,
                 topology=topology,
             )
             got, _ = _baseline_observables(trace, cfg)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (topology, kernel, scheduler))
+                _assert_equal(got, want, (topology, kernel))
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_managed(self, topology):
         trace = make_trace("gromacs", 8, iterations=4, seed=37)
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=37, kernel=kernel, scheduler=scheduler,
+                seed=37, kernel=kernel,
                 topology=topology,
             )
             got = _managed_observables(trace, cfg, 0.05)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (topology, kernel, scheduler))
+                _assert_equal(got, want, (topology, kernel))
 
     def test_topologies_actually_differ(self):
         """The matrix is only meaningful if the families route
@@ -352,13 +344,13 @@ class TestRandomTraces:
         trace = self._build(nranks, blocks)
         assert trace.check_p2p_balance() == []
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             cfg = ReplayConfig(
-                seed=3, kernel=kernel, scheduler=scheduler,
+                seed=3, kernel=kernel,
                 eager_threshold_bytes=threshold,
             )
             got, _ = _baseline_observables(trace, cfg)
             if want is None:
                 want = got
             else:
-                _assert_equal(got, want, (kernel, scheduler))
+                _assert_equal(got, want, kernel)

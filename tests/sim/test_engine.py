@@ -1,20 +1,15 @@
-"""Tests for the discrete-event engine (both schedulers)."""
+"""Tests for the discrete-event engine."""
 
 import pytest
 
 from repro.sim.engine import AllOf, At, Delay, Engine, Signal, SimulationError
 
 
-@pytest.fixture(params=["heap", "calendar"])
-def scheduler(request):
-    return request.param
-
-
 class TestAt:
     """Absolute-time sleeps (the fused-delay request)."""
 
-    def test_resumes_at_exact_time(self, scheduler):
-        eng = Engine(scheduler=scheduler)
+    def test_resumes_at_exact_time(self):
+        eng = Engine()
         log = []
 
         def proc():
@@ -27,11 +22,11 @@ class TestAt:
         assert eng.run() == 7.5
         assert log == [5.0, 7.5]
 
-    def test_equals_chained_delays_bit_for_bit(self, scheduler):
+    def test_equals_chained_delays_bit_for_bit(self):
         # the fused form must land on ((now + d1) + d2), exactly what
         # two chained Delay yields reach
         d1, d2 = 0.1, 0.2
-        eng1 = Engine(scheduler=scheduler)
+        eng1 = Engine()
 
         def chained():
             yield Delay(d1)
@@ -40,7 +35,7 @@ class TestAt:
         eng1.spawn(chained())
         t_chained = eng1.run()
 
-        eng2 = Engine(scheduler=scheduler)
+        eng2 = Engine()
 
         def fused():
             yield At((eng2.now + d1) + d2)
@@ -48,8 +43,8 @@ class TestAt:
         eng2.spawn(fused())
         assert eng2.run() == t_chained
 
-    def test_mutable_instance_reusable(self, scheduler):
-        eng = Engine(scheduler=scheduler)
+    def test_mutable_instance_reusable(self):
+        eng = Engine()
         log = []
 
         def proc():
@@ -63,8 +58,8 @@ class TestAt:
         eng.run()
         assert log == [1.0, 4.0, 4.5]
 
-    def test_at_now_is_a_queue_round_trip(self, scheduler):
-        eng = Engine(scheduler=scheduler)
+    def test_at_now_is_a_queue_round_trip(self):
+        eng = Engine()
         order = []
 
         def a():
@@ -80,8 +75,8 @@ class TestAt:
         eng.run()
         assert order == ["a", "b"]
 
-    def test_past_time_rejected(self, scheduler):
-        eng = Engine(scheduler=scheduler)
+    def test_past_time_rejected(self):
+        eng = Engine()
 
         def proc():
             yield Delay(10.0)
@@ -330,41 +325,9 @@ class TestErrors:
         assert p.result == "done"
 
 
-class TestSchedulerSelection:
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            Engine("fibonacci")
-
-    def test_calendar_geometry_validated(self):
-        with pytest.raises(ValueError, match="power of two"):
-            Engine("calendar", calendar_nbuckets=100)
-        with pytest.raises(ValueError, match="positive"):
-            Engine("calendar", calendar_bucket_us=0.0)
-
-    def test_schedulers_equivalent_on_interleaved_workload(self):
-        """Same program, same timestamps, same results on both queues."""
-
-        def run(sched):
-            eng = Engine(sched)
-            order = []
-
-            def proc(name, delays):
-                for d in delays:
-                    yield Delay(d)
-                    order.append((eng.now, name))
-
-            eng.spawn(proc("a", [1.0, 0.0, 2.5, 0.0]))
-            eng.spawn(proc("b", [1.0, 2.5, 0.0, 0.0]))
-            eng.spawn(proc("c", [3.5, 0.0, 0.0, 123456.0]))
-            end = eng.run()
-            return end, order
-
-        assert run("heap") == run("calendar")
-
-
 class TestEngineEdgeCases:
-    def test_run_until_early_stop(self, scheduler):
-        eng = Engine(scheduler)
+    def test_run_until_early_stop(self):
+        eng = Engine()
 
         def proc():
             for _ in range(10):
@@ -376,8 +339,8 @@ class TestEngineEdgeCases:
         assert eng.run() == 10.0
         assert eng.unfinished == 0
 
-    def test_run_until_exact_event_time_includes_event(self, scheduler):
-        eng = Engine(scheduler)
+    def test_run_until_exact_event_time_includes_event(self):
+        eng = Engine()
         seen = []
 
         def proc():
@@ -393,11 +356,11 @@ class TestEngineEdgeCases:
         eng.run()
         assert seen == [2.0, 4.0]
 
-    def test_spawn_while_paused_preserves_order(self, scheduler):
+    def test_spawn_while_paused_preserves_order(self):
         """Events scheduled during an until_us pause run in time order
-        when the engine resumes (the serving pointer rewinds)."""
+        when the engine resumes."""
 
-        eng = Engine(scheduler)
+        eng = Engine()
         log = []
 
         def late():
@@ -414,8 +377,8 @@ class TestEngineEdgeCases:
         eng.run()
         assert log == [("early", 51.0), ("late", 100.0)]
 
-    def test_empty_allof_resumes(self, scheduler):
-        eng = Engine(scheduler)
+    def test_empty_allof_resumes(self):
+        eng = Engine()
         got = []
 
         def proc():
@@ -426,8 +389,8 @@ class TestEngineEdgeCases:
         eng.run()
         assert got == [[]]
 
-    def test_negative_delay_rejected(self, scheduler):
-        eng = Engine(scheduler)
+    def test_negative_delay_rejected(self):
+        eng = Engine()
 
         def proc():
             yield Delay(-0.5)
@@ -436,10 +399,10 @@ class TestEngineEdgeCases:
         with pytest.raises(SimulationError, match="negative delay"):
             eng.run()
 
-    def test_negative_float_delay_rejected(self, scheduler):
+    def test_negative_float_delay_rejected(self):
         """The allocation-free bare-float yield validates like Delay."""
 
-        eng = Engine(scheduler)
+        eng = Engine()
 
         def proc():
             yield -1.0
@@ -448,8 +411,8 @@ class TestEngineEdgeCases:
         with pytest.raises(SimulationError, match="negative delay"):
             eng.run()
 
-    def test_bare_float_yield_is_a_delay(self, scheduler):
-        eng = Engine(scheduler)
+    def test_bare_float_yield_is_a_delay(self):
+        eng = Engine()
         log = []
 
         def proc():
@@ -462,8 +425,8 @@ class TestEngineEdgeCases:
         assert eng.run() == 2.5
         assert log == [2.5, 2.5]
 
-    def test_schedule_in_past_rejected(self, scheduler):
-        eng = Engine(scheduler)
+    def test_schedule_in_past_rejected(self):
+        eng = Engine()
 
         def proc():
             yield Delay(10.0)
@@ -473,8 +436,8 @@ class TestEngineEdgeCases:
         with pytest.raises(SimulationError, match="past"):
             eng.run()
 
-    def test_deadlock_message_names_blocked_processes(self, scheduler):
-        eng = Engine(scheduler)
+    def test_deadlock_message_names_blocked_processes(self):
+        eng = Engine()
         sig = eng.new_signal("never")
 
         def stuck():
@@ -484,8 +447,8 @@ class TestEngineEdgeCases:
         with pytest.raises(SimulationError, match="deadlock.*rank7"):
             eng.run()
 
-    def test_deadlock_message_truncates_after_eight(self, scheduler):
-        eng = Engine(scheduler)
+    def test_deadlock_message_truncates_after_eight(self):
+        eng = Engine()
         sig = eng.new_signal("never")
 
         def stuck():
@@ -500,43 +463,37 @@ class TestEngineEdgeCases:
         assert "p7" in message and "p8" not in message
         assert message.endswith("...")
 
-    def test_far_future_events_served_in_order(self, scheduler):
-        """Sparse timelines (many empty calendar days) stay ordered —
-        exercises the calendar queue's direct-search fallback."""
+    def test_far_future_events_served_in_order(self):
+        """Sparse timelines stay ordered."""
 
-        eng = Engine(scheduler)
+        eng = Engine()
         log = []
 
         def sleeper(name, t):
             yield Delay(t)
             log.append((eng.now, name))
 
-        # far apart (>> one calendar day each), scheduled out of order
+        # far apart, scheduled out of order
         eng.spawn(sleeper("c", 1e7))
         eng.spawn(sleeper("a", 5.0))
         eng.spawn(sleeper("b", 1e5))
         eng.run()
         assert log == [(5.0, "a"), (1e5, "b"), (1e7, "c")]
-        if scheduler == "calendar":
-            assert eng.scheduler_stats()["direct_searches"] >= 1
-
-    def test_scheduler_stats_empty_for_heap(self):
-        assert Engine("heap").scheduler_stats() == {}
 
 
 class TestSignalRecycling:
-    def test_recycle_unfired_signal_is_refused(self, scheduler):
+    def test_recycle_unfired_signal_is_refused(self):
         """Recycling an unfired signal must NOT put it in the pool — a
         fresh new_signal() would otherwise alias a signal some process
         still waits on."""
 
-        eng = Engine(scheduler)
+        eng = Engine()
         sig = eng.new_signal("pending")
         eng.recycle_signal(sig)
         assert eng.new_signal("fresh") is not sig
 
-    def test_recycle_signal_with_waiters_is_refused(self, scheduler):
-        eng = Engine(scheduler)
+    def test_recycle_signal_with_waiters_is_refused(self):
+        eng = Engine()
         sig = eng.new_signal("watched")
         sig.add_callback(lambda v: None)
         # fire() resumes current waiters, but a callback added *after*
@@ -546,8 +503,8 @@ class TestSignalRecycling:
         eng.recycle_signal(sig)
         assert eng.new_signal("fresh") is not sig
 
-    def test_recycle_fired_drained_signal_is_reused(self, scheduler):
-        eng = Engine(scheduler)
+    def test_recycle_fired_drained_signal_is_reused(self):
+        eng = Engine()
         sig = eng.new_signal("done")
         sig.fire(42)
         eng.recycle_signal(sig)
@@ -561,8 +518,8 @@ class TestBarrierOrdering:
     pre-fired barriers must resume through the queue in insertion
     order, exactly like waiters on fired signals)."""
 
-    def test_empty_barriers_resume_in_insertion_order(self, scheduler):
-        eng = Engine(scheduler)
+    def test_empty_barriers_resume_in_insertion_order(self):
+        eng = Engine()
         order = []
 
         def proc(name):
@@ -574,8 +531,8 @@ class TestBarrierOrdering:
         eng.run()
         assert order == ["a", "b", "c"]
 
-    def test_prefired_barriers_resume_in_insertion_order(self, scheduler):
-        eng = Engine(scheduler)
+    def test_prefired_barriers_resume_in_insertion_order(self):
+        eng = Engine()
         sig = eng.new_signal()
         sig.fire("v")
         order = []
@@ -598,8 +555,8 @@ class TestBarrierOrdering:
             ("bar2", ["v", "v"]),
         ]
 
-    def test_mixed_fired_and_pending_barrier(self, scheduler):
-        eng = Engine(scheduler)
+    def test_mixed_fired_and_pending_barrier(self):
+        eng = Engine()
         fired = eng.new_signal()
         fired.fire(1)
         pending = eng.new_signal()
@@ -618,8 +575,8 @@ class TestBarrierOrdering:
         eng.run()
         assert got == [(4.0, [1, 2, 1])]
 
-    def test_duplicate_pending_signal_counts_each_wait(self, scheduler):
-        eng = Engine(scheduler)
+    def test_duplicate_pending_signal_counts_each_wait(self):
+        eng = Engine()
         sig = eng.new_signal()
         got = []
 

@@ -7,9 +7,9 @@ integrals exactly (the PR-7 fabric-level invariant, now stated per
 class), trunk/switch management actually engages on an oversubscribed
 fat tree, and ``none`` degrades to a power-unaware replay.
 
-The differential half runs the non-default specs through the whole
-(kernel, scheduler) matrix against the (reference, heap) oracle — the
-same safety net the kernels themselves live under.
+The differential half runs the non-default specs through the fast
+kernel against the reference-kernel oracle — the same safety net the
+kernels themselves live under.
 """
 
 import pytest
@@ -24,13 +24,12 @@ from repro.workloads import make_trace
 TOPOLOGY = "fattree2:leaf=4,ratio=2"
 
 
-def run_policy(policy, *, kernel="fast", scheduler="calendar",
-               app="alya", nranks=8, seed=11, displacement=0.05,
-               topology=TOPOLOGY):
+def run_policy(policy, *, kernel="fast", app="alya", nranks=8, seed=11,
+               displacement=0.05, topology=TOPOLOGY):
     clear_schedule_cache()
     trace = make_trace(app, nranks, iterations=4, seed=seed)
-    cfg = ReplayConfig(seed=seed, kernel=kernel, scheduler=scheduler,
-                       topology=topology, policy=policy)
+    cfg = ReplayConfig(seed=seed, kernel=kernel, topology=topology,
+                       policy=policy)
     fabric = fabric_for(trace.nranks, cfg)
     baseline = replay_baseline(trace, cfg, fabric=fabric)
     gt = select_gt(baseline.event_logs)
@@ -150,10 +149,8 @@ class TestClassSavingsInvariants:
         assert full.policy == parse_policy(self.FULL_SPEC).describe()
 
 
-#: the variant axes, mirroring test_differential_kernels
-ORACLE = ("reference", "heap")
-COMBOS = [ORACLE, ("fast", "heap"), ("reference", "calendar"),
-          ("fast", "calendar")]
+#: the variant axis, mirroring test_differential_kernels (oracle first)
+KERNELS = ("reference", "fast")
 
 #: the non-default scenarios the matrix pins: multi-level hca ladders,
 #: reactive trunk gating, and the fully composed spec
@@ -174,14 +171,12 @@ class TestPolicyMatrix:
     @pytest.mark.parametrize("policy", MATRIX_POLICIES)
     def test_combo_invariant(self, policy):
         want = None
-        for kernel, scheduler in COMBOS:
-            got = observables(
-                run_policy(policy, kernel=kernel, scheduler=scheduler)
-            )
+        for kernel in KERNELS:
+            got = observables(run_policy(policy, kernel=kernel))
             if want is None:
                 want = got
             else:
-                assert got == want, (policy, kernel, scheduler)
+                assert got == want, (policy, kernel)
 
     @pytest.mark.parametrize("app,topology", [
         ("gromacs", "fitted"),
@@ -195,12 +190,12 @@ class TestPolicyMatrix:
         policy = "policy:hca=gate,trunk=gate,switch=gate"
         nranks = 9 if app == "nas_bt" else 8
         want = None
-        for kernel, scheduler in COMBOS:
+        for kernel in KERNELS:
             got = observables(run_policy(
-                policy, kernel=kernel, scheduler=scheduler,
+                policy, kernel=kernel,
                 app=app, nranks=nranks, topology=topology,
             ))
             if want is None:
                 want = got
             else:
-                assert got == want, (topology, kernel, scheduler)
+                assert got == want, (topology, kernel)

@@ -1,9 +1,9 @@
 """Fast-vs-reference equivalence of the fabric transfer kernel.
 
 ``ReplayConfig(kernel="fast")`` (the default) walks precompiled
-flat-hop tables in ``Fabric.transfer``; ``kernel="reference"`` runs the
-kept per-message route walk (``Fabric.transfer_reference``) over the
-same static routes.  Everything observable — execution times, event
+flat-hop tables in ``Fabric.transfer_hot``; ``kernel="reference"`` runs
+the per-message route walk (``Fabric.transfer``) over the same static
+routes.  Everything observable — execution times, event
 streams, message/byte counters, per-link utilisation and busy logs,
 power reports, energy accounts — must be bit-for-bit identical between
 the two, in the spirit of the ``fastscan`` fast==slow property suite.

@@ -18,6 +18,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--apps", "linpack"])
 
+    @pytest.mark.parametrize("argv", [
+        ["replay", "t.dim", "--scheduler", "heap"],
+        ["query", "cell", "--scheduler", "heap"],
+    ])
+    def test_removed_scheduler_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--scheduler" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_cell(self, capsys):
