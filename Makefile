@@ -22,7 +22,11 @@
 #   make cluster-smoke gate the multi-job cluster sweep: small job
 #                     streams x placements x (fitted, torus), each cell
 #                     verified fast == reference kernel bit-for-bit
-#                     plus the per-job energy-sum invariant
+#                     plus the per-job energy-sum invariant; then the same
+#                     streams on a faulted (degrade + wake-timeout, never
+#                     partitioning) torus and dragonfly, which pins the
+#                     compiled faulted kernel to the live faulted walk on
+#                     a shared fabric
 #   make policy-smoke gate the power-policy registry: one small cell per
 #                     policy family (gate / width / scale on the HCA
 #                     class, plus trunk and switch management), each
@@ -84,6 +88,9 @@ fault-smoke:
 
 cluster-smoke:
 	$(PY) -m repro.cli cluster-sweep --iterations 6 --verify
+	$(PY) -m repro.cli cluster-sweep --iterations 6 --verify \
+		--faults faults:seed=7,degrade=0.3,wake_timeout=0.2 \
+		--topologies torus:k=4,n=2 dragonfly:a=4,p=2,h=2
 
 policy-smoke:
 	$(PY) -m repro.cli topo-sweep --apps alya --nranks 8 \

@@ -31,10 +31,19 @@ never walks routing dicts or recomputes subtree arithmetic per message.
 :meth:`Fabric.transfer` is the straightforward per-message walk, which
 also backs ``transfer_hot`` when ``use_fast_path=False``, and the two are
 property-tested to be bit-for-bit identical.
+
+Under fault injection (:meth:`Fabric.install_faults`) the same split
+holds.  ``transfer`` walks each message's surviving route live
+(:meth:`Fabric._transfer_faulted`); ``transfer_hot`` runs a compiled
+faulted kernel whose per-pair hop records are cached per fault epoch and
+read bandwidth live from the channel, so degradation never invalidates
+them.  The two are property-tested against each other on hand-built
+fault plans (see :mod:`repro.network.faults`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -135,7 +144,7 @@ class Fabric:
         self._hops: dict[int, tuple] = {}
         self._num_hosts = self.topo.num_hosts
         #: active fault-injection state (None = healthy fabric); when
-        #: set, every transfer routes through the shared faulted kernel
+        #: set, every transfer routes through a faulted kernel
         self._faults: FaultState | None = None
 
     # -- construction helpers ----------------------------------------------
@@ -205,8 +214,8 @@ class Fabric:
     def segment_time_us(self, channel: DirectedChannel) -> float:
         return self.segment_bytes / channel.bandwidth_bytes_per_us
 
-    def _compile_hops(self, src_host: int, dst_host: int) -> tuple:
-        """Flatten one pair's static route into per-hop records.
+    def _path_hops(self, path: Sequence[NodeId]) -> tuple:
+        """Flatten a vertex path into per-hop records.
 
         Each hop carries the channel's bandwidth alongside the objects so
         the transfer kernel never chases attribute chains per hop; links
@@ -215,7 +224,6 @@ class Fabric:
         fabric's whole lifetime.
         """
 
-        path = self.routes.path(src_host, dst_host)
         hops = []
         for tail, head in path_links(path):
             link = self.link_between(tail, head)
@@ -235,7 +243,12 @@ class Fabric:
                     channel.busy_ends.append,
                 )
             )
-        compiled = tuple(hops)
+        return tuple(hops)
+
+    def _compile_hops(self, src_host: int, dst_host: int) -> tuple:
+        """Compile and keep one pair's static-route hop records."""
+
+        compiled = self._path_hops(self.routes.path(src_host, dst_host))
         self._hops[src_host * self._num_hosts + dst_host] = compiled
         return compiled
 
@@ -283,8 +296,8 @@ class Fabric:
         """
 
         if self._faults is not None:
-            # both kernels share one faulted implementation, so the
-            # fast == reference equality under faults is structural
+            # the live faulted walk: the oracle for the compiled
+            # faulted kernel behind transfer_hot
             return self._transfer_faulted(
                 src_host, dst_host, size_bytes, earliest_us, on_power_block
             )
@@ -361,9 +374,16 @@ class Fabric:
         path skips the per-message :class:`TransferTiming` construction.
         Identical arithmetic and identical channel/switch bookkeeping;
         with ``use_fast_path`` off it simply wraps the reference walk.
+        On a faulted fabric it runs the compiled faulted kernel
+        (:meth:`_transfer_faulted_hot`) instead.
         """
 
         if self._faults is not None:
+            if self.use_fast_path:
+                return self._transfer_faulted_hot(
+                    src_host, dst_host, size_bytes, earliest_us,
+                    on_power_block,
+                )
             t = self._transfer_faulted(
                 src_host, dst_host, size_bytes, earliest_us, on_power_block
             )
@@ -426,8 +446,10 @@ class Fabric:
     def install_faults(self, plan: "FaultPlan | FaultSpec | str") -> None:
         """Arm the fabric with a fault plan (spec string / spec / plan).
 
-        Every subsequent transfer runs the shared faulted kernel, which
-        applies the plan's timed events lazily at the simulation clock
+        Every subsequent transfer runs a faulted kernel (the compiled one
+        behind :meth:`transfer_hot`, the live walk behind
+        :meth:`transfer`), which applies the plan's timed events lazily
+        at the simulation clock
         (see :mod:`repro.network.faults` for the determinism argument)
         and handles failover, in-flight retries and partitions.
         :meth:`reset` restores the fabric to pristine and disarms it.
@@ -457,18 +479,18 @@ class Fabric:
     def _transfer_faulted(
         self, src_host, dst_host, size_bytes, earliest_us, on_power_block
     ) -> TransferTiming:
-        """The faulted transfer kernel, shared by fast and reference.
+        """The reference faulted transfer: a live per-message walk.
 
-        Always walks the resolved route live (compiled ``_hops`` bake
-        channel bandwidths, which degradation events change under our
-        feet), applying pending fault events up to the transfer clock
-        first.  A hop whose reservation window contains the link's
-        scheduled down time is cut at that instant (partial busy
-        interval) and the whole transfer retries after
-        ``retry_delay_us`` on a route excluding the dying link; earlier
-        hops keep their reservations — those bytes really transited.
-        ``depart`` is the first transmission attempt's start;
-        ``src_release`` is the successful attempt's first-hop drain.
+        Applies pending fault events up to the transfer clock, resolves
+        the pair's surviving route and walks it vertex by vertex.  A hop
+        whose reservation window contains the link's scheduled down time
+        is cut at that instant (partial busy interval) and the whole
+        transfer retries after ``retry_delay_us`` on a route excluding
+        the dying link; earlier hops keep their reservations — those
+        bytes really transited.  ``depart`` is the first transmission
+        attempt's start; ``src_release`` is the successful attempt's
+        first-hop drain.  This is the oracle for
+        :meth:`_transfer_faulted_hot`.
         """
 
         state = self._faults
@@ -589,6 +611,150 @@ class Fabric:
             hops=hops,
             src_release_us=src_release,
         )
+
+    def _fault_hops(self, src_host, dst_host, path) -> tuple:
+        """Compile a resolved faulted route into fault-kernel hop records.
+
+        Each record is ``(link, channel, switch, edge key, plan down
+        times or None, busy_starts.append, busy_ends.append)``, derived
+        from the pair's precompiled ``_hops`` when ``path`` is its static
+        route.  Bandwidth is left out: degradation changes it under a
+        cached route, so the kernel reads it live from the channel.
+        """
+
+        hops = self._hops.get(src_host * self._num_hosts + dst_host)
+        if hops is None or path is not self.routes.path(src_host, dst_host):
+            # not stored: bandwidths baked now may be degraded ones
+            hops = self._path_hops(path)
+        downs = self._faults.plan.down_times
+        records = []
+        for link, channel, switch, _, _, s_append, e_append in hops:
+            edge = (link.a, link.b)
+            records.append(
+                (link, channel, switch, edge, downs.get(edge), s_append,
+                 e_append)
+            )
+        return tuple(records)
+
+    def _transfer_faulted_hot(
+        self, src_host, dst_host, size_bytes, earliest_us, on_power_block
+    ) -> tuple[float, float]:
+        """The compiled faulted kernel: :meth:`_transfer_faulted` over
+        cached compiled routes, returning ``(arrive_us, src_release_us)``.
+
+        A pair's resolved route is compiled once per fault epoch (see
+        :class:`~repro.network.faults.FaultState`) and served from the
+        cache while the epoch holds; an in-flight retry, which resolves
+        around the dying link, bypasses the cache.  Pending events are
+        applied only once the clock reaches the next event time.  Same
+        arithmetic, same bookkeeping and the same fault-state mutations
+        as the reference walk.
+        """
+
+        state = self._faults
+        if size_bytes < 0:
+            raise ValueError("negative message size")
+        self.messages_sent += 1
+        if earliest_us >= state.next_t:
+            state.apply_until(self, earliest_us)
+        if src_host == dst_host:
+            arrive = earliest_us + self.mpi_latency_us
+            return arrive, arrive
+
+        spec = state.plan.spec
+        cache = state.route_cache
+        key = src_host * self._num_hosts + dst_host
+        size = size_bytes if size_bytes > 1 else 1
+        head_ready = earliest_us + self.mpi_latency_us
+        hop_latency = self.hop_latency_us
+        segment = self.segment_bytes
+        full = LinkPowerMode.FULL
+        src_release = None
+        exclude = None
+        attempts = 0
+        while True:
+            attempts += 1
+            if attempts > 64:
+                raise RuntimeError(
+                    f"fault retry livelock: transfer {src_host}->"
+                    f"{dst_host} interrupted {attempts} times"
+                )
+            if head_ready >= state.next_t:
+                state.apply_until(self, head_ready)
+            t_applied = head_ready
+            cached = cache.get(key) if exclude is None else None
+            if cached is not None and cached[0] == state.epoch:
+                route = cached[1]
+            else:
+                try:
+                    path, migrated = state.resolve_route(
+                        self, src_host, dst_host, head_ready, exclude
+                    )
+                except FabricPartitioned:
+                    heal = state.next_link_up(head_ready)
+                    if heal is None:
+                        raise
+                    head_ready = heal + spec.retry_delay_us
+                    exclude = None
+                    continue
+                route = self._fault_hops(src_host, dst_host, path)
+                if exclude is None:
+                    cache[key] = (state.epoch, route)
+                if migrated:
+                    state.migration_wait_us += spec.reroute_penalty_us
+                    head_ready += spec.reroute_penalty_us
+                    t_applied = head_ready
+            retry_at = None
+            end = 0.0
+            first_hop = True
+            for link, channel, switch, edge, downs, s_append, e_append in route:
+                if link.mode is not full:
+                    if on_power_block is not None:
+                        usable = on_power_block(link, head_ready)
+                    else:
+                        usable = link.ready_time(head_ready)
+                    if usable > head_ready:
+                        head_ready = usable
+                next_free = channel.next_free_us
+                start = next_free if next_free > head_ready else head_ready
+                bandwidth = channel.bandwidth_bytes_per_us
+                serial = size / bandwidth
+                end = start + serial
+                if downs is not None:
+                    # FaultState.next_down, inlined
+                    i = bisect_right(downs, t_applied)
+                    if i < len(downs) and downs[i] < end:
+                        down = downs[i]
+                        if down > start:
+                            channel.next_free_us = down
+                            s_append(start)
+                            e_append(down)
+                        state.inflight_retries += 1
+                        retry_at = down + spec.retry_delay_us
+                        exclude = edge
+                        break
+                channel.next_free_us = end
+                channel.bytes_carried += size
+                s_append(start)
+                e_append(end)
+                if first_hop:
+                    src_release = end
+                    first_hop = False
+                if switch is not None:
+                    switch.messages_forwarded += 1
+                    switch.bytes_switched += size
+                seg_time = segment / bandwidth
+                head_ready = (
+                    start
+                    + (seg_time if seg_time < serial else serial)
+                    + hop_latency
+                )
+            if retry_at is None:
+                break
+            head_ready = retry_at
+
+        assert src_release is not None
+        return end, src_release
 
     # -- analysis ------------------------------------------------------------
 

@@ -28,19 +28,27 @@ history, process or kernel.
 
 ## How fault timing reaches both kernels identically
 
-The ISSUE asks that "both kernels see identical fault timing".  Rather
-than scheduling engine callbacks (which would land off-trace events in
-the DES queue and inflate ``Engine.run``'s returned exec time with
-activity the trace never performed), the fabric applies the plan
+Rather than scheduling engine callbacks (which would land off-trace
+events in the DES queue and inflate ``Engine.run``'s returned exec time
+with activity the trace never performed), the fabric applies the plan
 *lazily, clock-driven*: every transfer first applies all events with
-``t_us <= now`` (:meth:`FaultState.apply_until`).  The two replay
-kernels are pinned bit-for-bit — they issue the same transfers at the
-same simulated times in the same order — so the fault state observed by
-any transfer is identical on both kernels by construction, which is the
-same guarantee an engine-scheduled application would give, without
-perturbing the exec-time semantics.  The granularity is one transfer
-call: an event timestamped between two transfers takes effect at the
-second one on every kernel alike.
+``t_us <= now`` (:meth:`FaultState.apply_until`).  The granularity is one
+transfer call: an event timestamped between two transfers takes effect
+at the second one.
+
+Two implementations consume that state.  The reference kernel
+(``Fabric.transfer``, and ``transfer_hot`` with ``use_fast_path`` off)
+walks each message's resolved route live, vertex by vertex.  The fast
+kernel (``Fabric._transfer_faulted_hot``) serves each pair's route from
+a cache of compiled hop records keyed by the fault epoch (see
+:class:`FaultState`), reads channel bandwidth live so degradation needs
+no recompile, and skips ``apply_until`` while the clock is below the
+next event time.  Both kernels issue the same transfers at the same
+simulated times in the same order, so they must observe the same fault
+state; that they do is not structural but tested, message by message
+against hand-built plans in ``tests/network/test_links_fabric.py``
+(``TestFaultedHotEqualsReference``) and replay by replay in the faults
+and cluster differential tiers.
 
 In-flight interaction: a transfer whose reservation window on some hop
 contains that link's scheduled down-time is cut at the down instant
@@ -63,6 +71,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .routing import failover_route
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .topology import NodeId
@@ -471,10 +481,20 @@ class FaultState:
     Owned by the fabric (installed via ``Fabric.install_faults``);
     ``Fabric.reset`` restores every mutation (degraded bandwidths) and
     discards the state, returning the fabric to pristine.
+
+    ``epoch`` counts changes to routing state: every LINK_DOWN, LINK_UP
+    and SWITCH_DOWN, and every failover-overlay set or delete.  What a
+    pair resolves to is a function of (failed links, failed switches,
+    that pair's overlay) alone, so a route resolved at some epoch stays
+    the pair's resolution — and re-resolving it mutates nothing — until
+    the epoch moves.  The fast kernel caches compiled routes in
+    ``route_cache`` (pair ordinal -> ``(epoch, hops)``) on that basis.
+    Degradation changes bandwidth, not routes, and does not move it.
     """
 
     __slots__ = (
-        "plan", "_cursor", "failed_links", "failed_switches",
+        "plan", "_cursor", "next_t", "epoch", "route_cache",
+        "failed_links", "failed_switches",
         "overlay", "applied", "_orig_bw",
         "link_downs", "link_ups", "switch_downs", "degrades",
         "reroutes", "failbacks", "inflight_retries", "migration_wait_us",
@@ -483,6 +503,10 @@ class FaultState:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._cursor = 0
+        #: time of the next pending event (inf once the plan is spent)
+        self.next_t = plan.events[0].t_us if plan.events else float("inf")
+        self.epoch = 0
+        self.route_cache: dict = {}
         self.failed_links: set = set()
         self.failed_switches: set = set()
         #: per-(src, dst) failover routes shadowing the static table
@@ -502,7 +526,11 @@ class FaultState:
     # -- event application --------------------------------------------------
 
     def apply_until(self, fabric, t_us: float) -> None:
-        """Apply every pending event with ``event.t_us <= t_us``."""
+        """Apply every pending event with ``event.t_us <= t_us``.
+
+        A no-op while ``t_us < next_t``, which lets the fast kernel skip
+        the call outright.
+        """
 
         events = self.plan.events
         cursor = self._cursor
@@ -510,19 +538,25 @@ class FaultState:
             self._apply(fabric, events[cursor])
             cursor += 1
         self._cursor = cursor
+        self.next_t = (
+            events[cursor].t_us if cursor < len(events) else float("inf")
+        )
 
     def _apply(self, fabric, ev: FaultEvent) -> None:
         kind = ev.kind
         if kind == LINK_DOWN:
             self.failed_links.add(ev.element)
             self.link_downs += 1
+            self.epoch += 1
         elif kind == LINK_UP:
             self.failed_links.discard(ev.element)
             self.link_ups += 1
+            self.epoch += 1
             self._failback(fabric)
         elif kind == SWITCH_DOWN:
             self.failed_switches.add(ev.element[0])
             self.switch_downs += 1
+            self.epoch += 1
         elif kind == DEGRADE:
             link = fabric.links[ev.element]
             if ev.element not in self._orig_bw:
@@ -555,6 +589,7 @@ class FaultState:
         for pair in healed:
             del self.overlay[pair]
             self.failbacks += 1
+            self.epoch += 1
 
     # -- routing under faults ----------------------------------------------
 
@@ -608,8 +643,6 @@ class FaultState:
         candidate survives.
         """
 
-        from .routing import failover_route
-
         pair = (src_host, dst_host)
         over = self.overlay.get(pair)
         if over is not None and self.route_alive(over, exclude):
@@ -621,6 +654,7 @@ class FaultState:
                 # the excluded link was the overlay's): fail back
                 del self.overlay[pair]
                 self.failbacks += 1
+                self.epoch += 1
             return static, False
         avoid = self.failed_links
         if exclude is not None:
@@ -638,6 +672,7 @@ class FaultState:
             )
         self.overlay[pair] = path
         self.reroutes += 1
+        self.epoch += 1
         return path, True
 
     # -- lifecycle -----------------------------------------------------------

@@ -9,6 +9,17 @@ from repro.constants import (
     SEGMENT_SIZE_BYTES,
 )
 from repro.network.fabric import Fabric
+from repro.network.faults import (
+    DEGRADE,
+    LINK_DOWN,
+    LINK_UP,
+    RESTORE,
+    SWITCH_DOWN,
+    FabricPartitioned,
+    FaultEvent,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.network.links import DirectedChannel, Link, LinkPowerMode
 from repro.network.topology import NodeId
 
@@ -264,3 +275,148 @@ class TestHotEqualsReference:
         assert _channel_state(hot) == _channel_state(ref)
         assert hot.switch_traffic() == ref.switch_traffic()
         assert hot.messages_sent == ref.messages_sent == len(messages)
+
+
+def _fault_events(fab, faults, pairs, horizon_us):
+    """Expand drawn ``(kind, element, onset, length)`` items into plan
+    events.  Elements index the trunk links and spine switches on the
+    static routes of ``pairs`` (so the faults hit live traffic); onsets
+    are fractions of ``horizon_us``."""
+
+    trunks, spines = [], []
+    for src, dst in pairs:
+        path = fab.routes.path(src, dst)
+        for node in path[1:-1]:
+            if not fab.switches[node].is_edge and node not in spines:
+                spines.append(node)
+        for a, b in zip(path, path[1:]):
+            key = (a, b) if a <= b else (b, a)
+            if not fab.links[key].is_host_link and key not in trunks:
+                trunks.append(key)
+    if not trunks:  # same-leaf traffic only: fault the fabric anyway
+        trunks = sorted(k for k, l in fab.links.items() if not l.is_host_link)
+    if not spines:
+        spines = sorted(n for n, sw in fab.switches.items() if not sw.is_edge)
+    events = []
+    for kind, element, onset, length in faults:
+        t = onset * horizon_us
+        key = trunks[element % len(trunks)]
+        if kind == "flap":
+            events += [FaultEvent(t, LINK_DOWN, key),
+                       FaultEvent(t + length, LINK_UP, key)]
+        elif kind == "fail":
+            events.append(FaultEvent(t, LINK_DOWN, key))
+        elif kind == "degrade":
+            events += [FaultEvent(t, DEGRADE, key, factor=0.25),
+                       FaultEvent(t + length, RESTORE, key)]
+        elif kind == "switch":
+            events.append(
+                FaultEvent(t, SWITCH_DOWN, (spines[element % len(spines)],))
+            )
+        else:
+            # every uplink of one leaf fails at once: a partition, or a
+            # heal-stall when the links flap back up
+            leaf = key[0] if fab.switches[key[0]].is_edge else key[1]
+            for other in sorted(fab.links):
+                if leaf in other and not fab.links[other].is_host_link:
+                    events.append(FaultEvent(t, LINK_DOWN, other))
+                    if kind == "leaf_flap":
+                        events.append(FaultEvent(t + length, LINK_UP, other))
+    return events
+
+
+class TestFaultedHotEqualsReference:
+    """The compiled faulted kernel (``transfer_hot`` on a faulted
+    fabric: routes cached per fault epoch) against the live faulted walk
+    (``transfer``) on twin fabrics armed with the same hand-built plan."""
+
+    NRANKS = 16  # four leaves of four hosts, four spines
+
+    @given(
+        seed=st.integers(0, 3),
+        faults=st.lists(
+            st.tuples(
+                st.sampled_from([
+                    "flap", "fail", "degrade", "switch", "leaf_flap",
+                    "leaf_fail",
+                ]),
+                st.integers(0, 63),                       # element
+                st.floats(0.0, 1.0),                      # onset fraction
+                st.floats(1.0, 400.0),                    # down / degraded
+            ),
+            max_size=6,
+        ),
+        # a few pairs carry the whole stream, so cached routes get reused
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, NRANKS - 1),               # src
+                # dst offset: loopback, same leaf, other leaves
+                st.sampled_from([0, 1, 4, 5, 9, 15]),
+            ),
+            min_size=1, max_size=5,
+        ),
+        messages=st.lists(
+            st.tuples(
+                st.integers(0, 4),                        # pair
+                st.sampled_from([0, 64, 4096, 70_000, 1 << 20]),
+                st.floats(0.0, 60.0),                     # gap after last
+                st.booleans(),                            # gate src HCA
+                st.booleans(),                            # pass the hook
+            ),
+            min_size=5, max_size=40,
+        ),
+        precompiled=st.integers(0, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_timings_bookkeeping_and_faults(
+        self, seed, faults, pairs, messages, precompiled
+    ):
+        hot = Fabric.for_ranks(self.NRANKS, seed=seed, hosts_per_leaf=4)
+        ref = Fabric.for_ranks(self.NRANKS, seed=seed, hosts_per_leaf=4)
+        pairs = [(src, (src + off) % self.NRANKS) for src, off in pairs]
+        messages = [
+            (*pairs[i % len(pairs)], *rest) for i, *rest in messages
+        ]
+        # the stream's span plus the time a 1 MiB message spends in flight
+        horizon = sum(m[3] for m in messages) + 600.0
+        plan = FaultPlan.from_events(
+            FaultSpec(seed=seed), _fault_events(hot, faults, pairs, horizon)
+        )
+        hot.install_faults(plan)
+        ref.install_faults(plan)
+        # static-route records come from the precompiled hop tables for
+        # a prefix of the pairs, from a fresh compile for the rest
+        hot.precompile_pairs(pairs[:precompiled])
+        hot_calls, ref_calls = [], []
+        hot_hook, ref_hook = _waking_hook(hot_calls), _waking_hook(ref_calls)
+        t = 0.0
+        for src, dst, size, gap, gate, hooked in messages:
+            t += gap
+            if gate:
+                hot.host_link(src).mode = LinkPowerMode.LOW
+                ref.host_link(src).mode = LinkPowerMode.LOW
+            try:
+                want = ref.transfer(
+                    src, dst, size, t,
+                    on_power_block=ref_hook if hooked else None,
+                )
+            except FabricPartitioned as exc:
+                with pytest.raises(FabricPartitioned) as got:
+                    hot.transfer_hot(
+                        src, dst, size, t, hot_hook if hooked else None
+                    )
+                assert got.value.key == exc.key
+                assert str(got.value) == str(exc)
+                break
+            got = hot.transfer_hot(
+                src, dst, size, t, hot_hook if hooked else None
+            )
+            assert got == (want.arrive_us, want.src_release_us)
+        assert hot_calls == ref_calls
+        # channel by channel: a whole-fabric diff is slow to report
+        hot_state = _channel_state(hot)
+        for key, want in _channel_state(ref).items():
+            assert hot_state[key] == want, key
+        assert hot.switch_traffic() == ref.switch_traffic()
+        assert hot.messages_sent == ref.messages_sent
+        assert hot.fault_summary() == ref.fault_summary()

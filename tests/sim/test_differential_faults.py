@@ -1,8 +1,9 @@
 """Differential matrix under fault injection.
 
-Faults are applied lazily at the simulation clock inside the fabric's
-shared faulted transfer kernel, so the compiled fast kernel and the
-reference walk must observe the *same* fault timeline and produce
+Faults are applied lazily at the simulation clock by the fabric's
+faulted transfer kernels — the compiled one (routes cached per fault
+epoch) on the fast kernel, the live per-message walk on the reference
+kernel.  Both must observe the *same* fault timeline and produce
 bit-for-bit identical results: execution times, event logs, counters,
 busy logs, and the fault summaries themselves.  Partitions must also be
 deterministic: when no surviving route exists, every kernel raises :class:`FabricPartitioned` at the same
