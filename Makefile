@@ -40,9 +40,11 @@
 #                     end-to-end metric's per-side median (benchmarks/ab.py)
 #   make service-smoke gate the simulation service end-to-end against a
 #                     real daemon subprocess: cold == warm bit-for-bit
-#                     (warm costs zero pipeline stages), worker SIGKILL
-#                     mid-request -> structured error + daemon survives,
-#                     full admission queue -> SERVICE_BUSY shed, SIGTERM
+#                     (warm costs zero pipeline stages), 20 repeats over
+#                     one client are hits on one connection, worker
+#                     SIGKILL mid-request -> structured error + daemon
+#                     survives, full admission queue -> SERVICE_BUSY shed
+#                     while a cached query is still answered, SIGTERM
 #                     drains queued work and exits 0
 
 PY ?= python

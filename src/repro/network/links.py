@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from ..constants import (
     LINK_BANDWIDTH_BYTES_PER_US,
-    LOW_POWER_BANDWIDTH_BYTES_PER_US,
     T_REACT_US,
 )
 
@@ -198,6 +197,3 @@ class Link:
         self.t_react_us = T_REACT_US
         self.forward.reset()
         self.backward.reset()
-
-    def low_power_bandwidth(self) -> float:
-        return LOW_POWER_BANDWIDTH_BYTES_PER_US

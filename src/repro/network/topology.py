@@ -167,9 +167,6 @@ class Topology:
         self.validate()
         return self
 
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        return self.adjacency[node]
-
     def up_neighbors(self, node: NodeId) -> list[NodeId]:
         return [n for n in self.adjacency[node] if n.level > node.level]
 

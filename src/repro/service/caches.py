@@ -11,7 +11,10 @@ policy)``.  A warm what-if query (same cell, new displacement)
 therefore costs **one replay** (one copy-on-write rebind, one weave,
 one managed replay straight from the cached compiled programs — a
 bundle keeps its trace only for a reference-kernel spec); a repeated
-query is a pure result hit and costs nothing.
+query is a pure result hit and costs nothing.  The LRUs are
+thread-safe, and :meth:`WarmPipeline.query_cached` answers a hit
+without ever computing, so the daemon serves hits on its connection
+threads while the dispatcher replays.
 
 Every stage execution increments a counter (:attr:`WarmPipeline.
 stage_runs`), so "no trace-gen / compile / fabric-build on a cache hit"
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, is_dataclass
 
@@ -154,7 +158,12 @@ def cell_key(spec: dict) -> tuple:
 
 
 class LRUCache:
-    """Bounded insert/use-ordered mapping with hit/miss/evict counters."""
+    """Bounded insert/use-ordered mapping with hit/miss/evict counters.
+
+    Thread-safe.  ``lock`` is re-entrant, so a caller may hold it across
+    a membership test and the :meth:`get` that follows, with no eviction
+    in between.
+    """
 
     def __init__(self, name: str, capacity: int):
         if capacity < 1:
@@ -164,37 +173,49 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.lock = threading.RLock()
         self._data: OrderedDict = OrderedDict()
 
     def get(self, key):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
+        with self.lock:
+            try:
+                value = self._data[key]
+            except KeyError:
+                self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        with self.lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+                self.evictions += 1
+
+    def __contains__(self, key) -> bool:
+        """Membership only: counts nothing and keeps the use order."""
+
+        with self.lock:
+            return key in self._data
 
     def __len__(self) -> int:
         return len(self._data)
 
     def stats(self) -> dict:
-        total = self.hits + self.misses
+        with self.lock:
+            hits, misses = self.hits, self.misses
+            size, evictions = len(self._data), self.evictions
+        total = hits + misses
         return {
-            "size": len(self._data),
+            "size": size,
             "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate_pct": 100.0 * self.hits / total if total else 0.0,
+            "hits": hits,
+            "misses": misses,
+            "evictions": evictions,
+            "hit_rate_pct": 100.0 * hits / total if total else 0.0,
         }
 
 
@@ -382,6 +403,25 @@ class WarmPipeline:
         payload = cell_payload(spec, bundle.best_gt, bundle.baseline, managed)
         self.results.put(full_key, payload)
         return payload, ran
+
+    def query_cached(self, spec: dict) -> tuple[dict, list[str]] | None:
+        """Serve ``spec`` only if its result is cached, else None.
+
+        A hit is one :meth:`query` call, made while the result LRU's
+        lock pins the entry, so it never computes: it is safe on any
+        thread.  A miss, or a spec that does not validate, counts
+        nothing here; the caller's full :meth:`query` counts it once
+        (and turns a bad spec into its structured error reply).
+        """
+
+        try:
+            key = spec_key(normalize_spec(spec))
+        except Exception:  # any bad spec: leave it to the queued path
+            return None
+        with self.results.lock:
+            if key not in self.results:
+                return None
+            return self.query(spec)
 
 
 def compute_cell_payload(spec: dict) -> dict:

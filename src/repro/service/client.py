@@ -1,9 +1,27 @@
 """Blocking client for the simulation service.
 
-:class:`ServiceClient` opens one Unix-socket connection per request,
-frames the message (:mod:`repro.service.protocol`), and maps the reply
-envelope onto Python: success returns the reply dict, structured errors
-raise typed exceptions carrying the error code and details.
+:class:`ServiceClient` keeps one Unix-socket connection to the daemon,
+opened lazily by the first request and reused by every request after
+it, frames each message (:mod:`repro.service.protocol`), and maps the
+reply envelope onto Python: success returns the reply dict, structured
+errors raise typed exceptions carrying the error code and details.  A
+request whose answer the daemon already holds therefore costs one
+socket round trip.
+
+Connection discipline:
+
+* a lock serialises concurrent callers, so one request is on the
+  connection at a time and every caller reads its own reply;
+* a *reused* connection that turns out dead before any reply byte
+  arrives (EOF, ``EPIPE``, ``ECONNRESET``: the daemon restarted, or it
+  closed the connection after a malformed frame) is replaced once and
+  the request resent with the same ``request_id``; that reconnect does
+  not count against ``retries``;
+* a reply timeout, or any other error, drops the connection without a
+  resend, so a late reply can never answer the next request;
+* after ``fork`` the child opens its own connection;
+* :meth:`ServiceClient.close`, leaving a ``with`` block and garbage
+  collection close the connection.
 
 Retry discipline:
 
@@ -22,7 +40,9 @@ Retry discipline:
 
 from __future__ import annotations
 
+import os
 import socket
+import threading
 import time
 import uuid
 
@@ -53,8 +73,12 @@ class ServiceUnavailable(ServiceError):
     """Could not reach a daemon on the socket within the retry budget."""
 
 
+class _StaleConnection(Exception):
+    """A reused connection was dead before any reply byte arrived."""
+
+
 class ServiceClient:
-    """Blocking client. Safe to construct cheaply; one socket per request.
+    """Blocking client over one persistent connection (opened lazily).
 
     ``request_timeout_s`` bounds the *client-side* wait for a reply; the
     per-request ``timeout_s`` (when given) is also sent to the daemon as
@@ -80,6 +104,41 @@ class ServiceClient:
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
+        self._lock = threading.Lock()
+        self._sock: socket.socket | None = None
+        #: the process that opened ``_sock`` (a forked child must not
+        #: share it)
+        self._pid = os.getpid()
+
+    # -- connection ---------------------------------------------------
+
+    def close(self) -> None:
+        """Close the connection (the next request opens a new one)."""
+
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        sock = getattr(self, "_sock", None)
+        if sock is not None:
+            sock.close()
+
+    def _connect(self) -> socket.socket:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(self.connect_timeout_s)
+            sock.connect(self.socket_path)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     # -- plumbing -----------------------------------------------------
 
@@ -89,21 +148,49 @@ class ServiceClient:
             return float(deadline) + self.DEADLINE_SLACK_S
         return self.request_timeout_s
 
-    def _roundtrip(self, message: dict) -> dict:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    def _exchange(self, sock: socket.socket, message: dict) -> dict:
+        """One request/reply on ``sock``.  Raises :class:`_StaleConnection`
+        when the peer is gone before the first reply byte."""
+
         try:
-            sock.settimeout(self.connect_timeout_s)
-            sock.connect(self.socket_path)
             protocol.send_message(sock, message)
             sock.settimeout(self._reply_wait_s(message))
-            reply = protocol.recv_message(sock)
-        finally:
-            sock.close()
-        if reply is None:
-            raise protocol.ProtocolError(
-                "daemon closed the connection without replying"
-            )
+            if not sock.recv(1, socket.MSG_PEEK):
+                raise _StaleConnection("daemon closed the connection")
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise _StaleConnection(str(exc)) from exc
+        reply = protocol.recv_message(sock)
+        assert reply is not None  # the peeked byte starts the frame
         return reply
+
+    def _roundtrip(self, message: dict) -> dict:
+        if self._pid != os.getpid():
+            # forked: the inherited socket is the parent's connection
+            # (close only this process's copy) and the inherited lock may
+            # be held by a parent thread that does not exist here
+            self._pid = os.getpid()
+            self._lock = threading.Lock()
+            self.close()
+        with self._lock:
+            try:
+                reused = self._sock is not None
+                if not reused:
+                    self._sock = self._connect()
+                try:
+                    return self._exchange(self._sock, message)
+                except _StaleConnection:
+                    if not reused:
+                        raise
+                # the reused connection had died while idle: one fresh
+                # connection, same message, not counted as a retry
+                self.close()
+                self._sock = self._connect()
+                return self._exchange(self._sock, message)
+            except BaseException:
+                # a timeout or any other failure leaves the stream at an
+                # unknown position: never read a reply from it again
+                self.close()
+                raise
 
     def request(self, message: dict) -> dict:
         """Send one request (with retries) and return the ``ok`` reply.
@@ -128,7 +215,8 @@ class ServiceClient:
                     code=protocol.DEADLINE_EXCEEDED,
                     details={"client_side": True},
                 ) from exc
-            except (OSError, protocol.ProtocolError) as exc:
+            except (OSError, protocol.ProtocolError,
+                    _StaleConnection) as exc:
                 if attempt > self.retries:
                     raise ServiceUnavailable(
                         f"cannot reach simulation daemon on "

@@ -3,14 +3,19 @@
 Architecture (all within one process):
 
 * an **acceptor** thread accepts Unix-socket connections and spawns one
-  handler thread per connection;
+  handler thread per connection.  A connection carries any number of
+  requests, one at a time (:class:`repro.service.client.ServiceClient`
+  keeps one open);
 * handler threads parse frames (:mod:`repro.service.protocol`), answer
   control ops (``ping``/``stats``/``shutdown``) immediately — health
   checks work even when the service is saturated — and *admit* work ops
-  (``cell``/``sweep``) into a **bounded queue**.  A full queue sheds the
-  request with a structured ``SERVICE_BUSY`` reply naming the depth and
-  limit: the daemon never grows an unbounded backlog and never hangs a
-  client;
+  (``cell``/``sweep``).  A ``cell`` whose result the warm pipeline
+  already holds is answered by the handler thread itself
+  (:meth:`WarmPipeline.query_cached`, which never computes): it costs
+  one socket round trip and is never queued behind other work.  Everything
+  else goes into a **bounded queue**.  A full queue sheds the request
+  with a structured ``SERVICE_BUSY`` reply naming the depth and limit:
+  the daemon never grows an unbounded backlog and never hangs a client;
 * one **dispatcher** thread drains the queue and executes requests on
   the warm pipeline (:class:`repro.service.caches.WarmPipeline`), or —
   for multi-cell sweeps — fans them out over worker processes via
@@ -240,6 +245,7 @@ class ServiceDaemon:
         self._threads: list[threading.Thread] = []
         #: open client connections -> their handler threads
         self._conns: dict[socket.socket, threading.Thread] = {}
+        self._accepted = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -341,6 +347,7 @@ class ServiceDaemon:
             )
             with self._lock:
                 self._conns[conn] = thread
+                self._accepted += 1
             thread.start()
 
     def _handle_conn(self, conn: socket.socket) -> None:
@@ -434,6 +441,7 @@ class ServiceDaemon:
         if request_id is not None:
             request_id = str(request_id)
         with self._lock:
+            ticket = None
             if request_id is not None:
                 cached = self._completed.get(request_id)
                 if cached is not None:
@@ -441,19 +449,29 @@ class ServiceDaemon:
                     # the recorded reply, never re-run the cell
                     self._counters["deduped_served"] += 1
                     return cached
-                joined = self._inflight.get(request_id)
-                if joined is not None:
+                ticket = self._inflight.get(request_id)
+                if ticket is not None:
                     # a retry of an in-flight request joins the pending
                     # execution instead of double-running it
                     self._counters["deduped_joined"] += 1
-                    ticket = joined
-                else:
-                    ticket = self._new_ticket(op, message, request_id,
-                                              timeout_s)
-            else:
-                ticket = self._new_ticket(op, message, None, timeout_s)
-            if isinstance(ticket, dict):
-                return ticket  # shed: SERVICE_BUSY reply
+            if ticket is None:
+                hit = (
+                    self.pipeline.query_cached(message.get("spec"))
+                    if op == "cell" else None
+                )
+                if hit is not None:
+                    # a cached result: answered here, never queued,
+                    # counted as if the dispatcher had served it
+                    reply = protocol.ok_reply(hit[0], stages_ran=hit[1])
+                    self._counters["admitted"] += 1
+                    self._counters["completed"] += 1
+                    if request_id is not None:
+                        self._completed.put(request_id, reply)
+                    return reply
+                ticket = self._new_ticket(op, message, request_id,
+                                          timeout_s)
+                if isinstance(ticket, dict):
+                    return ticket  # shed: SERVICE_BUSY reply
         # wait OUTSIDE the lock: the dispatcher needs it to complete
         # the ticket, and joiners must not serialise behind each other
         return self._await(ticket, timeout_s)
@@ -628,6 +646,9 @@ class ServiceDaemon:
     def stats(self) -> dict:
         with self._lock:
             counters = dict(self._counters)
+            connections = {
+                "accepted": self._accepted, "open": len(self._conns),
+            }
         return {
             "pid": os.getpid(),
             "uptime_s": time.monotonic() - self._started_at,
@@ -637,6 +658,7 @@ class ServiceDaemon:
             "executing": self._executing,
             "stopping": self._stopping.is_set(),
             "requests": counters,
+            "connections": connections,
             "caches": self.pipeline.cache_stats(),
             "stage_runs": dict(self.pipeline.stage_runs),
         }

@@ -8,12 +8,15 @@ the service makes:
    pipeline stage beyond the cached-result hit (stage counters);
 2. a what-if query (same cell, new displacement) costs exactly one
    ``managed_replay``;
-3. a sweep worker killed by SIGKILL mid-request surfaces as a
+3. twenty repeats over one new client are all result hits (no stage
+   ran) and share one connection (``connections.accepted`` grows by 1);
+4. a sweep worker killed by SIGKILL mid-request surfaces as a
    structured ``CELL_EXECUTION_ERROR`` naming the cell — and the daemon
    keeps serving afterwards;
-4. overload: with the dispatcher held, a full admission queue sheds the
-   next request with ``SERVICE_BUSY`` (never a hang);
-5. SIGTERM drains: queued requests still get replies, the daemon exits
+5. overload: with the dispatcher held, a full admission queue sheds the
+   next request with ``SERVICE_BUSY`` (never a hang), while a cached
+   query is still answered;
+6. SIGTERM drains: queued requests still get replies, the daemon exits
    0 and removes its socket.
 
 Run directly::
@@ -70,6 +73,7 @@ def _spawn_daemon(socket_path: str) -> subprocess.Popen:
             return False
 
     _wait_for(_up, 30.0, "the daemon to answer ping")
+    client.close()
     return proc
 
 
@@ -101,7 +105,22 @@ def main() -> int:
                   "exactly ['managed_replay']")
         print("service-smoke: what-if displacement cost one managed replay")
 
-        # 3. SIGKILL a sweep worker mid-request: structured error, daemon
+        # 3. repeats over one client: all hits, one connection
+        accepted = client.stats()["connections"]["accepted"]
+        with ServiceClient(socket_path, retries=0) as repeater:
+            for _ in range(20):
+                reply = repeater.cell(**spec)
+                if reply["stages_ran"] or reply["result"] != cold["result"]:
+                    _fail(f"repeat ran stages {reply['stages_ran']} or "
+                          "differs from the cold reply")
+        accepted = client.stats()["connections"]["accepted"] - accepted
+        if accepted != 1:
+            _fail(f"20 repeats over one client opened {accepted} "
+                  "connections, expected 1")
+        print("service-smoke: 20 repeats were result hits over one "
+              "connection")
+
+        # 4. SIGKILL a sweep worker mid-request: structured error, daemon
         # survives and still serves warm results
         sweep_specs = [
             {**spec, "displacement": d} for d in (0.1, 0.3, 0.6)
@@ -125,8 +144,9 @@ def main() -> int:
         print("service-smoke: worker SIGKILL -> structured error "
               f"({crashed_label!r}), daemon survived")
 
-        # 4. overload: hold the dispatcher, fill the queue (limit 2),
-        # the next admission must shed with SERVICE_BUSY
+        # 5. overload: hold the dispatcher, fill the queue (limit 2),
+        # the next admission must shed with SERVICE_BUSY while a cached
+        # query is still answered
         blocker = threading.Thread(
             target=lambda: ServiceClient(socket_path, retries=0).request(
                 {"op": "block"}
@@ -160,8 +180,19 @@ def main() -> int:
             limit = exc.details.get("queue_limit")
             print(f"service-smoke: overload shed with SERVICE_BUSY "
                   f"(depth {depth}/{limit})")
+        try:
+            hit = client.cell(**spec)
+        except ServiceError as exc:
+            _fail(f"cached query not answered while the dispatcher is "
+                  f"held: {exc.code}")
+        if hit["stages_ran"] or hit["result"] != cold["result"]:
+            _fail("cached query not answered while the dispatcher is held")
+        if not blocker.is_alive():
+            _fail("the block hook released before the cached query")
+        print("service-smoke: cached query answered while the dispatcher "
+              "was held")
 
-        # 5. SIGTERM drain: queued requests complete (the stop event
+        # 6. SIGTERM drain: queued requests complete (the stop event
         # releases the block hook), daemon exits 0, socket removed
         proc.send_signal(signal.SIGTERM)
         for t in fillers:
@@ -175,6 +206,7 @@ def main() -> int:
             _fail("socket not removed on drain")
         print("service-smoke: SIGTERM drained queued work and exited 0")
     finally:
+        client.close()
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10.0)

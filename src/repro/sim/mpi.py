@@ -122,19 +122,6 @@ class _RankContext:
             return q.popleft()
         return None
 
-    def pop_posted(self, src: int, tag: int) -> Signal | None:
-        q = self.posted.get((src, tag))
-        if q:
-            return q.popleft()
-        return None
-
-    def add_unexpected(self, env: _Envelope) -> None:
-        key = (env.src, env.tag)
-        q = self.unexpected.get(key)
-        if q is None:
-            self.unexpected[key] = q = deque()
-        q.append(env)
-
     def add_posted(self, src: int, tag: int, recv: Signal) -> None:
         # get-then-insert instead of setdefault: the hot path must not
         # allocate a fresh deque per call just to throw it away

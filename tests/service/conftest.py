@@ -1,5 +1,6 @@
 """Fixtures for the simulation-service tier: in-process daemons on
-throwaway sockets, torn down (drained) after each test."""
+throwaway sockets, torn down (clients closed, daemons drained) after
+each test."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ def daemon_factory(tmp_path):
     teardown.  Returns ``start(**config_overrides) -> (daemon, client)``."""
 
     running: list[ServiceDaemon] = []
+    clients: list[ServiceClient] = []
     counter = [0]
 
     def start(**overrides) -> tuple[ServiceDaemon, ServiceClient]:
@@ -27,8 +29,11 @@ def daemon_factory(tmp_path):
         daemon.start()
         running.append(daemon)
         client = ServiceClient(daemon.config.socket_path, retries=0)
+        clients.append(client)
         return daemon, client
 
     yield start
+    for client in clients:
+        client.close()
     for daemon in running:
         daemon.stop(drain=True, timeout_s=30.0)

@@ -4,6 +4,7 @@ pinned against in-process daemons with the test failpoints armed."""
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import threading
@@ -67,6 +68,88 @@ def test_idempotent_request_id_never_double_runs(daemon_factory):
     stats = client.stats()
     assert stats["requests"]["deduped_served"] == 1
     assert stats["requests"]["admitted"] == 1  # ran once, served twice
+
+
+def _hold_dispatcher(daemon) -> threading.Thread:
+    """Occupy the dispatcher with the ``block`` hook; returns its thread."""
+
+    sock = daemon.config.socket_path
+    blocker = threading.Thread(
+        target=lambda: ServiceClient(sock, retries=0).request(
+            {"op": "block"}
+        ),
+        daemon=True,
+    )
+    blocker.start()
+    _wait_for(lambda: daemon.stats()["executing"] == "block")
+    return blocker
+
+
+def test_cached_result_is_answered_while_dispatcher_is_blocked(
+        daemon_factory):
+    daemon, client = daemon_factory(test_hooks=True)
+    cold = client.cell(**SMALL_SPEC)
+    blocker = _hold_dispatcher(daemon)
+    try:
+        depth = daemon.stats()["queue_depth"]
+        # a deadline turns a hit stuck behind the block into a failure
+        hit = client.cell(timeout_s=2.0, **SMALL_SPEC)
+        assert hit["stages_ran"] == []
+        assert hit["result"] == cold["result"]
+        assert daemon.stats()["queue_depth"] == depth
+        assert blocker.is_alive()  # answered before the block released
+    finally:
+        client.request({"op": "unblock"})
+        blocker.join(10.0)
+
+
+def test_request_id_dedup_comes_before_the_cache(daemon_factory):
+    daemon, client = daemon_factory()
+    client.cell(**SMALL_SPEC)  # warm the result cache
+    first = client.cell(request_id="repeat", **SMALL_SPEC)
+    again = client.cell(request_id="repeat", **SMALL_SPEC)
+    assert again == first
+    stats = client.stats()
+    assert stats["requests"]["deduped_served"] == 1
+    assert stats["requests"]["admitted"] == 2
+    assert stats["caches"]["results"]["hits"] == 1
+
+
+def test_hit_path_keeps_todays_counters(daemon_factory):
+    daemon, client = daemon_factory()
+    whatif = {**SMALL_SPEC, "displacement": 0.25}
+    ran = [client.cell(**spec)["stages_ran"]
+           for spec in (SMALL_SPEC, SMALL_SPEC, whatif, SMALL_SPEC)]
+    assert ran[1:] == [[], ["managed_replay"], []]
+    stats = client.stats()
+    assert stats["requests"]["admitted"] == 4
+    assert stats["requests"]["completed"] == 4
+    caches = stats["caches"]
+    assert (caches["results"]["hits"], caches["results"]["misses"]) == (2, 2)
+    assert (caches["cells"]["hits"], caches["cells"]["misses"]) == (1, 1)
+    assert stats["stage_runs"] == {
+        "trace_generation": 1, "program_compile": 1, "fabric_build": 1,
+        "baseline_replay": 1, "gt_select": 1, "planning_pass": 1,
+        "managed_replay": 2,
+    }
+
+
+def test_managed_replays_run_on_the_dispatcher_thread(
+        daemon_factory, monkeypatch):
+    from repro.service import caches
+
+    threads: list[str] = []
+    replay_managed = caches.replay_managed
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return replay_managed(*args, **kwargs)
+
+    monkeypatch.setattr(caches, "replay_managed", recording)
+    daemon, client = daemon_factory()
+    for d in (0.5, 0.5, 0.25, 0.5, 0.25, 0.75):
+        client.cell(**{**SMALL_SPEC, "displacement": d})
+    assert threads == ["service-dispatcher"] * 3
 
 
 def test_retry_joins_inflight_request(daemon_factory, tmp_path):
@@ -243,6 +326,26 @@ def test_bad_request_spec_is_structured(daemon_factory):
     assert "unknown cell spec field(s): ['scheduler']" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"iterations": "x"}, {"seed": "x"}, {"iterations": [1]}]
+)
+def test_unconvertible_spec_is_structured_and_keeps_the_connection(
+    daemon_factory, bad
+):
+    # fields normalize_spec int()s without a SpecError guard: the
+    # cache probe on the connection thread must leave them to the
+    # dispatcher, which answers with a structured error as it always has
+    daemon, client = daemon_factory()
+    client.cell(**SMALL_SPEC)  # warm: the probe reaches the result LRU
+    with pytest.raises(ServiceError) as excinfo:
+        client.cell(**{**SMALL_SPEC, **bad})
+    assert not isinstance(excinfo.value, ServiceUnavailable)
+    assert excinfo.value.code == "INTERNAL_ERROR"
+    reply = client.cell(**SMALL_SPEC)
+    assert reply["stages_ran"] == []
+    assert daemon.stats()["connections"] == {"accepted": 1, "open": 1}
+
+
 def test_unknown_socket_is_service_unavailable(tmp_path):
     client = ServiceClient(str(tmp_path / "nothing.sock"), retries=1,
                            backoff_s=0.01)
@@ -272,17 +375,21 @@ def _open_fds() -> set[str]:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 def test_stop_is_prompt_and_leaves_no_service_thread(daemon_factory):
+    # a client left in a reference cycle by an earlier test closes its
+    # socket when collected: collect now, not between the fd snapshots
+    gc.collect()
     before = _service_threads()
     fds_before = _open_fds()
     daemon, client = daemon_factory()
     client.cell(**SMALL_SPEC)
     client.ping()
     client.stats()
-    # an idle client connection must not pin its handler thread
+    # an idle client connection must not pin its handler thread: the
+    # client's own persistent connection is one, the raw socket another
     idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     idle.connect(daemon.config.socket_path)
     try:
-        _wait_for(lambda: len(_service_threads() - before) == 3)
+        _wait_for(lambda: len(_service_threads() - before) == 4)
         t0 = time.monotonic()
         daemon.stop(drain=True)
         elapsed = time.monotonic() - t0
@@ -291,8 +398,10 @@ def test_stop_is_prompt_and_leaves_no_service_thread(daemon_factory):
     assert elapsed < 0.2, f"stop() took {elapsed:.3f} s"
     assert _service_threads() - before == set()
     assert not os.path.exists(daemon.config.socket_path)
-    # listener, per-connection sockets (the idle one included) and
-    # anything the warm pipeline opened are all closed again
+    # listener, per-connection sockets (the idle ones included) and
+    # anything the warm pipeline opened are all closed again, once the
+    # client has closed its end
+    client.close()
     assert _open_fds() == fds_before
 
 
