@@ -1,11 +1,10 @@
 # Convenience targets for the reproduction pipeline.
 #
-#   make test         tier-1 test suite (everything)
+#   make test         tier-1 test suite (everything, the differential
+#                     matrix included; CI runs this)
 #   make test-fast    unit/property tiers only — skips the cross-kernel
-#                     differential matrix (tests/README.md describes the
-#                     tier structure)
-#   make test-full    everything test-fast runs plus the differential
-#                     matrix (same as `make test`, named for symmetry)
+#                     differential matrix for local turnaround
+#                     (tests/README.md describes the tier structure)
 #   make bench        full perf benchmark (writes benchmarks/out/BENCH_pipeline.json)
 #   make bench-smoke  quick perf-regression gate: REPRO_ITERATIONS=10,
 #                     fails on a >3x stage slowdown vs the recorded
@@ -50,7 +49,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-full bench bench-smoke bench-record bench-ab \
+.PHONY: test test-fast bench bench-smoke bench-record bench-ab \
 	topo-smoke fault-smoke cluster-smoke policy-smoke service-smoke
 
 WORKLOAD ?= paper-grid
@@ -61,9 +60,6 @@ test:
 
 test-fast:
 	$(PY) -m pytest -x -q -m "not differential"
-
-test-full:
-	$(PY) -m pytest -x -q
 
 bench:
 	$(PY) -m repro.cli bench

@@ -711,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-request deadline in seconds (default: "
                         "REPRO_SERVICE_TIMEOUT_S or none)")
     p.add_argument("--cache-cells", type=_positive_int, default=None,
-                   help="LRU capacity for warm cell artefact bundles "
+                   help="LRU capacity for warm cells "
                         "(default: REPRO_SERVICE_CACHE_CELLS or 8)")
     p.add_argument("--retries", type=int, default=None,
                    help="worker retries for sweep fan-outs (default: "

@@ -21,7 +21,8 @@ budget is spent the item either falls back to an in-process run or
 surfaces as a :class:`CellExecutionError` naming the offending item.
 Deterministic worker exceptions (the item itself is bad) propagate
 unchanged on the first attempt — retrying them would just repeat the
-failure.
+failure.  :func:`run_journaled` adds checkpointing: it serves items a
+:class:`ResultJournal` already holds and journals each new result.
 """
 
 from __future__ import annotations
@@ -474,3 +475,52 @@ class ResultJournal:
             pickle.dump((key, value), fh, protocol=pickle.HIGHEST_PROTOCOL)
             fh.flush()
             os.fsync(fh.fileno())
+
+
+def run_journaled(
+    fn: Callable[[_T], _R],
+    items: Sequence[_T],
+    *,
+    label: Callable[[_T], str],
+    workers: int | None = None,
+    timeout_s: float | None = None,
+    retries: int | None = None,
+    checkpoint: str | None = None,
+) -> list[_R]:
+    """:func:`run_resilient` over ``items``, checkpointed to a journal.
+
+    ``label(item)`` names an item in error messages and keys it in the
+    ``checkpoint`` journal (:class:`ResultJournal`): items the journal
+    already holds are served from it, every new result is appended as
+    it lands, so a killed sweep resumes where it died.  ``workers``,
+    ``timeout_s`` and ``retries`` resolve through their environment
+    knobs.  Results come back in item order.
+    """
+
+    journal = ResultJournal(checkpoint) if checkpoint else None
+    done = journal.load() if journal is not None else {}
+    results: list = [None] * len(items)
+    pending: list[int] = []
+    for i, item in enumerate(items):
+        key = label(item)
+        if key in done:
+            results[i] = done[key]
+        else:
+            pending.append(i)
+
+    def _on_result(j: int, result) -> None:
+        if journal is not None:
+            journal.append(label(items[pending[j]]), result)
+
+    computed = run_resilient(
+        fn,
+        [items[i] for i in pending],
+        workers=resolve_workers(workers),
+        timeout_s=resolve_cell_timeout(timeout_s),
+        retries=resolve_cell_retries(retries),
+        label=label,
+        on_result=_on_result,
+    )
+    for i, result in zip(pending, computed):
+        results[i] = result
+    return results

@@ -73,10 +73,6 @@ class GramBuilder:
         self._last_exit_us: float | None = None
 
     @property
-    def events_seen(self) -> int:
-        return self._next_index
-
-    @property
     def open_gram_size(self) -> int:
         return len(self._calls)
 

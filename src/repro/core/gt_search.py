@@ -58,12 +58,6 @@ class GTEvaluation:
     pattern_mispredictions: int
     grams_total: int
 
-    @property
-    def mean_calls_per_gram(self) -> float:
-        if self.grams_total == 0:
-            return 0.0
-        return self.total_calls / self.grams_total
-
 
 @dataclass(frozen=True, slots=True)
 class GTSelection:

@@ -14,12 +14,13 @@ run_cell`, memoised and deduplicated via :func:`~repro.concurrency.
 unique_by`) — baseline replay, GT selection, planning — and its
 directives are carried into the cluster replay unchanged.  On a warm
 memo a job costs one rebind and one weave: the fast kernel replays the
-cell's compiled programs, so no trace is regenerated (the reference
-kernel, which interprets records, still generates its trace).  The isolated
-reference always runs on a pristine fabric, even when the cluster replay
-is faulted: the planning side has no knowledge of the fault schedule
-(it plans from clean baseline gaps), and the slowdown-vs-isolated
-column should isolate *contention + faults* against a clean yardstick.
+cell's compiled programs and the reference kernel, which interprets
+records, the trace the cell keeps, so no trace is regenerated.  The
+isolated reference always runs on a pristine fabric, even when the
+cluster replay is faulted: the planning side has no knowledge of the
+fault schedule (it plans from clean baseline gaps), and the
+slowdown-vs-isolated column should isolate *contention + faults*
+against a clean yardstick.
 
 The robustness properties mirror :mod:`~repro.experiments.fault_sweep`:
 a partitioned cell becomes a ``partitioned`` row instead of killing the
@@ -27,7 +28,7 @@ grid; ``verify=True`` re-runs the cell on the reference kernel and
 asserts bit-for-bit equality, plus the energy-sum consistency check
 (per-job attributed link energy must sum to the fabric-level total
 integrated over the independent episode registry);
-the grid fans out through :func:`~repro.concurrency.run_resilient` with
+the grid fans out through :func:`~repro.concurrency.run_journaled` with
 journal checkpointing.
 """
 
@@ -48,20 +49,12 @@ from ..cluster import (
     replay_cluster_baseline,
     replay_cluster_managed,
 )
-from ..concurrency import (
-    ResultJournal,
-    resolve_cell_retries,
-    resolve_cell_timeout,
-    resolve_workers,
-    run_resilient,
-    unique_by,
-)
+from ..concurrency import run_journaled, unique_by
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
 from ..network.topologies import DEFAULT_TOPOLOGY, build_topology
 from ..power.states import WRPSParams
 from ..sim.dimemas import ReplayConfig, fabric_for
-from ..workloads import make_trace
-from .common import default_iterations, run_cell
+from .common import default_iterations, run_cell, verify_same_partition
 
 #: the default stream axis: a deterministic two-job stream (the control
 #: — light contention) + a three-job two-tenant Poisson mix
@@ -137,7 +130,6 @@ def run_cluster_cell(
 
     jobs = parse_jobs(jobs_spec)
     iters = iterations if iterations is not None else default_iterations()
-    params = WRPSParams.paper()
     cfg = ReplayConfig(
         seed=seed, topology=topology, kernel=kernel, faults=faults,
     )
@@ -152,26 +144,20 @@ def run_cluster_cell(
             job.app, job.nranks, displacements=(displacement,),
             iterations=iters, seed=seed, topology=topology, kernel=kernel,
         )
-        gt_us = max(cell.gt_us, params.min_worthwhile_idle_us)
         directives, _stats = cell.plan.rebind_displacement(displacement)
         fast = kernel != "reference"
         prepared.append(
             dict(
                 # the fast kernel replays the cell's compiled programs;
                 # only the reference interpreter needs the records
-                trace=(
-                    cell.programs if fast else make_trace(
-                        job.app, job.nranks, iterations=iters, seed=seed,
-                        scaling="strong",
-                    )
-                ),
+                trace=cell.programs if fast else cell.trace,
                 base_programs=cell.programs if fast else None,
                 woven_programs=(
                     cell.programs.with_directives(directives) if fast
                     else None
                 ),
                 directives=directives,
-                gt_us=gt_us,
+                gt_us=cell.planned_gt_us,
                 isolated_exec_time_us=cell.managed[displacement].exec_time_us,
             )
         )
@@ -205,7 +191,7 @@ def run_cluster_cell(
     )
     managed = replay_cluster_managed(
         cluster_jobs(managed=True), cfg, num_hosts=num_hosts,
-        placement=placement, wrps=params, fabric=fabric,
+        placement=placement, wrps=WRPSParams.paper(), fabric=fabric,
     )
     return ClusterCell(
         jobs=jobs,
@@ -274,24 +260,11 @@ def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
     where = (
         f"{spec['topology']!r}/{spec['jobs_spec']!r}/{spec['placement']!r}"
     )
-    ref_spec = dict(spec, kernel="reference")
     try:
         cell = run_cluster_cell(**spec)
     except FabricPartitioned as exc:
         if verify:
-            try:
-                run_cluster_cell(**ref_spec)
-            except FabricPartitioned as ref:
-                if ref.key != exc.key:
-                    raise AssertionError(
-                        f"fast != reference kernel on {where}: partitions "
-                        f"diverged ({exc.key} vs {ref.key})"
-                    ) from None
-            else:
-                raise AssertionError(
-                    f"fast != reference kernel on {where}: only the fast "
-                    "kernel partitioned"
-                ) from None
+            verify_same_partition(exc, run_cluster_cell, spec, where)
         njobs = len(parse_jobs(spec["jobs_spec"]))
         return ClusterSweepRow(
             topology=spec["topology"],
@@ -311,7 +284,7 @@ def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
     managed = cell.managed
     check_energy_sum(managed)
     if verify:
-        ref = run_cluster_cell(**ref_spec)
+        ref = run_cluster_cell(**dict(spec, kernel="reference"))
         check_energy_sum(ref.managed)
         mismatches = [
             name
@@ -420,33 +393,10 @@ def run_cluster_sweep(
         for stream in job_streams
         for placement in placements
     ]
-    journal = ResultJournal(checkpoint) if checkpoint else None
-    done = journal.load() if journal is not None else {}
-    rows: list = [None] * len(jobs)
-    pending: list[int] = []
-    for i, job in enumerate(jobs):
-        key = _job_label(job)
-        if key in done:
-            rows[i] = done[key]
-        else:
-            pending.append(i)
-
-    def _on_result(j: int, row: ClusterSweepRow) -> None:
-        if journal is not None:
-            journal.append(_job_label(jobs[pending[j]]), row)
-
-    computed = run_resilient(
-        _cluster_sweep_worker,
-        [jobs[i] for i in pending],
-        workers=resolve_workers(workers),
-        timeout_s=resolve_cell_timeout(timeout_s),
-        retries=resolve_cell_retries(retries),
-        label=_job_label,
-        on_result=_on_result,
+    return run_journaled(
+        _cluster_sweep_worker, jobs, label=_job_label, workers=workers,
+        timeout_s=timeout_s, retries=retries, checkpoint=checkpoint,
     )
-    for i, row in zip(pending, computed):
-        rows[i] = row
-    return rows
 
 
 def format_cluster_sweep(rows: Sequence[ClusterSweepRow]) -> str:

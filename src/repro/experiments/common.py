@@ -12,6 +12,15 @@ count) cell:
    shutdown instructions);
 5. one managed replay per displacement factor.
 
+The sequence is written once, as two staged steps that report the
+:data:`STAGES` they run through an ``on_stage`` callback:
+:func:`build_cell` (steps 1-3: trace, compiled programs, fabric,
+baseline replay, GT selection) and :func:`replay_displacements` (steps
+4-5, the planning pass run lazily once per cell).  ``run_cell`` is a
+memo around the two; the simulation service
+(:class:`repro.service.caches.WarmPipeline`) runs the same two behind
+its own LRU caches.
+
 Results are memoised per cell so that Figs. 7, 8 and 9 (three
 displacement factors over the same grid) share baselines and GT
 selection.  ``REPRO_ITERATIONS`` scales the trace length globally (the
@@ -22,25 +31,27 @@ default keeps the full grid affordable on a laptop).
 The pipeline shares and caches aggressively; these are the layers, from
 outermost in:
 
-* **cell memo** — ``run_cell`` keyed on (app, nranks, iterations, seed,
-  scaling, WRPS, overhead charging): trace generation, the baseline
-  replay and GT selection run once per cell no matter how many tables or
-  figures touch it (``clear_cache`` resets).
+* **cell memo** — ``run_cell`` keyed on :class:`CellKey` (app, nranks,
+  iterations, seed, scaling, WRPS, overhead charging, topology, kernel,
+  faults, policy): ``build_cell`` runs once per cell no matter how many
+  tables or figures touch it (``clear_cache`` resets; the memo is
+  unbounded, so a grid's what-ifs never rebuild a cell).
 * **single-pass GT sweep** — ``select_gt_detailed`` runs on
   :mod:`repro.core.fastscan`: per-rank gap/call arrays are precomputed
   once and GT candidates that cut identical gram boundaries share one
   gram-granular runtime pass.  The full sweep is stored on the cell
   (``CellResult.gt_sweep``) so Fig. 10 reuses it for free.
 * **shared planning pass** — the PMPI software side (gram formation +
-  PPA + monitor) is displacement-independent; ``run_cell`` executes it
-  once per cell (``plan_trace_directives_shared``) and re-emits the
+  PPA + monitor) is displacement-independent; ``replay_displacements``
+  executes it once per cell (``plan_trace_directives_shared``), only
+  when a displacement is first asked for, and re-emits the
   shutdown timers per displacement factor via
   ``TracePlan.rebind_displacement``, so Figs. 7-9 pay one planning pass
   instead of three.  Only the managed replay itself runs per
   displacement.
 * **shared fabric** — topology construction and static route/hop-table
-  compilation are displacement-independent too: ``run_cell`` builds one
-  fabric per cell (``fabric_for``) and every replay — the baseline and
+  compilation are displacement-independent too: ``build_cell`` builds
+  one fabric per cell (``fabric_for``) and every replay — the baseline and
   each managed run — ``reset()``s it instead of rebuilding, so compiled
   routes are paid for once per cell.  The replay itself runs on the
   fast kernel (memoised collective schedules, precompiled routes,
@@ -50,10 +61,11 @@ outermost in:
   where a shutdown timer lands; every other entry is shared with the
   plan), one weave of the directives into the cell's compiled programs,
   and one managed replay.  The fast kernel replays straight from the
-  compiled programs, so the trace is regenerated only for the reference
-  kernel, which interprets records (and for a cell that came back from
-  a ``run_cells`` worker or a journal without its programs and fabric).
-  An exact repeat is a memo hit and runs no stage at all.
+  compiled programs; the reference kernel, which interprets records,
+  replays the trace its cell keeps (``CellResult.trace``).  Only a cell
+  that came back from a ``run_cells`` worker or a journal without its
+  artefacts regenerates them, once.  An exact repeat is a memo hit and
+  runs no stage at all.
 
 Environment knobs:
 
@@ -73,7 +85,7 @@ import copy
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..constants import (
     DISPLACEMENT_FACTORS,
@@ -99,7 +111,7 @@ from ..concurrency import (
     run_resilient,
 )
 from ..network.fabric import Fabric
-from ..network.faults import NO_FAULTS
+from ..network.faults import NO_FAULTS, FabricPartitioned
 from ..network.topologies import DEFAULT_TOPOLOGY
 from ..power.policies import DEFAULT_POLICY
 from ..power.states import WRPSParams
@@ -113,6 +125,7 @@ from ..sim import (
     replay_baseline,
     replay_managed,
 )
+from ..trace import Trace
 from ..workloads import PROCESS_COUNTS, make_trace
 
 
@@ -120,6 +133,78 @@ def default_iterations() -> int:
     """Trace length used by the experiment drivers (env-overridable)."""
 
     return int(os.environ.get("REPRO_ITERATIONS", "40"))
+
+
+#: the pipeline's stages in the order a cold cell runs them; the steps
+#: report each one through their ``on_stage`` callback (the service
+#: counts them: a cold query runs all, a warm what-if only
+#: ``managed_replay``, a result hit none)
+STAGES = (
+    "trace_generation",
+    "program_compile",
+    "fabric_build",
+    "baseline_replay",
+    "gt_select",
+    "planning_pass",
+    "managed_replay",
+)
+
+
+def _no_stage(stage: str) -> None:
+    """The default ``on_stage`` callback: report nothing."""
+
+
+class CellKey(NamedTuple):
+    """A cell's identity: the memo key, and every input the pipeline
+    reads.  The single key definition, shared by ``run_cell``,
+    ``run_cells`` and the service's caches, so they can never drift.
+
+    The full (frozen, hashable) WRPSParams is part of the identity: the
+    plan's shutdown-timer filtering depends on t_deact_us too, so two
+    calls differing in any WRPS field must not share a cell.  The
+    topology spec, replay kernel, fault spec and policy spec are part
+    of it too — a torus baseline must never serve a fat-tree cell, nor
+    a trunk-gated managed replay a HCA-only one.
+    """
+
+    app: str
+    nranks: int
+    iterations: int
+    seed: int
+    scaling: str
+    wrps: WRPSParams
+    charge_overheads: bool
+    topology: str
+    kernel: str
+    faults: str
+    policy: str
+
+    def replay_config(self) -> ReplayConfig:
+        return ReplayConfig(
+            seed=self.seed, topology=self.topology, kernel=self.kernel,
+            faults=self.faults, policy=self.policy,
+        )
+
+
+def cell_key(spec: dict) -> CellKey:
+    """The key ``run_cell(**spec)`` would use (its defaults applied;
+    keys other than the cell's inputs, e.g. ``displacements``, are
+    ignored)."""
+
+    iters = spec.get("iterations")
+    return CellKey(
+        spec["app"],
+        spec["nranks"],
+        default_iterations() if iters is None else iters,
+        spec.get("seed", 1234),
+        spec.get("scaling", "strong"),
+        spec.get("wrps") or WRPSParams.paper(),
+        spec.get("charge_overheads", True),
+        spec.get("topology", DEFAULT_TOPOLOGY),
+        spec.get("kernel", "fast"),
+        spec.get("faults", NO_FAULTS),
+        spec.get("policy", DEFAULT_POLICY),
+    )
 
 
 @dataclass(slots=True)
@@ -132,6 +217,11 @@ class CellResult:
     seed: int
     baseline: BaselineResult
     gt: GTEvaluation
+    #: the GT the planning pass and every managed replay use: ``gt_us``
+    #: raised to the WRPS break-even (a custom WRPS, e.g. deep sleep,
+    #: may put it above the hit-rate-optimal GT; the mechanism requires
+    #: GT >= 2*T_react)
+    planned_gt_us: float
     runtime_stats: list[RuntimeStats]
     managed: dict[float, ManagedResult] = field(default_factory=dict)
     #: the full hit-rate-vs-GT curve the selection ran over (Fig. 10)
@@ -144,6 +234,9 @@ class CellResult:
     #: the trace's compiled rank programs, shared by the baseline and
     #: every managed replay of the cell (compilation is replay-invariant)
     programs: CompiledTrace | None = None
+    #: the trace itself, kept only on the reference kernel (it
+    #: interprets records; the fast kernel replays ``programs``)
+    trace: Trace | None = None
 
     @property
     def gt_us(self) -> float:
@@ -160,7 +253,169 @@ class CellResult:
         return self.managed[displacement].exec_time_increase_pct
 
 
-_CACHE: dict[tuple, CellResult] = {}
+def _build_artefacts(
+    key: CellKey, on_stage: Callable[[str], None] = _no_stage
+) -> tuple[Trace, CompiledTrace, Fabric]:
+    """A cell's trace, compiled programs and fabric.
+
+    One fabric per cell: construction and route compilation are shared
+    by the baseline and every managed replay (reset between); one
+    compiled program set likewise.  Routes for every pair the trace
+    communicates on are compiled ahead of the first replay (the subnet
+    manager programs tables before traffic).
+    """
+
+    on_stage("trace_generation")
+    trace = make_trace(
+        key.app, key.nranks, iterations=key.iterations, seed=key.seed,
+        scaling=key.scaling,
+    )
+    on_stage("program_compile")
+    programs = compile_trace(trace)
+    on_stage("fabric_build")
+    fabric = fabric_for(key.nranks, key.replay_config())
+    fabric.precompile_pairs(programs.comm_pairs())
+    return trace, programs, fabric
+
+
+def _kept_trace(key: CellKey, trace: Trace) -> Trace | None:
+    """The trace a cell keeps: only the reference kernel replays it."""
+
+    return trace if key.kernel == "reference" else None
+
+
+def build_cell(
+    key: CellKey, on_stage: Callable[[str], None] = _no_stage
+) -> CellResult:
+    """The artefact + baseline step: trace, programs and fabric, the
+    baseline replay and GT selection, as a cell with no managed run."""
+
+    trace, programs, fabric = _build_artefacts(key, on_stage)
+    on_stage("baseline_replay")
+    baseline = replay_baseline(
+        trace, key.replay_config(), fabric=fabric, programs=programs
+    )
+    on_stage("gt_select")
+    selection = select_gt_detailed(baseline.event_logs)
+    return CellResult(
+        app=key.app,
+        nranks=key.nranks,
+        iterations=key.iterations,
+        seed=key.seed,
+        baseline=baseline,
+        gt=selection.best,
+        planned_gt_us=max(
+            selection.best.gt_us, key.wrps.min_worthwhile_idle_us
+        ),
+        runtime_stats=[],
+        gt_sweep=selection.sweep,
+        fabric=fabric,
+        programs=programs,
+        trace=_kept_trace(key, trace),
+    )
+
+
+def replay_displacements(
+    cell: CellResult,
+    key: CellKey,
+    displacements: Sequence[float],
+    on_stage: Callable[[str], None] = _no_stage,
+) -> dict[float, ManagedResult]:
+    """The managed step: one managed replay per displacement factor.
+
+    The planning pass (gram formation + PPA + monitor) does not depend
+    on the displacement: it runs once per cell, the first time a
+    displacement is asked for, and each displacement is one
+    copy-on-write rebind of it.  The replays run on the cell's own
+    fabric and programs, then the fabric is reset.  The results are
+    returned, not stored on the cell: ``run_cell`` memoises them, the
+    service caches only their payloads.
+
+    With several displacements and ``REPRO_WORKERS`` > 1 the replays
+    fan out over processes (each worker rebuilds the artefacts, which
+    are deterministic); results are bit-for-bit the serial ones.
+    """
+
+    replays: list[ManagedResult] = []
+    if displacements:
+        if cell.plan is None:
+            on_stage("planning_pass")
+            cell.plan = plan_trace_directives_shared(
+                cell.baseline.event_logs,
+                RuntimeConfig(
+                    gt_us=cell.planned_gt_us,
+                    wrps=key.wrps,
+                    charge_overheads=key.charge_overheads,
+                ),
+            )
+        jobs = []
+        for disp in displacements:
+            on_stage("managed_replay")
+            directives, stats = cell.plan.rebind_displacement(disp)
+            jobs.append({
+                "key": key,
+                "displacement": disp,
+                "directives": directives,
+                "stats": stats,
+                "baseline_exec_time_us": cell.baseline.exec_time_us,
+                "gt_us": cell.planned_gt_us,
+            })
+        nworkers = resolve_workers(None)
+        if nworkers > 1 and len(jobs) > 1:
+            replays = parallel_map(_managed_replay_worker, jobs, nworkers)
+        else:
+            replays = [
+                _replay_job(job, cell.trace, cell.programs, cell.fabric)
+                for job in jobs
+            ]
+    # drop the last replay's busy logs before the cell lingers in a
+    # cache — compiled routes/hop tables (the expensive, reusable part)
+    # survive the reset, the O(messages x hops) busy arrays do not
+    cell.fabric.reset()
+    return dict(zip(displacements, replays))
+
+
+def _replay_job(
+    job: dict,
+    trace: Trace | None,
+    programs: CompiledTrace,
+    fabric: Fabric,
+) -> ManagedResult:
+    """One displacement's managed replay on a cell's artefacts."""
+
+    key = job["key"]
+    return replay_managed(
+        programs if trace is None else trace,
+        job["directives"],
+        baseline_exec_time_us=job["baseline_exec_time_us"],
+        displacement=job["displacement"],
+        grouping_thresholds_us=[job["gt_us"]] * key.nranks,
+        config=key.replay_config(),
+        wrps=key.wrps,
+        runtime_stats=job["stats"],
+        fabric=fabric,
+        programs=programs,
+    )
+
+
+def _managed_replay_worker(job: dict) -> ManagedResult:
+    """One displacement's managed replay in a worker process.
+
+    Module-level for pickling.  The worker rebuilds the cell's
+    artefacts (deterministic in the key), so the fanned-out result is
+    bit-for-bit the serial one.  Nested parallelism is disabled the
+    same way ``_run_cell_worker`` does.
+    """
+
+    if multiprocessing.parent_process() is not None:
+        # no nested pools inside a worker; guarded so the in-process
+        # fallback path of run_resilient cannot pollute the parent's env
+        os.environ["REPRO_WORKERS"] = "1"
+    trace, programs, fabric = _build_artefacts(job["key"])
+    return _replay_job(job, _kept_trace(job["key"], trace), programs, fabric)
+
+
+_CACHE: dict[CellKey, CellResult] = {}
 
 
 def clear_cache() -> None:
@@ -202,244 +457,29 @@ def run_cell(
     cell's memo identity.
     """
 
-    iters = iterations if iterations is not None else default_iterations()
-    params = wrps or WRPSParams.paper()
-    key = _cache_key(
-        app, nranks, iters, seed, scaling, params, charge_overheads,
+    key = CellKey(
+        app, nranks,
+        iterations if iterations is not None else default_iterations(),
+        seed, scaling, wrps or WRPSParams.paper(), charge_overheads,
         topology, kernel, faults, policy,
     )
     cell = _CACHE.get(key) if use_cache else None
     if cell is not None and all(d in cell.managed for d in displacements):
         return cell  # memo hit: zero stages
-    replay_cfg = ReplayConfig(
-        seed=seed, topology=topology, kernel=kernel, faults=faults,
-        policy=policy,
-    )
-    trace = None
     if cell is None:
-        trace = make_trace(
-            app, nranks, iterations=iters, seed=seed, scaling=scaling
-        )
-        programs, fabric = _replay_artefacts(trace, replay_cfg)
-        baseline = replay_baseline(
-            trace, replay_cfg, fabric=fabric, programs=programs
-        )
-        selection = select_gt_detailed(baseline.event_logs)
-        cell = CellResult(
-            app=app,
-            nranks=nranks,
-            iterations=iters,
-            seed=seed,
-            baseline=baseline,
-            gt=selection.best,
-            runtime_stats=[],
-            gt_sweep=selection.sweep,
-            fabric=fabric,
-            programs=programs,
-        )
+        cell = build_cell(key)
         if use_cache:
             _CACHE[key] = cell
     elif cell.programs is None:
         # computed in a run_cells worker or loaded from a journal, both
         # of which strip the heavy artefacts: rebuild them once here
-        trace = make_trace(
-            app, nranks, iterations=iters, seed=seed, scaling=scaling
-        )
-        cell.programs, cell.fabric = _replay_artefacts(trace, replay_cfg)
-
+        trace, cell.programs, cell.fabric = _build_artefacts(key)
+        cell.trace = _kept_trace(key, trace)
     missing = [d for d in displacements if d not in cell.managed]
-    if missing:
-        # a custom WRPS (e.g. deep sleep) may raise the break-even above
-        # the hit-rate-optimal GT; the mechanism requires GT >= 2*T_react
-        gt_us = max(cell.gt_us, params.min_worthwhile_idle_us)
-        if cell.plan is None:
-            # the software side (gram formation + PPA + monitor) does not
-            # depend on the displacement factor: one pass serves them all
-            cfg = RuntimeConfig(
-                gt_us=gt_us,
-                wrps=params,
-                charge_overheads=charge_overheads,
-            )
-            cell.plan = plan_trace_directives_shared(
-                cell.baseline.event_logs, cfg
-            )
-        bound = [
-            (disp,) + cell.plan.rebind_displacement(disp) for disp in missing
-        ]
-        nworkers = resolve_workers(None)
-        if nworkers > 1 and len(bound) > 1:
-            # displacement fan-out: the per-displacement managed replays
-            # are independent (each worker builds its own fabric and
-            # compiled programs, deterministically identical to the
-            # parent's reset/shared ones), so a cell's displacement
-            # factors replay in parallel exactly like `run_cells` fans
-            # out whole cells.  Results merge in displacement order —
-            # bit-for-bit equal to the serial loop below.
-            jobs = [
-                {
-                    "app": app,
-                    "nranks": nranks,
-                    "iterations": iters,
-                    "seed": seed,
-                    "scaling": scaling,
-                    "topology": topology,
-                    "kernel": kernel,
-                    "faults": faults,
-                    "policy": policy,
-                    "displacement": disp,
-                    "directives": directives,
-                    "stats": stats,
-                    "baseline_exec_time_us": cell.baseline.exec_time_us,
-                    "grouping_thresholds_us": [gt_us] * nranks,
-                    "wrps": params,
-                }
-                for disp, directives, stats in bound
-            ]
-            computed = parallel_map(_managed_replay_worker, jobs, nworkers)
-            for (disp, directives, stats), managed in zip(bound, computed):
-                cell.managed[disp] = managed
-                if not cell.runtime_stats:
-                    cell.runtime_stats = stats
-        else:
-            if trace is None and kernel == "reference":
-                # the interpreter replays records; the fast kernel
-                # replays the cell's compiled programs, no trace needed
-                trace = make_trace(
-                    app, nranks, iterations=iters, seed=seed, scaling=scaling
-                )
-            source = cell.programs if trace is None else trace
-            for disp, directives, stats in bound:
-                managed = replay_managed(
-                    source,
-                    directives,
-                    baseline_exec_time_us=cell.baseline.exec_time_us,
-                    displacement=disp,
-                    grouping_thresholds_us=[gt_us] * nranks,
-                    config=replay_cfg,
-                    wrps=params,
-                    runtime_stats=stats,
-                    fabric=cell.fabric,
-                    programs=cell.programs,
-                )
-                cell.managed[disp] = managed
-                if not cell.runtime_stats:
-                    cell.runtime_stats = stats
-    # drop the last replay's busy logs before the cell lingers in the
-    # cache — compiled routes/hop tables (the expensive, reusable part)
-    # survive the reset, the O(messages x hops) busy arrays do not
-    cell.fabric.reset()
+    cell.managed.update(replay_displacements(cell, key, missing))
+    if missing and not cell.runtime_stats:
+        cell.runtime_stats = cell.managed[missing[0]].runtime_stats
     return cell
-
-
-def _replay_artefacts(
-    trace, replay_cfg: ReplayConfig
-) -> tuple[CompiledTrace, Fabric]:
-    """A cell's compiled programs and fabric, shared by every replay.
-
-    One fabric per cell: construction and route compilation are shared
-    by the baseline and every managed replay (reset between); one
-    compiled program set likewise.  Routes for every pair the trace
-    communicates on are compiled ahead of the first replay (the subnet
-    manager programs tables before traffic).
-    """
-
-    programs = compile_trace(trace)
-    fabric = fabric_for(trace.nranks, replay_cfg)
-    fabric.precompile_pairs(programs.comm_pairs())
-    return programs, fabric
-
-
-def _cache_key(
-    app: str,
-    nranks: int,
-    iters: int,
-    seed: int,
-    scaling: str,
-    params: WRPSParams,
-    charge_overheads: bool,
-    topology: str,
-    kernel: str,
-    faults: str,
-    policy: str,
-) -> tuple:
-    """The cell memo key — the single definition shared by ``run_cell``
-    and ``run_cells`` so the two can never drift apart.
-
-    The full (frozen, hashable) WRPSParams is part of the identity: the
-    cached plan's shutdown-timer filtering depends on t_deact_us too,
-    so two calls differing in any WRPS field must not share a cell.
-    The topology spec, replay kernel, fault spec and policy spec are
-    part of the identity too — a torus baseline must never serve a
-    fat-tree cell, nor a trunk-gated managed replay a HCA-only one.
-    """
-
-    return (
-        app, nranks, iters, seed, scaling, params, charge_overheads,
-        topology, kernel, faults, policy,
-    )
-
-
-def _cell_cache_key(spec: dict) -> tuple:
-    """The ``_CACHE`` key ``run_cell`` would use for ``spec``
-    (``run_cell``'s parameter defaults applied)."""
-
-    iters = spec.get("iterations")
-    if iters is None:
-        iters = default_iterations()
-    return _cache_key(
-        spec["app"],
-        spec["nranks"],
-        iters,
-        spec.get("seed", 1234),
-        spec.get("scaling", "strong"),
-        spec.get("wrps") or WRPSParams.paper(),
-        spec.get("charge_overheads", True),
-        spec.get("topology", DEFAULT_TOPOLOGY),
-        spec.get("kernel", "fast"),
-        spec.get("faults", NO_FAULTS),
-        spec.get("policy", DEFAULT_POLICY),
-    )
-
-
-def _managed_replay_worker(job: dict) -> "ManagedResult":
-    """One displacement's managed replay in a worker process.
-
-    Module-level for pickling.  The worker regenerates the trace (the
-    generators are deterministic in their parameters) and lets
-    ``replay_managed`` build a fresh fabric and compiled-program set —
-    deterministically identical to the parent's shared/reset ones, so
-    the fanned-out result is bit-for-bit the serial one.  Nested
-    parallelism is disabled the same way ``_run_cell_worker`` does.
-    """
-
-    if multiprocessing.parent_process() is not None:
-        # no nested pools inside a worker; guarded so the in-process
-        # fallback path of run_resilient cannot pollute the parent's env
-        os.environ["REPRO_WORKERS"] = "1"
-    trace = make_trace(
-        job["app"],
-        job["nranks"],
-        iterations=job["iterations"],
-        seed=job["seed"],
-        scaling=job["scaling"],
-    )
-    cfg = ReplayConfig(
-        seed=job["seed"],
-        topology=job["topology"],
-        kernel=job["kernel"],
-        faults=job.get("faults", NO_FAULTS),
-        policy=job.get("policy", DEFAULT_POLICY),
-    )
-    return replay_managed(
-        trace,
-        job["directives"],
-        baseline_exec_time_us=job["baseline_exec_time_us"],
-        displacement=job["displacement"],
-        grouping_thresholds_us=job["grouping_thresholds_us"],
-        config=cfg,
-        wrps=job["wrps"],
-        runtime_stats=job["stats"],
-    )
 
 
 def _run_cell_worker(spec: dict) -> CellResult:
@@ -447,8 +487,8 @@ def _run_cell_worker(spec: dict) -> CellResult:
 
     The worker computes the whole cell from scratch (its process has an
     empty cache) with nested parallelism disabled, and strips the
-    fabric and compiled programs before the result crosses the process
-    boundary — both are heavy, deterministic to rebuild, and
+    trace, fabric and compiled programs before the result crosses the
+    process boundary — all are heavy, deterministic to rebuild, and
     ``run_cell`` re-creates them on demand when the parent later asks
     the cached cell for more displacements.
     """
@@ -457,20 +497,43 @@ def _run_cell_worker(spec: dict) -> CellResult:
         # no nested pools inside a cell worker; guarded so the
         # in-process fallback path cannot pollute the parent's env
         os.environ["REPRO_WORKERS"] = "1"
-    cell = run_cell(**spec)
-    cell.fabric = None
-    cell.programs = None
-    return cell
+    return _stripped(run_cell(**spec))
 
 
 def _stripped(cell: CellResult) -> CellResult:
     """A shallow copy without the heavy rebuild-on-demand fields, for
-    journaling/checkpointing."""
+    worker results and journaling/checkpointing."""
 
     out = copy.copy(cell)
     out.fabric = None
     out.programs = None
+    out.trace = None
     return out
+
+
+def verify_same_partition(
+    exc: FabricPartitioned, run: Callable, spec: dict, where: str
+) -> None:
+    """Require the reference kernel to partition exactly like the fast one.
+
+    ``run(**spec)`` raised ``exc``; re-run on the reference kernel, the
+    cell must raise a :class:`FabricPartitioned` with the same key
+    (faulted pair and simulated time).  ``where`` names the cell.
+    """
+
+    try:
+        run(**dict(spec, kernel="reference"))
+    except FabricPartitioned as ref:
+        if ref.key != exc.key:
+            raise AssertionError(
+                f"fast != reference kernel on {where}: partitions "
+                f"diverged ({exc.key} vs {ref.key})"
+            ) from None
+    else:
+        raise AssertionError(
+            f"fast != reference kernel on {where}: only the fast "
+            "kernel partitioned"
+        ) from None
 
 
 def _cell_label(spec: dict) -> str:
@@ -547,17 +610,17 @@ def run_cells(
             journalable = (
                 journal is not None
                 and spec.get("use_cache", True)
-                and _cell_cache_key(spec) not in _CACHE
+                and cell_key(spec) not in _CACHE
             )
             cell = run_cell(**spec)
             if journalable:
-                journal.append(_cell_cache_key(spec), _stripped(cell))
+                journal.append(cell_key(spec), _stripped(cell))
             results.append(cell)
         return results
     results: list[CellResult | None] = [None] * len(specs)
     remote: list[int] = []
     for i, spec in enumerate(specs):
-        if spec.get("use_cache", True) and _cell_cache_key(spec) in _CACHE:
+        if spec.get("use_cache", True) and cell_key(spec) in _CACHE:
             # cached cells (possibly short a few displacements) are
             # cheap to finish locally and keep their fabric/programs
             results[i] = run_cell(**spec)
@@ -569,12 +632,12 @@ def run_cells(
         i = remote[0]
         results[i] = run_cell(**specs[i])
         if journal is not None and specs[i].get("use_cache", True):
-            journal.append(_cell_cache_key(specs[i]), _stripped(results[i]))
+            journal.append(cell_key(specs[i]), _stripped(results[i]))
     elif remote:
         def _on_result(j: int, cell: CellResult) -> None:
             if journal is not None and specs[remote[j]].get("use_cache", True):
                 journal.append(
-                    _cell_cache_key(specs[remote[j]]), _stripped(cell)
+                    cell_key(specs[remote[j]]), _stripped(cell)
                 )
 
         computed = run_resilient(
@@ -589,7 +652,7 @@ def run_cells(
         )
         for i, cell in zip(remote, computed):
             if specs[i].get("use_cache", True):
-                _CACHE[_cell_cache_key(specs[i])] = cell
+                _CACHE[cell_key(specs[i])] = cell
             results[i] = cell
     assert all(cell is not None for cell in results)
     return results  # type: ignore[return-value]

@@ -17,7 +17,7 @@ Three robustness properties distinguish it from the other sweeps:
 * ``verify=True`` re-runs every cell on the reference replay kernel and
   requires bit-for-bit equality — including the fault summaries, and
   including *identical* partitions (same pair, same simulated time);
-* the grid fans out through :func:`~repro.concurrency.run_resilient`,
+* the grid fans out through :func:`~repro.concurrency.run_journaled`,
   so a crashed or stalled worker retries instead of hanging the sweep,
   and ``checkpoint=`` resumes a killed grid from its journal.
 
@@ -33,15 +33,9 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..concurrency import (
-    ResultJournal,
-    resolve_cell_retries,
-    resolve_cell_timeout,
-    resolve_workers,
-    run_resilient,
-)
+from ..concurrency import run_journaled
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
-from .common import run_cell
+from .common import run_cell, verify_same_partition
 from .topo_sweep import DEFAULT_APPS, DEFAULT_TOPOLOGIES
 
 #: the default fault axis: pristine (the control row — must reproduce
@@ -99,19 +93,7 @@ def _fault_sweep_worker(job: dict) -> FaultSweepRow:
         cell = run_cell(**spec)
     except FabricPartitioned as exc:
         if verify:
-            try:
-                run_cell(**dict(spec, kernel="reference"))
-            except FabricPartitioned as ref:
-                if ref.key != exc.key:
-                    raise AssertionError(
-                        f"fast != reference kernel on {where}: partitions "
-                        f"diverged ({exc.key} vs {ref.key})"
-                    ) from None
-            else:
-                raise AssertionError(
-                    f"fast != reference kernel on {where}: only the fast "
-                    "kernel partitioned"
-                ) from None
+            verify_same_partition(exc, run_cell, spec, where)
         return FaultSweepRow(
             topology=spec["topology"],
             faults=spec["faults"],
@@ -219,33 +201,10 @@ def run_fault_sweep(
         for app in apps
         for nranks in nranks_list
     ]
-    journal = ResultJournal(checkpoint) if checkpoint else None
-    done = journal.load() if journal is not None else {}
-    rows: list = [None] * len(jobs)
-    pending: list[int] = []
-    for i, job in enumerate(jobs):
-        key = _job_label(job)
-        if key in done:
-            rows[i] = done[key]
-        else:
-            pending.append(i)
-
-    def _on_result(j: int, row: FaultSweepRow) -> None:
-        if journal is not None:
-            journal.append(_job_label(jobs[pending[j]]), row)
-
-    computed = run_resilient(
-        _fault_sweep_worker,
-        [jobs[i] for i in pending],
-        workers=resolve_workers(workers),
-        timeout_s=resolve_cell_timeout(timeout_s),
-        retries=resolve_cell_retries(retries),
-        label=_job_label,
-        on_result=_on_result,
+    return run_journaled(
+        _fault_sweep_worker, jobs, label=_job_label, workers=workers,
+        timeout_s=timeout_s, retries=retries, checkpoint=checkpoint,
     )
-    for i, row in zip(pending, computed):
-        rows[i] = row
-    return rows
 
 
 def format_fault_sweep(rows: Sequence[FaultSweepRow]) -> str:

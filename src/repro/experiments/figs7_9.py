@@ -61,10 +61,6 @@ class FigureResult:
         return out
 
     @property
-    def max_average_savings_pct(self) -> float:
-        return max(self.average_savings())
-
-    @property
     def max_average_slowdown_pct(self) -> float:
         return max(self.average_slowdown())
 

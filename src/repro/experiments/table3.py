@@ -26,15 +26,6 @@ class Table3Row:
     #: lets consumers inspect runner-up candidates and curve shape
     sweep: tuple[GTEvaluation, ...] = ()
 
-    @property
-    def runner_up(self) -> GTEvaluation | None:
-        """Best sweep point at a GT other than the selected one."""
-
-        others = [p for p in self.sweep if p.gt_us != self.gt_us]
-        if not others:
-            return None
-        return max(others, key=lambda p: p.hit_rate_pct)
-
 
 def build_row(cell: CellResult) -> Table3Row:
     return Table3Row(

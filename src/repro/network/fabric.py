@@ -142,6 +142,9 @@ class Fabric:
         #: per-(src, dst) flat hop tables: tuple of (link, channel,
         #: switch-or-None, segment_time_us) hops, keyed src*H+dst
         self._hops: dict[int, tuple] = {}
+        #: keys of hop tables compiled while a link ran degraded: they
+        #: baked the degraded bandwidth, so :meth:`reset` recompiles them
+        self._stale_hops: set[int] = set()
         self._num_hosts = self.topo.num_hosts
         #: active fault-injection state (None = healthy fabric); when
         #: set, every transfer routes through a faulted kernel
@@ -221,7 +224,8 @@ class Fabric:
         the transfer kernel never chases attribute chains per hop; links
         and channels are stable across :meth:`reset` (cleared in place,
         never rebuilt), so the compiled records stay valid for the
-        fabric's whole lifetime.
+        fabric's whole lifetime (a pair compiled while a link ran
+        degraded is recompiled by :meth:`reset`).
         """
 
         hops = []
@@ -249,7 +253,10 @@ class Fabric:
         """Compile and keep one pair's static-route hop records."""
 
         compiled = self._path_hops(self.routes.path(src_host, dst_host))
-        self._hops[src_host * self._num_hosts + dst_host] = compiled
+        key = src_host * self._num_hosts + dst_host
+        self._hops[key] = compiled
+        if self._faults is not None and self._faults.degraded:
+            self._stale_hops.add(key)
         return compiled
 
     def precompile_pairs(self, pairs: Iterable[tuple[int, int]]) -> int:
@@ -790,16 +797,19 @@ class Fabric:
         route table and compiled hop tables survive — routes are a
         property of (topology, seed), not of a run — which is exactly
         what makes back-to-back replays on one fabric equal fresh-fabric
-        replays.
+        replays.  A pair compiled while a link ran degraded baked that
+        bandwidth; it is recompiled here, once the pristine one is back.
         """
 
         if self._faults is not None:
             # undo fault-layer mutations (degraded channel bandwidths)
-            # BEFORE clearing: compiled hop tables bake the pristine
-            # bandwidths and must stay valid, and the fault-state audit
-            # (failed elements, overlays, counters) dies with the state
+            # BEFORE recompiling; the fault-state audit (failed
+            # elements, overlays, counters) dies with the state
             self._faults.restore(self)
             self._faults = None
+        for key in self._stale_hops:
+            self._compile_hops(*divmod(key, self._num_hosts))
+        self._stale_hops.clear()
         for link in self.links.values():
             link.reset()
         for sw in self.switches.values():

@@ -677,6 +677,12 @@ class FaultState:
 
     # -- lifecycle -----------------------------------------------------------
 
+    @property
+    def degraded(self) -> bool:
+        """True while some link runs at a degraded bandwidth."""
+
+        return bool(self._orig_bw)
+
     def restore(self, fabric) -> None:
         """Undo in-place fabric mutations (degraded bandwidths)."""
 

@@ -486,6 +486,6 @@ def format_benchmark(result: Mapping) -> str:
                 "  service detail: result cache "
                 f"{caches['results']['hits']} hits / "
                 f"{caches['results']['misses']} misses, "
-                f"cell bundles {caches['cells']['size']} resident"
+                f"cells {caches['cells']['size']} resident"
             )
     return "\n".join(lines)

@@ -66,10 +66,6 @@ class LinkEnergyAccount:
             self._since_us = start_us
 
     @property
-    def current_mode(self) -> LinkPowerMode:
-        return self._mode
-
-    @property
     def closed(self) -> bool:
         """True once :meth:`close` pinned the end of the timeline.
 
@@ -188,12 +184,6 @@ class PowerReport:
     mean_low_residency_pct: float
     total_transitions_to_low: int
     wall_time_us: float
-
-    @property
-    def max_possible_savings_pct(self) -> float:
-        """Upper bound if links were in LOW 100 % of the time."""
-
-        return 100.0  # placeholder overridden by aggregate()
 
 
 def aggregate(

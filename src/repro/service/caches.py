@@ -1,30 +1,33 @@
 """Warm caches for the simulation service, with asserted stage counters.
 
-The daemon owns one :class:`WarmPipeline`.  It mirrors the exact replay
-sequence of :func:`repro.experiments.common.run_cell` — trace
+The daemon owns one :class:`WarmPipeline`.  It runs the cell pipeline
+of :mod:`repro.experiments.common` — the same two steps
+:func:`~repro.experiments.common.run_cell` runs: ``build_cell`` (trace
 generation, program compilation, fabric build + route precompilation,
-baseline replay, GT selection, the shared planning pass, then one
-managed replay per displacement — but caches the displacement-
-independent artefacts in a bounded LRU keyed by the full cell spec
-``(app, nranks, iterations, seed, scaling, topology, kernel, faults,
-policy)``.  A warm what-if query (same cell, new displacement)
-therefore costs **one replay** (one copy-on-write rebind, one weave,
-one managed replay straight from the cached compiled programs — a
-bundle keeps its trace only for a reference-kernel spec); a repeated
-query is a pure result hit and costs nothing.  The LRUs are
-thread-safe, and :meth:`WarmPipeline.query_cached` answers a hit
-without ever computing, so the daemon serves hits on its connection
-threads while the dispatcher replays.
+baseline replay, GT selection) and ``replay_displacements`` (the
+shared planning pass once per cell, then one managed replay per
+displacement) — but keeps the built cells in a bounded LRU keyed by
+:func:`~repro.experiments.common.cell_key`, and the result payloads in
+a second LRU keyed by that plus the displacement.  A cached cell holds
+no managed result: only payloads enter the result LRU.  A warm what-if
+query (same cell, new displacement) therefore costs **one replay**
+(one copy-on-write rebind, one weave, one managed replay straight from
+the cell's compiled programs — a cell keeps its trace only for a
+reference-kernel spec); a repeated query is a pure result hit and
+costs nothing.  The LRUs are thread-safe, and
+:meth:`WarmPipeline.query_cached` answers a hit without ever
+computing, so the daemon serves hits on its connection threads while
+the dispatcher replays.
 
-Every stage execution increments a counter (:attr:`WarmPipeline.
-stage_runs`), so "no trace-gen / compile / fabric-build on a cache hit"
-is asserted by the service tests and the smoke gate rather than
-assumed.  LRU hits/misses/evictions are counted per cache and exposed
+Every stage the steps report increments a counter
+(:attr:`WarmPipeline.stage_runs`), so "no trace-gen / compile /
+fabric-build on a cache hit" is asserted by the service tests and the
+smoke gate rather than assumed.  LRU hits/misses/evictions are counted per cache and exposed
 through the daemon's ``stats`` endpoint.
 
 Determinism: the warm path reuses the cell's fabric via
-``Fabric.reset()`` and its compiled programs — precisely the sharing
-``run_cell`` does, pinned bit-for-bit by ``tests/network/
+``Fabric.reset()`` and its compiled programs — the very code
+``run_cell`` runs, pinned bit-for-bit by ``tests/network/
 test_fabric_reuse.py`` and the differential tier — so a warm hit is
 byte-identical to a cold run.  :func:`cell_payload` fixes the canonical
 JSON-able result (including a deep sha256 fingerprint over the power
@@ -40,35 +43,21 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 
-from ..core import RuntimeConfig, plan_trace_directives_shared, select_gt_detailed
+from ..experiments.common import (
+    STAGES,
+    build_cell,
+    cell_key,
+    default_iterations,
+    replay_displacements,
+)
 from ..network.faults import NO_FAULTS
 from ..network.topologies import DEFAULT_TOPOLOGY
 from ..power.policies import DEFAULT_POLICY
-from ..power.states import WRPSParams
-from ..sim import (
-    ReplayConfig,
-    compile_trace,
-    fabric_for,
-    replay_baseline,
-    replay_managed,
-)
-from ..workloads import APPLICATIONS, make_trace
+from ..workloads import APPLICATIONS
 
-#: pipeline stages the service counts (cold query runs all of them,
-#: a warm what-if runs only ``managed_replay``, a result hit runs none)
-STAGES = (
-    "trace_generation",
-    "program_compile",
-    "fabric_build",
-    "baseline_replay",
-    "gt_select",
-    "planning_pass",
-    "managed_replay",
-)
-
-#: canonical field order of a normalised cell spec (the cache key)
+#: canonical field order of a normalised cell spec
 SPEC_FIELDS = (
     "app",
     "nranks",
@@ -100,8 +89,6 @@ def normalize_spec(raw: dict) -> dict:
     unknown = set(raw) - set(SPEC_FIELDS)
     if unknown:
         raise SpecError(f"unknown cell spec field(s): {sorted(unknown)}")
-
-    from ..experiments.common import default_iterations
 
     app = raw.get("app")
     if app not in APPLICATIONS:
@@ -145,16 +132,12 @@ def normalize_spec(raw: dict) -> dict:
 
 
 def spec_key(spec: dict) -> tuple:
-    """The full cache key (result identity) of a normalised spec."""
+    """The full cache key (result identity) of a normalised spec: its
+    :func:`~repro.experiments.common.cell_key` plus the displacement
+    (every pipeline stage before the managed replay is
+    displacement-free)."""
 
-    return tuple(spec[f] for f in SPEC_FIELDS)
-
-
-def cell_key(spec: dict) -> tuple:
-    """The artefact-bundle key: the spec minus the displacement (every
-    pipeline stage before the managed replay is displacement-free)."""
-
-    return tuple(spec[f] for f in SPEC_FIELDS if f != "displacement")
+    return (cell_key(spec), spec["displacement"])
 
 
 class LRUCache:
@@ -217,25 +200,6 @@ class LRUCache:
             "evictions": evictions,
             "hit_rate_pct": 100.0 * hits / total if total else 0.0,
         }
-
-
-@dataclass(slots=True)
-class _CellBundle:
-    """Displacement-independent artefacts of one cell, LRU-cached.
-
-    ``trace`` is kept only for a reference-kernel spec (the interpreter
-    replays records); the fast kernel replays ``programs`` alone.
-    """
-
-    trace: object | None
-    programs: object
-    fabric: object
-    baseline: object
-    best_gt: object
-    gt_us: float
-    plan: object
-    params: WRPSParams
-    replay_cfg: ReplayConfig
 
 
 def _jsonable(value):
@@ -306,7 +270,7 @@ def cell_payload(spec: dict, best_gt, baseline, managed) -> dict:
 
 
 class WarmPipeline:
-    """The service's execution engine: ``run_cell``'s pipeline behind
+    """The service's execution engine: the cell pipeline's steps behind
     bounded LRU caches and per-stage run counters."""
 
     def __init__(self, cell_capacity: int = 8, result_capacity: int = 256):
@@ -320,53 +284,11 @@ class WarmPipeline:
             "results": self.results.stats(),
         }
 
-    def _run(self, stage: str, ran: list[str]) -> None:
-        self.stage_runs[stage] += 1
-        ran.append(stage)
-
-    def _build_bundle(self, spec: dict, ran: list[str]) -> _CellBundle:
-        params = WRPSParams.paper()
-        replay_cfg = ReplayConfig(
-            seed=spec["seed"],
-            topology=spec["topology"],
-            kernel=spec["kernel"],
-            faults=spec["faults"],
-            policy=spec["policy"],
-        )
-        self._run("trace_generation", ran)
-        trace = make_trace(
-            spec["app"], spec["nranks"], iterations=spec["iterations"],
-            seed=spec["seed"], scaling=spec["scaling"],
-        )
-        self._run("program_compile", ran)
-        programs = compile_trace(trace)
-        self._run("fabric_build", ran)
-        fabric = fabric_for(spec["nranks"], replay_cfg)
-        fabric.precompile_pairs(programs.comm_pairs())
-        self._run("baseline_replay", ran)
-        baseline = replay_baseline(
-            trace, replay_cfg, fabric=fabric, programs=programs
-        )
-        self._run("gt_select", ran)
-        selection = select_gt_detailed(baseline.event_logs)
-        gt_us = max(selection.best.gt_us, params.min_worthwhile_idle_us)
-        self._run("planning_pass", ran)
-        plan = plan_trace_directives_shared(
-            baseline.event_logs,
-            RuntimeConfig(gt_us=gt_us, wrps=params, charge_overheads=True),
-        )
-        return _CellBundle(
-            trace=trace if spec["kernel"] == "reference" else None,
-            programs=programs, fabric=fabric,
-            baseline=baseline, best_gt=selection.best, gt_us=gt_us,
-            plan=plan, params=params, replay_cfg=replay_cfg,
-        )
-
     def query(self, spec: dict) -> tuple[dict, list[str]]:
         """Serve one cell query; returns ``(payload, stages_ran)``.
 
         ``stages_ran`` is empty on a pure result hit, exactly
-        ``["managed_replay"]`` on a warm what-if (artefacts cached, new
+        ``["managed_replay"]`` on a warm what-if (cell cached, new
         displacement), and the full stage list on a cold miss.
         """
 
@@ -376,31 +298,21 @@ class WarmPipeline:
         if cached is not None:
             return cached, []
         ran: list[str] = []
-        bundle = self.cells.get(cell_key(spec))
-        if bundle is None:
-            bundle = self._build_bundle(spec, ran)
-            self.cells.put(cell_key(spec), bundle)
-        self._run("managed_replay", ran)
-        directives, stats = bundle.plan.rebind_displacement(
-            spec["displacement"]
-        )
-        managed = replay_managed(
-            bundle.programs if bundle.trace is None else bundle.trace,
-            directives,
-            baseline_exec_time_us=bundle.baseline.exec_time_us,
-            displacement=spec["displacement"],
-            grouping_thresholds_us=[bundle.gt_us] * spec["nranks"],
-            config=bundle.replay_cfg,
-            wrps=bundle.params,
-            runtime_stats=stats,
-            fabric=bundle.fabric,
-            programs=bundle.programs,
-        )
-        # drop the replay's busy logs before the bundle lingers in the
-        # LRU — compiled routes/hop tables survive the reset, the
-        # O(messages x hops) busy arrays do not (mirrors run_cell)
-        bundle.fabric.reset()
-        payload = cell_payload(spec, bundle.best_gt, bundle.baseline, managed)
+
+        def on_stage(stage: str) -> None:
+            self.stage_runs[stage] += 1
+            ran.append(stage)
+
+        key = cell_key(spec)
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = build_cell(key, on_stage)
+            self.cells.put(key, cell)
+        displacement = spec["displacement"]
+        (managed,) = replay_displacements(
+            cell, key, (displacement,), on_stage
+        ).values()
+        payload = cell_payload(spec, cell.gt, cell.baseline, managed)
         self.results.put(full_key, payload)
         return payload, ran
 

@@ -125,7 +125,7 @@ class ServiceConfig:
     queue_limit: int = 32
     #: default per-request deadline (seconds); None = no deadline
     deadline_s: float | None = None
-    #: LRU capacity for cell artefact bundles (trace/fabric/plan)
+    #: LRU capacity for built cells (programs/fabric/baseline/plan)
     cache_cells: int = 8
     #: LRU capacity for final result payloads
     cache_results: int = 256
@@ -628,7 +628,7 @@ class ServiceDaemon:
             stages = None  # stages ran in the workers, cold by design
             for spec, payload in zip(specs, payloads):
                 # fan-out results warm the daemon's result cache (the
-                # artefact bundles stay cold: they lived in the workers)
+                # cell cache stays cold: the cells lived in the workers)
                 self.pipeline.results.put(spec_key(spec), payload)
         else:
             payloads = []

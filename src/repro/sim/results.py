@@ -42,12 +42,6 @@ class BaselineResult:
 
         return distribution_from_gaps(self.all_gaps())
 
-    @property
-    def mean_mpi_calls_per_rank(self) -> float:
-        if not self.event_logs:
-            return 0.0
-        return sum(len(l) for l in self.event_logs) / len(self.event_logs)
-
 
 @dataclass(slots=True)
 class ManagedResult:

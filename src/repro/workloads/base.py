@@ -106,10 +106,6 @@ class TraceBuilder:
             factor = 1.0
         self.proc.compute(mean_us * factor)
 
-    def compute_exact(self, us: float) -> None:
-        if us > 0:
-            self.proc.compute(us)
-
     def sendrecv(self, dst: int, src: int, size_bytes: int, tag: int = 0) -> None:
         self.proc.append(
             PointToPoint(

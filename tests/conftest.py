@@ -18,8 +18,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "differential: cross-kernel/scheduler differential matrix "
-        "(slow; excluded by `make test-fast`, included by `make "
-        "test-full`)",
+        "(excluded by `make test-fast`, included by `make test`)",
     )
     config.addinivalue_line(
         "markers",

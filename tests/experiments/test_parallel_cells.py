@@ -10,7 +10,7 @@ cell.
 import pytest
 
 from repro.experiments import clear_cache, run_cell, run_cells, run_figure
-from repro.experiments.common import _CACHE, _cell_cache_key
+from repro.experiments.common import _CACHE, cell_key
 
 ITER = 3
 
@@ -58,7 +58,7 @@ class TestRunCellsParallel:
                     iterations=ITER, seed=78)
         clear_cache()
         (cell,) = run_cells([spec], workers=2)
-        assert _cell_cache_key(spec) in _CACHE
+        assert cell_key(spec) in _CACHE
         # a follow-up run_cell with another displacement reuses the
         # worker-computed baseline and rebuilds fabric/programs on demand
         again = run_cell(app="alya", nranks=8, displacements=(0.01,),

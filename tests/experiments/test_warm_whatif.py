@@ -3,8 +3,10 @@
 A new displacement on a memoised cell must cost one rebind, one weave
 and one managed replay: on the fast kernel no warm path regenerates the
 trace (``run_cell``, ``run_cluster_cell`` on a warm isolated memo,
-``WarmPipeline.query``), while the reference kernel, which interprets
-records, still builds one.  And the warm answer must equal a cold
+``WarmPipeline.query``); the reference kernel, which interprets
+records, builds its trace once per cold cell and keeps it on the cell.
+All three run the one cell pipeline of :mod:`repro.experiments.common`.
+And the warm answer must equal a cold
 ``run_cell(..., use_cache=False)`` at the same displacement bit for bit.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import cluster_sweep, common
+from repro.experiments import common
 from repro.experiments.cluster_sweep import run_cluster_cell
 from repro.experiments.common import clear_cache, run_cell
 from repro.service import caches
@@ -34,17 +36,21 @@ def _serial_and_clean(monkeypatch):
 
 @pytest.fixture
 def trace_calls(monkeypatch):
-    """Every ``make_trace`` call the pipelines make, as (app, nranks)."""
+    """Every ``make_trace`` call the pipelines make, as (app, nranks).
+
+    ``run_cell``, ``run_cluster_cell`` and ``WarmPipeline`` all run the
+    one cell pipeline in :mod:`repro.experiments.common`, so patching
+    its ``make_trace`` sees every call.
+    """
 
     calls: list[tuple] = []
-    for module in (common, cluster_sweep, caches):
-        real = module.make_trace
+    real = common.make_trace
 
-        def counting(app, nranks, *args, _real=real, **kwargs):
-            calls.append((app, nranks))
-            return _real(app, nranks, *args, **kwargs)
+    def counting(app, nranks, *args, **kwargs):
+        calls.append((app, nranks))
+        return real(app, nranks, *args, **kwargs)
 
-        monkeypatch.setattr(module, "make_trace", counting)
+    monkeypatch.setattr(common, "make_trace", counting)
     return calls
 
 
@@ -77,10 +83,12 @@ class TestRunCellWarmWhatIf:
 
     def test_reference_kernel_still_builds_its_trace(self, trace_calls):
         fast = run_cell(**SPEC, displacements=(0.05, 0.07))
-        run_cell(**SPEC, displacements=(0.05,), kernel="reference")
+        cold = run_cell(**SPEC, displacements=(0.05,), kernel="reference")
+        assert trace_calls == [("alya", 8)] * 2
+        assert cold.trace is not None and fast.trace is None
         trace_calls.clear()
         ref = run_cell(**SPEC, displacements=(0.07,), kernel="reference")
-        assert trace_calls == [("alya", 8)]
+        assert trace_calls == []  # the cell's own trace replays
         assert _managed_signature(ref.managed[0.07]) == _managed_signature(
             fast.managed[0.07]
         )
@@ -145,15 +153,13 @@ class TestClusterWarmWhatIf:
         fast = run_cluster_cell(STREAM, **self.KW)
         trace_calls.clear()
         ref = run_cluster_cell(STREAM, kernel="reference", **self.KW)
-        # the reference cells are cold (kernel is part of the memo key),
-        # and every job's interpreter needs the records
-        assert sorted(trace_calls) == [
-            ("alya", 4), ("alya", 4), ("gromacs", 8), ("gromacs", 8)
-        ]
+        # the reference cells are cold (kernel is part of the memo key);
+        # each job's interpreter replays the trace its cell keeps
+        assert sorted(trace_calls) == [("alya", 4), ("gromacs", 8)]
         assert _cluster_signature(ref) == _cluster_signature(fast)
 
 
-def _bundle(pipeline, spec):
+def _cached_cell(pipeline, spec):
     return pipeline.cells.get(caches.cell_key(caches.normalize_spec(spec)))
 
 
@@ -168,7 +174,7 @@ class TestWarmPipelineWhatIf:
         payload, ran = pipeline.query(dict(self.BASE, displacement=0.25))
         assert ran == ["managed_replay"]
         assert trace_calls == []
-        assert _bundle(pipeline, self.BASE).trace is None
+        assert _cached_cell(pipeline, self.BASE).trace is None
         cold = run_cell(**SPEC, displacements=(0.25,), use_cache=False)
         assert payload["exec_time_us"] == cold.managed[0.25].exec_time_us
         assert payload == caches.cell_payload(
@@ -181,11 +187,47 @@ class TestWarmPipelineWhatIf:
         spec = dict(self.BASE, kernel="reference")
         pipeline.query(spec)
         assert trace_calls == [("alya", 8)]
-        assert _bundle(pipeline, spec).trace is not None
+        assert _cached_cell(pipeline, spec).trace is not None
         trace_calls.clear()
         payload, ran = pipeline.query(dict(spec, displacement=0.25))
         assert ran == ["managed_replay"]
-        assert trace_calls == []  # the bundle's own trace replays
+        assert trace_calls == []  # the cell's own trace replays
         fast, _ = WarmPipeline().query(dict(self.BASE, displacement=0.25))
         assert payload["exec_time_us"] == fast["exec_time_us"]
         assert payload["power_savings_pct"] == fast["power_savings_pct"]
+
+
+class TestOnePipeline:
+    """``run_cell`` and the service's ``WarmPipeline`` run one staged
+    pipeline: the same stage functions, looked up in
+    :mod:`repro.experiments.common`."""
+
+    def test_cold_run_cell_and_cold_query_share_the_stage_code(
+        self, monkeypatch
+    ):
+        calls: list[int] = []
+        real = common.select_gt_detailed
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(common, "select_gt_detailed", counting)
+        run_cell(**SPEC, displacements=(0.05,))
+        assert len(calls) == 1
+        WarmPipeline().query(dict(SPEC, displacement=0.05))
+        assert len(calls) == 2
+
+    def test_cached_cells_hold_no_managed_results(self, monkeypatch):
+        def no_run_cell(*args, **kwargs):
+            raise AssertionError("WarmPipeline must not call run_cell")
+
+        monkeypatch.setattr(common, "run_cell", no_run_cell)
+        pipeline = WarmPipeline()
+        for disp in (0.5, 0.25, 0.1, 0.25, 0.5):
+            pipeline.query(dict(SPEC, displacement=disp))
+        cell = _cached_cell(pipeline, dict(SPEC, displacement=0.5))
+        assert cell.managed == {}
+        assert cell.plan is not None
+        assert len(pipeline.results) == 3
+        assert common._CACHE == {}

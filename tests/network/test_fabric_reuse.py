@@ -15,6 +15,7 @@ import pytest
 from repro.constants import T_REACT_US
 from repro.core import RuntimeConfig, plan_trace_directives, select_gt
 from repro.network.fabric import Fabric
+from repro.network.faults import DEGRADE, FaultEvent, FaultPlan, FaultSpec
 from repro.network.links import LinkPowerMode
 from repro.power.states import WRPSParams
 from repro.sim import (
@@ -72,6 +73,31 @@ class TestResetAudit:
         after = {(s, d): fab.routes.path(s, d)
                  for s in range(4) for d in range(4)}
         assert before == after
+
+    @staticmethod
+    def _precompiled_while_degraded() -> Fabric:
+        """A fabric whose (0, 5) hop table was compiled while host 0's
+        link ran at a quarter of its bandwidth, then reset."""
+
+        fab = Fabric.for_ranks(8, seed=1)
+        victim = fab.host_link(0)
+        fab.install_faults(FaultPlan.from_events(
+            FaultSpec(seed=1),
+            [FaultEvent(0.0, DEGRADE, (victim.a, victim.b), factor=0.25)],
+        ))
+        fab.transfer_hot(0, 1, 64, 0.0)  # applies the degradation
+        assert fab.fault_summary().degrades == 1
+        assert fab.precompile_pairs([(0, 5)]) == 1
+        fab.reset()
+        return fab
+
+    def test_reset_recompiles_hops_compiled_while_degraded(self):
+        got = self._precompiled_while_degraded().transfer_hot(
+            0, 5, 1 << 16, 0.0
+        )
+        want = self._precompiled_while_degraded().transfer(0, 5, 1 << 16, 0.0)
+        fresh = Fabric.for_ranks(8, seed=1).transfer_hot(0, 5, 1 << 16, 0.0)
+        assert got == (want.arrive_us, want.src_release_us) == fresh
 
 
 class TestBackToBackReplays:

@@ -116,7 +116,7 @@ def test_warm_pipeline_stage_contract():
     _, whatif_ran = pipe.query({**spec, "displacement": 0.25})
     assert whatif_ran == ["managed_replay"]
 
-    # bundle eviction: result cache still hits, so zero stages
+    # cell eviction: result cache still hits, so zero stages
     pipe.query({**spec, "topology": "torus:n=2"})
     pipe.query({**spec, "topology": "fattree2:leaf=8,ratio=4"})
     assert pipe.cells.stats()["evictions"] >= 1
@@ -126,7 +126,7 @@ def test_warm_pipeline_stage_contract():
 
 
 def test_rebuilt_bundle_reproduces_payload_bit_for_bit():
-    # evict both the bundle AND the result: the full cold rebuild must
+    # evict both the cell AND the result: the full cold rebuild must
     # produce the identical payload (fingerprint included)
     pipe = WarmPipeline(cell_capacity=1, result_capacity=1)
     spec = {"app": "alya", "nranks": 8, "displacement": 0.5,

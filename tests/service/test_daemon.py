@@ -136,16 +136,16 @@ def test_hit_path_keeps_todays_counters(daemon_factory):
 
 def test_managed_replays_run_on_the_dispatcher_thread(
         daemon_factory, monkeypatch):
-    from repro.service import caches
+    from repro.experiments import common
 
     threads: list[str] = []
-    replay_managed = caches.replay_managed
+    replay_managed = common.replay_managed
 
     def recording(*args, **kwargs):
         threads.append(threading.current_thread().name)
         return replay_managed(*args, **kwargs)
 
-    monkeypatch.setattr(caches, "replay_managed", recording)
+    monkeypatch.setattr(common, "replay_managed", recording)
     daemon, client = daemon_factory()
     for d in (0.5, 0.5, 0.25, 0.5, 0.25, 0.75):
         client.cell(**{**SMALL_SPEC, "displacement": d})

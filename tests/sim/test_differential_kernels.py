@@ -18,8 +18,8 @@ Add the new kernel to :data:`KERNELS` below once it is selectable through
 matrix, including the hypothesis-generated random traces, immediately
 runs through the new variant and pins it to the oracle.
 
-This file is tier "differential" (``make test-full``); the plain unit
-suite skips it via ``make test-fast``.
+This file is tier "differential" (``make test``, which CI runs); the
+plain unit suite skips it via ``make test-fast``.
 """
 
 import pytest
