@@ -1,9 +1,10 @@
 """Multi-job cluster layer: job streams, placement, shared-fabric replay.
 
-Single-job replays (:mod:`repro.sim.dimemas`) own their whole fabric;
-this package composes many of them onto one shared fabric so concurrent
-jobs contend on trunk links while each keeps its own trace, route slice
-and power-management directives:
+A single-job replay is the one-world case of
+:class:`repro.sim.dimemas.Composition`; this package admits a job stream
+into the same composition, so concurrent jobs contend on trunk links
+while each keeps its own trace, host set and power-management
+directives:
 
 * :mod:`repro.cluster.jobs` — the :class:`Job` spec, the
   ``kind:key=value,...`` stream grammar (:func:`parse_jobs`) and the
@@ -11,8 +12,8 @@ and power-management directives:
 * :mod:`repro.cluster.placement` — ``packed`` / ``spread`` / ``random``
   host selection over the shared topology's leaf groups;
 * :mod:`repro.cluster.scheduler` — the :class:`ClusterScheduler` (FCFS
-  admission as engine events, per-job :class:`FabricSlice` worlds,
-  per-tenant power accounting) and the
+  admission as engine events, one world per job, per-tenant power
+  accounting) and the
   :func:`replay_cluster_baseline` / :func:`replay_cluster_managed`
   drivers.
 
@@ -37,12 +38,12 @@ from .placement import (
     leaf_groups,
     place_job,
 )
+from ..sim.dimemas import FabricSlice
 from .scheduler import (
     ClusterBaselineResult,
     ClusterJob,
     ClusterResult,
     ClusterScheduler,
-    FabricSlice,
     JobAttribution,
     JobSpan,
     TenantRollup,

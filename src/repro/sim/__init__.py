@@ -5,7 +5,9 @@ The Dimemas+Venus co-simulation of the paper, in two layers:
 * :mod:`repro.sim.engine` / :mod:`repro.sim.mpi` — discrete-event kernel
   and MPI semantics (matching, eager/rendezvous, collectives);
 * :mod:`repro.sim.dimemas` — the trace replay drivers used by every
-  experiment (baseline and managed runs).
+  experiment (baseline and managed runs), all built on one
+  ``Composition`` (engine, fabric, admitted worlds, power domain) that
+  the multi-job cluster layer admits its job streams into as well.
 
 Replay architecture (the fast kernel)
 -------------------------------------

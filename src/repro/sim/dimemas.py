@@ -1,6 +1,6 @@
-"""Top-level replay drivers (the Dimemas role).
+"""The replay composition and its entry points (the Dimemas role).
 
-Two entry points mirror the paper's methodology (Section IV-A):
+The paper's methodology (Section IV-A) is two runs of one trace:
 
 * :func:`replay_baseline` — "we first run the simulation without any
   modification of the traces" — the power-unaware run that yields the
@@ -13,18 +13,27 @@ Two entry points mirror the paper's methodology (Section IV-A):
 The directives are produced by :mod:`repro.core.runtime` from the
 baseline event streams, exactly as the paper inserts new events into the
 traces after applying the PPA.
+
+Both runs go through one :class:`Composition`: one engine, one checked
+out fabric, one or more :class:`~repro.sim.mpi.MPIWorld`\\ s admitted
+onto host sets, and (managed) one :class:`PowerDomain` holding every
+power controller behind a single fabric hook.  A single-job replay is
+the one-world composition on the identity host map; the multi-job
+cluster layer (:mod:`repro.cluster.scheduler`) admits a job stream
+through the same object, so both paths share every line of engine,
+world, rank-spawn and power wiring.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..constants import EAGER_THRESHOLD_BYTES
 from ..network.fabric import Fabric
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
-from ..network.links import Link, LinkPowerMode
+from ..network.links import LinkPowerMode
 from ..network.topologies import DEFAULT_TOPOLOGY, parse_topology
 from ..power.controller import ManagedLink, PowerEventCounters
 from ..power.model import PowerReport, aggregate
@@ -185,74 +194,472 @@ def _resolve_inputs(
     return trace, programs
 
 
-def _spawn_ranks(
-    engine: Engine,
-    world: MPIWorld,
-    trace: Trace | None,
-    programs: CompiledTrace | None,
-    directives: Sequence[dict[int, RankDirective]] | None = None,
-    on_shutdown=None,
-) -> None:
-    """Spawn every rank: compiled programs, else the record interpreter."""
-
-    if programs is not None:
-        for prog in programs.programs:
-            engine.spawn(
-                world.run_program(
-                    prog.rank, prog, on_shutdown=on_shutdown
-                ),
-                name=f"rank{prog.rank}",
-            )
-        return
-    for proc in trace.processes:
-        engine.spawn(
-            world.rank_program(
-                proc.rank,
-                proc.records,
-                directives=(
-                    directives[proc.rank] if directives is not None else None
-                ),
-                on_shutdown=on_shutdown,
-            ),
-            name=f"rank{proc.rank}",
-        )
-
-
-def _build_world(
+def check_rank_inputs(
     nranks: int,
-    config: ReplayConfig,
-    power_hook=None,
-    fabric: Fabric | None = None,
-) -> tuple[Engine, Fabric, MPIWorld]:
-    engine = Engine()
-    if fabric is None:
-        fabric = fabric_for(nranks, config)
-    else:
-        expected = (
-            config.seed, config.hosts_per_leaf, config.random_routing,
-            config.topology,
+    *,
+    trace: Trace | CompiledTrace | None = None,
+    programs: CompiledTrace | None = None,
+    directives: Sequence | None = None,
+) -> None:
+    """Reject replay inputs sized for a different rank count."""
+
+    for what, given in (("trace", trace), ("programs", programs)):
+        if given is not None and given.nranks != nranks:
+            raise ValueError(f"{what} has {given.nranks} ranks, need {nranks}")
+    if directives is not None and len(directives) != nranks:
+        raise ValueError(
+            f"need directives for {nranks} ranks, got {len(directives)}"
         )
-        signature = getattr(fabric, "build_signature", None)
-        if signature is not None and signature != expected:
-            raise ValueError(
-                f"fabric was built for (seed, hosts_per_leaf, "
-                f"random_routing)={signature}, replay config wants "
-                f"{expected}; build a matching fabric with fabric_for()"
+
+
+class _SliceTopo:
+    """The one topology member :class:`MPIWorld` reads: the host count."""
+
+    __slots__ = ("num_hosts",)
+
+    def __init__(self, num_hosts: int) -> None:
+        self.num_hosts = num_hosts
+
+
+class FabricSlice:
+    """A world's rank->host windowed view of the shared fabric.
+
+    :class:`MPIWorld` touches its fabric through exactly two members —
+    ``topo.num_hosts`` (capacity validation) and ``transfer_hot`` (both
+    kernels' transfer path) — so this view, which forwards
+    ``transfer_hot`` with both endpoints translated (``hosts[rank]`` is
+    the global host carrying that rank), places a world on any host set
+    with zero changes to the replay hot loops.  The traffic reserves the
+    *shared* links, so worlds contend on trunks.
+    """
+
+    __slots__ = ("fabric", "hosts", "topo")
+
+    def __init__(self, fabric, hosts: Sequence[int]) -> None:
+        hosts = tuple(hosts)
+        if len(set(hosts)) != len(hosts):
+            raise ValueError(f"placement repeats hosts: {hosts}")
+        n = fabric.topo.num_hosts
+        for h in hosts:
+            if not 0 <= h < n:
+                raise ValueError(
+                    f"placement host {h} outside fabric (0..{n - 1})"
+                )
+        self.fabric = fabric
+        self.hosts = hosts
+        self.topo = _SliceTopo(len(hosts))
+
+    def transfer_hot(
+        self,
+        src_rank: int,
+        dst_rank: int,
+        size_bytes: int,
+        earliest_us: float,
+        on_power_block=None,
+    ) -> tuple[float, float]:
+        hosts = self.hosts
+        return self.fabric.transfer_hot(
+            hosts[src_rank], hosts[dst_rank], size_bytes, earliest_us,
+            on_power_block,
+        )
+
+
+class PowerDomain:
+    """Every power controller of one replay, behind one fabric hook.
+
+    One policy object per power domain: the spec's reactive trunk/switch
+    controllers are opened once at t=0 over the whole fabric and finished
+    at the makespan; prediction-driven HCA controllers open per admitted
+    host set (:meth:`open_hosts`).  A host handed to a new world closes
+    the previous world's controller — its *episode* — at the handoff, so
+    ``episodes`` (every HCA controller ever opened) is the registry
+    fabric-level HCA energy integrates over.
+
+    Reactive classes work by *pinning* their links' ``mode`` to LOW so
+    the fabric's power-block hook fires on every transfer through them
+    (the controllers do all timeline accounting themselves — the pinned
+    mode is purely the hook trigger).  When the switch class is active
+    the pinning covers HCA links too, so each HCA controller drives a
+    :class:`_PowerShadow` that carries its FULL/LOW state machine without
+    disturbing the pinned hook trigger.
+    """
+
+    def __init__(
+        self, engine: Engine, fabric: Fabric, spec: PolicySpec,
+        wrps: WRPSParams,
+    ) -> None:
+        self.engine = engine
+        self.fabric = fabric
+        self.spec = spec
+        self.wrps = wrps
+        self.wake_faults = fabric.wake_fault_model()
+        # keyed by link object identity: the hook runs per below-full-
+        # width hop on the replay hot path, and the fabric owns the link
+        # objects for the whole replay, so id() is stable and probe-
+        # allocation-free.  A link with several controllers (a trunk's
+        # idle gate composed with its endpoint switches' gates) maps to
+        # a tuple; the transfer waits for all of them (the components
+        # reactivate in parallel).
+        managed: dict[int, object] = {}
+
+        def hook(link, t_us: float) -> float:
+            ml = managed.get(id(link))
+            if ml is None:
+                return link.ready_time(t_us)
+            if type(ml) is tuple:
+                ready = t_us
+                for c in ml:
+                    r = c.request_full(t_us)
+                    if r > ready:
+                        ready = r
+                return ready
+            return ml.request_full(t_us)
+
+        self.managed = managed
+        self.hook = hook
+        #: the fabric-level controllers per link, in deterministic
+        #: (sorted-node) order; an HCA episode composes in front of them
+        self._fabric_ctrl: dict[int, tuple] = {}
+        self.trunk_links: list[IdleGatedLink] = []
+        self.gated_switches: list[GatedSwitch] = []
+        switches = [fabric.switches[node] for node in sorted(fabric.switches)]
+        if spec.trunk.active:
+            for sw in switches:
+                for link in sw.ports:
+                    if link.is_host_link or id(link) in self._fabric_ctrl:
+                        continue
+                    tl = IdleGatedLink.create(link, spec.trunk)
+                    self.trunk_links.append(tl)
+                    self._fabric_ctrl[id(link)] = (tl,)
+                    link.mode = LinkPowerMode.LOW
+        if spec.switch.active:
+            for sw in switches:
+                gs = GatedSwitch.create(sw, spec.switch)
+                self.gated_switches.append(gs)
+                for link in sw.ports:
+                    key = id(link)
+                    ctrl = self._fabric_ctrl.get(key, ())
+                    self._fabric_ctrl[key] = ctrl + (gs,)
+                    link.mode = LinkPowerMode.LOW
+        for key, ctrl in self._fabric_ctrl.items():
+            managed[key] = ctrl[0] if len(ctrl) == 1 else ctrl
+        #: host -> its open HCA episode
+        self._open: dict[int, object] = {}
+        self.episodes: list = []
+
+    def open_hosts(self, hosts: Sequence[int], t_us: float) -> list:
+        """Open an HCA controller per host at ``t_us``; returns them in
+        host order (all None when the hca class is unmanaged)."""
+
+        spec = self.spec
+        if not spec.hca.active:
+            return [None] * len(hosts)
+        hca_wrps = spec.hca.wrps(self.wrps)
+        out = []
+        for host in hosts:
+            prev = self._open.get(host)
+            if prev is not None:
+                # host handoff: the previous episode ends here and its
+                # own target (the link, or the shadow standing in for a
+                # pinned link) comes back up for the new one
+                prev.finish(t_us)
+                prev.link.mode = LinkPowerMode.FULL
+                prev.link.reactivation_done_us = 0.0
+            link = self.fabric.host_link(host)
+            target = _PowerShadow() if spec.switch.active else link
+            if spec.hca.policy == "gate":
+                ml = ManagedLink.create(
+                    target, hca_wrps, wake_faults=self.wake_faults,
+                    wake_key=host, start_us=t_us,
+                )
+            else:
+                ml = LeveledLink.create(
+                    target, spec.hca, self.wrps, wake_faults=self.wake_faults,
+                    wake_key=host, start_us=t_us,
+                )
+            rest = self._fabric_ctrl.get(id(link))
+            self.managed[id(link)] = (ml,) + rest if rest else ml
+            self._open[host] = ml
+            self.episodes.append(ml)
+            out.append(ml)
+        return out
+
+    def on_shutdown(self, links: list):
+        """The turn-off callback for a world whose rank r owns ``links[r]``."""
+
+        call_at = self.engine.call_at
+
+        def on_shutdown(
+            rank: int, t_us: float, timer_us: float, delay_us: float = 0.0
+        ) -> None:
+            ml = links[rank]
+            if ml is None:
+                # hca class unmanaged: the runtime's PPA overheads still
+                # perturb timing, but there is no link to turn off
+                return
+            if delay_us > 0.0:
+                # delayed turn-off (reactive baseline): route through the
+                # event queue so per-link operations stay time-ordered
+                def fire(t=t_us + delay_us):
+                    if not ml.account.closed:  # episode handed off since
+                        ml.shutdown(t, timer_us)
+
+                call_at(t_us + delay_us, fire)
+            elif not ml.account.closed:
+                ml.shutdown(t_us, timer_us)
+
+        return on_shutdown
+
+    def finish(self, t_end_us: float) -> None:
+        for c in (*self._open.values(), *self.trunk_links,
+                  *self.gated_switches):
+            c.finish(t_end_us)
+
+    def fabric_rows(self) -> tuple:
+        """Class-savings rows of the fabric-level (trunk/switch) classes."""
+
+        return class_savings_rows(self.spec, {
+            "trunk": [tl.account for tl in self.trunk_links],
+            "switch": [gs.account for gs in self.gated_switches],
+        })
+
+
+def _then(body, on_exit):
+    """Run a rank's ``body``, then report its exit."""
+
+    yield from body
+    on_exit()
+
+
+class Composition:
+    """One engine, one checked-out fabric, its worlds, one power domain.
+
+    ``num_hosts`` is the host count the composition needs.  A passed
+    ``fabric`` (the reuse idiom: construction and route compilation are
+    run-invariant) must match ``config``'s build signature and size; it
+    is reset, not rebuilt.  ``managed`` arms a :class:`PowerDomain` for
+    ``config.policy``.  Build one per replay.
+    """
+
+    def __init__(
+        self,
+        config: ReplayConfig,
+        num_hosts: int,
+        *,
+        fabric: Fabric | None = None,
+        managed: bool = False,
+        wrps: WRPSParams | None = None,
+    ) -> None:
+        if fabric is None:
+            fabric = fabric_for(num_hosts, config)
+        else:
+            expected = (
+                config.seed, config.hosts_per_leaf, config.random_routing,
+                config.topology,
             )
-        fabric.reset()
-    fabric.use_fast_path = config.kernel != "reference"
-    spec = parse_faults(config.faults)
-    if spec is not None and spec.active:
-        fabric.install_faults(spec)
-    world = MPIWorld(
-        engine,
-        fabric,
-        nranks,
-        eager_threshold_bytes=config.eager_threshold_bytes,
-        power_hook=power_hook,
-        cpu_speedup=config.cpu_speedup,
-    )
-    return engine, fabric, world
+            signature = getattr(fabric, "build_signature", None)
+            if signature is not None and signature != expected:
+                raise ValueError(
+                    f"fabric was built for (seed, hosts_per_leaf, "
+                    f"random_routing, topology)={signature}, replay config "
+                    f"wants {expected}; build a matching fabric with "
+                    "fabric_for()"
+                )
+            if fabric.topo.num_hosts < num_hosts:
+                raise ValueError(
+                    f"fabric has {fabric.topo.num_hosts} hosts, replay "
+                    f"needs {num_hosts}"
+                )
+            fabric.reset()
+        fabric.use_fast_path = config.kernel != "reference"
+        faults = parse_faults(config.faults)
+        if faults is not None and faults.active:
+            fabric.install_faults(faults)
+        self.cfg = config
+        self.fabric = fabric
+        self.engine = Engine()
+        self.power = (
+            PowerDomain(
+                self.engine, fabric, parse_policy(config.policy),
+                wrps or WRPSParams.paper(),
+            )
+            if managed else None
+        )
+        self.worlds: list[MPIWorld] = []
+        self.exec_time_us = 0.0
+        self._ranks = 0
+
+    def admit(
+        self,
+        hosts: Sequence[int],
+        trace: Trace | None,
+        programs: CompiledTrace | None,
+        directives: Sequence[dict[int, RankDirective]] | None = None,
+        *,
+        name: str = "",
+        on_exit=None,
+    ) -> tuple[MPIWorld, list | None]:
+        """Place one world on ``hosts`` (rank r on ``hosts[r]``) now.
+
+        Ranks run the compiled ``programs`` when given, else interpret
+        ``trace``'s records with ``directives``.  A world on hosts
+        ``0..n-1`` talks to the fabric directly, any other host set
+        through a :class:`FabricSlice`.  ``name`` prefixes the world's
+        process names; ``on_exit()`` runs as each rank finishes.
+        Returns the world and its per-rank HCA controllers (None on a
+        baseline composition).
+        """
+
+        hosts = tuple(hosts)
+        nranks = len(hosts)
+        engine, power, cfg = self.engine, self.power, self.cfg
+        world = MPIWorld(
+            engine,
+            self.fabric if hosts == tuple(range(nranks))
+            else FabricSlice(self.fabric, hosts),
+            nranks,
+            eager_threshold_bytes=cfg.eager_threshold_bytes,
+            power_hook=power.hook if power is not None else None,
+            cpu_speedup=cfg.cpu_speedup,
+            name_prefix=name,
+        )
+        # each world installs itself as the engine's blocked reporter;
+        # the composition's covers every world's in-flight continuations
+        self.worlds.append(world)
+        engine.blocked_reporter = self._blocked
+        links = on_shutdown = None
+        if power is not None:
+            links = power.open_hosts(hosts, engine.now)
+            on_shutdown = power.on_shutdown(links)
+        if programs is not None:
+            bodies = (
+                (p.rank, world.run_program(p.rank, p, on_shutdown=on_shutdown))
+                for p in programs.programs
+            )
+        else:
+            bodies = (
+                (p.rank, world.rank_program(
+                    p.rank, p.records,
+                    None if directives is None else directives[p.rank],
+                    on_shutdown,
+                ))
+                for p in trace.processes
+            )
+        for rank, body in bodies:
+            engine.spawn(
+                body if on_exit is None else _then(body, on_exit),
+                name=f"{name}rank{rank}",
+            )
+            self._ranks += 1
+        return world, links
+
+    def _blocked(self) -> list[str]:
+        return [n for world in self.worlds for n in world._blocked_helpers()]
+
+    def run(self) -> float:
+        """Run to completion; returns (and keeps) the makespan.
+
+        :class:`FabricPartitioned` unwinds from inside a transfer with
+        the fault timeline attached; enriching it here with the engine's
+        blocked processes turns "the run died" into a readable report on
+        both kernels, within bounded simulated time (no wall-clock
+        hang).  Either way the engine and worlds are torn down on exit.
+        """
+
+        engine = self.engine
+        try:
+            t_end = engine.run()
+        except FabricPartitioned as exc:
+            raise exc.with_blocked(engine.blocked_names()) from None
+        finally:
+            self._teardown()
+        if self.power is not None:
+            self.power.finish(t_end)
+        self.exec_time_us = t_end
+        return t_end
+
+    def _teardown(self) -> None:
+        """Break the run's reference cycles so refcounting frees them."""
+
+        engine = self.engine
+        engine.blocked_reporter = engine._schedule = None
+        engine._signal_pool.clear()
+        for world in self.worlds:
+            world._rdv_pool.clear()
+
+    @property
+    def helper_spawns(self) -> int:
+        """Engine spawns beyond the admitted ranks (the zero-spawn
+        invariant)."""
+
+        return max(0, self.engine.spawn_count - self._ranks)
+
+    def fault_summary(self):
+        """The fabric's fault summary; on a managed composition with the
+        wake-timeout spikes (consumed inside the HCA controllers,
+        invisible to the fabric) folded in."""
+
+        summary = self.fabric.fault_summary()
+        if summary is None or self.power is None:
+            return summary
+        episodes = self.power.episodes
+        return dataclasses.replace(
+            summary,
+            wake_timeouts=sum(ml.counters.wake_timeouts for ml in episodes),
+            wake_timeout_extra_us=sum(
+                ml.counters.wake_timeout_extra_us for ml in episodes
+            ),
+        )
+
+    def managed_result(
+        self,
+        world: MPIWorld,
+        links: list,
+        hosts: Sequence[int],
+        *,
+        fabric_rows: bool = False,
+        **fields,
+    ) -> ManagedResult:
+        """One world's :class:`ManagedResult` over its HCA controllers.
+
+        ``fields`` carries the caller's identity and timing fields;
+        ``fabric_rows`` appends the trunk/switch class rows (a one-world
+        replay reports the whole domain).
+        """
+
+        power = self.power
+        owned = [(h, ml) for h, ml in zip(hosts, links) if ml is not None]
+        accounts = [ml.account for _, ml in owned]
+        if accounts:
+            report = aggregate(accounts, self.exec_time_us)
+        else:
+            # hca class unmanaged: the paper's per-process average is vacuous
+            report = PowerReport(0.0, (), 0.0, 0, self.exec_time_us)
+        rows = class_savings_rows(power.spec, {"hca": accounts})
+        return ManagedResult(
+            nranks=world.nranks,
+            power=report,
+            counters=[
+                PowerEventCounters() if ml is None else ml.counters
+                for ml in links
+            ],
+            event_logs=world.event_logs,
+            accounts=accounts,
+            topology=self.cfg.topology,
+            switch_savings=fabric_switch_rollup(
+                self.fabric,
+                accounts,
+                link_savings_pct=report.per_link_savings_pct,
+                hosts=[h for h, _ in owned],
+                switch_accounts=(
+                    {gs.node: gs.account for gs in power.gated_switches}
+                    or None
+                ),
+            ),
+            policy=power.spec.describe(),
+            class_savings=rows + power.fabric_rows() if fabric_rows else rows,
+            **fields,
+        )
 
 
 def replay_baseline(
@@ -276,18 +683,18 @@ def replay_baseline(
     cfg = config or ReplayConfig()
     source = trace
     trace, progs = _resolve_inputs(source, cfg, programs)
-    engine, fabric, world = _build_world(source.nranks, cfg, fabric=fabric)
-    _spawn_ranks(engine, world, trace, progs)
-    exec_time = _run_engine(engine)
+    comp = Composition(cfg, source.nranks, fabric=fabric)
+    world, _ = comp.admit(range(source.nranks), trace, progs)
+    exec_time = comp.run()
     return BaselineResult(
         trace_name=source.name,
         nranks=source.nranks,
         exec_time_us=exec_time,
         event_logs=world.event_logs,
-        messages_sent=fabric.messages_sent,
-        bytes_carried=fabric.total_bytes_carried(),
-        helper_spawns=world.helper_spawns,
-        faults=fabric.fault_summary(),
+        messages_sent=comp.fabric.messages_sent,
+        bytes_carried=comp.fabric.total_bytes_carried(),
+        helper_spawns=comp.helper_spawns,
+        faults=comp.fault_summary(),
     )
 
 
@@ -309,8 +716,9 @@ def replay_managed(
     ``trace`` is the trace or, on the fast kernel, its base compiled
     programs alone (a warm what-if replays from the programs it already
     holds).  ``directives[rank]`` maps MPI-call index to
-    :class:`RankDirective`.  Each rank's HCA link becomes a
-    :class:`ManagedLink`; transfers that find a link below full width
+    :class:`RankDirective`.  The policy spec's controllers manage the
+    links (by default each rank's HCA link becomes a
+    :class:`ManagedLink`); transfers that find a link below full width
     pay the reactivation penalty through the fabric's power hook.
     ``fabric`` reuses a pre-built fabric (reset, not rebuilt) —
     ``run_cell`` passes one fabric to the baseline replay and every
@@ -322,223 +730,29 @@ def replay_managed(
     source = trace
     trace, progs = _resolve_inputs(source, cfg, programs)
     nranks = source.nranks
-    if len(directives) != nranks:
-        raise ValueError(
-            f"need directives for {nranks} ranks, got {len(directives)}"
-        )
-    params = wrps or WRPSParams.paper()
-    spec = parse_policy(cfg.policy)
-
-    # keyed by link object identity: the hook runs per below-full-width
-    # hop on the replay hot path, and the fabric owns the link objects
-    # for the whole replay, so id() is stable and probe-allocation-free.
-    # A link with several controllers (a trunk's idle gate composed with
-    # its endpoint switches' gates) maps to a tuple; the transfer waits
-    # for all of them (the components reactivate in parallel).
-    managed: dict[int, object] = {}
-
-    def power_hook(link: Link, t_us: float) -> float:
-        ml = managed.get(id(link))
-        if ml is None:
-            return link.ready_time(t_us)
-        if type(ml) is tuple:
-            ready = t_us
-            for c in ml:
-                r = c.request_full(t_us)
-                if r > ready:
-                    ready = r
-            return ready
-        return ml.request_full(t_us)
-
-    engine, fabric, world = _build_world(
-        nranks, cfg, power_hook=power_hook, fabric=fabric
-    )
-
-    rank_links, trunk_links, gated_switches = _build_policy_controllers(
-        fabric, nranks, spec, params, managed
-    )
-
-    def on_shutdown(
-        rank: int, t_us: float, timer_us: float, delay_us: float = 0.0
-    ) -> None:
-        ml = rank_links[rank]
-        if ml is None:
-            # hca class unmanaged: the runtime's PPA overheads still
-            # perturb timing, but there is no link to turn off
-            return
-        if delay_us > 0.0:
-            # delayed turn-off (reactive baseline): route through the
-            # event queue so per-link operations stay time-ordered
-            engine.call_at(
-                t_us + delay_us,
-                lambda: ml.shutdown(t_us + delay_us, timer_us),
-            )
-        else:
-            ml.shutdown(t_us, timer_us)
-
+    check_rank_inputs(nranks, directives=directives)
+    comp = Composition(cfg, nranks, fabric=fabric, managed=True, wrps=wrps)
     if progs is not None:
         # resolve the per-call directive lookups at compile time: the
         # shared base program set is woven with this displacement's
         # directives (dedicated overhead/shutdown opcodes, fused where
-        # semantics allow), so the driver below runs the same
-        # probe-free hot loop as the baseline replay
+        # semantics allow), so the driver runs the same probe-free hot
+        # loop as the baseline replay
         progs = progs.with_directives(directives)
-    _spawn_ranks(engine, world, trace, progs, directives, on_shutdown)
-    exec_time = _run_engine(engine)
-
-    hca_links = [ml for ml in rank_links if ml is not None]
-    for ml in hca_links:
-        ml.finish(exec_time)
-    for tl in trunk_links:
-        tl.finish(exec_time)
-    for gs in gated_switches:
-        gs.finish(exec_time)
-    if hca_links:
-        report = aggregate([ml.account for ml in hca_links], exec_time)
-        accounts = [ml.account for ml in hca_links]
-    else:
-        # hca class unmanaged: the paper's per-process average is vacuous
-        report = PowerReport(0.0, (), 0.0, 0, exec_time)
-        accounts = []
-
-    fault_summary = fabric.fault_summary()
-    if fault_summary is not None:
-        # fold the wake-timeout spikes (consumed inside the managed
-        # links, invisible to the fabric) into the replay's summary
-        fault_summary = dataclasses.replace(
-            fault_summary,
-            wake_timeouts=sum(ml.counters.wake_timeouts for ml in hca_links),
-            wake_timeout_extra_us=sum(
-                ml.counters.wake_timeout_extra_us for ml in hca_links
-            ),
-        )
-
-    class_accounts: dict[str, list] = {}
-    if hca_links:
-        class_accounts["hca"] = accounts
-    if trunk_links:
-        class_accounts["trunk"] = [tl.account for tl in trunk_links]
-    if gated_switches:
-        class_accounts["switch"] = [gs.account for gs in gated_switches]
-
-    return ManagedResult(
+    hosts = range(nranks)
+    world, links = comp.admit(hosts, trace, progs, directives)
+    exec_time = comp.run()
+    return comp.managed_result(
+        world,
+        links,
+        hosts,
+        fabric_rows=True,
         trace_name=source.name,
-        nranks=nranks,
         exec_time_us=exec_time,
         baseline_exec_time_us=baseline_exec_time_us,
-        power=report,
-        counters=[
-            ml.counters if ml is not None else PowerEventCounters()
-            for ml in rank_links
-        ],
-        event_logs=world.event_logs,
         displacement=displacement,
         grouping_thresholds_us=list(grouping_thresholds_us),
         runtime_stats=list(runtime_stats) if runtime_stats is not None else [],
-        accounts=accounts,
-        topology=cfg.topology,
-        switch_savings=fabric_switch_rollup(
-            fabric,
-            accounts,
-            link_savings_pct=report.per_link_savings_pct,
-            switch_accounts=(
-                {gs.node: gs.account for gs in gated_switches}
-                if gated_switches
-                else None
-            ),
-        ),
-        helper_spawns=world.helper_spawns,
-        faults=fault_summary,
-        policy=spec.describe(),
-        class_savings=class_savings_rows(spec, class_accounts),
+        helper_spawns=comp.helper_spawns,
+        faults=comp.fault_summary(),
     )
-
-
-def _build_policy_controllers(
-    fabric: Fabric,
-    nranks: int,
-    spec: PolicySpec,
-    params: WRPSParams,
-    managed: dict[int, object],
-) -> tuple[list, list, list]:
-    """Instantiate the policy spec's controllers over one fabric.
-
-    Registers every controller in ``managed`` (keyed by link identity)
-    and returns ``(rank_links, trunk_links, gated_switches)``:
-    ``rank_links[rank]`` is that rank's prediction-driven HCA controller
-    (None when the hca class is unmanaged), the other two are the
-    reactive controllers in deterministic (sorted-node) order.
-
-    Reactive classes work by *pinning* their links' ``mode`` to LOW so
-    the fabric's power-block hook fires on every transfer through them
-    (the controllers do all timeline accounting themselves — the pinned
-    mode is purely the hook trigger).  When the switch class is active
-    the pinning covers HCA links too, so each HCA's prediction-driven
-    controller is rehomed onto a :class:`_PowerShadow` that carries its
-    FULL/LOW state machine without disturbing the pinned hook trigger.
-    """
-
-    wake_faults = fabric.wake_fault_model()
-    switch_active = spec.switch.active
-
-    rank_links: list = [None] * nranks
-    if spec.hca.active:
-        hca_params = spec.hca.wrps(params)
-        for rank in range(nranks):
-            link = fabric.host_link(rank)
-            target = _PowerShadow() if switch_active else link
-            if spec.hca.policy == "gate":
-                ml = ManagedLink.create(
-                    target, hca_params, wake_faults=wake_faults, wake_key=rank
-                )
-            else:
-                ml = LeveledLink.create(
-                    target, spec.hca, params,
-                    wake_faults=wake_faults, wake_key=rank,
-                )
-            rank_links[rank] = ml
-            managed[id(link)] = ml
-
-    trunk_links: list = []
-    if spec.trunk.active:
-        seen: set[int] = set()
-        for node in sorted(fabric.switches):
-            for link in fabric.switches[node].ports:
-                if link.is_host_link or id(link) in seen:
-                    continue
-                seen.add(id(link))
-                tl = IdleGatedLink.create(link, spec.trunk)
-                trunk_links.append(tl)
-                managed[id(link)] = tl
-                link.mode = LinkPowerMode.LOW
-
-    gated_switches: list = []
-    if switch_active:
-        for node in sorted(fabric.switches):
-            gs = GatedSwitch.create(fabric.switches[node], spec.switch)
-            gated_switches.append(gs)
-            for link in fabric.switches[node].ports:
-                prev = managed.get(id(link))
-                if prev is None:
-                    managed[id(link)] = gs
-                elif type(prev) is tuple:
-                    managed[id(link)] = prev + (gs,)
-                else:
-                    managed[id(link)] = (prev, gs)
-                link.mode = LinkPowerMode.LOW
-    return rank_links, trunk_links, gated_switches
-
-
-def _run_engine(engine: Engine) -> float:
-    """Run to completion; a partition surfaces with the blocked ranks.
-
-    :class:`FabricPartitioned` unwinds from inside a transfer with the
-    fault timeline attached; enriching it here with the engine's blocked
-    processes turns "the run died" into a readable report on both
-    kernels, within bounded simulated time (no wall-clock hang).
-    """
-
-    try:
-        return engine.run()
-    except FabricPartitioned as exc:
-        raise exc.with_blocked(engine.blocked_names()) from None

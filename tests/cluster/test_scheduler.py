@@ -1,12 +1,13 @@
 """Cluster scheduler semantics: isolation, queueing, tenants, energy.
 
 The anchor is the **isolation invariant**: one job admitted at t=0
-through the cluster scheduler, packed onto an otherwise-empty fitted
-fabric with exactly ``nranks`` hosts, must be bit-for-bit identical to
-the plain single-job ``replay_baseline`` / ``replay_managed`` path —
-execution time, event streams, power report, per-link accounts, switch
-rollup, everything.  The cluster layer is then pure composition: any
-multi-job effect is attributable to sharing, never to the layer itself.
+through the cluster scheduler, packed onto an otherwise-empty fabric
+with exactly ``nranks`` hosts, must be bit-for-bit identical to the
+plain single-job ``replay_baseline`` / ``replay_managed`` path under
+every power policy — execution time, event streams, power report,
+per-link accounts, switch rollup and class rows.  Admission is then
+pure bookkeeping: any multi-job effect is attributable to sharing,
+never to the layer itself.
 """
 
 import pytest
@@ -19,48 +20,67 @@ from repro.cluster import (
     replay_cluster_managed,
 )
 from repro.experiments.common import run_cell
+from repro.power.policies import DEFAULT_POLICY, parse_policy
 from repro.power.states import WRPSParams
-from repro.sim.dimemas import ReplayConfig, fabric_for
+from repro.sim.dimemas import ReplayConfig, fabric_for, replay_managed
+from repro.sim.program import compile_trace
 from repro.workloads import make_trace
+from tests.sim.test_policy_replay import MATRIX_POLICIES, TOPOLOGY
 
 pytestmark = pytest.mark.cluster
 
 APP, NRANKS, ITERS, SEED, DISP = "alya", 8, 4, 1234, 0.5
 
 
-@pytest.fixture(scope="module")
-def prepared():
-    """Isolated pipeline products shared by every test in the module."""
-
+def _prepare(iterations, disp):
     cell = run_cell(
-        APP, NRANKS, displacements=(DISP,), iterations=ITERS, seed=SEED
+        APP, NRANKS, displacements=(disp,), iterations=iterations, seed=SEED
     )
     params = WRPSParams.paper()
     gt_us = max(cell.gt_us, params.min_worthwhile_idle_us)
-    directives, _stats = cell.plan.rebind_displacement(DISP)
+    directives, _stats = cell.plan.rebind_displacement(disp)
     trace = make_trace(
-        APP, NRANKS, iterations=ITERS, seed=SEED, scaling="strong"
+        APP, NRANKS, iterations=iterations, seed=SEED, scaling="strong"
     )
     return {
         "cell": cell,
         "trace": trace,
         "gt_us": gt_us,
+        "disp": disp,
         "directives": directives,
         "woven": cell.programs.with_directives(directives),
     }
 
 
+@pytest.fixture(scope="module")
+def prepared():
+    """Isolated pipeline products shared by every test in the module."""
+
+    return _prepare(ITERS, DISP)
+
+
+@pytest.fixture(scope="module")
+def gating():
+    """A run long enough for the runtime to predict and gate the HCAs
+    (the short ``prepared`` run issues no shutdown)."""
+
+    products = _prepare(8, 0.05)
+    assert products["cell"].managed[0.05].total_shutdowns > 0
+    return products
+
+
 def one_job(prepared, *, managed: bool, index=0, arrival=0.0, tenant="t0"):
     job = Job(index=index, app=APP, nranks=NRANKS, arrival_us=arrival,
               tenant=tenant)
+    disp = prepared["disp"]
     return ClusterJob(
         job=job,
         trace=prepared["trace"],
         programs=prepared["woven"] if managed else prepared["cell"].programs,
         directives=prepared["directives"] if managed else None,
         grouping_thresholds_us=[prepared["gt_us"]] * NRANKS,
-        isolated_exec_time_us=prepared["cell"].managed[DISP].exec_time_us,
-        displacement=DISP,
+        isolated_exec_time_us=prepared["cell"].managed[disp].exec_time_us,
+        displacement=disp,
     )
 
 
@@ -79,11 +99,25 @@ class TestIsolationInvariant:
         assert cb.jobs[0].hosts == tuple(range(NRANKS))  # identity map
         assert cb.jobs[0].queue_wait_us == 0.0
 
-    def test_managed_bit_for_bit(self, prepared):
-        iso = prepared["cell"].managed[DISP]
+    @pytest.mark.parametrize("policy", (DEFAULT_POLICY, *MATRIX_POLICIES))
+    def test_managed_bit_for_bit(self, gating, policy):
+        """Every policy, on a tree with trunks for the reactive classes
+        to manage: the job's rows plus the cluster's fabric-level rows
+        are exactly the single-job replay's rows."""
+
+        cfg = ReplayConfig(seed=SEED, policy=policy, topology=TOPOLOGY)
+        iso = replay_managed(
+            gating["cell"].programs,
+            gating["directives"],
+            baseline_exec_time_us=gating["cell"].baseline.exec_time_us,
+            displacement=gating["disp"],
+            grouping_thresholds_us=[gating["gt_us"]] * NRANKS,
+            config=cfg,
+        )
+        cj = one_job(gating, managed=True)
+        cj.isolated_exec_time_us = iso.exec_time_us
         cm = replay_cluster_managed(
-            [one_job(prepared, managed=True)], ReplayConfig(seed=SEED),
-            num_hosts=NRANKS, placement="packed",
+            [cj], cfg, num_hosts=NRANKS, placement="packed",
         )
         mr = cm.jobs[0]
         assert mr.exec_time_us == iso.exec_time_us
@@ -94,6 +128,8 @@ class TestIsolationInvariant:
             a.intervals for a in iso.accounts
         ]
         assert mr.switch_savings == iso.switch_savings
+        assert mr.policy == iso.policy == parse_policy(policy).describe()
+        assert mr.class_savings + cm.class_savings == iso.class_savings
         assert cm.helper_spawns == 0
         # the cluster-side attribution rides along without disturbing
         # the single-job numbers
@@ -255,13 +291,77 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             FabricSlice(fabric, (0, 99))
 
-    def test_non_default_policy_rejected(self, prepared):
-        """Trunk/switch gating across tenant episode handoffs is out of
-        scope: the scheduler refuses loudly instead of reporting numbers
-        the accounting model does not back."""
+    def test_job_smaller_than_its_programs_rejected(self, prepared):
+        cj = one_job(prepared, managed=True)
+        cj.job = Job(index=3, app=APP, nranks=4, arrival_us=0.0)
+        with pytest.raises(ValueError, match="job 3: trace has 8 ranks"):
+            replay_cluster_managed([cj], ReplayConfig(seed=SEED))
 
-        cfg = ReplayConfig(seed=SEED, policy="policy:hca=gate,trunk=gate")
-        with pytest.raises(ValueError, match="default power policy"):
+    def test_job_larger_than_its_programs_rejected(self, prepared):
+        small = compile_trace(make_trace(APP, 4, iterations=2, seed=SEED))
+        cj = one_job(prepared, managed=False)
+        cj.trace = cj.programs = small
+        with pytest.raises(ValueError, match="job 0: trace has 4 ranks"):
+            replay_cluster_baseline([cj], ReplayConfig(seed=SEED))
+
+    def test_wrong_directive_count_rejected(self, prepared):
+        cj = one_job(prepared, managed=True)
+        cj.programs = None
+        cj.directives = prepared["directives"][:4]
+        with pytest.raises(
+            ValueError, match="job 0: need directives for 8 ranks, got 4"
+        ):
             replay_cluster_managed(
-                [one_job(prepared, managed=True)], cfg, num_hosts=NRANKS,
+                [cj], ReplayConfig(seed=SEED, kernel="reference"),
             )
+
+
+class TestClusterPolicy:
+    """Trunk/switch policies on a shared fabric: the per-class rows of a
+    multi-job run keep the single-job consistency invariants."""
+
+    FULL_SPEC = "policy:hca=gate,trunk=gate,switch=gate"
+
+    @pytest.fixture(scope="class")
+    def full(self, gating):
+        return replay_cluster_managed(
+            three_jobs(gating),
+            ReplayConfig(seed=SEED, policy=self.FULL_SPEC, topology=TOPOLOGY),
+            num_hosts=2 * NRANKS, placement="spread",
+        )
+
+    def test_rows_split_by_scope(self, full):
+        assert [r.link_class for r in full.class_savings] == [
+            "trunk", "switch"
+        ]
+        for mr in full.jobs:
+            assert [r.link_class for r in mr.class_savings] == ["hca"]
+            assert mr.policy == parse_policy(self.FULL_SPEC).describe()
+
+    def test_hca_rows_are_the_episode_integrals(self, full):
+        for mr in full.jobs:
+            row = mr.class_savings_for("hca")
+            assert row.members == len(mr.accounts) == NRANKS
+            assert row.energy_us == sum(a.energy() for a in mr.accounts)
+            assert row.total_us == sum(a.total_us for a in mr.accounts)
+            assert row.energy_us == mr.cluster.link_energy_us
+        assert full.energy_mismatch_us() <= 1e-9 * full.fabric_link_energy_us
+
+    def test_every_row_consistent(self, full):
+        rows = [*full.class_savings]
+        rows += [r for mr in full.jobs for r in mr.class_savings]
+        for row in rows:
+            assert row.members > 0
+            assert 0.0 <= row.savings_pct < 100.0
+            assert 0.0 <= row.low_residency_pct <= 100.0
+            assert row.energy_us == pytest.approx(
+                row.total_us * (1.0 - row.savings_pct / 100.0)
+            )
+
+    def test_fabric_rows_span_the_whole_run(self, full):
+        for row in full.class_savings:
+            assert row.total_us == pytest.approx(
+                row.members * full.exec_time_us
+            )
+        trunk = full.class_savings[0]
+        assert trunk.savings_pct > 0.0

@@ -6,15 +6,18 @@ produce a bit-for-bit identical
 cluster timeline — makespan, per-job spans and windows, placements,
 power reports, event streams, per-link account intervals, fabric-level
 link energy, tenant rollups, and the folded fault summary — on every
-topology family, on a faulted fabric, and when the sweep fans the cells
-out across worker processes (``REPRO_WORKERS > 1``).
+topology family, on a faulted fabric, under non-default power policies
+(with an HCA episode handed from one tenant to the next), and when the
+sweep fans the cells out across worker processes (``REPRO_WORKERS > 1``).
 """
 
 import pytest
 
+from repro.cluster import ClusterJob, parse_jobs, replay_cluster_managed
 from repro.experiments.cluster_sweep import run_cluster_cell, run_cluster_sweep
-from repro.experiments.common import clear_cache
+from repro.experiments.common import clear_cache, run_cell
 from repro.sim.collectives import clear_schedule_cache
+from repro.sim.dimemas import ReplayConfig
 
 pytestmark = pytest.mark.differential
 
@@ -50,11 +53,16 @@ def _cluster_snapshot(kernel, topology, faults="none"):
         STREAM, placement="spread", displacement=DISP, iterations=ITERS,
         seed=SEED, topology=topology, kernel=kernel, faults=faults,
     )
-    managed = cell.managed
     return {
         "num_hosts": cell.num_hosts,
         "baseline_makespan": cell.baseline.exec_time_us,
         "baseline_event_logs": [j.event_logs for j in cell.baseline.jobs],
+        **_managed_snapshot(cell.managed),
+    }
+
+
+def _managed_snapshot(managed):
+    return {
         "makespan": managed.exec_time_us,
         "job_spans": [m.exec_time_us for m in managed.jobs],
         "job_windows": [
@@ -70,7 +78,60 @@ def _cluster_snapshot(kernel, topology, faults="none"):
         "fabric_energy": managed.fabric_link_energy_us,
         "tenants": managed.tenants,
         "faults": managed.faults,
+        "job_class_savings": [m.class_savings for m in managed.jobs],
+        "class_savings": managed.class_savings,
     }
+
+
+#: non-default specs on the cluster path: a multi-level HCA ladder, and
+#: trunk/switch controllers shared by every tenant
+POLICIES = (
+    "policy:hca=width",
+    "policy:hca=gate,trunk=width:levels=3,switch=gate",
+)
+
+#: hosts for the policy legs: fewer than the stream's 12 ranks, so the
+#: last job takes over an earlier job's hosts (an HCA episode handoff)
+POLICY_HOSTS = 8
+
+#: long enough for the runtime to predict idle windows and gate HCAs
+POLICY_ITERS = 6
+
+
+def _policy_snapshot(kernel, topology, policy):
+    """The managed stream under ``policy``, jobs prepared in isolation
+    exactly as ``run_cluster_cell`` prepares them."""
+
+    clear_schedule_cache()
+    clear_cache()
+    fast = kernel != "reference"
+    cluster_jobs = []
+    for job in parse_jobs(STREAM):
+        cell = run_cell(
+            job.app, job.nranks, displacements=(DISP,),
+            iterations=POLICY_ITERS, seed=SEED, topology=topology,
+            kernel=kernel,
+        )
+        directives, _stats = cell.plan.rebind_displacement(DISP)
+        cluster_jobs.append(ClusterJob(
+            job=job,
+            trace=cell.programs if fast else cell.trace,
+            programs=(
+                cell.programs.with_directives(directives) if fast else None
+            ),
+            directives=directives,
+            grouping_thresholds_us=[cell.planned_gt_us] * job.nranks,
+            isolated_exec_time_us=cell.managed[DISP].exec_time_us,
+            displacement=DISP,
+        ))
+    managed = replay_cluster_managed(
+        cluster_jobs,
+        ReplayConfig(
+            seed=SEED, topology=topology, kernel=kernel, policy=policy,
+        ),
+        num_hosts=POLICY_HOSTS, placement="spread",
+    )
+    return _managed_snapshot(managed)
 
 
 def _assert_equal(got: dict, want: dict, combo) -> None:
@@ -95,6 +156,33 @@ class TestClusterMatrix:
                 )
             else:
                 _assert_equal(got, want, (topology, kernel))
+
+
+class TestPolicyClusterMatrix:
+    @pytest.mark.parametrize("topology", ("fitted", "fattree2:leaf=4,ratio=2"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_combo_same_policy_timeline(self, policy, topology):
+        want = None
+        for kernel in KERNELS:
+            got = _policy_snapshot(kernel, topology, policy)
+            if want is None:
+                want = got
+                # guard against a vacuous leg: HCAs gate, and a later
+                # job reuses a host an earlier one released
+                assert sum(c.shutdowns for cs in got["job_counters"]
+                           for c in cs) > 0
+                hosts = got["job_hosts"]
+                assert any(
+                    set(a) & set(b)
+                    for i, a in enumerate(hosts) for b in hosts[i + 1:]
+                )
+                assert all(got["job_class_savings"])
+            else:
+                _assert_equal(got, want, (policy, topology, kernel))
+        managed_classes = [r.link_class for r in want["class_savings"]]
+        assert managed_classes == (
+            ["trunk", "switch"] if "trunk" in policy else []
+        )
 
 
 class TestFaultedClusterMatrix:
