@@ -31,12 +31,15 @@
 #                     class, plus trunk and switch management), each
 #                     verified fast == reference kernel including the
 #                     per-class savings rows
-#   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3"
+#   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3" [TRACE=1]
 #                     same-machine A/B of the perfbench benchmark: checks
 #                     BASE out into a temporary git worktree, runs
 #                     perfbench/run.py --trace 0 per seed on BASE and on
 #                     this working tree, interleaved, and prints every
-#                     end-to-end metric's per-side median (benchmarks/ab.py)
+#                     end-to-end metric's per-side median (benchmarks/ab.py);
+#                     fails if the two sides' exact counts differ.
+#                     TRACE=1 adds one --trace 1 pair per seed and the
+#                     per-layer head/base ratios
 #   make service-smoke gate the simulation service end-to-end against a
 #                     real daemon subprocess: cold == warm bit-for-bit
 #                     (warm costs zero pipeline stages), 20 repeats over
@@ -54,6 +57,7 @@ export PYTHONPATH := src
 
 WORKLOAD ?= paper-grid
 SEEDS ?= 1 2 3
+TRACE ?=
 
 test:
 	$(PY) -m pytest -x -q
@@ -74,7 +78,8 @@ bench-record:
 bench-ab:
 	@test -n "$(BASE)" || { echo 'usage: make bench-ab BASE=<rev>' \
 		'WORKLOAD=<name> SEEDS="1 2 3"'; exit 2; }
-	$(PY) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) --seeds $(SEEDS)
+	$(PY) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--seeds $(SEEDS) $(if $(TRACE),--trace)
 
 topo-smoke:
 	$(PY) -m repro.cli topo-sweep --apps alya --nranks 8 \

@@ -39,13 +39,14 @@ per-message hot path touches only flat, already-compiled state:
 3. **Matching + protocol** (:mod:`repro.sim.mpi`) — posted/unexpected
    queues with eager and rendezvous protocols, fully **processless**:
    eager isends complete as plain float timestamps, irecvs probe the
-   matching layer at call time, rendezvous sends run as signal-chained
-   continuations instead of helper processes (zero spawns — asserted),
-   and WAIT/WAITALL drains a slice of nonblocking ops with at most one
-   absolute-time sleep.  Envelopes and the per-operation completion
-   :class:`~repro.sim.engine.Signal` objects are recycled through
-   free-lists once the matching layer has fully consumed them, so
-   steady-state replay allocates no per-message objects.
+   matching layer at call time, a rendezvous send is one pooled object
+   that is its own RTS and continuation (zero spawns — asserted), a
+   blocked fast-kernel rank parks its own process where its waker finds
+   it, and WAIT/WAITALL drains a slice of nonblocking ops with at most
+   one absolute-time sleep.  Rendezvous sends, completion
+   :class:`~repro.sim.engine.Signal` objects and emptied matching-map
+   queues are recycled through free-lists, so steady-state replay
+   allocates few per-message objects.
 4. **The fabric** (:mod:`repro.network.fabric`) — routes are *static
    per (src, dst) pair* (an IB subnet manager programs forwarding tables
    ahead of traffic): a seeded, order-independent

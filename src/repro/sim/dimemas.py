@@ -524,7 +524,7 @@ class Composition:
             name_prefix=name,
         )
         # each world installs itself as the engine's blocked reporter;
-        # the composition's covers every world's in-flight continuations
+        # the composition's covers every world's in-flight rendezvous sends
         self.worlds.append(world)
         engine.blocked_reporter = self._blocked
         links = on_shutdown = None
@@ -582,7 +582,7 @@ class Composition:
         """Break the run's reference cycles so refcounting frees them."""
 
         engine = self.engine
-        engine.blocked_reporter = engine._schedule = None
+        engine.blocked_reporter = engine._schedule = engine.starting = None
         engine._signal_pool.clear()
         for world in self.worlds:
             world._rdv_pool.clear()

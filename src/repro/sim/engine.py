@@ -4,8 +4,9 @@ A minimal, dependency-free DES kernel in the SimPy style: *processes* are
 Python generators that ``yield`` requests to the engine — a
 :class:`Delay` (or a bare non-negative float, the allocation-free form
 the compiled replay programs use), an :class:`At` absolute-time sleep,
-or a :class:`Signal` / :class:`AllOf` to wait on.  The engine owns the clock and an event queue; everything
-else (MPI semantics, the network, power) is layered on top in
+a :class:`Signal` / :class:`AllOf` to wait on, or :data:`PARK`.  The
+engine owns the clock and an event queue; everything else (MPI
+semantics, the network, power) is layered on top in
 :mod:`repro.sim.mpi`.
 
 Determinism: events scheduled for the same timestamp are processed in
@@ -24,6 +25,15 @@ the resume path allocates nothing beyond the heap tuple itself.  Signals
 are pooled: :meth:`Engine.recycle_signal` returns a fired, fully-drained
 signal to a free-list that :meth:`Engine.new_signal` reuses, so steady-
 state replay allocates no new Signal objects per message.
+
+Parking: a process that knows who will wake it needs no Signal at all.
+It leaves its own process handle where its waker will find it (the MPI
+layer's posted-receive queue, or a rendezvous send) and yields
+:data:`PARK`, which the engine leaves alone: no event, no waiter list.
+The waker resumes the handle directly (``Engine._resume_none``) or
+schedules that resume.  A process reads its handle in its first step
+from :attr:`Engine.starting`, which the engine sets just before it runs
+a spawned process for the first time.
 """
 
 from __future__ import annotations
@@ -68,6 +78,20 @@ class At:
 
     def __init__(self, t_us: float = 0.0) -> None:
         self.t_us = t_us
+
+
+class Park:
+    """Yielded by a process that has left its handle with its waker.
+
+    The engine schedules nothing and registers nothing: whoever holds
+    the handle resumes the process.  Stateless, so every process yields
+    the one instance :data:`PARK`.
+    """
+
+    __slots__ = ()
+
+
+PARK = Park()
 
 
 class Signal:
@@ -207,6 +231,7 @@ class Engine:
         "_schedule",
         "blocked_reporter",
         "spawn_count",
+        "starting",
     )
 
     def __init__(self) -> None:
@@ -216,14 +241,17 @@ class Engine:
         self._active = 0
         self._signal_pool: list[Signal] = []
         #: optional callable returning extra blocked-entity names for
-        #: deadlock reports (processless helpers — e.g. in-flight
-        #: rendezvous continuations — are invisible to the process
-        #: table, but their stalls should still read like the old
-        #: helper-process names did)
+        #: deadlock reports (processless work — e.g. in-flight
+        #: nonblocking rendezvous sends — is invisible to the process
+        #: table)
         self.blocked_reporter: Callable[[], list[str]] | None = None
         #: lifetime count of spawned processes — the replay layer's
         #: no-helper-spawn invariant is asserted against it
         self.spawn_count = 0
+        #: the process whose first step is running (set by ``_start``):
+        #: a generator that parks reads its own handle from here before
+        #: its first yield
+        self.starting: _Process | None = None
         self._queue: list[tuple] = []
         self._schedule = self._make_schedule()
 
@@ -236,7 +264,7 @@ class Engine:
         proc = _Process(name=name, gen=gen)
         self._processes.append(proc)
         self._active += 1
-        self._schedule(self.now, self._resume_none, proc)
+        self._schedule(self.now, self._start, proc)
         return proc
 
     def call_at(self, t_us: float, action: Callable[[], None]) -> None:
@@ -343,6 +371,12 @@ class Engine:
 
     # -- internals -------------------------------------------------------------
 
+    def _start(self, proc: _Process) -> None:
+        """A spawned process's first step: publish its handle, run it."""
+
+        self.starting = proc
+        self._resume_none(proc)
+
     def _resume_none(self, proc: _Process) -> None:
         # the scheduled form of every Delay/spawn resume — the hottest
         # callback in a replay, so the dispatch body is duplicated from
@@ -363,6 +397,8 @@ class Engine:
                     f"process {proc.name} yielded a negative delay"
                 )
             self._schedule(self.now + request, self._resume_none, proc)
+        elif cls is Park:
+            pass
         elif cls is Delay:
             duration = request.duration_us
             if duration < 0:
@@ -385,7 +421,7 @@ class Engine:
         else:
             raise SimulationError(
                 f"process {proc.name} yielded unsupported request "
-                f"{request!r}; yield Delay, At, Signal or AllOf"
+                f"{request!r}; yield Delay, At, Signal, AllOf or PARK"
             )
 
     def _resume(self, proc: _Process, send_value: Any) -> None:
@@ -408,6 +444,8 @@ class Engine:
                     f"process {proc.name} yielded a negative delay"
                 )
             self._schedule(self.now + request, self._resume_none, proc)
+        elif cls is Park:
+            pass
         elif cls is Delay:
             duration = request.duration_us
             if duration < 0:
@@ -430,7 +468,7 @@ class Engine:
         else:
             raise SimulationError(
                 f"process {proc.name} yielded unsupported request "
-                f"{request!r}; yield Delay, At, Signal or AllOf"
+                f"{request!r}; yield Delay, At, Signal, AllOf or PARK"
             )
 
     def _resume_barrier(self, barrier: _Barrier) -> None:

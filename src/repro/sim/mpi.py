@@ -26,23 +26,34 @@ Nonblocking operations are **processless**.  An eager isend injects the
 payload at call time and its request is just the *float* completion time
 (the source-drain instant, known immediately); an irecv probes the
 matching layer at call time and returns either that float (message
-already there) or the posted completion :class:`Signal`.  A rendezvous
-isend/send used to spawn a helper generator process per large message;
-it is now a **signal-chained continuation** (:class:`_RendezvousSend`):
-the RTS is injected inline, the CTS callback launches the payload
-transfer, and a final timed event fires the completion signal — no new
-process frame anywhere (``MPIWorld.helper_spawns`` stays 0 and the
-replay drivers assert it).  WAIT/WAITALL drains the mixed request list
-in one slice: pure-float requests reduce to a single absolute-time
-sleep (:class:`~repro.sim.engine.At`) — or to no yield at all when
-everything already completed — and only genuine signals pay the
-:class:`~repro.sim.engine.AllOf` barrier.
+already there) or a completion :class:`Signal`.  WAIT/WAITALL drains the
+mixed request list in one slice: pure-float requests reduce to a single
+absolute-time sleep (:class:`~repro.sim.engine.At`) — or to no yield at
+all when everything already completed — and only genuine signals pay
+the :class:`~repro.sim.engine.AllOf` barrier.
 
-Deadlock reports: in-flight rendezvous continuations are invisible to
-the engine's process table, so :class:`MPIWorld` registers a
-``blocked_reporter`` with the engine that renders them under the same
-precomputed per-rank helper names (``isend<rank>``) the spawned helpers
-used to carry.
+**The RTS is the rendezvous.**  A rendezvous send is one pooled
+:class:`_RendezvousSend`: injected as the RTS, kept in the receiver's
+unexpected queue until a receive matches it, and completed by
+:meth:`_RendezvousSend.match` — the CTS — which starts the payload
+transfer, schedules its arrival straight onto the receive's wait target
+and schedules the sender's completion at source drain.  Blocking and
+nonblocking sends share it; no helper process and no handshake signal
+is created (``MPIWorld.helper_spawns`` stays 0 and the replay drivers
+assert it).  On the fast kernel a rank that blocks — a receive with
+nothing to match, a rendezvous send — leaves its own process handle in
+the posted queue or on the rendezvous and yields
+:data:`~repro.sim.engine.PARK`; the matching layer resumes it directly.
+The reference interpreter waits on Signals instead and stays the
+oracle; the matching layer accepts both kinds of wait target.  Both
+matching maps drop a ``(source, tag)`` key as soon as its queue empties
+(collective tags are new per instance) and recycle the deque.
+
+Deadlock reports: in-flight nonblocking rendezvous sends are invisible
+to the engine's process table, so :class:`MPIWorld` registers a
+``blocked_reporter`` with the engine that renders them under
+precomputed per-rank names (``isend<rank>``).  A blocking send stalls
+the rank's own process, which the report names.
 
 Power coupling: a ``power_hook(link, t) -> usable_t`` callable is invoked
 by the fabric whenever a transfer finds a link below full width.  The
@@ -69,7 +80,16 @@ from ..trace.events import (
 )
 from . import collectives as coll
 from .collectives import COLLECTIVE_TAG_BASE, COLLECTIVE_TAG_STRIDE
-from .engine import AllOf, At, Delay, Engine, Signal, SimulationError
+from .engine import (
+    PARK,
+    AllOf,
+    At,
+    Delay,
+    Engine,
+    Signal,
+    SimulationError,
+    _Process,
+)
 from .program import (
     OP_COLLECTIVE,
     OP_DELAY,
@@ -90,46 +110,20 @@ from .program import (
 
 
 @dataclass(slots=True)
-class _Envelope:
-    """An in-flight message (payload or rendezvous RTS)."""
-
-    src: int
-    dst: int
-    tag: int
-    size_bytes: int
-    is_rts: bool = False
-    #: eager: fired at last-byte arrival. rendezvous: fired when payload lands.
-    data_signal: Signal | None = None
-    #: rendezvous only: fired when the receiver matches the RTS.
-    cts_signal: Signal | None = None
-
-
-@dataclass(slots=True)
 class _RankContext:
     rank: int
+    #: arrived, unmatched messages: (src, tag) -> deque of rendezvous
+    #: RTSs and ``None`` entries (an eager payload that has landed); a
+    #: key lives only while its deque is non-empty
     unexpected: dict[tuple[int, int], deque] = field(default_factory=dict)
-    #: posted receives: (src, tag) -> deque of completion Signals
+    #: posted receives: (src, tag) -> deque of wait targets (a parked
+    #: rank process or a completion Signal); same key lifetime
     posted: dict[tuple[int, int], deque] = field(default_factory=dict)
     collective_instance: int = 0
     #: mixed completion requests: floats (processless eager ops, the
     #: value is the known completion time) and Signals (rendezvous /
     #: posted receives)
     pending_requests: list = field(default_factory=list)
-
-    def pop_unexpected(self, src: int, tag: int) -> _Envelope | None:
-        q = self.unexpected.get((src, tag))
-        if q:
-            return q.popleft()
-        return None
-
-    def add_posted(self, src: int, tag: int, recv: Signal) -> None:
-        # get-then-insert instead of setdefault: the hot path must not
-        # allocate a fresh deque per call just to throw it away
-        key = (src, tag)
-        q = self.posted.get(key)
-        if q is None:
-            self.posted[key] = q = deque()
-        q.append(recv)
 
 
 PowerHook = Callable[[object, float], float]
@@ -168,54 +162,83 @@ class RankDirective:
 
 
 class _RendezvousSend:
-    """Zero-spawn rendezvous send: a continuation chained on signals.
+    """A rendezvous send: its RTS envelope and its continuation in one.
 
-    Replaces the helper generator process that used to run one
-    rendezvous isend/send-completion per large message.  The lifecycle
-    mirrors the old helper exactly — RTS flight, CTS wait, payload
-    transfer, source-drain completion — but each step is a plain
-    callback on the engine: no generator frame, no process-table entry,
-    no ``spawn`` event.  Instances are pooled on the world
-    (``_rdv_pool``) and tracked per rank for deadlock reports.
+    :meth:`MPIWorld._start_rendezvous` injects it as the RTS, which
+    reaches the receiver's matching layer one MPI latency later and
+    waits in the unexpected queue if no receive is posted.  Whichever
+    side matches calls :meth:`match` with the receive's wait target —
+    ``_arrive`` for a posted receive, the receiver's recv, irecv,
+    sendrecv or collective step for an unexpected RTS — and that call is
+    the CTS: the payload leaves one MPI latency later, its arrival is
+    scheduled straight onto the receiver's target, and the sender
+    completes when its buffer has drained.  No helper process, no
+    handshake Signals.  Instances are pooled on the world
+    (``_rdv_pool``); nonblocking ones are tracked per rank for deadlock
+    reports.
     """
 
-    __slots__ = ("world", "rank", "dst", "size", "done", "cts", "data")
+    __slots__ = ("world", "src", "dst", "size_bytes", "sender", "done")
 
     def __init__(self, world: "MPIWorld") -> None:
         self.world = world
-        self.rank = 0
+        self.src = 0
         self.dst = 0
-        self.size = 0
+        self.size_bytes = 0
+        #: blocking send: the sender's wait target (its parked process on
+        #: the fast kernel, a Signal on the reference interpreter)
+        self.sender = None
+        #: nonblocking send: the completion Signal (its request)
         self.done: Signal | None = None
-        self.cts: Signal | None = None
-        self.data: Signal | None = None
 
-    def _on_cts(self, _value) -> None:
-        """Receiver matched the RTS; CTS flew back — start the payload."""
+    def match(self, target) -> None:
+        """The receive waiting on ``target`` matched this RTS now.
+
+        ``target`` is a parked :class:`_Process` or a :class:`Signal`;
+        it is resumed (or fired) when the payload lands.
+        """
 
         world = self.world
         engine = world.engine
+        schedule = engine._schedule
+        now = engine.now
         arrive_us, src_release = world.fabric.transfer_hot(
-            self.rank, self.dst, self.size, engine.now + MPI_LATENCY_US,
+            self.src, self.dst, self.size_bytes, now + MPI_LATENCY_US,
             world.power_hook,
         )
-        self.data.fire_at(arrive_us, arrive_us)
-        now = engine.now
-        engine._schedule(
-            now + (src_release - now if src_release > now else 0.0),
-            self._finish,
-            None,
-        )
+        if target.__class__ is _Process:
+            schedule(arrive_us, engine._resume_none, target)
+        else:
+            schedule(arrive_us, target.fire, arrive_us)
+        sender = self.sender
+        if sender is None:
+            schedule(
+                now + (src_release - now if src_release > now else 0.0),
+                self._finish,
+                None,
+            )
+            return
+        # a blocking send resumes at source drain, or on the spot
+        self.sender = None
+        world._rdv_pool.append(self)
+        if src_release > now:
+            t_us = now + (src_release - now)
+            if sender.__class__ is _Process:
+                schedule(t_us, engine._resume_none, sender)
+            else:
+                schedule(t_us, sender.fire, t_us)
+        elif sender.__class__ is _Process:
+            engine._resume_none(sender)
+        else:
+            sender.fire(now)
 
     def _finish(self, _arg) -> None:
-        """Source buffer drained: complete the send, recycle the pieces."""
+        """Source buffer drained: complete the nonblocking send."""
 
         world = self.world
-        engine = world.engine
-        self.done.fire(engine.now)
-        world._rdv_inflight[self.rank] -= 1
-        engine.recycle_signal(self.cts)
-        self.done = self.cts = self.data = None
+        self.done.fire(world.engine.now)
+        world._rdv_inflight[self.src] -= 1
+        self.done = None
         world._rdv_pool.append(self)
 
 
@@ -246,55 +269,23 @@ class MPIWorld:
         self.eager_threshold = eager_threshold_bytes
         self.power_hook = power_hook
         self.cpu_speedup = cpu_speedup
+        #: free-list of empty matching-map deques: a drained key is
+        #: dropped from its map and its deque parked here for reuse
+        self._deques: list[deque] = []
         self.ranks = [_RankContext(r) for r in range(nranks)]
         self.event_logs: list[list[MPIEvent]] = [[] for _ in range(nranks)]
-        #: free-list of dead envelopes (consumed by the matching layer)
-        self._env_pool: list[_Envelope] = []
-        #: free-list of completed rendezvous continuations
+        #: free-list of completed rendezvous sends
         self._rdv_pool: list[_RendezvousSend] = []
-        #: per-rank count of in-flight rendezvous continuations, for
+        #: per-rank count of in-flight nonblocking rendezvous sends, for
         #: deadlock reports (they have no process-table entry)
         self._rdv_inflight = [0] * nranks
-        # per-rank helper names, precomputed so deadlock reports render
-        # a stuck rendezvous send under the same name the spawned
-        # helper process used to carry; ``name_prefix`` namespaces them
-        # (and the world's identity in reports) when several worlds —
-        # cluster jobs — share one engine
+        # per-rank names, precomputed, under which deadlock reports
+        # render a stuck nonblocking rendezvous send; ``name_prefix``
+        # namespaces them (and the world's identity in reports) when
+        # several worlds — cluster jobs — share one engine
         self.name_prefix = name_prefix
         self._isend_names = [f"{name_prefix}isend{r}" for r in range(nranks)]
         engine.blocked_reporter = self._blocked_helpers
-
-    # -------------------------------------------------------------- pooling
-
-    def _new_envelope(
-        self,
-        src: int,
-        dst: int,
-        tag: int,
-        size_bytes: int,
-        is_rts: bool = False,
-        data_signal: Signal | None = None,
-        cts_signal: Signal | None = None,
-    ) -> _Envelope:
-        pool = self._env_pool
-        if pool:
-            env = pool.pop()
-            env.src = src
-            env.dst = dst
-            env.tag = tag
-            env.size_bytes = size_bytes
-            env.is_rts = is_rts
-            env.data_signal = data_signal
-            env.cts_signal = cts_signal
-            return env
-        return _Envelope(src, dst, tag, size_bytes, is_rts, data_signal, cts_signal)
-
-    def _recycle_envelope(self, env: _Envelope) -> None:
-        """Free an envelope the matching layer has fully consumed."""
-
-        env.data_signal = None
-        env.cts_signal = None
-        self._env_pool.append(env)
 
     # ------------------------------------------------------------ reporting
 
@@ -398,21 +389,24 @@ class MPIWorld:
         here.  It must drive the engine through exactly the same request
         sequence as the interpreter on the same records+directives (bare
         floats stand in for :class:`Delay`; the one-event fused delays
-        reach the identical absolute timestamps through an :class:`At`),
-        which the differential harness asserts bit-for-bit.
+        reach the identical absolute timestamps through an :class:`At`;
+        a parked rank resumes at the instant the interpreter's Signal
+        fires), which the differential harness asserts bit-for-bit.
+        Must run as a spawned process: it reads its own handle from
+        :attr:`Engine.starting` in its first step.
         """
 
         engine = self.engine
+        #: this rank's own process: a blocked receive or blocking
+        #: rendezvous send leaves it with its waker and parks
+        me = engine.starting
         ctx = self.ranks[rank]
         log_append = self.event_logs[rank].append
         fabric = self.fabric
         eager_threshold = self.eager_threshold
         speed = self.cpu_speedup
         power_hook = self.power_hook
-        env_pool = self._env_pool
-        new_env = self._new_envelope
-        recycle_env = self._recycle_envelope
-        new_signal = engine.new_signal
+        deques = self._deques
         signal_pool = engine._signal_pool
         recycle_signal = engine.recycle_signal
         schedule = engine._schedule
@@ -422,6 +416,7 @@ class MPIWorld:
         unexpected = ctx.unexpected
         posted = ctx.posted
         mpi_latency = MPI_LATENCY_US
+        park = PARK
         #: one reusable absolute-time request per frame — the engine
         #: reads ``t_us`` synchronously at dispatch, so rewriting it
         #: between yields is safe and allocation-free
@@ -465,44 +460,29 @@ class MPIWorld:
                     if sop == STEP_RECV:
                         key = (peer, rel_tag + base_tag)
                         q = unexpected.get(key)
-                        env = q.popleft() if q else None
-                        if env is None:
-                            if signal_pool:
-                                sig = signal_pool.pop()
-                                sig.name = "recv"
-                                sig.fired = False
-                                sig.value = None
-                            else:
-                                sig = Signal(engine, "recv")
+                        if q is None:
                             pq = posted.get(key)
                             if pq is None:
-                                posted[key] = pq = deque()
-                            pq.append(sig)
-                            yield sig
-                            recycle_signal(sig)
-                        elif env.is_rts:
-                            cts, data = env.cts_signal, env.data_signal
-                            recycle_env(env)
-                            cts.fire(engine.now)
-                            yield data
+                                posted[key] = pq = (
+                                    deques.pop() if deques else deque()
+                                )
+                            pq.append(me)
+                            yield park
                         else:
-                            recycle_env(env)
+                            rts = q.popleft()
+                            if not q:
+                                del unexpected[key]
+                                deques.append(q)
+                            if rts is not None:
+                                rts.match(me)
+                                yield park
                     elif sop == STEP_SEND_ASYNC:
                         tag = rel_tag + base_tag
                         if size <= eager_threshold:
                             arrive_us, src_release = transfer(
                                 rank, peer, size, engine.now, power_hook
                             )
-                            if env_pool:
-                                env = env_pool.pop()
-                                env.src = rank
-                                env.dst = peer
-                                env.tag = tag
-                                env.size_bytes = size
-                                env.is_rts = False
-                            else:
-                                env = _Envelope(rank, peer, tag, size)
-                            schedule(arrive_us, arrive, env)
+                            schedule(arrive_us, arrive, (peer, (rank, tag), None))
                             now_us = engine.now
                             rel = src_release if src_release > now_us else now_us
                             if rel > tmax:
@@ -517,29 +497,13 @@ class MPIWorld:
                             arrive_us, src_release = transfer(
                                 rank, peer, size, engine.now, power_hook
                             )
-                            schedule(
-                                arrive_us, arrive,
-                                new_env(rank, peer, tag, size),
-                            )
+                            schedule(arrive_us, arrive, (peer, (rank, tag), None))
                             now_us = engine.now
                             if src_release > now_us:
                                 yield src_release - now_us
                         else:
-                            cts = new_signal("cts")
-                            data = new_signal("data")
-                            schedule(
-                                engine.now + mpi_latency, arrive,
-                                new_env(rank, peer, tag, size, True, data, cts),
-                            )
-                            yield cts
-                            arrive_us, src_release = transfer(
-                                rank, peer, size, engine.now + mpi_latency,
-                                power_hook,
-                            )
-                            data.fire_at(arrive_us, arrive_us)
-                            now_us = engine.now
-                            if src_release > now_us:
-                                yield src_release - now_us
+                            start_rdv(rank, peer, size, tag, me)
+                            yield park
                 if pending is not None:
                     real = None
                     for sig in pending:
@@ -562,44 +526,27 @@ class MPIWorld:
                     arrive_us, src_release = transfer(
                         rank, peer, size, engine.now, power_hook
                     )
-                    if env_pool:
-                        env = env_pool.pop()
-                        env.src = rank
-                        env.dst = peer
-                        env.tag = tag
-                        env.size_bytes = size
-                        env.is_rts = False
-                    else:
-                        env = _Envelope(rank, peer, tag, size)
-                    schedule(arrive_us, arrive, env)
+                    schedule(arrive_us, arrive, (peer, (rank, tag), None))
                     now_us = engine.now
                     send_done = src_release if src_release > now_us else now_us
                 else:
                     send_done = start_rdv(rank, peer, size, tag)
                 key = (ins[5], tag)
                 q = unexpected.get(key)
-                env = q.popleft() if q else None
-                if env is None:
-                    if signal_pool:
-                        sig = signal_pool.pop()
-                        sig.name = "recv"
-                        sig.fired = False
-                        sig.value = None
-                    else:
-                        sig = Signal(engine, "recv")
+                if q is None:
                     pq = posted.get(key)
                     if pq is None:
-                        posted[key] = pq = deque()
-                    pq.append(sig)
-                    yield sig
-                    recycle_signal(sig)
-                elif env.is_rts:
-                    cts, data = env.cts_signal, env.data_signal
-                    recycle_env(env)
-                    cts.fire(engine.now)
-                    yield data
+                        posted[key] = pq = deques.pop() if deques else deque()
+                    pq.append(me)
+                    yield park
                 else:
-                    recycle_env(env)
+                    rts = q.popleft()
+                    if not q:
+                        del unexpected[key]
+                        deques.append(q)
+                    if rts is not None:
+                        rts.match(me)
+                        yield park
                 if send_done.__class__ is float:
                     if send_done > engine.now:
                         at.t_us = send_done
@@ -615,76 +562,37 @@ class MPIWorld:
                     arrive_us, src_release = transfer(
                         rank, peer, size, engine.now, power_hook
                     )
-                    if env_pool:
-                        env = env_pool.pop()
-                        env.src = rank
-                        env.dst = peer
-                        env.tag = tag
-                        env.size_bytes = size
-                        env.is_rts = False
-                    else:
-                        env = _Envelope(rank, peer, tag, size)
-                    schedule(arrive_us, arrive, env)
+                    schedule(arrive_us, arrive, (peer, (rank, tag), None))
                     now_us = engine.now
                     if src_release > now_us:
                         yield src_release - now_us
                 else:
-                    cts = new_signal("cts")
-                    data = new_signal("data")
-                    schedule(
-                        engine.now + mpi_latency, arrive,
-                        new_env(rank, peer, tag, size, True, data, cts),
-                    )
-                    yield cts
-                    arrive_us, src_release = transfer(
-                        rank, peer, size, engine.now + mpi_latency,
-                        power_hook,
-                    )
-                    data.fire_at(arrive_us, arrive_us)
-                    now_us = engine.now
-                    if src_release > now_us:
-                        yield src_release - now_us
+                    start_rdv(rank, peer, size, tag, me)
+                    yield park
             elif op == OP_RECV:
                 key = (ins[2], ins[3])
                 q = unexpected.get(key)
-                env = q.popleft() if q else None
-                if env is None:
-                    if signal_pool:
-                        sig = signal_pool.pop()
-                        sig.name = "recv"
-                        sig.fired = False
-                        sig.value = None
-                    else:
-                        sig = Signal(engine, "recv")
+                if q is None:
                     pq = posted.get(key)
                     if pq is None:
-                        posted[key] = pq = deque()
-                    pq.append(sig)
-                    yield sig
-                    recycle_signal(sig)
-                elif env.is_rts:
-                    cts, data = env.cts_signal, env.data_signal
-                    recycle_env(env)
-                    cts.fire(engine.now)
-                    yield data
+                        posted[key] = pq = deques.pop() if deques else deque()
+                    pq.append(me)
+                    yield park
                 else:
-                    recycle_env(env)
+                    rts = q.popleft()
+                    if not q:
+                        del unexpected[key]
+                        deques.append(q)
+                    if rts is not None:
+                        rts.match(me)
+                        yield park
             elif op == OP_ISEND:
                 peer, size, tag = ins[2], ins[3], ins[4]
                 if size <= eager_threshold:
                     arrive_us, src_release = transfer(
                         rank, peer, size, engine.now, power_hook
                     )
-                    if env_pool:
-                        env = env_pool.pop()
-                        env.src = rank
-                        env.dst = peer
-                        env.tag = tag
-                        env.size_bytes = size
-                        env.is_rts = False
-                    else:
-                        env = _Envelope(rank, peer, tag, size)
-                    schedule(arrive_us, arrive, env)
+                    schedule(arrive_us, arrive, (peer, (rank, tag), None))
                     now_us = engine.now
                     ctx.pending_requests.append(
                         src_release if src_release > now_us else now_us
@@ -696,8 +604,16 @@ class MPIWorld:
             elif op == OP_IRECV:
                 key = (ins[2], ins[3])
                 q = unexpected.get(key)
-                env = q.popleft() if q else None
-                if env is None:
+                rts = None
+                if q is not None:
+                    rts = q.popleft()
+                    if not q:
+                        del unexpected[key]
+                        deques.append(q)
+                if q is not None and rts is None:
+                    # the eager payload has landed: complete on the spot
+                    ctx.pending_requests.append(engine.now)
+                else:
                     if signal_pool:
                         sig = signal_pool.pop()
                         sig.name = "recv"
@@ -705,19 +621,16 @@ class MPIWorld:
                         sig.value = None
                     else:
                         sig = Signal(engine, "recv")
-                    pq = posted.get(key)
-                    if pq is None:
-                        posted[key] = pq = deque()
-                    pq.append(sig)
+                    if rts is None:
+                        pq = posted.get(key)
+                        if pq is None:
+                            posted[key] = pq = (
+                                deques.pop() if deques else deque()
+                            )
+                        pq.append(sig)
+                    else:
+                        rts.match(sig)
                     ctx.pending_requests.append(sig)
-                elif env.is_rts:
-                    cts, data = env.cts_signal, env.data_signal
-                    recycle_env(env)
-                    cts.fire(engine.now)
-                    ctx.pending_requests.append(data)
-                else:
-                    recycle_env(env)
-                    ctx.pending_requests.append(engine.now)
             elif op == OP_WAITALL:
                 pending = ctx.pending_requests
                 if pending:
@@ -747,122 +660,106 @@ class MPIWorld:
 
     # ----------------------------------------------------------- primitives
 
-    def _transfer(self, src: int, dst: int, size: int, earliest: float):
-        """Push one message through the fabric: ``(arrive, src_release)``."""
+    def _arrive(self, message: tuple) -> None:
+        """A message reaches its receiver's matching layer.
 
-        return self.fabric.transfer_hot(
-            src, dst, size, earliest, self.power_hook
-        )
+        ``message`` is ``(dst, (src, tag), rts)``: ``rts`` is the
+        :class:`_RendezvousSend` whose RTS has landed, or None for an
+        eager payload that has.  With a receive posted for it, the eager
+        payload wakes that receive's target on the spot and the RTS is
+        matched; otherwise ``rts`` waits unexpected.  A target is a
+        parked :class:`_Process` (the fast kernel's blocking receive) or
+        a :class:`Signal` (an irecv's request, the reference
+        interpreter's receive).
+        """
 
-    def _deliver(self, env: _Envelope, t_us: float) -> None:
-        """Schedule envelope delivery into the receiver's matching layer."""
-
-        self.engine._schedule(t_us, self._arrive, env)
-
-    def _arrive(self, env: _Envelope) -> None:
-        ctx = self.ranks[env.dst]
-        key = (env.src, env.tag)
-        q = ctx.posted.get(key)
-        if not q:
-            uq = ctx.unexpected.get(key)
+        dst, key, rts = message
+        ctx = self.ranks[dst]
+        posted = ctx.posted
+        q = posted.get(key)
+        if q is None:
+            unexpected = ctx.unexpected
+            uq = unexpected.get(key)
             if uq is None:
-                ctx.unexpected[key] = uq = deque()
-            uq.append(env)
+                deques = self._deques
+                unexpected[key] = uq = deques.pop() if deques else deque()
+            uq.append(rts)
             return
-        sig = q.popleft()
-        if env.is_rts:
-            assert env.cts_signal is not None
-            env.cts_signal.fire(self.engine.now)
-            # the posted recv completes when the payload lands
-            assert env.data_signal is not None
-            env.data_signal.add_callback(sig.fire)
-            env.data_signal = None
-            env.cts_signal = None
+        target = q.popleft()
+        if not q:
+            del posted[key]
+            self._deques.append(q)
+        if rts is not None:
+            rts.match(target)
+        elif target.__class__ is _Process:
+            self.engine._resume_none(target)
         else:
-            sig.fire(self.engine.now)
-        self._env_pool.append(env)
+            target.fire(self.engine.now)
 
-    def _start_rendezvous(self, rank: int, dst: int, size: int,
-                          tag: int) -> Signal:
-        """Launch a zero-spawn rendezvous send; returns its completion
-        signal.  The continuation performs the exact step sequence the
-        old helper process did — RTS delivery now, payload transfer on
-        CTS, completion fire at source drain — without a process frame.
+    def _start_rendezvous(self, rank: int, dst: int, size: int, tag: int,
+                          sender=None) -> Signal | None:
+        """Inject a rendezvous send's RTS; it lands one MPI latency later.
+
+        A blocking send passes its wait target as ``sender`` (its own
+        process on the fast kernel, a Signal on the interpreter), which
+        :meth:`_RendezvousSend.match` resumes at source drain.  A
+        nonblocking one returns its completion Signal and counts as in
+        flight for deadlock reports until then.
         """
 
         engine = self.engine
-        done = engine.new_signal("isend")
         pool = self._rdv_pool
-        if pool:
-            rdv = pool.pop()
-        else:
-            rdv = _RendezvousSend(self)
-        rdv.rank = rank
+        rdv = pool.pop() if pool else _RendezvousSend(self)
+        rdv.src = rank
         rdv.dst = dst
-        rdv.size = size
-        rdv.done = done
-        cts = engine.new_signal("cts")
-        data = engine.new_signal("data")
-        rdv.cts = cts
-        rdv.data = data
-        env = self._new_envelope(rank, dst, tag, size, is_rts=True,
-                                 data_signal=data, cts_signal=cts)
-        self._deliver(env, engine.now + MPI_LATENCY_US)  # RTS flight
-        cts.add_callback(rdv._on_cts)
-        self._rdv_inflight[rank] += 1
+        rdv.size_bytes = size
+        done = None
+        if sender is None:
+            done = rdv.done = engine.new_signal("isend")
+            self._rdv_inflight[rank] += 1
+        else:
+            rdv.sender = sender
+        engine._schedule(
+            engine.now + MPI_LATENCY_US, self._arrive, (dst, (rank, tag), rdv)
+        )
         return done
+
+    def _inject_eager(self, rank: int, dst: int, size: int, tag: int) -> float:
+        """Push an eager message into the fabric now; its source-drain
+        time.  The receiver completes off the payload's arrival event
+        alone: the matching layer wakes the posted receive (or queues
+        the arrival as unexpected)."""
+
+        engine = self.engine
+        arrive_us, src_release = self.fabric.transfer_hot(
+            rank, dst, size, engine.now, self.power_hook
+        )
+        engine._schedule(arrive_us, self._arrive, (dst, (rank, tag), None))
+        return src_release
 
     def _send(self, rank: int, dst: int, size: int, tag: int):
         """Blocking-send generator (eager or rendezvous)."""
 
         engine = self.engine
         if size <= self.eager_threshold:
-            # eager: the receiver completes off the envelope's arrival
-            # event alone — no payload signal is needed, the matching
-            # layer fires the posted recv (or queues the envelope)
-            arrive_us, src_release = self._transfer(rank, dst, size, engine.now)
-            env = self._new_envelope(rank, dst, tag, size)
-            self._deliver(env, arrive_us)
+            src_release = self._inject_eager(rank, dst, size, tag)
             now = engine.now
             if src_release > now:
                 yield Delay(src_release - now)
             return
-        # rendezvous
-        cts = engine.new_signal("cts")
-        data = engine.new_signal("data")
-        env = self._new_envelope(rank, dst, tag, size, is_rts=True,
-                                 data_signal=data, cts_signal=cts)
-        self._deliver(env, engine.now + MPI_LATENCY_US)  # RTS flight
-        yield cts  # receiver matched; CTS flies back
-        start = engine.now + MPI_LATENCY_US
-        arrive_us, src_release = self._transfer(rank, dst, size, start)
-        data.fire_at(arrive_us, arrive_us)
-        now = engine.now
-        if src_release > now:
-            yield Delay(src_release - now)
+        sig = engine.new_signal("send")
+        self._start_rendezvous(rank, dst, size, tag, sig)
+        yield sig
+        engine.recycle_signal(sig)
 
     def _recv(self, rank: int, src: int, tag: int):
         """Blocking-receive generator."""
 
-        engine = self.engine
-        ctx = self.ranks[rank]
-        env = ctx.pop_unexpected(src, tag)
-        if env is None:
-            sig = engine.new_signal("recv")
-            ctx.add_posted(src, tag, sig)
-            yield sig
+        req = self.irecv(rank, src, tag)
+        if req.__class__ is not float:
+            yield req
             # the signal's only waiter (this process) has been resumed
-            engine.recycle_signal(sig)
-            return
-        if env.is_rts:
-            cts, data = env.cts_signal, env.data_signal
-            assert cts is not None and data is not None
-            self._recycle_envelope(env)
-            cts.fire(engine.now)
-            yield data
-            return
-        # eager payload already arrived; receive completes immediately
-        self._recycle_envelope(env)
+            self.engine.recycle_signal(req)
 
     def _wait_requests(self, requests: list):
         """Drain a mixed request list (the WAIT/WAITALL semantics).
@@ -905,17 +802,14 @@ class MPIWorld:
         Eager messages are processless: the payload is injected into the
         fabric immediately (real eager isends hand the buffer to the HCA
         at call time) and the request is simply the *float* source-drain
-        time — no signal, no scheduled completion event.  Rendezvous
-        sends need the CTS handshake and return the completion
-        :class:`Signal` of a zero-spawn continuation
-        (:class:`_RendezvousSend`).
+        time — no signal, no scheduled completion event.  A rendezvous
+        send returns the completion :class:`Signal` of its
+        :class:`_RendezvousSend`.
         """
 
         if size <= self.eager_threshold:
-            engine = self.engine
-            arrive_us, src_release = self._transfer(rank, dst, size, engine.now)
-            self._deliver(self._new_envelope(rank, dst, tag, size), arrive_us)
-            now = engine.now
+            src_release = self._inject_eager(rank, dst, size, tag)
+            now = self.engine.now
             return src_release if src_release > now else now
         return self._start_rendezvous(rank, dst, size, tag)
 
@@ -924,25 +818,33 @@ class MPIWorld:
 
         Probes the matching layer at call time (no helper process): an
         already-arrived eager payload completes immediately (the request
-        is the float ``now``), an RTS is matched on the spot (CTS fires,
-        the request is the payload signal), otherwise the receive is
-        posted and its signal returned.
+        is the float ``now``); otherwise the request is a fresh Signal,
+        fired when the payload lands — an unexpected RTS is matched on
+        the spot, else the receive is posted.
         """
 
         engine = self.engine
         ctx = self.ranks[rank]
-        env = ctx.pop_unexpected(src, tag)
-        if env is None:
+        key = (src, tag)
+        q = ctx.unexpected.get(key)
+        if q is None:
             sig = engine.new_signal("recv")
-            ctx.add_posted(src, tag, sig)
+            q = ctx.posted.get(key)
+            if q is None:
+                q = ctx.posted[key] = (
+                    self._deques.pop() if self._deques else deque()
+                )
+            q.append(sig)
             return sig
-        if env.is_rts:
-            cts, data = env.cts_signal, env.data_signal
-            self._recycle_envelope(env)
-            cts.fire(engine.now)
-            return data
-        self._recycle_envelope(env)
-        return engine.now
+        rts = q.popleft()
+        if not q:
+            del ctx.unexpected[key]
+            self._deques.append(q)
+        if rts is None:
+            return engine.now
+        sig = engine.new_signal("recv")
+        rts.match(sig)
+        return sig
 
     # ------------------------------------------------------------ operations
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, At, Delay, Engine, Signal, SimulationError
+from repro.sim.engine import (
+    PARK,
+    AllOf,
+    At,
+    Delay,
+    Engine,
+    Signal,
+    SimulationError,
+)
 
 
 class TestAt:
@@ -140,6 +148,55 @@ class TestDelay:
             eng.run()
             # same-time events resume in spawn order
             assert order == [(1.0, "a"), (1.0, "b"), (2.0, "a"), (2.0, "b")]
+
+
+class TestPark:
+    """A process that leaves its handle with its waker and parks."""
+
+    def test_first_step_sees_own_handle(self):
+        eng = Engine()
+        seen = {}
+
+        def proc(name):
+            seen[name] = eng.starting
+            yield 1.0
+
+        a = eng.spawn(proc("a"))
+        b = eng.spawn(proc("b"))
+        eng.run()
+        assert seen == {"a": a, "b": b}
+
+    def test_parked_process_resumed_by_its_waker(self):
+        eng = Engine()
+        handles, log = [], []
+
+        def sleeper():
+            handles.append(eng.starting)
+            yield PARK
+            log.append(("woke", eng.now))
+
+        def waker():
+            yield 4.0
+            eng._resume_none(handles[0])
+            log.append(("waker", eng.now))
+
+        eng.spawn(sleeper())
+        eng.spawn(waker())
+        assert eng.run() == 4.0
+        # the resume runs synchronously, inside the waker's step
+        assert log == [("woke", 4.0), ("waker", 4.0)]
+        # spawns plus the waker's one delay: parking schedules nothing
+        assert next(eng._seq) == 3
+
+    def test_unwoken_park_is_a_deadlock(self):
+        eng = Engine()
+
+        def proc():
+            yield PARK
+
+        eng.spawn(proc(), name="parked")
+        with pytest.raises(SimulationError, match="parked"):
+            eng.run()
 
 
 class TestSignal:

@@ -33,6 +33,26 @@ Each HCA link carries exactly one message per direction, so each of its
 two channels is busy for ``S / B``.  The replay runs through
 ``replay_baseline`` and through a one-job ``replay_cluster_baseline``
 on both kernels, pinning the shared composition to this arithmetic.
+
+**Late receiver** (the unexpected-RTS path, rendezvous only): rank 1
+computes for ``C > L`` before it receives, so the ping's RTS, landing at
+``L``, waits unexpected.  Rank 1 matches it at ``C``; the CTS releases
+the payload at ``C + L`` and the ping lands at ``T1 = C + L + D``.  The
+ping's source buffer drains at ``C + 2L + S/B``, which ends rank 0's
+send (SEND, or ISEND + WAITALL).
+
+* receive side RECV or IRECV + WAITALL: rank 1's receive ends at
+  ``T1``, then it sends the pong (the same send kind as rank 0).  Its
+  RTS lands at ``T1 + L``; rank 0's receive has been posted since
+  ``C + 2L + S/B``, so it matches at once and the pong lands at
+  ``T1 + 2L + D``: ``exec_time = C + 3L + 2D``.  Rank 1's pong send ends
+  at its source drain, ``T1 + 3L + S/B``.
+* receive side SENDRECV (one tag both ways): rank 1's sendrecv injects
+  the pong's RTS at ``C`` too.  It lands at ``C + L`` while rank 0 is
+  still inside its send, so the pong waits unexpected as well; rank 0's
+  receive matches it at ``C + 2L + S/B`` and the pong lands at
+  ``exec_time = C + 3L + S/B + D``.  Rank 1's sendrecv ends at the
+  pong's source drain, ``C + 4L + 2S/B`` (earlier, as ``D > L + S/B``).
 """
 
 import pytest
@@ -47,7 +67,7 @@ from repro.constants import (
 )
 from repro.sim import ReplayConfig, fabric_for, replay_baseline
 from repro.sim.program import compile_trace
-from repro.trace.events import MPICall, PointToPoint
+from repro.trace.events import Compute, MPICall, PointToPoint
 from repro.trace.trace import Trace
 
 L, H, B = MPI_LATENCY_US, SWITCH_HOP_LATENCY_US, LINK_BANDWIDTH_BYTES_PER_US
@@ -116,3 +136,76 @@ def test_ping_pong_matches_hand_arithmetic(driver, kernel, placement, size):
         link = fabric.host_link(host)
         for channel in (link.forward, link.backward):
             assert channel.busy_us() == pytest.approx(size / B, rel=1e-12)
+
+
+#: rank 1's compute before its receive in the late-receiver cases (> L)
+C = 10 * L
+RENDEZVOUS = SIZES[-1]
+
+
+def send_ops(kind, peer, size, tag):
+    if kind == "SEND":
+        return [PointToPoint(MPICall.SEND, peer, size, tag=tag)]
+    return [PointToPoint(MPICall.ISEND, peer, size, tag=tag),
+            PointToPoint(MPICall.WAITALL, 0, 0, 0)]
+
+
+def recv_ops(kind, peer, size, tag):
+    if kind == "RECV":
+        return [PointToPoint(MPICall.RECV, peer, size, tag=tag)]
+    if kind == "IRECV+WAITALL":
+        return [PointToPoint(MPICall.IRECV, peer, size, tag=tag),
+                PointToPoint(MPICall.WAITALL, 0, 0, 0)]
+    return [PointToPoint(MPICall.SENDRECV, peer, size, tag=tag)]
+
+
+def late_ping_pong(size, send_kind, recv_kind):
+    """The late-receiver trace, and how many ops rank 0's ping send and
+    rank 1's ping receive take."""
+
+    pong_tag = 1 if recv_kind == "SENDRECV" else 2
+    ping_send = send_ops(send_kind, 1, size, 1)
+    ping_recv = recv_ops(recv_kind, 0, size, 1)
+    trace = Trace.empty("late-pingpong", 2)
+    trace[0].records += ping_send + recv_ops("RECV", 1, size, pong_tag)
+    trace[1].records += [Compute(C)] + ping_recv
+    if recv_kind != "SENDRECV":
+        trace[1].records += send_ops(send_kind, 0, size, pong_tag)
+    return trace, len(ping_send), len(ping_recv)
+
+
+@pytest.mark.parametrize("kernel", ("fast", "reference"))
+@pytest.mark.parametrize("placement", tuple(PLACEMENTS))
+@pytest.mark.parametrize("send_kind", ("SEND", "ISEND+WAITALL"))
+@pytest.mark.parametrize("recv_kind", ("RECV", "IRECV+WAITALL", "SENDRECV"))
+def test_late_receiver_rendezvous(kernel, placement, send_kind, recv_kind):
+    num_hosts, links = PLACEMENTS[placement]
+    cfg = ReplayConfig(seed=3, kernel=kernel)
+    fabric = fabric_for(num_hosts, cfg)
+    size = RENDEZVOUS
+    ser = size / B
+    d = L + (links - 1) * (min(SEG, ser) + H) + ser
+    ping_lands = C + L + d
+    if recv_kind == "SENDRECV":
+        exec_time = C + 3 * L + ser + d
+        rank1_end = C + 4 * L + 2 * ser
+    else:
+        exec_time = C + 3 * L + 2 * d
+        rank1_end = ping_lands + 3 * L + ser
+    trace, send_len, recv_len = late_ping_pong(size, send_kind, recv_kind)
+
+    result = replay_baseline(trace, cfg, fabric=fabric)
+
+    # event logs hold MPI calls only: rank 1's compute burst is not one
+    rank0, rank1 = result.event_logs
+    assert [ev.exit_us for ev in (rank0[send_len - 1], rank0[-1], rank1[-1])] \
+        == pytest.approx([C + 2 * L + ser, exec_time, rank1_end], rel=1e-12)
+    assert result.exec_time_us == pytest.approx(exec_time, rel=1e-12)
+    if recv_kind != "SENDRECV":
+        assert rank1[recv_len - 1].exit_us == pytest.approx(
+            ping_lands, rel=1e-12
+        )
+    for host in (0, 1):
+        link = fabric.host_link(host)
+        for channel in (link.forward, link.backward):
+            assert channel.busy_us() == pytest.approx(ser, rel=1e-12)

@@ -4,11 +4,13 @@ import pytest
 
 from repro.constants import EAGER_THRESHOLD_BYTES, MPI_LATENCY_US
 from repro.network.fabric import Fabric
+from repro.sim import dimemas
 from repro.sim.dimemas import ReplayConfig, replay_baseline
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.mpi import MPIWorld
 from repro.trace.events import Collective, Compute, MPICall, PointToPoint
 from repro.trace.trace import Trace
+from repro.workloads import APPLICATIONS, PROCESS_COUNTS, make_trace
 from tests.conftest import ring_trace
 
 
@@ -155,6 +157,49 @@ class TestDeadlockReports:
         t[0].append(PointToPoint(MPICall.WAITALL, 0, 0, 0))
         with pytest.raises(SimulationError, match=r"isend0 \(rendezvous in flight x2\)"):
             _run(t)
+
+
+class TestMatchingMaps:
+    """A drained ``(src, tag)`` key leaves both matching maps.
+
+    Collective tags are new per instance, so a map that kept empty
+    queues would grow by one dead key per instance and peer for the
+    whole replay.  Emptied queues are recycled, so the number the world
+    ever allocates is the peak of live keys: it does not grow with the
+    iteration count.
+    """
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """Replays ``app`` at its smallest size; returns its world."""
+
+        worlds = []
+        run = dimemas.Composition.run
+
+        def keep_worlds(comp):
+            worlds.extend(comp.worlds)
+            return run(comp)
+
+        monkeypatch.setattr(dimemas.Composition, "run", keep_worlds)
+
+        def replay(app, iterations, kernel):
+            trace = make_trace(app, PROCESS_COUNTS[app][0],
+                               iterations=iterations, seed=1234)
+            replay_baseline(trace, ReplayConfig(kernel=kernel))
+            return worlds[-1]
+
+        return replay
+
+    @pytest.mark.parametrize("kernel", ("fast", "reference"))
+    @pytest.mark.parametrize("app", APPLICATIONS)
+    def test_maps_empty_after_replay(self, replayed, app, kernel):
+        short = replayed(app, 2, kernel)
+        longer = replayed(app, 6, kernel)
+        for world in (short, longer):
+            for ctx in world.ranks:
+                assert ctx.posted == {} and ctx.unexpected == {}
+        assert short._deques, "no drained key was recycled"
+        assert len(longer._deques) == len(short._deques)
 
 
 class TestCollectives:
