@@ -96,6 +96,7 @@ from .experiments import (
 )
 from .network import faults_help, topology_help
 from .power.policies import policy_help
+from .specs import SpecError
 from .workloads import APPLICATIONS
 
 
@@ -495,12 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "value wins over the REPRO_WORKERS env var "
                             "(default: REPRO_WORKERS or 1)")
 
+    def spec_option(p, flag, what, grammar, **kw):
+        # the grammar text is generated from the spec's schema
+        p.add_argument(flag, help=f"{what}. Grammar: {grammar()}", **kw)
+
     def topology_option(p):
-        p.add_argument(
-            "--topology", default="fitted",
-            help="topology spec 'family[:key=value,...]'. Families: "
-                 + topology_help(),
-        )
+        spec_option(p, "--topology", "topology spec", topology_help,
+                    default="fitted")
 
     p = sub.add_parser("table1", help="idle-interval distribution")
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
@@ -546,16 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
     p.add_argument("--nranks", nargs="*", type=int, default=[16])
-    p.add_argument(
-        "--topologies", nargs="*", default=None,
-        help="topology specs 'family[:key=value,...]' (default: fitted + "
-             "torus + dragonfly + fattree2). Families: " + topology_help(),
-    )
-    p.add_argument(
-        "--policies", nargs="*", default=None,
-        help="power-policy specs (default: the paper's HCA-only gating). "
-             "Grammar: " + policy_help(),
-    )
+    spec_option(p, "--topologies", "topology specs (default: fitted + "
+                "torus + dragonfly + fattree2)", topology_help,
+                nargs="*", default=None)
+    spec_option(p, "--policies", "power-policy specs (default: the "
+                "paper's HCA-only gating)", policy_help,
+                nargs="*", default=None)
     p.add_argument("--displacement", type=float, default=0.05)
     p.add_argument("--verify", action="store_true",
                    help="re-run every cell on the reference replay kernel "
@@ -570,16 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
     p.add_argument("--nranks", nargs="*", type=int, default=[8])
-    p.add_argument(
-        "--topologies", nargs="*", default=None,
-        help="topology specs 'family[:key=value,...]' (default: fitted + "
-             "torus + dragonfly + fattree2). Families: " + topology_help(),
-    )
-    p.add_argument(
-        "--faults", nargs="*", default=None,
-        help="fault specs (default: 'none' + a moderate schedule). "
-             "Grammar: " + faults_help(),
-    )
+    spec_option(p, "--topologies", "topology specs (default: fitted + "
+                "torus + dragonfly + fattree2)", topology_help,
+                nargs="*", default=None)
+    spec_option(p, "--faults", "fault specs (default: 'none' + a "
+                "moderate schedule)", faults_help, nargs="*", default=None)
     p.add_argument("--displacement", type=float, default=0.05)
     p.add_argument("--verify", action="store_true",
                    help="re-run every cell on the reference replay kernel "
@@ -602,30 +595,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-job streams on one shared fabric: per-tenant savings "
              "and slowdown-vs-isolated x placement x topology",
     )
-    p.add_argument(
-        "--jobs", nargs="*", default=None,
-        help="job-stream specs (default: a static pair + a two-tenant "
-             "Poisson mix). Grammar: " + jobs_help(),
-    )
+    spec_option(p, "--jobs", "job-stream specs (default: a static pair "
+                "+ a two-tenant Poisson mix)", jobs_help,
+                nargs="*", default=None)
     p.add_argument(
         "--placements", nargs="*", default=None,
         choices=PLACEMENT_POLICIES,
         help="host-placement policies (default: packed + spread)",
     )
-    p.add_argument(
-        "--topologies", nargs="*", default=None,
-        help="topology specs 'family[:key=value,...]' (default: fitted + "
-             "torus). Families: " + topology_help(),
-    )
+    spec_option(p, "--topologies", "topology specs (default: fitted + "
+                "torus)", topology_help, nargs="*", default=None)
     p.add_argument("--num-hosts", type=int, default=None,
                    help="shared-fabric host count (default: every job at "
                         "once when the family allows, else the family's "
                         "natural size — the FCFS queue absorbs overflow)")
     p.add_argument("--displacement", type=float, default=0.05)
-    p.add_argument("--faults", default="none",
-                   help="fault spec armed on the shared fabric "
-                        "(isolated references stay pristine). Grammar: "
-                        + faults_help())
+    spec_option(p, "--faults", "fault spec armed on the shared fabric "
+                "(isolated references stay pristine)", faults_help,
+                default="none")
     p.add_argument("--verify", action="store_true",
                    help="re-run every cell on the reference kernel, fail "
                         "on any divergence, and check the per-job "
@@ -682,16 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="capture the replay stages under cProfile, print "
                         "the top functions and dump the stats next to the "
                         "benchmark output")
-    p.add_argument("--faults", default="none",
-                   help="fault spec for the replay stages (default none; "
-                        "faulted benchmarks are written/compared "
-                        "separately from the clean reference). Grammar: "
-                        + faults_help())
-    p.add_argument("--policy", default=None,
-                   help="power-policy spec for the managed replays "
-                        "(default: the paper's HCA-only gating; "
-                        "non-default recordings are written/compared "
-                        "separately). Grammar: " + policy_help())
+    spec_option(p, "--faults", "fault spec for the replay stages "
+                "(default none; faulted benchmarks are written/compared "
+                "separately from the clean reference)", faults_help,
+                default="none")
+    spec_option(p, "--policy", "power-policy spec for the managed "
+                "replays (default: the paper's HCA-only gating; "
+                "non-default recordings are written/compared "
+                "separately)", policy_help, default=None)
     topology_option(p)
     common(p)
     p.set_defaults(func=_cmd_bench)
@@ -741,14 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scaling", default=None, choices=("strong", "weak"))
     p.add_argument("--kernel", default=None, choices=("fast", "reference"))
-    p.add_argument("--topology", default=None,
-                   help="topology spec 'family[:key=value,...]'. Families: "
-                        + topology_help())
-    p.add_argument("--faults", default=None,
-                   help="fault spec (default none). Grammar: "
-                        + faults_help())
-    p.add_argument("--policy", default=None,
-                   help="power-policy spec. Grammar: " + policy_help())
+    spec_option(p, "--topology", "topology spec", topology_help,
+                default=None)
+    spec_option(p, "--faults", "fault spec (default none)", faults_help,
+                default=None)
+    spec_option(p, "--policy", "power-policy spec", policy_help,
+                default=None)
     p.add_argument("--timeout", type=float, default=None,
                    help="server-side deadline for this request in seconds; "
                         "expiry returns a structured DEADLINE_EXCEEDED "
@@ -767,21 +750,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     workers = getattr(args, "workers", None)
-    if workers is None:
-        args.func(args)
-        return 0
-    # one env knob reaches every per-rank pass below the experiment
-    # drivers without threading a parameter through each of them;
-    # restored afterwards so programmatic main() calls don't leak
-    # parallelism into the rest of the process
     previous = os.environ.get("REPRO_WORKERS")
-    os.environ["REPRO_WORKERS"] = str(workers)
+    if workers is not None:
+        # one env knob reaches every per-rank pass below the experiment
+        # drivers without threading a parameter through each of them;
+        # restored afterwards so programmatic main() calls don't leak
+        # parallelism into the rest of the process
+        os.environ["REPRO_WORKERS"] = str(workers)
     try:
         args.func(args)
+    except SpecError as exc:  # a bad spec string: one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
-        if previous is None:
+        if workers is not None and previous is None:
             del os.environ["REPRO_WORKERS"]
-        else:
+        elif workers is not None:
             os.environ["REPRO_WORKERS"] = previous
     return 0
 

@@ -2,9 +2,9 @@
 
 A :class:`Job` is one application run submitted to the shared fabric:
 which workload, how many ranks, when it arrives, and which tenant pays
-for it.  Streams are described by a **job-stream spec string** in the
-same ``kind:key=value,...`` grammar the topology and fault subsystems
-use, so the CLI and the sweep drivers compose the three axes uniformly:
+for it.  Streams are described by a **job-stream spec string** in the shared
+``kind:key=value,...`` grammar of :mod:`repro.specs`, so the CLI and
+the sweep drivers compose the axes uniformly:
 
 ``static:n=2,gap_us=2000,apps=alya|gromacs,ranks=8|8,tenants=2``
     ``n`` jobs, evenly spaced ``gap_us`` apart starting at ``start_us``.
@@ -21,7 +21,9 @@ use, so the CLI and the sweep drivers compose the three axes uniformly:
 
 ``apps`` and ``ranks`` are ``|``-separated cycles assigned round-robin
 over the stream; ``tenants=K`` assigns tenants ``t0..t(K-1)`` round-robin
-the same way.
+the same way.  A stream holds at most 1000 jobs, ``peak`` is at most 100,
+every time is at most 1e12 us and mean gaps and periods are at least
+1 ns, which bounds the work a spec can ask of the parser.
 
 Determinism contract (pinned by ``tests/cluster/test_jobs.py``): a
 stream is a pure function of its spec string — same spec, same jobs,
@@ -38,13 +40,14 @@ import math
 import random
 from dataclasses import dataclass
 
+from ..specs import Key, Schema, SpecError, tokenize
 from ..workloads import APPLICATIONS
 
 #: the stream kinds :func:`parse_jobs` understands
 STREAM_KINDS = ("static", "poisson", "diurnal", "list")
 
 
-class JobSpecError(ValueError):
+class JobSpecError(SpecError):
     """A malformed job-stream spec string (bad kind, key or value)."""
 
 
@@ -75,9 +78,9 @@ class Job:
             raise JobSpecError(
                 f"job {self.index}: nranks must be >= 1, got {self.nranks}"
             )
-        if self.arrival_us < 0:
+        if not 0 <= self.arrival_us < math.inf:
             raise JobSpecError(
-                f"job {self.index}: arrival_us must be >= 0, "
+                f"job {self.index}: arrival_us must be finite and >= 0, "
                 f"got {self.arrival_us}"
             )
 
@@ -88,13 +91,22 @@ class Job:
 # -- arrival generators ------------------------------------------------------
 
 
+def _check(**values) -> None:
+    """The job-stream keys' rules (range, finiteness) on a generator's
+    arguments: a direct call is checked like a parsed spec."""
+
+    for name, value in values.items():
+        problem = _KEYS[name].problem(value)
+        if problem:
+            raise JobSpecError(problem)
+
+
 def arrivals_static(
     n: int, gap_us: float, start_us: float = 0.0
 ) -> tuple[float, ...]:
     """``n`` arrivals evenly spaced ``gap_us`` apart from ``start_us``."""
 
-    if gap_us < 0:
-        raise JobSpecError(f"gap_us must be >= 0, got {gap_us}")
+    _check(gap_us=gap_us, start_us=start_us)
     return tuple(start_us + i * gap_us for i in range(n))
 
 
@@ -107,8 +119,7 @@ def arrivals_poisson(
     ``random.Random(seed)`` — deterministic per (n, mean_gap_us, seed).
     """
 
-    if mean_gap_us <= 0:
-        raise JobSpecError(f"mean_gap_us must be > 0, got {mean_gap_us}")
+    _check(mean_gap_us=mean_gap_us)
     rng = random.Random(seed)
     rate = 1.0 / mean_gap_us
     t = 0.0
@@ -138,12 +149,7 @@ def arrivals_diurnal(
     drives both draws, so the stream is deterministic per spec.
     """
 
-    if mean_gap_us <= 0:
-        raise JobSpecError(f"mean_gap_us must be > 0, got {mean_gap_us}")
-    if period_us <= 0:
-        raise JobSpecError(f"period_us must be > 0, got {period_us}")
-    if peak < 1.0:
-        raise JobSpecError(f"peak must be >= 1, got {peak}")
+    _check(mean_gap_us=mean_gap_us, period_us=period_us, peak=peak)
     rng = random.Random(seed)
     lam_max = peak / mean_gap_us
     two_pi = 2.0 * math.pi
@@ -162,30 +168,38 @@ def arrivals_diurnal(
 # -- spec parsing ------------------------------------------------------------
 
 
-def _split_params(kind: str, rest: str, spec: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for item in filter(None, (s.strip() for s in rest.split(","))):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise JobSpecError(
-                f"bad job-stream parameter {item!r} in {spec!r} "
-                "(expected key=value)"
-            )
-        params[key.strip()] = value.strip()
-    return params
+_COMMON = (
+    Key("n", int, 2, lo=1, hi=1000),
+    Key("apps", str, "alya"),
+    Key("ranks", str, "8"),
+    Key("tenants", int, 1, lo=1),
+)
+#: times run from 1 ns to ~11.6 days, so the thinning loop's rates and
+#: phases stay finite; a mean gap stops at 1e11 so that the default
+#: period (8 gaps) stays in range too
+_MEAN_GAP = Key("mean_gap_us", float, 2000.0, lo=1e-3, hi=1e11)
+_SEED = Key("seed", int, 0)
 
-
-def _take(params: dict, key: str, cast, default, spec: str):
-    raw = params.pop(key, None)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise JobSpecError(
-            f"job-stream parameter {key}={raw!r} in {spec!r} is not "
-            f"a valid {cast.__name__}"
-        ) from None
+#: stream kind -> the keys it takes
+_SCHEMAS = {
+    "static": Schema("static", JobSpecError, _COMMON + (
+        Key("gap_us", float, 2000.0, lo=0.0, hi=1e12),
+        Key("start_us", float, 0.0, lo=0.0, hi=1e12),
+    )),
+    "poisson": Schema("poisson", JobSpecError, _COMMON + (_MEAN_GAP, _SEED)),
+    "diurnal": Schema("diurnal", JobSpecError, _COMMON + (
+        _MEAN_GAP,
+        Key("period_us", float, lo=1e-3, hi=1e12, shown="8*mean_gap_us"),
+        Key("peak", float, 4.0, lo=1.0, hi=100.0),
+        _SEED,
+    )),
+    "list": Schema("list", JobSpecError, (Key("jobs", str),)),
+}
+#: every stream kind's keys by name (a shared name is one shared Key)
+_KEYS = {name: key for schema in _SCHEMAS.values()
+         for name, key in schema.keys.items()}
+#: an explicit stream's ``jobs=`` value
+_LIST_ENTRIES = "app@nranks[@arrival_us[@tenant]]|..."
 
 
 def _cycle(values: list, i: int):
@@ -219,43 +233,36 @@ def parse_jobs(spec: str) -> tuple[Job, ...]:
     kind, key, or malformed value — fail fast, with the spec named.
     """
 
-    kind, _, rest = spec.strip().partition(":")
-    kind = kind.strip()
-    if kind not in STREAM_KINDS:
+    kind, items = tokenize(spec, JobSpecError)
+    schema = _SCHEMAS.get(kind)
+    if schema is None:
         raise JobSpecError(
             f"unknown job-stream kind {kind!r} in {spec!r}; known kinds: "
             f"{', '.join(STREAM_KINDS)}"
         )
-    params = _split_params(kind, rest, spec)
-
+    p = schema.parse(items, spec, defaults=True)
     if kind == "list":
-        entries = params.pop("jobs", "")
-        if params:
-            raise JobSpecError(
-                f"unknown job-stream parameter(s) "
-                f"{', '.join(sorted(params))} in {spec!r}"
-            )
-        if not entries:
-            raise JobSpecError(f"list spec {spec!r} needs jobs=app@nranks|...")
+        if p["jobs"] is None:
+            raise JobSpecError(f"{spec!r} needs jobs={_LIST_ENTRIES}")
         parsed = []
-        for entry in entries.split("|"):
+        for entry in p["jobs"].split("|"):
             fields = entry.strip().split("@")
-            if len(fields) < 2 or len(fields) > 4:
+            if not 2 <= len(fields) <= 4:
                 raise JobSpecError(
                     f"bad list entry {entry!r} in {spec!r} "
                     "(expected app@nranks[@arrival_us[@tenant]])"
                 )
-            app = fields[0]
+            # arrival_us and tenant default to 0 and t0
+            app, nranks, arrival, tenant = (
+                fields + ["0", "t0"][len(fields) - 2:]
+            )
             try:
-                nranks = int(fields[1])
-                arrival = float(fields[2]) if len(fields) > 2 else 0.0
+                parsed.append((float(arrival), app, int(nranks), tenant))
             except ValueError:
                 raise JobSpecError(
                     f"bad list entry {entry!r} in {spec!r} "
                     "(nranks must be an int, arrival_us a number)"
                 ) from None
-            tenant = fields[3] if len(fields) > 3 else "t0"
-            parsed.append((arrival, app, nranks, tenant))
         parsed.sort(key=lambda e: e[0])  # arrival order; ties keep entry order
         return tuple(
             Job(index=i, app=app, nranks=nranks, arrival_us=arrival,
@@ -263,67 +270,36 @@ def parse_jobs(spec: str) -> tuple[Job, ...]:
             for i, (arrival, app, nranks, tenant) in enumerate(parsed)
         )
 
-    n = _take(params, "n", int, 2, spec)
-    if n < 1:
-        raise JobSpecError(f"n must be >= 1 in {spec!r}, got {n}")
-    apps_raw = params.pop("apps", "alya")
-    apps = [a.strip() for a in apps_raw.split("|") if a.strip()]
-    ranks_raw = str(params.pop("ranks", "8"))
+    apps = [a.strip() for a in p["apps"].split("|") if a.strip()]
     try:
-        ranks = [int(r) for r in ranks_raw.split("|") if r.strip()]
+        ranks = [int(r) for r in p["ranks"].split("|") if r.strip()]
     except ValueError:
         raise JobSpecError(
-            f"ranks={ranks_raw!r} in {spec!r} must be |-separated ints"
+            f"ranks={p['ranks']!r} in {spec!r} must be |-separated ints"
         ) from None
     if not apps or not ranks:
         raise JobSpecError(f"apps/ranks must be non-empty in {spec!r}")
-    tenants = _take(params, "tenants", int, 1, spec)
-    if tenants < 1:
-        raise JobSpecError(f"tenants must be >= 1 in {spec!r}, got {tenants}")
-
+    n, mean_gap_us = p["n"], p.get("mean_gap_us")
     if kind == "static":
-        gap_us = _take(params, "gap_us", float, 2000.0, spec)
-        start_us = _take(params, "start_us", float, 0.0, spec)
-        if params:
-            raise JobSpecError(
-                f"unknown job-stream parameter(s) "
-                f"{', '.join(sorted(params))} in {spec!r}"
-            )
-        arrivals = arrivals_static(n, gap_us, start_us)
+        arrivals = arrivals_static(n, p["gap_us"], p["start_us"])
     elif kind == "poisson":
-        mean_gap_us = _take(params, "mean_gap_us", float, 2000.0, spec)
-        seed = _take(params, "seed", int, 0, spec)
-        if params:
-            raise JobSpecError(
-                f"unknown job-stream parameter(s) "
-                f"{', '.join(sorted(params))} in {spec!r}"
-            )
-        arrivals = arrivals_poisson(n, mean_gap_us, seed)
-    else:  # diurnal
-        mean_gap_us = _take(params, "mean_gap_us", float, 2000.0, spec)
-        period_us = _take(
-            params, "period_us", float, 8.0 * mean_gap_us, spec
+        arrivals = arrivals_poisson(n, mean_gap_us, p["seed"])
+    else:  # diurnal; period_us is range-checked, so never 0
+        period_us = p["period_us"] or 8.0 * mean_gap_us
+        arrivals = arrivals_diurnal(
+            n, mean_gap_us, period_us, p["peak"], p["seed"]
         )
-        peak = _take(params, "peak", float, 4.0, spec)
-        seed = _take(params, "seed", int, 0, spec)
-        if params:
-            raise JobSpecError(
-                f"unknown job-stream parameter(s) "
-                f"{', '.join(sorted(params))} in {spec!r}"
-            )
-        arrivals = arrivals_diurnal(n, mean_gap_us, period_us, peak, seed)
-    return _assemble(arrivals, apps, ranks, tenants)
+    return _assemble(arrivals, apps, ranks, p["tenants"])
 
 
 def jobs_help() -> str:
     """One line per stream kind, for CLI ``--jobs`` help text."""
 
-    return (
-        "static[:n=2,gap_us=2000,start_us=0,...] (evenly spaced); "
-        "poisson[:n=2,mean_gap_us=2000,seed=0,...] (exponential gaps); "
-        "diurnal[:n=2,mean_gap_us=2000,period_us=8*gap,peak=4,seed=0,...] "
-        "(sinusoidally-modulated Poisson); "
-        "list:jobs=app@nranks[@arrival_us[@tenant]]|... (explicit). "
-        "Common keys: apps=a|b and ranks=8|16 cycle round-robin, "
-        "tenants=K assigns t0..t(K-1)"
+    kinds = {"static": "evenly spaced", "poisson": "exponential gaps",
+             "diurnal": "sinusoidally-modulated Poisson"}
+    return "; ".join(
+        f"{_SCHEMAS[kind].syntax()} ({what})" for kind, what in kinds.items()
+    ) + (
+        f"; list:jobs={_LIST_ENTRIES} (explicit). apps=a|b and ranks=8|16 "
+        "cycle round-robin, tenants=K assigns t0..t(K-1)"
     )

@@ -119,7 +119,8 @@ def run_topo_sweep(
     fabric's scenarios read as one block.  ``policies`` defaults to the
     paper's single scenario (HCA gating only); specs are canonicalised
     through :func:`repro.power.policies.parse_policy` before anything
-    runs, so a typo fails fast and equivalent spellings share cells.
+    runs, so a typo fails fast and equivalent spellings share cells;
+    topology specs are parsed up front too.
 
     With ``verify=True`` every cell is additionally re-run on the
     reference replay kernel (record interpreter + per-message route
@@ -130,6 +131,8 @@ def run_topo_sweep(
 
     apps = tuple(apps or DEFAULT_APPS)
     topologies = tuple(topologies or DEFAULT_TOPOLOGIES)
+    for topology in topologies:
+        parse_topology(topology)
     policies = tuple(
         parse_policy(p).describe() for p in (policies or (DEFAULT_POLICY,))
     )

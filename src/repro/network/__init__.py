@@ -38,6 +38,7 @@ from .routing import (
 from .switches import Switch
 from .topologies import (
     DEFAULT_TOPOLOGY,
+    TopologySpecError,
     build_topology,
     parse_topology,
     register_family,
@@ -62,6 +63,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultSpecError",
+    "TopologySpecError",
     "FaultSummary",
     "compile_fault_plan",
     "faults_help",

@@ -65,13 +65,13 @@ report, instead of deadlocking.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..specs import Schema, SpecError, spec_field, tokenize
 from .routing import failover_route
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,8 +94,11 @@ DEGRADE = "degrade"
 RESTORE = "restore"
 
 
-class FaultSpecError(ValueError):
+class FaultSpecError(SpecError):
     """A malformed ``faults:...`` spec string or parameter."""
+
+
+_PROB = "a probability"
 
 
 class FabricPartitioned(RuntimeError):
@@ -160,63 +163,42 @@ class FabricPartitioned(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class FaultSpec:
-    """Parsed fault scenario parameters (see :func:`faults_help`)."""
+    """Parsed fault scenario parameters; each field is a key of the
+    ``faults:`` grammar (see :func:`faults_help`)."""
 
-    seed: int = 0
+    seed: int = spec_field(0)
     #: per-element probability of a permanent failure
-    link_fail: float = 0.0
-    switch_fail: float = 0.0
+    link_fail: float = spec_field(0.0, lo=0.0, hi=1.0, what=_PROB)
+    switch_fail: float = spec_field(0.0, lo=0.0, hi=1.0, what=_PROB)
     #: per-link probability of a down/up flap train
-    flap: float = 0.0
-    flap_down_us: float = 400.0
-    flap_cycles: int = 2
-    flap_period_us: float = 1600.0
+    flap: float = spec_field(0.0, lo=0.0, hi=1.0, what=_PROB)
+    flap_down_us: float = spec_field(400.0, lo=0.0, open_lo=True)
+    flap_cycles: int = spec_field(2, lo=1)
+    flap_period_us: float = spec_field(1600.0, lo=0.0, open_lo=True)
     #: per-link probability of a bandwidth degradation window
-    degrade: float = 0.0
-    degrade_factor: float = 0.25
+    degrade: float = spec_field(0.0, lo=0.0, hi=1.0, what=_PROB)
+    degrade_factor: float = spec_field(0.25, lo=0.0, hi=1.0, open_lo=True)
     #: per-reactivation probability a LOW link misses its t_react deadline
-    wake_timeout: float = 0.0
-    wake_spike_us: float = 100.0
+    wake_timeout: float = spec_field(0.0, lo=0.0, hi=1.0, what=_PROB)
+    wake_spike_us: float = spec_field(100.0, lo=0.0, open_lo=True)
     #: fault onset times are drawn inside [5%, 90%] of this window
-    horizon_us: float = 20000.0
+    horizon_us: float = spec_field(20000.0, lo=0.0, open_lo=True)
     #: modeled path-migration cost, paid once per pair reroute
-    reroute_penalty_us: float = 50.0
+    reroute_penalty_us: float = spec_field(50.0, lo=0.0)
     #: back-off before an interrupted transfer retries on a new route
-    retry_delay_us: float = 25.0
+    retry_delay_us: float = spec_field(25.0, lo=0.0)
     #: 0 = faults target interior elements only (trunk links, non-edge
     #: switches); 1 = HCA links and host-attached switches are eligible
     #: too.  Wake-timeout spikes always target HCA links — those are the
     #: managed ones.
-    hca: int = 0
+    hca: int = spec_field(0, lo=0, hi=1)
 
     def __post_init__(self) -> None:
-        for name in ("link_fail", "switch_fail", "flap", "degrade",
-                     "wake_timeout"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise FaultSpecError(
-                    f"faults: {name} must be a probability in [0, 1], "
-                    f"got {v}"
-                )
-        for name in ("flap_down_us", "flap_period_us", "wake_spike_us",
-                     "horizon_us"):
-            if getattr(self, name) <= 0.0:
-                raise FaultSpecError(f"faults: {name} must be > 0")
-        for name in ("reroute_penalty_us", "retry_delay_us"):
-            if getattr(self, name) < 0.0:
-                raise FaultSpecError(f"faults: {name} must be >= 0")
-        if not 0.0 < self.degrade_factor <= 1.0:
-            raise FaultSpecError(
-                "faults: degrade_factor must be in (0, 1]"
-            )
-        if self.flap_cycles < 1:
-            raise FaultSpecError("faults: flap_cycles must be >= 1")
+        FAULT_KEYS.check(self)
         if self.flap_down_us >= self.flap_period_us:
             raise FaultSpecError(
                 "faults: flap_down_us must be < flap_period_us"
             )
-        if self.hca not in (0, 1):
-            raise FaultSpecError("faults: hca must be 0 or 1")
 
     @property
     def active(self) -> bool:
@@ -231,76 +213,40 @@ class FaultSpec:
         )
 
     def describe(self) -> str:
-        """Canonical spec string: seed plus every non-default knob."""
+        """Canonical spec string: seed plus every non-default knob;
+        ``parse_faults(spec.describe()) == spec``."""
 
-        parts = [f"seed={self.seed}"]
-        for f in dataclasses.fields(self):
-            if f.name == "seed":
-                continue
-            v = getattr(self, f.name)
-            if v != f.default:
-                v = f"{v:g}" if isinstance(v, float) else str(v)
-                parts.append(f"{f.name}={v}")
-        return "faults:" + ",".join(parts)
+        return "faults:" + ",".join(FAULT_KEYS.describe(self, ("seed",)))
 
 
-_INT_KEYS = frozenset({"seed", "flap_cycles", "hca"})
-_VALID_KEYS = tuple(f.name for f in FaultSpec.__dataclass_fields__.values())
+FAULT_KEYS = Schema.of(FaultSpec, "faults", FaultSpecError)
 
 
 def parse_faults(spec: "str | None") -> FaultSpec | None:
     """Parse a fault spec string; ``None``/``""``/``"none"`` -> ``None``.
 
-    Grammar: ``faults[:key=value,...]`` with keys from
+    Grammar: ``faults[:key=value,...]`` with the keys of
     :class:`FaultSpec` (``faults_help()`` lists them).
     """
 
-    if spec is None:
+    if spec is None or spec.strip() in ("", NO_FAULTS):
         return None
-    text = spec.strip()
-    if not text or text == NO_FAULTS:
-        return None
-    head, _, body = text.partition(":")
+    head, items = tokenize(spec, FaultSpecError)
     if head != "faults":
         raise FaultSpecError(
             f"fault spec must start with 'faults:' (or be '{NO_FAULTS}'), "
             f"got {spec!r}"
         )
-    kwargs: dict[str, object] = {}
-    if body:
-        for item in body.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise FaultSpecError(
-                    f"fault spec entry {item!r} is not key=value"
-                )
-            if key not in _VALID_KEYS:
-                raise FaultSpecError(
-                    f"unknown fault parameter {key!r}; valid: "
-                    + ", ".join(_VALID_KEYS)
-                )
-            try:
-                kwargs[key] = (
-                    int(value) if key in _INT_KEYS else float(value)
-                )
-            except ValueError:
-                raise FaultSpecError(
-                    f"fault parameter {key}={value!r} is not numeric"
-                ) from None
-    return FaultSpec(**kwargs)
+    return FaultSpec(**FAULT_KEYS.parse(items, spec))
 
 
 def faults_help() -> str:
     """One-line grammar summary for CLI ``--help`` texts."""
 
     return (
-        "'none' or 'faults:key=value,...' with keys "
-        "seed, link_fail, switch_fail, flap (+flap_down_us/flap_cycles/"
-        "flap_period_us), degrade (+degrade_factor), wake_timeout "
-        "(+wake_spike_us), horizon_us, reroute_penalty_us, "
-        "retry_delay_us, hca. Probabilities are per element; "
-        "(seed, topology, spec) -> identical fault timeline"
+        f"'{NO_FAULTS}' or 'faults:key=value,...' with keys (default) "
+        f"{FAULT_KEYS.help()}. Probabilities are per element; (seed, "
+        "topology, spec) -> identical fault timeline"
     )
 
 

@@ -6,7 +6,9 @@ candidate-path enumeration, and the fabric/route-table/replay stack works
 over any of them.  This package holds the concrete families and the
 registry that maps a **topology spec string** to a right-sized instance:
 
-``family[:key=value,key=value,...]``
+``family[:key=value,key=value,...]``, in the shared grammar of
+:mod:`repro.specs`: each family's keys are checked at parse time
+against its schema, which also prints the family's ``syntax``.
 
 Registered families (see :func:`topology_help` for the live list):
 
@@ -21,7 +23,8 @@ Registered families (see :func:`topology_help` for the live list):
 * ``fattree2``  — oversubscribed two-level fat tree:
   ``fattree2:leaf=18,ratio=3`` (``ratio`` = leaf downlink:uplink taper).
 
-Every ``fit`` builder takes ``(nranks, **params)`` and must return a
+Every ``fit`` builder takes ``(nranks, **params)`` — its keyword
+defaults are the schema's defaults — and must return a
 **validated** topology (end the builder with
 :meth:`~repro.network.topology.Topology.finalize`) with at least
 ``nranks`` hosts; the registry enforces the capacity and trusts the
@@ -31,9 +34,12 @@ builder contract for structure.  New families register with
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
+from ...specs import Key, Schema, SpecError, tokenize
 from ..topology import Topology, XGFTSpec, build_xgft, fitted_topology
 from .dragonfly import DragonflySpec, build_dragonfly, fit_dragonfly
 from .fattree import (
@@ -47,12 +53,16 @@ from .torus import TorusSpec, build_torus, fit_torus
 DEFAULT_TOPOLOGY = "fitted"
 
 
+class TopologySpecError(SpecError):
+    """A malformed topology spec string: unknown family, key or value."""
+
+
 @dataclass(frozen=True, slots=True)
 class TopologyFamily:
-    """One registered builder: name, parameter syntax, and the fitter."""
+    """One registered builder: name, parameter schema, and the fitter."""
 
     name: str
-    syntax: str
+    schema: Schema
     description: str
     fit: Callable[..., Topology]
 
@@ -61,61 +71,47 @@ _FAMILIES: dict[str, TopologyFamily] = {}
 
 
 def register_family(
-    name: str, fit: Callable[..., Topology], *, syntax: str, description: str
+    name: str, fit: Callable[..., Topology], keys: Iterable[Key], *,
+    description: str,
 ) -> None:
-    """Register a topology family under ``name`` (unique)."""
+    """Register a topology family under ``name`` (unique); ``keys`` take
+    their defaults from ``fit``'s keyword defaults."""
 
     if name in _FAMILIES:
         raise ValueError(f"topology family {name!r} already registered")
-    _FAMILIES[name] = TopologyFamily(name, syntax, description, fit)
+    params = inspect.signature(fit).parameters
+    schema = Schema(name, TopologySpecError, (
+        dataclasses.replace(k, default=params[k.name].default) for k in keys
+    ))
+    _FAMILIES[name] = TopologyFamily(name, schema, description, fit)
 
 
 def topology_families() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
-def parse_topology(spec: str) -> tuple[str, dict[str, int]]:
+def parse_topology(spec: str) -> tuple[str, dict]:
     """Split ``family:key=value,...`` into (family, params).
 
-    Values are integers (the only parameter type the built-in families
-    take) except for ``x``-separated arity lists, which are passed
-    through as strings for the builder to interpret.
+    ``params`` holds the keys the spec sets, checked against the
+    family's schema: integers, except ``xgft``'s ``x``-separated arity
+    lists (``18x14`` -> ``(18, 14)``).
     """
 
-    family, _, rest = spec.strip().partition(":")
-    family = family.strip()
+    family, items = tokenize(spec, TopologySpecError)
     if family not in _FAMILIES:
-        raise ValueError(
+        raise TopologySpecError(
             f"unknown topology family {family!r}; known families: "
             f"{', '.join(topology_families())}"
         )
-    params: dict[str, int | str] = {}
-    for item in filter(None, (s.strip() for s in rest.split(","))):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(
-                f"bad topology parameter {item!r} in {spec!r} "
-                "(expected key=value)"
-            )
-        key, value = key.strip(), value.strip()
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value  # e.g. xgft arity lists like 18x14
-    return family, params
+    return family, _FAMILIES[family].schema.parse(items, spec)
 
 
 def build_topology(spec: str, nranks: int) -> Topology:
     """Build the (validated) topology ``spec`` names, sized for ``nranks``."""
 
     family, params = parse_topology(spec)
-    try:
-        topo = _FAMILIES[family].fit(nranks, **params)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad parameters for topology family {family!r} "
-            f"(syntax: {_FAMILIES[family].syntax}): {exc}"
-        ) from None
+    topo = _FAMILIES[family].fit(nranks, **params)
     if topo.num_hosts < nranks:
         raise ValueError(
             f"topology {spec!r} provides {topo.num_hosts} hosts, "
@@ -131,7 +127,7 @@ def topology_help() -> str:
     """One line per family, for CLI ``--topology`` help text."""
 
     return "; ".join(
-        f"{f.syntax} ({f.description})"
+        f"{f.schema.syntax()} ({f.description})"
         for _, f in sorted(_FAMILIES.items())
     )
 
@@ -142,51 +138,52 @@ def _fit_fitted(nranks: int, leaf: int = 18) -> Topology:
     return topo
 
 
-def _parse_arities(text: str | int) -> tuple[int, ...]:
-    return tuple(int(part) for part in str(text).split("x"))
+def arities(text: str) -> tuple[int, ...]:
+    """``18x14`` -> ``(18, 14)``: one arity per tree level."""
+
+    return tuple(int(part) for part in text.split("x"))
 
 
 def _fit_xgft(
-    nranks: int, children: str | int = "18x14", parents: str | int = "1x18"
+    nranks: int,
+    children: tuple[int, ...] = (18, 14),
+    parents: tuple[int, ...] = (1, 18),
 ) -> Topology:
-    return build_xgft(
-        XGFTSpec(_parse_arities(children), _parse_arities(parents))
-    )
+    return build_xgft(XGFTSpec(children, parents))
+
+
+def _count(name: str, lo: int = 1) -> Key:
+    return Key(name, int, lo=lo)
 
 
 register_family(
-    "fitted",
-    _fit_fitted,
-    syntax="fitted[:leaf=18]",
+    "fitted", _fit_fitted, (_count("leaf"),),
     description="paper XGFT right-sized per run, full bisection",
 )
 register_family(
-    "xgft",
-    _fit_xgft,
-    syntax="xgft[:children=18x14,parents=1x18]",
+    "xgft", _fit_xgft,
+    (Key("children", arities, shown="18x14"),
+     Key("parents", arities, shown="1x18")),
     description="explicit XGFT(h; m; w), x-separated per-level arities",
 )
 register_family(
-    "torus",
-    fit_torus,
-    syntax="torus[:k=0,n=2,hosts=1]",
+    "torus", fit_torus, (_count("k", 0), _count("n"), _count("hosts")),
     description="k-ary n-torus, k=0 grows the radix to fit",
 )
 register_family(
-    "dragonfly",
-    fit_dragonfly,
-    syntax="dragonfly[:a=4,p=2,h=2,groups=0]",
+    "dragonfly", fit_dragonfly,
+    (_count("a"), _count("p"), _count("h"), _count("groups", 0)),
     description="Dragonfly(a,p,h), groups=0 grows up to a*h+1",
 )
 register_family(
-    "fattree2",
-    fit_oversubscribed_fattree,
-    syntax="fattree2[:leaf=18,ratio=3,spines=0]",
+    "fattree2", fit_oversubscribed_fattree,
+    (_count("leaf"), _count("ratio"), _count("spines", 0)),
     description="oversubscribed two-level fat tree, leaf:spine taper",
 )
 
 __all__ = [
     "DEFAULT_TOPOLOGY",
+    "TopologySpecError",
     "TopologyFamily",
     "register_family",
     "topology_families",

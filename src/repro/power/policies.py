@@ -27,15 +27,16 @@ families* —
   crossbar): reactive like trunks, driven by traffic through any of the
   switch's ports, composed with the per-switch rollup.
 
-A scenario is a spec string parsed exactly like ``faults:`` / topology
-specs::
+A scenario is a spec string in the shared grammar of
+:mod:`repro.specs`::
 
     policy:hca=gate,trunk=width:levels=3,switch=gate
 
 Class assignments may appear in any order; a policy's own parameters
 follow its name after ``:`` (and further ``key=value`` items up to the
-next class assignment also bind to it).  Parsing is deterministic and
-seed-free; :meth:`PolicySpec.describe` is the canonical form and
+next class assignment also bind to it; a key may appear once per
+class).  Parsing is deterministic and seed-free;
+:meth:`PolicySpec.describe` is the canonical form and
 ``parse_policy(spec.describe()) == spec``.
 
 The default spec — ``policy:hca=gate`` with trunks and switches
@@ -67,6 +68,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from ..network.links import Link, LinkPowerMode
+from ..specs import Schema, SpecError, spec_field, split_item, tokenize
 from .controller import ManagedLink, PowerEventCounters
 from .model import LinkEnergyAccount
 from .states import WRPSParams
@@ -84,7 +86,7 @@ LINK_CLASSES = ("hca", "trunk", "switch")
 _LANES = 4
 
 
-class PolicySpecError(ValueError):
+class PolicySpecError(SpecError):
     """A malformed ``policy:...`` spec string or parameter."""
 
 
@@ -241,29 +243,21 @@ POLICIES = {
 # spec grammar
 
 
-#: per-class parameters a spec may set, with their coercions
-_CLASS_PARAM_KEYS = {
-    "levels": int,
-    "t_react_us": float,
-    "t_deact_us": float,
-    "low": float,
-    "gate_after_us": float,
-}
-
-
 @dataclass(frozen=True, slots=True)
 class ClassPolicy:
-    """The policy assigned to one link class, with its parameters."""
+    """The policy assigned to one link class; every field but ``policy``
+    is a parameter key of the ``policy:`` grammar."""
 
     policy: str = "none"
-    levels: int = 0
+    #: ladder depth; 0 -> the family's default ladder
+    levels: int = spec_field(0, lo=0)
     #: per-class WRPS parameter overrides (None -> the class default)
-    t_react_us: float | None = None
-    t_deact_us: float | None = None
-    low: float | None = None
+    t_react_us: float | None = spec_field(None, float, lo=0.0)
+    t_deact_us: float | None = spec_field(None, float, lo=0.0)
+    low: float | None = spec_field(None, float, lo=0.0, hi=1.0)
     #: reactive classes (trunk/switch): observed idle time before the
     #: first descent step; None -> the break-even 2 * t_react
-    gate_after_us: float | None = None
+    gate_after_us: float | None = spec_field(None, float, lo=0.0)
 
     def __post_init__(self) -> None:
         if self.policy != "none" and self.policy not in POLICIES:
@@ -271,12 +265,7 @@ class ClassPolicy:
                 f"unknown power policy {self.policy!r}; pick one of "
                 f"{tuple(POLICIES)} or 'none'"
             )
-        if self.low is not None and not 0.0 <= self.low <= 1.0:
-            raise PolicySpecError("policy: low must be in [0, 1]")
-        for name in ("t_react_us", "t_deact_us", "gate_after_us"):
-            v = getattr(self, name)
-            if v is not None and v < 0.0:
-                raise PolicySpecError(f"policy: {name} must be >= 0")
+        CLASS_KEYS.check(self)
         if self.levels and self.policy != "none":
             # validate eagerly so a typo'd spec fails at parse time
             POLICIES[self.policy][1](self.wrps(), self.levels)
@@ -319,18 +308,11 @@ class ClassPolicy:
 
         if not self.active:
             return "none"
-        parts = []
-        for f in dataclasses.fields(self):
-            if f.name == "policy":
-                continue
-            v = getattr(self, f.name)
-            if v is None or v == f.default:
-                continue
-            parts.append(
-                f"{f.name}={v:g}" if isinstance(v, float) else f"{f.name}={v}"
-            )
+        parts = CLASS_KEYS.describe(self)
         return self.policy + (":" + ",".join(parts) if parts else "")
 
+
+CLASS_KEYS = Schema.of(ClassPolicy, "policy", PolicySpecError, "family")
 
 #: the unmanaged class assignment
 UNMANAGED = ClassPolicy()
@@ -395,79 +377,48 @@ def parse_policy(spec: "str | None") -> PolicySpec:
         return PolicySpec()
     if text == NO_POLICY:
         return PolicySpec(hca=UNMANAGED)
-    head, _, body = text.partition(":")
+    head, items = tokenize(text, PolicySpecError)
     if head != "policy":
         raise PolicySpecError(
             f"policy spec must start with 'policy:' (or be '{NO_POLICY}'), "
             f"got {spec!r}"
         )
-    if not body:
+    if not items:
         raise PolicySpecError(
             "empty policy spec; write e.g. 'policy:hca=gate' "
             f"(or '{NO_POLICY}')"
         )
-    assigned: dict[str, dict] = {}
-    current: dict | None = None
-    for item in body.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise PolicySpecError(
-                f"policy spec entry {item!r} is not key=value"
-            )
+    # link class -> (family, its key=value items in order)
+    assigned: dict[str, tuple[str, list]] = {}
+    params: list | None = None
+    for key, value in items:
         if key in LINK_CLASSES:
             if key in assigned:
                 raise PolicySpecError(
                     f"policy: link class {key!r} assigned twice"
                 )
-            name, psep, ptail = value.partition(":")
-            current = {"policy": name}
-            assigned[key] = current
-            if psep:
-                _bind_param(current, ptail, item)
+            name, sep, tail = value.partition(":")
+            params = [split_item(tail, PolicySpecError)] if sep else []
+            assigned[key] = (name, params)
+        elif params is None:
+            raise PolicySpecError(
+                f"policy spec entry {key}={value} names no link class; "
+                f"classes are {LINK_CLASSES}"
+            )
         else:
-            if current is None:
-                raise PolicySpecError(
-                    f"policy spec entry {item!r} names no link class; "
-                    f"classes are {LINK_CLASSES}"
-                )
-            _bind_param(current, item, item)
+            params.append((key, value))
     kwargs: dict[str, ClassPolicy] = {"hca": UNMANAGED}
-    for cls, params in assigned.items():
-        name = params.pop("policy")
+    for cls, (name, params) in assigned.items():
+        values = CLASS_KEYS.parse(params, spec)
         if name == "none":
-            if params:
+            if values:
                 raise PolicySpecError(
                     f"policy: class {cls!r} is 'none' but has parameters"
                 )
             kwargs[cls] = UNMANAGED
-            continue
-        kwargs[cls] = ClassPolicy(policy=name, **params)
+        else:
+            kwargs[cls] = ClassPolicy(policy=name, **values)
     return PolicySpec(**kwargs)
-
-
-def _bind_param(current: dict, text: str, item: str) -> None:
-    """Attach one ``key=value`` parameter to a class assignment."""
-
-    key, sep, value = text.partition("=")
-    key = key.strip()
-    value = value.strip()
-    if not sep or not key or not value:
-        raise PolicySpecError(f"policy spec entry {item!r} is not key=value")
-    coerce = _CLASS_PARAM_KEYS.get(key)
-    if coerce is None:
-        raise PolicySpecError(
-            f"unknown policy parameter {key!r}; valid parameters: "
-            f"{tuple(_CLASS_PARAM_KEYS)}"
-        )
-    try:
-        current[key] = coerce(value)
-    except ValueError:
-        raise PolicySpecError(
-            f"policy parameter {key}={value!r} is not a valid "
-            f"{coerce.__name__}"
-        ) from None
 
 
 def policy_help() -> str:
@@ -476,8 +427,9 @@ def policy_help() -> str:
     fams = "; ".join(f"{name}: {summary}" for name, (summary, _) in POLICIES.items())
     return (
         "'policy:class=family[:key=value,...],...' with classes "
-        f"{'/'.join(LINK_CLASSES)} and families {fams}. Parameters: "
-        "levels, t_react_us, t_deact_us, low, gate_after_us. "
+        f"{'/'.join(LINK_CLASSES)} and families {fams}. Parameters "
+        f"(default): {CLASS_KEYS.help()}; levels=0 keeps the family's "
+        "ladder, an unset WRPS key the paper's value. "
         f"Default '{DEFAULT_POLICY}' (the paper); '{NO_POLICY}' disables "
         "all management"
     )

@@ -52,9 +52,10 @@ from ..experiments.common import (
     default_iterations,
     replay_displacements,
 )
-from ..network.faults import NO_FAULTS
-from ..network.topologies import DEFAULT_TOPOLOGY
-from ..power.policies import DEFAULT_POLICY
+from ..network.faults import NO_FAULTS, parse_faults
+from ..network.topologies import DEFAULT_TOPOLOGY, parse_topology
+from ..power.policies import DEFAULT_POLICY, parse_policy
+from ..specs import SpecError
 from ..workloads import APPLICATIONS
 
 #: canonical field order of a normalised cell spec
@@ -72,8 +73,12 @@ SPEC_FIELDS = (
 )
 
 
-class SpecError(ValueError):
-    """A request's cell spec is malformed (becomes ``BAD_REQUEST``)."""
+def _int(raw: dict, name: str, default: int | None = None) -> int:
+    value = raw.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"{name} must be an integer, got {value!r}") from None
 
 
 def normalize_spec(raw: dict) -> dict:
@@ -81,7 +86,9 @@ def normalize_spec(raw: dict) -> dict:
 
     The returned dict has exactly :data:`SPEC_FIELDS`, explicit values
     for every default, and validated types — so equal logical requests
-    always map to the same cache key, whatever their spelling.
+    always map to the same cache key, whatever their spelling.  The
+    topology, fault and policy strings are left to
+    :func:`check_spec_strings`, which only a cache miss pays for.
     """
 
     if not isinstance(raw, dict):
@@ -93,10 +100,7 @@ def normalize_spec(raw: dict) -> dict:
     app = raw.get("app")
     if app not in APPLICATIONS:
         raise SpecError(f"app must be one of {APPLICATIONS}, got {app!r}")
-    try:
-        nranks = int(raw.get("nranks"))
-    except (TypeError, ValueError):
-        raise SpecError(f"nranks must be an integer, got {raw.get('nranks')!r}")
+    nranks = _int(raw, "nranks")
     if nranks < 2:
         raise SpecError(f"nranks must be >= 2, got {nranks}")
     try:
@@ -107,8 +111,10 @@ def normalize_spec(raw: dict) -> dict:
         )
     if not 0.0 <= displacement < 1.0:
         raise SpecError(f"displacement must be in [0, 1), got {displacement}")
-    iterations = raw.get("iterations")
-    iterations = default_iterations() if iterations is None else int(iterations)
+    iterations = (
+        default_iterations() if raw.get("iterations") is None
+        else _int(raw, "iterations")
+    )
     if iterations < 1:
         raise SpecError(f"iterations must be >= 1, got {iterations}")
     scaling = raw.get("scaling", "strong")
@@ -122,13 +128,22 @@ def normalize_spec(raw: dict) -> dict:
         "nranks": nranks,
         "displacement": displacement,
         "iterations": iterations,
-        "seed": int(raw.get("seed", 1234)),
+        "seed": _int(raw, "seed", 1234),
         "scaling": scaling,
         "topology": str(raw.get("topology", DEFAULT_TOPOLOGY)),
         "kernel": kernel,
         "faults": str(raw.get("faults", NO_FAULTS)),
         "policy": str(raw.get("policy", DEFAULT_POLICY)),
     }
+
+
+def check_spec_strings(spec: dict) -> None:
+    """Parse a normalised spec's topology, fault and policy strings,
+    raising their grammar's :class:`~repro.specs.SpecError`."""
+
+    parse_topology(spec["topology"])
+    parse_faults(spec["faults"])
+    parse_policy(spec["policy"])
 
 
 def spec_key(spec: dict) -> tuple:
@@ -297,6 +312,7 @@ class WarmPipeline:
         cached = self.results.get(full_key)
         if cached is not None:
             return cached, []
+        check_spec_strings(spec)
         ran: list[str] = []
 
         def on_stage(stage: str) -> None:

@@ -72,6 +72,7 @@ from .caches import (
     LRUCache,
     SpecError,
     WarmPipeline,
+    check_spec_strings,
     compute_cell_payload,
     normalize_spec,
     spec_key,
@@ -610,6 +611,8 @@ class ServiceDaemon:
             message.get("failpoint") if self.config.test_hooks else None
         )
         if workers > 1 and len(specs) > 1:
+            for spec in specs:  # a bad spec fails here, not in a worker
+                check_spec_strings(spec)
             fn = {
                 "kill_worker": _crash_cell_worker,
                 "hang_worker": _hang_cell_worker,

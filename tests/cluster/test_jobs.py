@@ -8,8 +8,11 @@ Poisson rate within tolerance of the configured one.  The grammar tests
 cover every kind plus the fail-fast errors.
 """
 
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from spec_strategies import FUZZ, spec_text, valid_items
 
 from repro.cluster import (
     Job,
@@ -20,6 +23,8 @@ from repro.cluster import (
     jobs_help,
     parse_jobs,
 )
+from repro.cluster.jobs import _SCHEMAS, STREAM_KINDS
+from repro.workloads import APPLICATIONS
 
 pytestmark = pytest.mark.cluster
 
@@ -157,3 +162,104 @@ class TestGrammar:
         text = jobs_help()
         for kind in ("static", "poisson", "diurnal", "list"):
             assert kind in text
+
+    @pytest.mark.parametrize("bad", [
+        "static:n=2,n=3",                      # silently n=3
+        "poisson:n=3,mean_gap_us=nan,seed=1",  # arrivals at nan
+        "static:n=2,gap_us=inf",               # job 0 arrived at nan
+        "list:jobs=alya@8@nan",
+        "list:jobs=alya@8@inf",
+        "static:n=2,,gap_us=10",               # empty items were skipped
+        "static:n=1001",
+        "diurnal:n=2,peak=101",
+    ])
+    def test_once_accepted_specs_rejected(self, bad):
+        with pytest.raises(JobSpecError):
+            parse_jobs(bad)
+
+    def test_infinite_peak_raises_instead_of_hanging(self):
+        # the thinning loop once spun forever on peak=inf: a SIGALRM
+        # turns a regression into a failure instead of a hung suite
+        def hung(signum, frame):
+            raise AssertionError("parse_jobs hung on peak=inf")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(JobSpecError, match="peak"):
+                parse_jobs("diurnal:n=2,peak=inf")
+            # the generator applies the same rules when called directly
+            with pytest.raises(JobSpecError, match="peak"):
+                arrivals_diurnal(2, 1000.0, 8000.0, float("inf"), 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("bad", [
+        "diurnal:n=2,mean_gap_us=1e-308",   # peak/mean_gap_us overflows
+        "diurnal:n=9,mean_gap_us=1e12,period_us=1e-300",  # cos(inf)
+    ])
+    def test_times_outside_the_finite_range_rejected(self, bad):
+        with pytest.raises(JobSpecError):
+            parse_jobs(bad)
+
+    def test_job_rejects_non_finite_arrival(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(JobSpecError):
+                Job(index=0, app="alya", nranks=8, arrival_us=bad)
+
+    def test_help_lists_every_key_from_the_schema(self):
+        text = jobs_help()
+        for schema in _SCHEMAS.values():
+            for name in schema.keys:
+                assert f"{name}=" in text
+
+
+_APPS = st.lists(st.sampled_from(APPLICATIONS), min_size=1, max_size=3)
+_CYCLES = dict(
+    apps=_APPS.map("|".join),
+    ranks=st.lists(st.integers(1, 64), min_size=1, max_size=3).map(
+        lambda r: "|".join(map(str, r))
+    ),
+)
+#: app@nranks[@arrival_us[@tenant]]: the first 2..4 fields
+_ENTRY = st.tuples(
+    st.sampled_from(APPLICATIONS),
+    st.integers(1, 64).map(str),
+    st.floats(0.0, 1e9).map(repr),
+    st.text("abcxyz0123456789_", min_size=1, max_size=4),
+    st.integers(2, 4),
+).map(lambda e: "@".join(e[:e[-1]]))
+
+
+def _stream(kind: str) -> st.SearchStrategy[str]:
+    if kind == "list":
+        entries = st.lists(_ENTRY, min_size=1, max_size=5).map("|".join)
+        return valid_items(_SCHEMAS["list"], jobs=entries).filter(
+            bool
+        ).map(lambda items: "list:" + items)
+    return valid_items(_SCHEMAS[kind], **_CYCLES).map(
+        lambda items: f"{kind}:{items}"
+    )
+
+
+class TestGrammarFuzz:
+    @given(spec=st.sampled_from(STREAM_KINDS).flatmap(_stream))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_specs_parse(self, spec):
+        jobs = parse_jobs(spec)
+        assert jobs and jobs == parse_jobs(spec)
+        assert [j.index for j in jobs] == list(range(len(jobs)))
+        assert all(
+            a.arrival_us <= b.arrival_us for a, b in zip(jobs, jobs[1:])
+        )
+
+    @given(text=spec_text(*STREAM_KINDS, *APPLICATIONS, *sorted(
+        {k for schema in _SCHEMAS.values() for k in schema.keys}
+    )))
+    @FUZZ
+    def test_any_text_parses_or_raises_job_spec_error(self, text):
+        try:
+            parse_jobs(text)
+        except JobSpecError:
+            pass

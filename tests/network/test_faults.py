@@ -8,10 +8,13 @@ call order (every element draws from its own seeded stream).
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from spec_strategies import FUZZ, spec_text, valid_items
 
 from repro.network.fabric import Fabric
 from repro.network.faults import (
     DEGRADE,
+    FAULT_KEYS,
     LINK_DOWN,
     LINK_UP,
     NO_FAULTS,
@@ -81,6 +84,58 @@ class TestParseFaults:
     def test_help_mentions_grammar(self):
         assert "faults:" in faults_help()
         assert NO_FAULTS in faults_help()
+
+    @pytest.mark.parametrize("bad", [
+        "faults:flap=0.5,horizon_us=inf",  # every onset at t = inf
+        "faults:retry_delay_us=inf",
+        "faults:horizon_us=nan",
+        "faults:flap_down_us=nan",         # nan >= period was False
+        "faults:seed=1,seed=2",            # silently seed=2
+    ])
+    def test_once_accepted_specs_rejected(self, bad):
+        with pytest.raises(FaultSpecError):
+            parse_faults(bad)
+
+    def test_direct_construction_checked_like_a_parse(self):
+        with pytest.raises(FaultSpecError, match="finite"):
+            FaultSpec(horizon_us=float("inf"))
+
+    def test_describe_keeps_every_digit(self):
+        spec = parse_faults(
+            "faults:flap=0.12345678901234567,horizon_us=1234.5678901234567"
+        )
+        assert parse_faults(spec.describe()) == spec
+        # integral floats keep their short form
+        assert parse_faults("faults:horizon_us=4000").describe() == (
+            "faults:seed=0,horizon_us=4000"
+        )
+
+    def test_help_lists_every_key_from_the_schema(self):
+        for name in FAULT_KEYS.keys:
+            assert name in faults_help()
+
+
+#: the cross-field rule flap_down_us < flap_period_us holds for any draw
+_FLAP = dict(
+    flap_down_us=st.floats(0.0, 1000.0, exclude_min=True).map(repr),
+    flap_period_us=st.floats(1000.0, 1e9, exclude_min=True).map(repr),
+)
+
+
+class TestGrammarFuzz:
+    @given(items=valid_items(FAULT_KEYS, **_FLAP))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_specs_round_trip(self, items):
+        spec = parse_faults("faults:" + items)
+        assert parse_faults(spec.describe()) == spec
+
+    @given(text=spec_text("faults", "none", *FAULT_KEYS.keys))
+    @FUZZ
+    def test_any_text_parses_or_raises_fault_spec_error(self, text):
+        try:
+            parse_faults(text)
+        except FaultSpecError:
+            pass
 
 
 class TestPlanDeterminism:

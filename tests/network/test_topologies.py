@@ -9,6 +9,7 @@ tables identical regardless of pair-compile order) per family, and the
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from spec_strategies import FUZZ, spec_text, valid_items
 
 from repro.network.routing import (
     DeterministicRouter,
@@ -17,8 +18,10 @@ from repro.network.routing import (
     path_links,
 )
 from repro.network.topologies import (
+    _FAMILIES,
     DragonflySpec,
     OversubscribedFatTreeSpec,
+    TopologySpecError,
     TorusSpec,
     build_dragonfly,
     build_oversubscribed_fattree,
@@ -85,6 +88,60 @@ class TestRegistry:
         text = topology_help()
         for family in topology_families():
             assert family in text
+
+    def test_help_syntax_comes_from_the_schema(self):
+        assert "torus[:k=0,n=2,hosts=1]" in topology_help()
+        assert "xgft[:children=18x14,parents=1x18]" in topology_help()
+
+    @pytest.mark.parametrize("bad", [
+        "torus:bogus=3",     # returned {'bogus': 3}
+        "torus:k=abc",       # a rewrapped '<' not supported TypeError
+        "torus:k=4,k=5",     # silently k=5
+        "torus:k=4,,n=2",    # empty items were skipped
+        "torus:n=0",         # caught only when built
+        "xgft:children=4xx3",
+    ])
+    def test_keys_checked_at_parse_time(self, bad):
+        with pytest.raises(TopologySpecError):
+            parse_topology(bad)
+
+    def test_xgft_arities_parse_to_tuples(self):
+        assert parse_topology("xgft:children=4x3,parents=1x2") == (
+            "xgft", {"children": (4, 3), "parents": (1, 2)}
+        )
+
+
+#: x-separated arity lists for xgft's children/parents keys
+_ARITIES = st.lists(st.integers(1, 64), min_size=1, max_size=4).map(
+    lambda levels: "x".join(map(str, levels))
+)
+
+
+class TestGrammarFuzz:
+    @given(data=st.data(), family=st.sampled_from(sorted(_FAMILIES)))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_specs_parse_to_their_values(self, data, family):
+        schema = _FAMILIES[family].schema
+        items = data.draw(
+            valid_items(schema, children=_ARITIES, parents=_ARITIES)
+        )
+        name, params = parse_topology(f"{family}:{items}")
+        assert name == family
+        expected = {}
+        for item in filter(None, items.split(",")):
+            key, _, raw = item.partition("=")
+            expected[key] = schema.keys[key].type(raw)
+        assert params == expected
+
+    @given(text=spec_text(*_FAMILIES, *sorted(
+        {k for f in _FAMILIES.values() for k in f.schema.keys}
+    )))
+    @FUZZ
+    def test_any_text_parses_or_raises_topology_spec_error(self, text):
+        try:
+            parse_topology(text)
+        except TopologySpecError:
+            pass
 
 
 class TestTorus:

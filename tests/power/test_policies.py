@@ -9,24 +9,30 @@ they rely on (``set_state`` power splitting, the ``start_us`` origin).
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from spec_strategies import FUZZ, spec_text, valid_items
 
 from repro.network.links import Link, LinkPowerMode
 from repro.network.topology import NodeId
 from repro.power.model import LinkEnergyAccount
 from repro.power.policies import (
+    CLASS_KEYS,
     DEFAULT_POLICY,
+    LINK_CLASSES,
     NO_POLICY,
     ClassPolicy,
     GatedSwitch,
     IdleGatedLink,
     LeveledLink,
     PolicySpec,
+    POLICIES,
     PolicySpecError,
     PowerPolicy,
     _static_floor,
     class_savings_rows,
     gate_levels,
     parse_policy,
+    policy_help,
     scale_levels,
     width_levels,
 )
@@ -118,6 +124,68 @@ class TestGrammar:
         # faults/topology grammars
         with pytest.raises(ValueError):
             parse_policy("policy:hca=bogus")
+
+    @pytest.mark.parametrize("bad", [
+        "policy:hca=width:levels=2,levels=3",   # silently levels=3
+        "policy:hca=gate:t_react_us=nan",
+        "policy:hca=gate:t_react_us=inf",
+        "policy:trunk=gate:gate_after_us=inf",
+        "policy:hca=gate:levels=-1",            # gate ignored it
+    ])
+    def test_once_accepted_specs_rejected(self, bad):
+        with pytest.raises(PolicySpecError):
+            parse_policy(bad)
+
+    def test_a_key_may_repeat_once_per_class(self):
+        spec = parse_policy("policy:hca=width,levels=2,trunk=width,levels=3")
+        assert (spec.hca.levels, spec.trunk.levels) == (2, 3)
+
+    def test_direct_construction_checked_like_a_parse(self):
+        with pytest.raises(PolicySpecError, match="finite"):
+            ClassPolicy("gate", t_react_us=float("nan"))
+
+    def test_describe_keeps_every_digit(self):
+        # topo-sweep canonicalises its policies through describe(): a
+        # rounded value would replay a different policy
+        text = "policy:hca=gate:t_react_us=1.2345678"
+        assert parse_policy(text).describe() == text
+        spec = parse_policy(
+            "policy:hca=width:t_react_us=0.12345678901234567,"
+            "low=0.43000000000000005"
+        )
+        assert parse_policy(spec.describe()) == spec
+
+    def test_help_lists_every_key_from_the_schema(self):
+        for name in CLASS_KEYS.keys:
+            assert name in policy_help()
+
+
+#: levels valid for every family (gate ignores it; width 2..3, scale 2..5)
+_ONE_CLASS = st.tuples(
+    st.sampled_from(sorted(POLICIES)),
+    valid_items(CLASS_KEYS, levels=st.sampled_from(["0", "2", "3"])),
+).map(lambda fam: fam[0] + (":" + fam[1] if fam[1] else ""))
+
+
+class TestGrammarFuzz:
+    @given(classes=st.fixed_dictionaries(
+        {}, optional={cls: _ONE_CLASS for cls in LINK_CLASSES}
+    ).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_specs_round_trip(self, classes):
+        text = "policy:" + ",".join(f"{c}={v}" for c, v in classes.items())
+        spec = parse_policy(text)
+        assert parse_policy(spec.describe()) == spec
+
+    @given(text=spec_text(
+        "policy", "none", *LINK_CLASSES, *POLICIES, *CLASS_KEYS.keys
+    ))
+    @FUZZ
+    def test_any_text_parses_or_raises_policy_spec_error(self, text):
+        try:
+            parse_policy(text)
+        except PolicySpecError:
+            pass
 
 
 class TestLevelTables:

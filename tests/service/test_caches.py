@@ -82,6 +82,8 @@ def test_normalize_fills_defaults():
         # a removed field fails as unknown, whatever its old value
         ({"app": "alya", "nranks": 8, "scheduler": "heap"}, "scheduler"),
         ({"app": "alya", "nranks": 8, "bogus": 1}, "bogus"),
+        ({"app": "alya", "nranks": 8, "iterations": "x"}, "iterations"),
+        ({"app": "alya", "nranks": 8, "seed": [1]}, "seed"),
     ],
 )
 def test_normalize_rejects_bad_specs(broken, match):
@@ -97,6 +99,35 @@ def test_cell_key_ignores_displacement_only():
     c = normalize_spec({"app": "alya", "nranks": 8, "displacement": 0.1,
                         "topology": "torus:n=2"})
     assert cell_key(a) != cell_key(c)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("topology", "torus:bogus=3"),
+    ("faults", "faults:horizon_us=inf"),
+    ("policy", "policy:hca=gate:t_react_us=nan"),
+])
+def test_bad_spec_strings_are_spec_errors_on_a_miss(field, bad):
+    pipe = WarmPipeline(cell_capacity=1, result_capacity=1)
+    with pytest.raises(SpecError):
+        pipe.query({"app": "alya", "nranks": 8, field: bad})
+    assert sum(pipe.stage_runs.values()) == 0  # failed before any stage
+
+
+def test_a_result_hit_parses_no_spec_string(monkeypatch):
+    import repro.service.caches as caches
+
+    checked = []
+    real = caches.check_spec_strings
+    monkeypatch.setattr(
+        caches, "check_spec_strings",
+        lambda spec: (checked.append(spec), real(spec)),
+    )
+    pipe = WarmPipeline(cell_capacity=1, result_capacity=2)
+    spec = {"app": "alya", "nranks": 8, "displacement": 0.5,
+            "iterations": 4}
+    pipe.query(spec)
+    pipe.query(spec)
+    assert len(checked) == 1
 
 
 # -- WarmPipeline stage counters --------------------------------------

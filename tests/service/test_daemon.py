@@ -332,18 +332,34 @@ def test_bad_request_spec_is_structured(daemon_factory):
 def test_unconvertible_spec_is_structured_and_keeps_the_connection(
     daemon_factory, bad
 ):
-    # fields normalize_spec int()s without a SpecError guard: the
-    # cache probe on the connection thread must leave them to the
-    # dispatcher, which answers with a structured error as it always has
+    # fields normalize_spec int()s: the cache probe on the connection
+    # thread leaves them to the dispatcher, which answers BAD_REQUEST
     daemon, client = daemon_factory()
     client.cell(**SMALL_SPEC)  # warm: the probe reaches the result LRU
     with pytest.raises(ServiceError) as excinfo:
         client.cell(**{**SMALL_SPEC, **bad})
     assert not isinstance(excinfo.value, ServiceUnavailable)
-    assert excinfo.value.code == "INTERNAL_ERROR"
+    assert excinfo.value.code == "BAD_REQUEST"
     reply = client.cell(**SMALL_SPEC)
     assert reply["stages_ran"] == []
     assert daemon.stats()["connections"] == {"accepted": 1, "open": 1}
+
+
+@pytest.mark.parametrize("bad", [
+    {"topology": "torus:bogus=3"},
+    {"faults": "faults:seed=1,seed=2"},
+    {"policy": "policy:hca=gate:t_react_us=inf"},
+])
+def test_bad_spec_string_is_bad_request(daemon_factory, bad):
+    daemon, client = daemon_factory()
+    with pytest.raises(ServiceError) as excinfo:
+        client.cell(**{**SMALL_SPEC, **bad})
+    assert excinfo.value.code == "BAD_REQUEST"
+    # the fan-out checks every spec before it starts a worker
+    with pytest.raises(ServiceError) as excinfo:
+        client.sweep([SMALL_SPEC, {**SMALL_SPEC, **bad}], workers=2)
+    assert excinfo.value.code == "BAD_REQUEST"
+    assert sum(daemon.stats()["stage_runs"].values()) == 0
 
 
 def test_unknown_socket_is_service_unavailable(tmp_path):

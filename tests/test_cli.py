@@ -29,6 +29,22 @@ class TestParser:
         assert "--scheduler" in capsys.readouterr().err
 
 
+class TestBadSpecs:
+    @pytest.mark.parametrize("argv", [
+        ["topo-sweep", "--topologies", "torus:bogus=3"],
+        ["topo-sweep", "--policies", "policy:hca=gate:t_react_us=nan"],
+        ["fault-sweep", "--faults", "faults:bogus=1"],
+        ["cluster-sweep", "--jobs", "poisson:n=3,mean_gap_us=nan"],
+    ])
+    def test_one_line_and_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert argv[-1] in lines[0]
+
+
 class TestCommands:
     def test_cell(self, capsys):
         rc = main(["cell", "--app", "alya", "--nranks", "8",
