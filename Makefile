@@ -28,9 +28,12 @@
 #                     a shared fabric
 #   make policy-smoke gate the power-policy registry: one small cell per
 #                     policy family (gate / width / scale on the HCA
-#                     class, plus trunk and switch management), each
+#                     class, plus trunk and switch management) on an
+#                     oversubscribed fat tree and on a torus, each
 #                     verified fast == reference kernel including the
-#                     per-class savings rows
+#                     per-class savings rows; the torus's many-port
+#                     switches pin the fast kernel's folded busy-end max
+#                     against the reference kernel's per-port scan
 #   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3" [TRACE=1]
 #                     same-machine A/B of the perfbench benchmark: checks
 #                     BASE out into a temporary git worktree, runs
@@ -97,7 +100,7 @@ cluster-smoke:
 
 policy-smoke:
 	$(PY) -m repro.cli topo-sweep --apps alya --nranks 8 \
-		--iterations 6 --topologies fattree2:leaf=4,ratio=2 \
+		--iterations 6 --topologies fattree2:leaf=4,ratio=2 torus:k=3,n=2 \
 		--policies "policy:hca=gate" "policy:hca=width" \
 		"policy:hca=scale" "policy:hca=gate,trunk=gate" \
 		"policy:hca=gate,trunk=width:levels=3,switch=gate" \

@@ -55,10 +55,28 @@ itself uses as the HW-only baseline.  The simulation applies it
 *lazily*, like the fault layer's clock-driven events: a managed trunk
 link keeps ``Link.mode = LOW`` so the fabric's power-block hook fires on
 every transfer through it, and the controller reconstructs the descent
-staircase for the idle gap it just observed (channel busy logs are the
-ground truth) — no engine callbacks, so off-trace timer events can
-never inflate the replayed execution time, and both replay kernels see
-identical penalties by construction.
+staircase for the idle gap it just observed — no engine callbacks, so
+off-trace timer events can never inflate the replayed execution time.
+
+The idle gap starts at the last busy end over the controller's channels
+(both channels of a trunk link, or of every port of a switch).  Each
+kernel finds it its own way:
+
+* the reference kernel's hook calls :meth:`IdleGatedLink.request_full`,
+  which scans every channel's busy log — the oracle;
+* the fast kernel's hook (:func:`fold_hook`) keeps a running max
+  instead.  Because every managed link is pinned LOW, each reservation
+  on a managed channel directly follows a hook call naming its link.
+  The hook remembers that link, and the controller's next hook call
+  folds its two channels' ``next_free_us`` into the max.  A channel's
+  ``next_free_us`` always equals its last busy end (0.0 when the log is
+  empty; an in-flight fault cut writes both), so the max is exactly the
+  scan's answer at O(1) per hop.  ``finish`` scans once.
+
+The fast hook also skips the controller call when nothing can happen:
+an HCA controller at FULL with no timer pending, or a gate whose folded
+end plus hysteresis covers the request.  Every fast == reference check
+on a trunk/switch policy therefore pins the fold against the scan.
 """
 
 from __future__ import annotations
@@ -612,9 +630,15 @@ class IdleGatedLink:
     traffic returns.  The owning replay pins ``Link.mode = LOW`` so the
     fabric's power-block hook delivers every transfer's head-arrival
     time here; the controller reconstructs the staircase for the idle
-    gap it just observed from the channels' busy logs (deterministic:
-    both kernels issue identical transfer sequences), charges it to the
-    energy account, and returns when the link is usable.
+    gap it just observed, charges it to the energy account, and returns
+    when the link is usable.
+
+    The gap starts at the channels' last busy end.  :meth:`request_full`
+    and :meth:`finish` scan the busy logs for it (the reference kernel's
+    path); :func:`fold_hook` keeps it as the running max ``_end_us``,
+    folding the link named by the previous call (``_pending``) on each
+    call, and enters at :meth:`_late` / :meth:`_wake` only when the
+    request falls outside the hysteresis window.
     """
 
     channels: tuple
@@ -625,6 +649,10 @@ class IdleGatedLink:
     counters: PowerEventCounters = field(default_factory=PowerEventCounters)
     #: reactivation in flight until this instant (0 = none pending)
     _ready_us: float = 0.0
+    #: fold state (fast hook only): max busy end folded so far, and the
+    #: link the last call named, whose reservation is not folded yet
+    _end_us: float = 0.0
+    _pending: "Link | None" = None
 
     @classmethod
     def create(
@@ -689,16 +717,26 @@ class IdleGatedLink:
 
     def request_full(self, t_us: float) -> float:
         if t_us < self._ready_us:
-            # a previous arrival already triggered the reactivation;
-            # this transfer just waits out the remainder
-            penalty = self._ready_us - t_us
-            self.counters.late_reactivations += 1
-            self.counters.total_penalty_us += penalty
-            return self._ready_us
+            return self._late(t_us)
         u = self._last_traffic_end_us()
         if t_us <= u + self.gate_after_us:
             # busy, draining, or inside the hysteresis window: full width
             return t_us
+        return self._wake(u, t_us)
+
+    def _late(self, t_us: float) -> float:
+        """A previous arrival already triggered the reactivation; this
+        transfer just waits out the remainder."""
+
+        penalty = self._ready_us - t_us
+        self.counters.late_reactivations += 1
+        self.counters.total_penalty_us += penalty
+        return self._ready_us
+
+    def _wake(self, u: float, t_us: float) -> float:
+        """Arrival at ``t_us`` after idleness since ``u``, beyond the
+        hysteresis window: charge the descent, then reactivate."""
+
         reached = self._descend(u, t_us)
         if reached == 0:
             return t_us
@@ -732,6 +770,11 @@ class GatedSwitch:
     the switch's *other* (non-link) power component — the Section VI
     deep-sleep extension, now driven by the policy registry and rolled
     up per switch by :func:`repro.power.switchpower.fabric_switch_rollup`.
+
+    The inner ``gate`` owns every port's two channels, so its busy-end
+    max (scanned by :meth:`request_full`, folded by :func:`fold_hook`)
+    spans the whole switch.  The fast hook registers the gate itself on
+    each port; this wrapper's methods are the reference kernel's path.
     """
 
     node: object
@@ -789,6 +832,69 @@ class GatedSwitch:
         """Power draw of the deepest rung (the rollup's sleep fraction)."""
 
         return self.gate.levels[-1].power_fraction if self.gate.levels else 1.0
+
+
+def fold_hook(entries: dict):
+    """The fast kernel's power-block hook over flat per-link entries.
+
+    ``entries`` maps ``id(link)`` to either a lone HCA controller, which
+    the hook calls directly (the default ``policy:hca=gate`` entry), or
+    a pair ``(hca, gates)``: the link's HCA controller or None, and the
+    :class:`IdleGatedLink` gates that watch it (a trunk's own gate, and
+    the inner gate of each :class:`GatedSwitch` it is a port of).  The
+    dict is read live, so entries added later (HCA episodes) take part.
+
+    Per hop, each gate first folds the link its previous call named —
+    whose reservation has happened since — into its running max, then
+    remembers this link.  The HCA controller is called only when a
+    timer is pending or its link is below FULL, and a gate only when
+    the request lies outside its hysteresis window or inside a
+    reactivation; otherwise the call would return ``t_us`` untouched.
+    Returns when the link is usable: the latest of the answers.
+    """
+
+    get = entries.get
+    full = LinkPowerMode.FULL
+
+    def hook(link, t_us: float) -> float:
+        entry = get(id(link))
+        if entry is None:
+            return link.ready_time(t_us)
+        if type(entry) is not tuple:
+            return entry.request_full(t_us)
+        hca, gates = entry
+        ready = t_us
+        if hca is not None and (
+            hca._t_fire_us is not None or hca.link.mode is not full
+        ):
+            ready = hca.request_full(t_us)
+        for gate in gates:
+            pending = gate._pending
+            if pending is not None:
+                end = gate._end_us
+                e = pending.forward.next_free_us
+                if e > end:
+                    end = e
+                e = pending.backward.next_free_us
+                if e > end:
+                    end = e
+                gate._end_us = end
+            else:
+                end = gate._end_us
+            gate._pending = link
+            r = gate._ready_us
+            if t_us < r:
+                r = gate._late(t_us)
+            else:
+                u = end if end > r else r
+                if t_us <= u + gate.gate_after_us:
+                    continue
+                r = gate._wake(u, t_us)
+            if r > ready:
+                ready = r
+        return ready
+
+    return hook
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +975,7 @@ __all__ = [
     "LeveledLink",
     "IdleGatedLink",
     "GatedSwitch",
+    "fold_hook",
     "ClassSavings",
     "class_savings_rows",
     "ManagedLink",

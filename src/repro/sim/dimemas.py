@@ -45,6 +45,7 @@ from ..power.policies import (
     PolicySpec,
     _PowerShadow,
     class_savings_rows,
+    fold_hook,
     parse_policy,
 )
 from ..power.switchpower import fabric_switch_rollup
@@ -282,6 +283,18 @@ class PowerDomain:
     the pinning covers HCA links too, so each HCA controller drives a
     :class:`_PowerShadow` that carries its FULL/LOW state machine without
     disturbing the pinned hook trigger.
+
+    The hook differs per kernel, as the fabric's transfer bodies do.
+    The reference kernel's hook calls ``request_full`` on every
+    controller of the link, and the reactive ones scan their channels'
+    busy logs.  The fast kernel's is :func:`~repro.power.policies.
+    fold_hook` over one flat entry per link: the HCA controller alone,
+    or ``(hca or None, gates)`` with each :class:`GatedSwitch` entered
+    as its inner :class:`IdleGatedLink`.  Its gates fold the last
+    reserved link into a running max, which is exact only because the
+    pinning routes every reservation on a managed channel through the
+    hook.  The lone-HCA entry of the default policy is called directly
+    on both kernels.
     """
 
     def __init__(
@@ -297,23 +310,25 @@ class PowerDomain:
         # width hop on the replay hot path, and the fabric owns the link
         # objects for the whole replay, so id() is stable and probe-
         # allocation-free.  A link with several controllers (a trunk's
-        # idle gate composed with its endpoint switches' gates) maps to
-        # a tuple; the transfer waits for all of them (the components
-        # reactivate in parallel).
+        # idle gate composed with its endpoint switches' gates) waits
+        # for all of them (the components reactivate in parallel).
         managed: dict[int, object] = {}
-
-        def hook(link, t_us: float) -> float:
-            ml = managed.get(id(link))
-            if ml is None:
-                return link.ready_time(t_us)
-            if type(ml) is tuple:
-                ready = t_us
-                for c in ml:
-                    r = c.request_full(t_us)
-                    if r > ready:
-                        ready = r
-                return ready
-            return ml.request_full(t_us)
+        self._fold = fabric.use_fast_path
+        if self._fold:
+            hook = fold_hook(managed)
+        else:
+            def hook(link, t_us: float) -> float:
+                ml = managed.get(id(link))
+                if ml is None:
+                    return link.ready_time(t_us)
+                if type(ml) is tuple:
+                    ready = t_us
+                    for c in ml:
+                        r = c.request_full(t_us)
+                        if r > ready:
+                            ready = r
+                    return ready
+                return ml.request_full(t_us)
 
         self.managed = managed
         self.hook = hook
@@ -342,10 +357,25 @@ class PowerDomain:
                     self._fabric_ctrl[key] = ctrl + (gs,)
                     link.mode = LinkPowerMode.LOW
         for key, ctrl in self._fabric_ctrl.items():
-            managed[key] = ctrl[0] if len(ctrl) == 1 else ctrl
+            managed[key] = self._entry(None, ctrl)
         #: host -> its open HCA episode
         self._open: dict[int, object] = {}
         self.episodes: list = []
+
+    def _entry(self, hca, ctrl: tuple):
+        """The hook's entry for a link with HCA controller ``hca`` (or
+        None) and fabric-level controllers ``ctrl``."""
+
+        if not ctrl:
+            return hca
+        if self._fold:
+            gates = tuple(
+                c.gate if isinstance(c, GatedSwitch) else c for c in ctrl
+            )
+            return (hca, gates)
+        if hca is not None:
+            ctrl = (hca,) + ctrl
+        return ctrl[0] if len(ctrl) == 1 else ctrl
 
     def open_hosts(self, hosts: Sequence[int], t_us: float) -> list:
         """Open an HCA controller per host at ``t_us``; returns them in
@@ -377,8 +407,9 @@ class PowerDomain:
                     target, spec.hca, self.wrps, wake_faults=self.wake_faults,
                     wake_key=host, start_us=t_us,
                 )
-            rest = self._fabric_ctrl.get(id(link))
-            self.managed[id(link)] = (ml,) + rest if rest else ml
+            self.managed[id(link)] = self._entry(
+                ml, self._fabric_ctrl.get(id(link), ())
+            )
             self._open[host] = ml
             self.episodes.append(ml)
             out.append(ml)

@@ -57,9 +57,12 @@ the rank's own process, which the report names.
 
 Power coupling: a ``power_hook(link, t) -> usable_t`` callable is invoked
 by the fabric whenever a transfer finds a link below full width.  The
-managed run wires this to :meth:`repro.power.controller.ManagedLink.
-request_full`, which performs the emergency reactivation and yields the
-misprediction penalty.
+managed run wires this to its :class:`~repro.sim.dimemas.PowerDomain`'s
+``hook``, which asks every power controller of that link (the HCA's
+prediction-driven one, the reactive trunk and switch gates) and returns
+when the last of them has the link back at full width; a mispredicted
+HCA pays its emergency reactivation there.  The world only forwards the
+hook to the fabric.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ The format is line-oriented and diff-friendly::
     G <call_id> <size_bytes> <root>
 
 Floats are written with full ``repr`` precision so a round-trip is exact.
+A malformed file raises :class:`TraceParseError` carrying the offending
+line number: a header without ``name=``, a repeated header key or a
+second header, an ``nranks`` or ``#RANK`` index that is not a
+non-negative integer, a declared ``nranks`` the ``#RANK`` sections do
+not match, and any bad record.
 """
 
 from __future__ import annotations
@@ -90,26 +95,48 @@ def loads_trace(text: str) -> Trace:
     return parse_trace(io.StringIO(text))
 
 
-def _parse_meta(lineno: int, fields: Iterable[str]) -> dict:
-    meta: dict = {}
+def _parse_header(lineno: int, fields: Iterable[str]) -> dict[str, str]:
+    """A ``#TRACE`` line's ``key=value`` fields, values still raw."""
+
+    raw: dict[str, str] = {}
     for field in fields:
-        if "=" not in field:
+        key, sep, value = field.partition("=")
+        if not sep:
             raise TraceParseError(lineno, f"bad meta field {field!r}")
-        key, _, raw = field.partition("=")
-        value: object = raw
-        for conv in (int, float):
-            try:
-                value = conv(raw)
-                break
-            except ValueError:
-                continue
-        meta[key] = value
-    return meta
+        if key in raw:
+            raise TraceParseError(lineno, f"header key {key!r} given twice")
+        raw[key] = value
+    return raw
+
+
+def _meta_value(raw: str) -> object:
+    """A meta value as the int or float it spells, else the string."""
+
+    for conv in (int, float):
+        try:
+            return conv(raw)
+        except ValueError:
+            continue
+    return raw
+
+
+def _parse_int(lineno: int, what: str, raw: str) -> int:
+    """``raw`` as a non-negative int, else a :class:`TraceParseError`."""
+
+    try:
+        value = int(raw)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise TraceParseError(
+        lineno, f"{what} must be a non-negative integer, got {raw!r}"
+    )
 
 
 def parse_trace(stream: IO[str]) -> Trace:
     name: str | None = None
-    nranks = 0
+    nranks: int | None = None
     meta: dict = {}
     processes: list[ProcessTrace] = []
     current: ProcessTrace | None = None
@@ -118,20 +145,22 @@ def parse_trace(stream: IO[str]) -> Trace:
         line = line.strip()
         if not line or line.startswith("//"):
             continue
-        if line.startswith(_HEADER):
-            fields = line.split()[1:]
-            parsed = _parse_meta(lineno, fields)
-            name = str(parsed.pop("name", None))
-            if name is None:
+        parts = line.split()
+        if parts[0] == _HEADER:
+            if name is not None:
+                raise TraceParseError(lineno, "second #TRACE header")
+            fields = _parse_header(lineno, parts[1:])
+            if "name" not in fields:
                 raise TraceParseError(lineno, "header missing name=")
-            nranks = int(parsed.pop("nranks", 0))
-            meta = parsed
+            name = fields.pop("name")
+            if "nranks" in fields:
+                nranks = _parse_int(lineno, "nranks", fields.pop("nranks"))
+            meta = {key: _meta_value(raw) for key, raw in fields.items()}
             continue
-        if line.startswith(_RANK):
-            parts = line.split()
+        if parts[0] == _RANK:
             if len(parts) != 2:
                 raise TraceParseError(lineno, "bad #RANK line")
-            rank = int(parts[1])
+            rank = _parse_int(lineno, "#RANK index", parts[1])
             if rank != len(processes):
                 raise TraceParseError(
                     lineno, f"ranks out of order: got {rank}, expected {len(processes)}"
@@ -145,7 +174,7 @@ def parse_trace(stream: IO[str]) -> Trace:
 
     if name is None:
         raise TraceParseError(0, "missing #TRACE header")
-    if nranks and nranks != len(processes):
+    if nranks is not None and nranks != len(processes):
         raise TraceParseError(
             0, f"header declares {nranks} ranks but file contains {len(processes)}"
         )

@@ -30,6 +30,7 @@ from repro.power.policies import (
     PowerPolicy,
     _static_floor,
     class_savings_rows,
+    fold_hook,
     gate_levels,
     parse_policy,
     policy_help,
@@ -445,6 +446,94 @@ class TestGatedSwitch:
         assert gs.counters.shutdowns == 1
         assert gs.account.savings_fraction() > 0.5
         assert gs.sleep_power_fraction == pytest.approx(0.43)
+
+
+def _reserve(channel, ready, serial, cut):
+    """One hop's reservation as the fabric makes it: a full one, or an
+    in-flight fault cut at ``start + cut * serial`` (``cut`` in (-1, 1)),
+    which writes a partial busy window only when the link dies after
+    the start."""
+
+    start = max(ready, channel.next_free_us)
+    end = start + serial
+    if cut is not None:
+        end = start + cut * serial
+        if end <= start:
+            return
+    channel.next_free_us = end
+    channel.busy_starts.append(start)
+    channel.busy_ends.append(end)
+
+
+#: one generated hop: (port, forward?, clock step, serialisation time,
+#: in-flight cut fraction or None); steps may be negative, as the head
+#: arrival times the hook sees are not monotone across transfers
+_HOPS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.booleans(),
+        st.floats(-40.0, 200.0),
+        st.floats(0.5, 60.0),
+        st.none() | st.floats(-0.99, 0.99),
+    ),
+    max_size=60,
+)
+
+_REACTIVE = (
+    ClassPolicy("gate"),
+    ClassPolicy("width", levels=3),
+    ClassPolicy("scale", levels=4, gate_after_us=5.0),
+)
+
+
+class TestFoldEqualsScan:
+    """The fast hook's O(1) busy-end fold answers exactly what the
+    scanning controller answers, on a trunk link and on a k-port
+    switch, through full reservations and in-flight cuts."""
+
+    @staticmethod
+    def build(shape, cpol, k):
+        """(links, controller, the gate the fast hook registers)."""
+
+        if shape == "trunk":
+            link = make_link(host=False)
+            igl = IdleGatedLink.create(link, cpol, PAPER)
+            return [link], igl, igl
+        ports = [make_link(host=False) for _ in range(k)]
+        gs = GatedSwitch.create(_FakeSwitch(NodeId(7, 1), ports), cpol, PAPER)
+        return ports, gs, gs.gate
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.sampled_from(("trunk", "switch")),
+        cpol=st.sampled_from(_REACTIVE),
+        k=st.integers(1, 6),
+        hops=_HOPS,
+        tail=st.floats(0.0, 500.0),
+    )
+    def test_fold_matches_scanning_twin(self, shape, cpol, k, hops, tail):
+        links, ctrl, gate = self.build(shape, cpol, k)
+        twin_links, twin, _ = self.build(shape, cpol, k)
+        hook = fold_hook({id(link): (None, (gate,)) for link in links})
+        t = 0.0
+        for port, forward, step, serial, cut in hops:
+            t = max(0.0, t + step)
+            i = port % len(links)
+            ready = hook(links[i], t)
+            assert ready == twin.request_full(t)
+            for link in (links[i], twin_links[i]):
+                _reserve(
+                    link.forward if forward else link.backward,
+                    ready, serial, cut,
+                )
+        t_end = tail + max(
+            [t] + [ch.next_free_us for link in links
+                   for ch in (link.forward, link.backward)]
+        )
+        ctrl.finish(t_end)
+        twin.finish(t_end)
+        assert ctrl.counters == twin.counters
+        assert ctrl.account.intervals == twin.account.intervals
 
 
 class TestClassSavingsRows:

@@ -25,11 +25,11 @@ TOPOLOGY = "fattree2:leaf=4,ratio=2"
 
 
 def run_policy(policy, *, kernel="fast", app="alya", nranks=8, seed=11,
-               displacement=0.05, topology=TOPOLOGY):
+               displacement=0.05, topology=TOPOLOGY, faults="none"):
     clear_schedule_cache()
     trace = make_trace(app, nranks, iterations=4, seed=seed)
     cfg = ReplayConfig(seed=seed, kernel=kernel, topology=topology,
-                       policy=policy)
+                       policy=policy, faults=faults)
     fabric = fabric_for(trace.nranks, cfg)
     baseline = replay_baseline(trace, cfg, fabric=fabric)
     gt = select_gt(baseline.event_logs)
@@ -59,6 +59,7 @@ def observables(m):
         "policy": m.policy,
         "class_savings": m.class_savings,
         "switch_savings": m.switch_savings,
+        "faults": m.faults,
     }
 
 
@@ -199,3 +200,25 @@ class TestPolicyMatrix:
                 want = got
             else:
                 assert got == want, (topology, kernel)
+
+    @pytest.mark.parametrize("faults,retries", [
+        ("faults:seed=7,degrade=0.3,wake_timeout=0.2", False),
+        ("faults:seed=2,link_fail=0.2,flap=0.3", True),
+    ])
+    def test_reactive_policy_on_faulted_fabric(self, faults, retries):
+        """Reactive gating stays oracle-identical under faults.  An
+        in-flight cut is the one write of a channel's busy end outside a
+        full reservation, so the retry leg checks the fast kernel's
+        folded busy-end max against the reference kernel's scan there."""
+
+        policy = "policy:hca=gate,trunk=width:levels=3,switch=gate"
+        want = None
+        for kernel in KERNELS:
+            got = observables(run_policy(policy, kernel=kernel, faults=faults))
+            if want is None:
+                want = got
+            else:
+                assert got == want, (faults, kernel)
+        assert want["faults"].events_applied > 0
+        if retries:
+            assert want["faults"].inflight_retries > 0

@@ -64,6 +64,76 @@ def test_rejects_rank_count_mismatch():
         loads_trace("#TRACE name=x nranks=3\n#RANK 0\n")
 
 
+def _parse_error(text):
+    with pytest.raises(TraceParseError) as info:
+        loads_trace(text)
+    return info.value
+
+
+def test_rejects_header_without_name():
+    err = _parse_error("// x\n#TRACE nranks=1\n#RANK 0\n")
+    assert err.lineno == 2 and "name=" in str(err)
+
+
+def test_rejects_non_integer_nranks():
+    err = _parse_error("#TRACE name=x nranks=abc\n#RANK 0\n")
+    assert err.lineno == 1 and "nranks" in str(err)
+
+
+def test_rejects_fractional_nranks():
+    err = _parse_error("#TRACE name=x nranks=1.5\n#RANK 0\n")
+    assert err.lineno == 1 and "'1.5'" in str(err)
+
+
+def test_rejects_non_integer_rank_index():
+    err = _parse_error("#TRACE name=x nranks=1\n#RANK x\n")
+    assert err.lineno == 2 and "#RANK" in str(err)
+
+
+def test_rejects_repeated_header_key():
+    err = _parse_error("#TRACE name=x nranks=1 iterations=2 iterations=3\n")
+    assert err.lineno == 1 and "'iterations' given twice" in str(err)
+
+
+def test_rejects_second_header():
+    err = _parse_error("#TRACE name=x nranks=1\n#RANK 0\n#TRACE name=y\n")
+    assert err.lineno == 3
+
+
+def test_rejects_glued_directive():
+    err = _parse_error("#TRACEx name=x nranks=0\n")
+    assert err.lineno == 1
+
+
+def test_name_is_kept_verbatim():
+    assert loads_trace("#TRACE name=1.50 nranks=0\n").name == "1.50"
+
+
+_TRACE_TOKENS = st.sampled_from([
+    "#TRACE", "#RANK", "name=x", "nranks=1", "nranks=2", "nranks=-1",
+    "nranks=1.5", "name=", "=", "k=v", "C", "P", "G", "0", "1", "-1",
+    "1.5", "nan", "inf", "-", "x", "99999999999999999999", "//",
+])
+
+
+@given(lines=st.lists(
+    st.lists(_TRACE_TOKENS, max_size=8).map(" ".join), max_size=8,
+))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_trace_parse_error(lines):
+    try:
+        loads_trace("\n".join(lines))
+    except TraceParseError:
+        pass
+
+
+def test_declared_zero_ranks_must_match():
+    with pytest.raises(TraceParseError, match="declares 0 ranks"):
+        loads_trace("#TRACE name=x nranks=0\n#RANK 0\n")
+    assert loads_trace("#TRACE name=x\n#RANK 0\n").nranks == 1
+    assert loads_trace(dumps_trace(Trace.empty("e", 0))).nranks == 0
+
+
 def test_comments_and_blank_lines_ignored():
     text = "#TRACE name=x nranks=1\n\n// a comment\n#RANK 0\nC 1.0\n"
     t = loads_trace(text)
