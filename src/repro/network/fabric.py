@@ -24,21 +24,20 @@ Routing is *static per (src, dst) pair*: a :class:`~repro.network.routing.
 RouteTable` compiles each pair's up*/down* path once (random or d-mod-k
 ascent choices, seeded order-independently), mirroring how an IB subnet
 manager programs forwarding tables ahead of traffic.  On top of the path
-the fabric precompiles a flat per-pair hop table — ``(link, channel,
-switch)`` triples plus the pipelining constants — so the replay hot path
-never walks routing dicts or recomputes subtree arithmetic per message.
-:meth:`Fabric.transfer_hot` (the replay path) executes that fast kernel;
-:meth:`Fabric.transfer` is the straightforward per-message walk, which
-also backs ``transfer_hot`` when ``use_fast_path=False``, and the two are
-property-tested to be bit-for-bit identical.
+the fabric precompiles a flat per-pair table of hop records, so the
+replay hot path never walks routing dicts or recomputes subtree
+arithmetic per message.
 
-Under fault injection (:meth:`Fabric.install_faults`) the same split
-holds.  ``transfer`` walks each message's surviving route live
-(:meth:`Fabric._transfer_faulted`); ``transfer_hot`` runs a compiled
-faulted kernel whose per-pair hop records are cached per fault epoch and
-read bandwidth live from the channel, so degradation never invalidates
-them.  The two are property-tested against each other on hand-built
-fault plans (see :mod:`repro.network.faults`).
+There are two transfer bodies, and a healthy fabric is a faulted one
+with no events.  :meth:`Fabric.transfer` is the reference kernel: a
+live per-message walk, which also backs ``transfer_hot`` when
+``use_fast_path=False``.  :meth:`Fabric.transfer_hot` is the replay
+kernel over compiled hop records: the static tables on a healthy
+fabric, records cached per fault epoch under fault injection
+(:meth:`Fabric.install_faults`).  Records read bandwidth live from the
+channel, so degradation never invalidates them.  The two kernels are
+property-tested to be bit-for-bit identical, on healthy fabrics and on
+hand-built fault plans (see :mod:`repro.network.faults`).
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ..constants import (
     MPI_LATENCY_US,
@@ -62,7 +59,7 @@ from .faults import (
     compile_fault_plan,
     parse_faults,
 )
-from .links import DirectedChannel, Link, LinkPowerMode
+from .links import Link, LinkPowerMode
 from .routing import (
     DeterministicRouter,
     RandomRouter,
@@ -139,15 +136,11 @@ class Fabric:
                 # custom router, or a RandomRouter around an unseeded
                 # generator: compile pairs through the router itself
                 self.routes = RouteTable(self.topo, router=self.router)
-        #: per-(src, dst) flat hop tables: tuple of (link, channel,
-        #: switch-or-None, segment_time_us) hops, keyed src*H+dst
+        #: per-(src, dst) static-route hop records (see
+        #: :meth:`_path_hops`), keyed src*H+dst
         self._hops: dict[int, tuple] = {}
-        #: keys of hop tables compiled while a link ran degraded: they
-        #: baked the degraded bandwidth, so :meth:`reset` recompiles them
-        self._stale_hops: set[int] = set()
         self._num_hosts = self.topo.num_hosts
-        #: active fault-injection state (None = healthy fabric); when
-        #: set, every transfer routes through a faulted kernel
+        #: active fault-injection state (None = healthy fabric)
         self._faults: FaultState | None = None
 
     # -- construction helpers ----------------------------------------------
@@ -214,18 +207,16 @@ class Fabric:
 
     # -- transfer timing -----------------------------------------------------
 
-    def segment_time_us(self, channel: DirectedChannel) -> float:
-        return self.segment_bytes / channel.bandwidth_bytes_per_us
-
-    def _path_hops(self, path: Sequence[NodeId]) -> tuple:
+    def _path_hops(self, path: Sequence[NodeId], down_times=None) -> tuple:
         """Flatten a vertex path into per-hop records.
 
-        Each hop carries the channel's bandwidth alongside the objects so
-        the transfer kernel never chases attribute chains per hop; links
-        and channels are stable across :meth:`reset` (cleared in place,
-        never rebuilt), so the compiled records stay valid for the
-        fabric's whole lifetime (a pair compiled while a link ran
-        degraded is recompiled by :meth:`reset`).
+        Each record is ``(link, channel, switch, downs, busy_starts.append,
+        busy_ends.append)``: ``switch`` is None at the destination host and
+        ``downs`` holds the link's scheduled down times from
+        ``down_times`` (a plan's), None when it has none.  Links, channels
+        and busy-log lists are cleared in place by :meth:`reset`, never
+        rebuilt, and bandwidth is read live from the channel, so a record
+        stays valid for the fabric's whole lifetime.
         """
 
         hops = []
@@ -238,11 +229,8 @@ class Fabric:
                     link,
                     channel,
                     switch,
-                    self.segment_time_us(channel),
-                    channel.bandwidth_bytes_per_us,
-                    # busy-log lists are cleared in place by reset(), so
-                    # their bound append methods stay valid for the
-                    # fabric's lifetime
+                    None if down_times is None
+                    else down_times.get((link.a, link.b)),
                     channel.busy_starts.append,
                     channel.busy_ends.append,
                 )
@@ -253,10 +241,7 @@ class Fabric:
         """Compile and keep one pair's static-route hop records."""
 
         compiled = self._path_hops(self.routes.path(src_host, dst_host))
-        key = src_host * self._num_hosts + dst_host
-        self._hops[key] = compiled
-        if self._faults is not None and self._faults.degraded:
-            self._stale_hops.add(key)
+        self._hops[src_host * self._num_hosts + dst_host] = compiled
         return compiled
 
     def precompile_pairs(self, pairs: Iterable[tuple[int, int]]) -> int:
@@ -298,19 +283,25 @@ class Fabric:
 
         Returns the transfer timing; the overlapping busy intervals are
         recorded on every traversed channel.  This is the reference
-        kernel: a per-message walk of the static route, the equivalence
-        oracle for :meth:`transfer_hot`.
+        kernel, a live per-message walk and the equivalence oracle for
+        :meth:`transfer_hot`.  A healthy fabric walks the static route.
+        Under faults the walk first applies pending events up to the
+        transfer clock and resolves the pair's surviving route.  A hop
+        whose reservation window contains the link's scheduled down time
+        is cut at that instant (partial busy interval) and the whole
+        transfer retries after ``retry_delay_us`` on a route excluding
+        the dying link; earlier hops keep their reservations — those
+        bytes really transited.  ``depart`` is the first transmission
+        attempt's start; ``src_release`` is the successful attempt's
+        first-hop drain.
         """
 
-        if self._faults is not None:
-            # the live faulted walk: the oracle for the compiled
-            # faulted kernel behind transfer_hot
-            return self._transfer_faulted(
-                src_host, dst_host, size_bytes, earliest_us, on_power_block
-            )
+        state = self._faults
         if size_bytes < 0:
             raise ValueError("negative message size")
         self.messages_sent += 1
+        if state is not None:
+            state.apply_until(self, earliest_us)
         if src_host == dst_host:
             # loopback: no network involvement, only the software latency
             arrive = earliest_us + self.mpi_latency_us
@@ -318,53 +309,104 @@ class Fabric:
                 earliest_us, arrive, self.mpi_latency_us, 0.0, 0, arrive
             )
 
-        path = self.routes.path(src_host, dst_host)
-        hops = len(path) - 1
         size = max(1, size_bytes)
-
         # software injection latency happens before the wire
         head_ready = earliest_us + self.mpi_latency_us
         power_wait = 0.0
         depart = None
-        src_release = None
-        for tail, head in path_links(path):
-            link = self.link_between(tail, head)
-            if link.mode is not LinkPowerMode.FULL:
-                if on_power_block is not None:
-                    usable = on_power_block(link, head_ready)
-                else:
-                    usable = link.ready_time(head_ready)
-                if usable > head_ready:
-                    power_wait += usable - head_ready
-                    head_ready = usable
-            channel = link.channel(tail)
-            start, end = channel.reserve(head_ready, size)
-            if depart is None:
-                depart = start
-                src_release = end
-            if not head.is_host:
-                self.switches[head].record_forward(size)
-            # head of the message reaches the next hop after one segment
-            # plus the switch traversal latency
-            head_ready = (
-                start
-                + min(self.segment_time_us(channel), size / channel.bandwidth_bytes_per_us)
-                + self.hop_latency_us
-            )
-
-        assert depart is not None and src_release is not None
-        last_tail, last_head = path[-2], path[-1]
-        last_channel = self.link_between(last_tail, last_head).channel(last_tail)
-        # the last byte arrives when the final channel finishes serialising
-        arrive = last_channel.next_free_us
-        return TransferTiming(
-            depart_us=depart,
-            arrive_us=arrive,
-            wire_us=arrive - depart,
-            power_wait_us=power_wait,
-            hops=hops,
-            src_release_us=src_release,
-        )
+        exclude = None
+        attempts = 0
+        while True:
+            if state is None:
+                path = self.routes.path(src_host, dst_host)
+            else:
+                attempts += 1
+                if attempts > 64:
+                    raise RuntimeError(
+                        f"fault retry livelock: transfer {src_host}->"
+                        f"{dst_host} interrupted {attempts} times"
+                    )
+                state.apply_until(self, head_ready)
+                t_applied = head_ready
+                try:
+                    path, migrated = state.resolve_route(
+                        self, src_host, dst_host, head_ready, exclude
+                    )
+                except FabricPartitioned:
+                    heal = state.next_link_up(head_ready)
+                    if heal is None:
+                        raise  # genuinely partitioned: no scheduled heal
+                    # every surviving-candidate route is down but a
+                    # flapped link heals later: stall until then and
+                    # re-resolve
+                    head_ready = heal + state.plan.spec.retry_delay_us
+                    exclude = None
+                    continue
+                if migrated:
+                    penalty = state.plan.spec.reroute_penalty_us
+                    state.migration_wait_us += penalty
+                    head_ready += penalty
+                    t_applied = head_ready
+            src_release = None
+            for tail, head in path_links(path):
+                link = self.link_between(tail, head)
+                if link.mode is not LinkPowerMode.FULL:
+                    if on_power_block is not None:
+                        usable = on_power_block(link, head_ready)
+                    else:
+                        usable = link.ready_time(head_ready)
+                    if usable > head_ready:
+                        power_wait += usable - head_ready
+                        head_ready = usable
+                channel = link.channel(tail)
+                start = max(head_ready, channel.next_free_us)
+                serial = size / channel.bandwidth_bytes_per_us
+                end = start + serial
+                down = (
+                    None if state is None
+                    else state.next_down((link.a, link.b), t_applied, end)
+                )
+                if down is not None:
+                    # the link dies mid-reservation: cut the busy window
+                    # at the down instant and retry on another route
+                    if down > start:
+                        channel.next_free_us = down
+                        channel.busy_starts.append(start)
+                        channel.busy_ends.append(down)
+                        if src_release is None and depart is None:
+                            depart = start
+                    state.inflight_retries += 1
+                    head_ready = down + state.plan.spec.retry_delay_us
+                    exclude = (link.a, link.b)
+                    break
+                channel.next_free_us = end
+                channel.bytes_carried += size
+                channel.busy_starts.append(start)
+                channel.busy_ends.append(end)
+                if src_release is None:
+                    if depart is None:
+                        depart = start
+                    src_release = end
+                if not head.is_host:
+                    self.switches[head].record_forward(size)
+                # head of the message reaches the next hop after one
+                # segment plus the switch traversal latency
+                head_ready = (
+                    start
+                    + min(self.segment_bytes / channel.bandwidth_bytes_per_us,
+                          serial)
+                    + self.hop_latency_us
+                )
+            else:
+                # the last byte arrives when the final channel finishes
+                return TransferTiming(
+                    depart_us=depart,
+                    arrive_us=end,
+                    wire_us=end - depart,
+                    power_wait_us=power_wait,
+                    hops=len(path) - 1,
+                    src_release_us=src_release,
+                )
 
     def transfer_hot(
         self,
@@ -374,27 +416,22 @@ class Fabric:
         earliest_us: float,
         on_power_block=None,
     ) -> tuple[float, float]:
-        """The replay kernel: :meth:`transfer` over the precompiled flat
-        hop table, returning only ``(arrive_us, src_release_us)``.
+        """The replay kernel: :meth:`transfer` over compiled hop records,
+        returning only ``(arrive_us, src_release_us)``.
 
         The MPI replay layer only consumes those two fields, so its hot
         path skips the per-message :class:`TransferTiming` construction.
-        Identical arithmetic and identical channel/switch bookkeeping;
-        with ``use_fast_path`` off it simply wraps the reference walk.
-        On a faulted fabric it runs the compiled faulted kernel
-        (:meth:`_transfer_faulted_hot`) instead.
+        A healthy fabric serves the pair's static-route records from
+        ``_hops``.  Under faults a pair's resolved route is compiled once
+        per fault epoch (see :class:`~repro.network.faults.FaultState`)
+        and served from ``route_cache`` while the epoch holds; an
+        in-flight retry, which resolves around the dying link, bypasses
+        the cache, and pending events are applied only once the clock
+        reaches the next event time.  Same arithmetic, same bookkeeping
+        and the same fault-state mutations as the reference walk; with
+        ``use_fast_path`` off it simply wraps that walk.
         """
 
-        if self._faults is not None:
-            if self.use_fast_path:
-                return self._transfer_faulted_hot(
-                    src_host, dst_host, size_bytes, earliest_us,
-                    on_power_block,
-                )
-            t = self._transfer_faulted(
-                src_host, dst_host, size_bytes, earliest_us, on_power_block
-            )
-            return t.arrive_us, t.src_release_us
         if not self.use_fast_path:
             t = self.transfer(
                 src_host, dst_host, size_bytes, earliest_us,
@@ -404,61 +441,121 @@ class Fabric:
         if size_bytes < 0:
             raise ValueError("negative message size")
         self.messages_sent += 1
+        state = self._faults
+        if state is not None and earliest_us >= state.next_t:
+            state.apply_until(self, earliest_us)
         if src_host == dst_host:
             arrive = earliest_us + self.mpi_latency_us
             return arrive, arrive
 
-        route = self._hops.get(src_host * self._num_hosts + dst_host)
-        if route is None:
-            route = self._compile_hops(src_host, dst_host)
+        key = src_host * self._num_hosts + dst_host
         size = size_bytes if size_bytes > 1 else 1
-
         head_ready = earliest_us + self.mpi_latency_us
         hop_latency = self.hop_latency_us
+        segment = self.segment_bytes
         full = LinkPowerMode.FULL
-        src_release = None
-        end = 0.0
-        for link, channel, switch, seg_time, bandwidth, s_append, e_append in route:
-            if link.mode is not full:
-                if on_power_block is not None:
-                    usable = on_power_block(link, head_ready)
+        if state is None:
+            route = self._hops.get(key)
+            if route is None:
+                route = self._compile_hops(src_host, dst_host)
+        else:
+            exclude = None
+            attempts = 0
+        while True:
+            if state is not None:
+                # resolve (or serve from the epoch cache) per attempt
+                attempts += 1
+                if attempts > 64:
+                    raise RuntimeError(
+                        f"fault retry livelock: transfer {src_host}->"
+                        f"{dst_host} interrupted {attempts} times"
+                    )
+                if head_ready >= state.next_t:
+                    state.apply_until(self, head_ready)
+                t_applied = head_ready
+                cached = (
+                    state.route_cache.get(key) if exclude is None else None
+                )
+                if cached is not None and cached[0] == state.epoch:
+                    route = cached[1]
                 else:
-                    usable = link.ready_time(head_ready)
-                if usable > head_ready:
-                    head_ready = usable
-            # channel.reserve, inlined (same float ops — start is
-            # max(earliest, next_free), end adds the serialisation time)
-            next_free = channel.next_free_us
-            start = next_free if next_free > head_ready else head_ready
-            serial = size / bandwidth
-            end = start + serial
-            channel.next_free_us = end
-            channel.bytes_carried += size
-            s_append(start)
-            e_append(end)
-            if src_release is None:
-                src_release = end
-            if switch is not None:
-                switch.messages_forwarded += 1
-                switch.bytes_switched += size
-            head_ready = (
-                start + (seg_time if seg_time < serial else serial) + hop_latency
-            )
-
-        assert src_release is not None
-        return end, src_release
+                    try:
+                        path, migrated = state.resolve_route(
+                            self, src_host, dst_host, head_ready, exclude
+                        )
+                    except FabricPartitioned:
+                        heal = state.next_link_up(head_ready)
+                        if heal is None:
+                            raise
+                        head_ready = heal + state.plan.spec.retry_delay_us
+                        exclude = None
+                        continue
+                    route = self._path_hops(path, state.plan.down_times)
+                    if exclude is None:
+                        state.route_cache[key] = (state.epoch, route)
+                    if migrated:
+                        penalty = state.plan.spec.reroute_penalty_us
+                        state.migration_wait_us += penalty
+                        head_ready += penalty
+                        t_applied = head_ready
+            src_release = None
+            for link, channel, switch, downs, s_append, e_append in route:
+                if link.mode is not full:
+                    if on_power_block is not None:
+                        usable = on_power_block(link, head_ready)
+                    else:
+                        usable = link.ready_time(head_ready)
+                    if usable > head_ready:
+                        head_ready = usable
+                # channel.reserve, inlined (same float ops — start is
+                # max(earliest, next_free), end adds the serialisation time)
+                next_free = channel.next_free_us
+                start = next_free if next_free > head_ready else head_ready
+                bandwidth = channel.bandwidth_bytes_per_us
+                serial = size / bandwidth
+                end = start + serial
+                if downs is not None:
+                    # FaultState.next_down, inlined (downs is None on a
+                    # healthy fabric, so t_applied is always bound here)
+                    i = bisect_right(downs, t_applied)
+                    if i < len(downs) and downs[i] < end:
+                        down = downs[i]
+                        if down > start:
+                            channel.next_free_us = down
+                            s_append(start)
+                            e_append(down)
+                        state.inflight_retries += 1
+                        head_ready = down + state.plan.spec.retry_delay_us
+                        exclude = (link.a, link.b)
+                        break
+                channel.next_free_us = end
+                channel.bytes_carried += size
+                s_append(start)
+                e_append(end)
+                if src_release is None:
+                    src_release = end
+                if switch is not None:
+                    switch.messages_forwarded += 1
+                    switch.bytes_switched += size
+                # min(segment / bandwidth, serial) with one division:
+                # dividing by the same bandwidth preserves order
+                head_ready = (
+                    start
+                    + (segment / bandwidth if size > segment else serial)
+                    + hop_latency
+                )
+            else:
+                return end, src_release
 
     # -- fault injection -----------------------------------------------------
 
     def install_faults(self, plan: "FaultPlan | FaultSpec | str") -> None:
         """Arm the fabric with a fault plan (spec string / spec / plan).
 
-        Every subsequent transfer runs a faulted kernel (the compiled one
-        behind :meth:`transfer_hot`, the live walk behind
-        :meth:`transfer`), which applies the plan's timed events lazily
-        at the simulation clock
-        (see :mod:`repro.network.faults` for the determinism argument)
-        and handles failover, in-flight retries and partitions.
+        Every subsequent transfer, on either kernel, applies the plan's
+        timed events lazily at the simulation clock (see
+        :mod:`repro.network.faults` for the determinism argument) and
+        handles failover, in-flight retries and partitions.
         :meth:`reset` restores the fabric to pristine and disarms it.
         """
 
@@ -482,286 +579,6 @@ class Fabric:
         """The plan's wake-timeout model for managed links (or None)."""
 
         return None if self._faults is None else self._faults.plan.wake_model()
-
-    def _transfer_faulted(
-        self, src_host, dst_host, size_bytes, earliest_us, on_power_block
-    ) -> TransferTiming:
-        """The reference faulted transfer: a live per-message walk.
-
-        Applies pending fault events up to the transfer clock, resolves
-        the pair's surviving route and walks it vertex by vertex.  A hop
-        whose reservation window contains the link's scheduled down time
-        is cut at that instant (partial busy interval) and the whole
-        transfer retries after ``retry_delay_us`` on a route excluding
-        the dying link; earlier hops keep their reservations — those
-        bytes really transited.  ``depart`` is the first transmission
-        attempt's start; ``src_release`` is the successful attempt's
-        first-hop drain.  This is the oracle for
-        :meth:`_transfer_faulted_hot`.
-        """
-
-        state = self._faults
-        spec = state.plan.spec
-        if size_bytes < 0:
-            raise ValueError("negative message size")
-        self.messages_sent += 1
-        state.apply_until(self, earliest_us)
-        if src_host == dst_host:
-            arrive = earliest_us + self.mpi_latency_us
-            return TransferTiming(
-                earliest_us, arrive, self.mpi_latency_us, 0.0, 0, arrive
-            )
-
-        size = max(1, size_bytes)
-        head_ready = earliest_us + self.mpi_latency_us
-        hop_latency = self.hop_latency_us
-        full = LinkPowerMode.FULL
-        power_wait = 0.0
-        depart = None
-        src_release = None
-        exclude = None
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > 64:
-                raise RuntimeError(
-                    f"fault retry livelock: transfer {src_host}->"
-                    f"{dst_host} interrupted {attempts} times"
-                )
-            state.apply_until(self, head_ready)
-            t_applied = head_ready
-            try:
-                path, migrated = state.resolve_route(
-                    self, src_host, dst_host, head_ready, exclude
-                )
-            except FabricPartitioned:
-                heal = state.next_link_up(head_ready)
-                if heal is None:
-                    raise  # genuinely partitioned: no scheduled heal
-                # every surviving-candidate route is down but a flapped
-                # link heals later: stall until then and re-resolve
-                head_ready = heal + spec.retry_delay_us
-                exclude = None
-                continue
-            if migrated:
-                state.migration_wait_us += spec.reroute_penalty_us
-                head_ready += spec.reroute_penalty_us
-                t_applied = head_ready
-            retry_at = None
-            end = 0.0
-            hops = len(path) - 1
-            prev = path[0]
-            first_hop = True
-            for head in path[1:]:
-                link = self.links[
-                    (prev, head) if prev <= head else (head, prev)
-                ]
-                edge = (link.a, link.b)
-                if link.mode is not full:
-                    if on_power_block is not None:
-                        usable = on_power_block(link, head_ready)
-                    else:
-                        usable = link.ready_time(head_ready)
-                    if usable > head_ready:
-                        power_wait += usable - head_ready
-                        head_ready = usable
-                channel = link.channel(prev)
-                next_free = channel.next_free_us
-                start = next_free if next_free > head_ready else head_ready
-                bandwidth = channel.bandwidth_bytes_per_us
-                serial = size / bandwidth
-                end = start + serial
-                down = state.next_down(edge, t_applied, end)
-                if down is not None:
-                    # the link dies mid-reservation: cut the busy window
-                    # at the down instant and retry on another route
-                    if down > start:
-                        channel.next_free_us = down
-                        channel.busy_starts.append(start)
-                        channel.busy_ends.append(down)
-                        if first_hop and depart is None:
-                            depart = start
-                    state.inflight_retries += 1
-                    retry_at = down + spec.retry_delay_us
-                    exclude = edge
-                    break
-                channel.next_free_us = end
-                channel.bytes_carried += size
-                channel.busy_starts.append(start)
-                channel.busy_ends.append(end)
-                if first_hop:
-                    if depart is None:
-                        depart = start
-                    src_release = end
-                    first_hop = False
-                if not head.is_host:
-                    sw = self.switches[head]
-                    sw.messages_forwarded += 1
-                    sw.bytes_switched += size
-                seg_time = self.segment_bytes / bandwidth
-                head_ready = (
-                    start
-                    + (seg_time if seg_time < serial else serial)
-                    + hop_latency
-                )
-                prev = head
-            if retry_at is None:
-                break
-            head_ready = retry_at
-
-        assert depart is not None and src_release is not None
-        return TransferTiming(
-            depart_us=depart,
-            arrive_us=end,
-            wire_us=end - depart,
-            power_wait_us=power_wait,
-            hops=hops,
-            src_release_us=src_release,
-        )
-
-    def _fault_hops(self, src_host, dst_host, path) -> tuple:
-        """Compile a resolved faulted route into fault-kernel hop records.
-
-        Each record is ``(link, channel, switch, edge key, plan down
-        times or None, busy_starts.append, busy_ends.append)``, derived
-        from the pair's precompiled ``_hops`` when ``path`` is its static
-        route.  Bandwidth is left out: degradation changes it under a
-        cached route, so the kernel reads it live from the channel.
-        """
-
-        hops = self._hops.get(src_host * self._num_hosts + dst_host)
-        if hops is None or path is not self.routes.path(src_host, dst_host):
-            # not stored: bandwidths baked now may be degraded ones
-            hops = self._path_hops(path)
-        downs = self._faults.plan.down_times
-        records = []
-        for link, channel, switch, _, _, s_append, e_append in hops:
-            edge = (link.a, link.b)
-            records.append(
-                (link, channel, switch, edge, downs.get(edge), s_append,
-                 e_append)
-            )
-        return tuple(records)
-
-    def _transfer_faulted_hot(
-        self, src_host, dst_host, size_bytes, earliest_us, on_power_block
-    ) -> tuple[float, float]:
-        """The compiled faulted kernel: :meth:`_transfer_faulted` over
-        cached compiled routes, returning ``(arrive_us, src_release_us)``.
-
-        A pair's resolved route is compiled once per fault epoch (see
-        :class:`~repro.network.faults.FaultState`) and served from the
-        cache while the epoch holds; an in-flight retry, which resolves
-        around the dying link, bypasses the cache.  Pending events are
-        applied only once the clock reaches the next event time.  Same
-        arithmetic, same bookkeeping and the same fault-state mutations
-        as the reference walk.
-        """
-
-        state = self._faults
-        if size_bytes < 0:
-            raise ValueError("negative message size")
-        self.messages_sent += 1
-        if earliest_us >= state.next_t:
-            state.apply_until(self, earliest_us)
-        if src_host == dst_host:
-            arrive = earliest_us + self.mpi_latency_us
-            return arrive, arrive
-
-        spec = state.plan.spec
-        cache = state.route_cache
-        key = src_host * self._num_hosts + dst_host
-        size = size_bytes if size_bytes > 1 else 1
-        head_ready = earliest_us + self.mpi_latency_us
-        hop_latency = self.hop_latency_us
-        segment = self.segment_bytes
-        full = LinkPowerMode.FULL
-        src_release = None
-        exclude = None
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > 64:
-                raise RuntimeError(
-                    f"fault retry livelock: transfer {src_host}->"
-                    f"{dst_host} interrupted {attempts} times"
-                )
-            if head_ready >= state.next_t:
-                state.apply_until(self, head_ready)
-            t_applied = head_ready
-            cached = cache.get(key) if exclude is None else None
-            if cached is not None and cached[0] == state.epoch:
-                route = cached[1]
-            else:
-                try:
-                    path, migrated = state.resolve_route(
-                        self, src_host, dst_host, head_ready, exclude
-                    )
-                except FabricPartitioned:
-                    heal = state.next_link_up(head_ready)
-                    if heal is None:
-                        raise
-                    head_ready = heal + spec.retry_delay_us
-                    exclude = None
-                    continue
-                route = self._fault_hops(src_host, dst_host, path)
-                if exclude is None:
-                    cache[key] = (state.epoch, route)
-                if migrated:
-                    state.migration_wait_us += spec.reroute_penalty_us
-                    head_ready += spec.reroute_penalty_us
-                    t_applied = head_ready
-            retry_at = None
-            end = 0.0
-            first_hop = True
-            for link, channel, switch, edge, downs, s_append, e_append in route:
-                if link.mode is not full:
-                    if on_power_block is not None:
-                        usable = on_power_block(link, head_ready)
-                    else:
-                        usable = link.ready_time(head_ready)
-                    if usable > head_ready:
-                        head_ready = usable
-                next_free = channel.next_free_us
-                start = next_free if next_free > head_ready else head_ready
-                bandwidth = channel.bandwidth_bytes_per_us
-                serial = size / bandwidth
-                end = start + serial
-                if downs is not None:
-                    # FaultState.next_down, inlined
-                    i = bisect_right(downs, t_applied)
-                    if i < len(downs) and downs[i] < end:
-                        down = downs[i]
-                        if down > start:
-                            channel.next_free_us = down
-                            s_append(start)
-                            e_append(down)
-                        state.inflight_retries += 1
-                        retry_at = down + spec.retry_delay_us
-                        exclude = edge
-                        break
-                channel.next_free_us = end
-                channel.bytes_carried += size
-                s_append(start)
-                e_append(end)
-                if first_hop:
-                    src_release = end
-                    first_hop = False
-                if switch is not None:
-                    switch.messages_forwarded += 1
-                    switch.bytes_switched += size
-                seg_time = segment / bandwidth
-                head_ready = (
-                    start
-                    + (seg_time if seg_time < serial else serial)
-                    + hop_latency
-                )
-            if retry_at is None:
-                break
-            head_ready = retry_at
-
-        assert src_release is not None
-        return end, src_release
 
     # -- analysis ------------------------------------------------------------
 
@@ -797,19 +614,15 @@ class Fabric:
         route table and compiled hop tables survive — routes are a
         property of (topology, seed), not of a run — which is exactly
         what makes back-to-back replays on one fabric equal fresh-fabric
-        replays.  A pair compiled while a link ran degraded baked that
-        bandwidth; it is recompiled here, once the pristine one is back.
+        replays.
         """
 
         if self._faults is not None:
-            # undo fault-layer mutations (degraded channel bandwidths)
-            # BEFORE recompiling; the fault-state audit (failed
-            # elements, overlays, counters) dies with the state
+            # undo fault-layer mutations (degraded channel bandwidths);
+            # the fault-state audit (failed elements, overlays,
+            # counters) dies with the state
             self._faults.restore(self)
             self._faults = None
-        for key in self._stale_hops:
-            self._compile_hops(*divmod(key, self._num_hosts))
-        self._stale_hops.clear()
         for link in self.links.values():
             link.reset()
         for sw in self.switches.values():

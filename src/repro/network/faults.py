@@ -36,19 +36,20 @@ with activity the trace never performed), the fabric applies the plan
 transfer call: an event timestamped between two transfers takes effect
 at the second one.
 
-Two implementations consume that state.  The reference kernel
-(``Fabric.transfer``, and ``transfer_hot`` with ``use_fast_path`` off)
-walks each message's resolved route live, vertex by vertex.  The fast
-kernel (``Fabric._transfer_faulted_hot``) serves each pair's route from
-a cache of compiled hop records keyed by the fault epoch (see
-:class:`FaultState`), reads channel bandwidth live so degradation needs
-no recompile, and skips ``apply_until`` while the clock is below the
-next event time.  Both kernels issue the same transfers at the same
-simulated times in the same order, so they must observe the same fault
-state; that they do is not structural but tested, message by message
-against hand-built plans in ``tests/network/test_links_fabric.py``
-(``TestFaultedHotEqualsReference``) and replay by replay in the faults
-and cluster differential tiers.
+The fabric's two transfer bodies consume that state; with no plan
+installed they run the same code with the fault steps skipped.  The
+reference kernel (``Fabric.transfer``, and ``transfer_hot`` with
+``use_fast_path`` off) resolves each message's route and walks it live,
+vertex by vertex.  The fast kernel (``Fabric.transfer_hot``) serves
+each pair's route from a cache of compiled hop records keyed by the
+fault epoch (see :class:`FaultState`), reads channel bandwidth live so
+degradation needs no recompile, and skips ``apply_until`` while the
+clock is below the next event time.  Both kernels issue the same
+transfers at the same simulated times in the same order, so they must
+observe the same fault state; that they do is not structural but
+tested, message by message against hand-built plans in
+``tests/network/test_links_fabric.py`` (``TestFaultedHotEqualsReference``)
+and replay by replay in the faults and cluster differential tiers.
 
 In-flight interaction: a transfer whose reservation window on some hop
 contains that link's scheduled down-time is cut at the down instant
@@ -622,12 +623,6 @@ class FaultState:
         return path, True
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        """True while some link runs at a degraded bandwidth."""
-
-        return bool(self._orig_bw)
 
     def restore(self, fabric) -> None:
         """Undo in-place fabric mutations (degraded bandwidths)."""

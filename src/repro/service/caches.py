@@ -105,7 +105,7 @@ def normalize_spec(raw: dict) -> dict:
         raise SpecError(f"nranks must be >= 2, got {nranks}")
     try:
         displacement = float(raw.get("displacement", 0.01))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SpecError(
             f"displacement must be a number, got {raw.get('displacement')!r}"
         )

@@ -179,6 +179,24 @@ class _Ticket:
         return max(0.0, self.deadline - time.monotonic())
 
 
+def _request_int(message: dict, name: str, minimum: int) -> int | None:
+    """An optional integer request field (None when absent); anything
+    else but an integer ``>= minimum`` is a :class:`SpecError`."""
+
+    value = message.get(name)
+    if value is None:
+        return None
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n < minimum:
+        raise SpecError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return n
+
+
 def _spec_label(spec: dict) -> str:
     parts = [f"{spec.get('app')}@{spec.get('nranks')}",
              f"d={spec.get('displacement')}"]
@@ -428,15 +446,17 @@ class ServiceDaemon:
         if timeout_s is not None:
             try:
                 timeout_s = float(timeout_s)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return protocol.error_reply(
                     protocol.BAD_REQUEST,
                     f"timeout_s must be a number, got {timeout_s!r}",
                 )
-            if timeout_s <= 0:
+            # NaN fails both tests; a wait past TIMEOUT_MAX overflows
+            if not 0 < timeout_s <= threading.TIMEOUT_MAX:
                 return protocol.error_reply(
                     protocol.BAD_REQUEST,
-                    f"timeout_s must be > 0, got {timeout_s}",
+                    f"timeout_s must be > 0 and at most "
+                    f"{threading.TIMEOUT_MAX:g}, got {timeout_s}",
                 )
         request_id = message.get("request_id")
         if request_id is not None:
@@ -602,11 +622,12 @@ class ServiceDaemon:
         if not isinstance(raw_specs, list) or not raw_specs:
             raise SpecError("sweep requires a non-empty 'specs' list")
         specs = [normalize_spec(s) for s in raw_specs]
-        workers = message.get("workers")
-        workers = (
-            resolve_workers(self.config.workers) if workers is None
-            else int(workers)
-        )
+        workers = _request_int(message, "workers", 1)
+        if workers is None:
+            workers = resolve_workers(self.config.workers)
+        retries = _request_int(message, "retries", 0)
+        if retries is None:
+            retries = self.config.retries
         failpoint = (
             message.get("failpoint") if self.config.test_hooks else None
         )
@@ -617,7 +638,6 @@ class ServiceDaemon:
                 "kill_worker": _crash_cell_worker,
                 "hang_worker": _hang_cell_worker,
             }.get(failpoint, compute_cell_payload)
-            retries = int(message.get("retries", self.config.retries))
             payloads = run_resilient(
                 fn, specs,
                 workers=workers,

@@ -100,7 +100,8 @@ def recv_message(sock) -> dict | None:
     payload = _recv_exact(sock, length, mid_frame=True)
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
         raise ProtocolError(f"frame is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(

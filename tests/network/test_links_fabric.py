@@ -420,3 +420,59 @@ class TestFaultedHotEqualsReference:
         assert hot.switch_traffic() == ref.switch_traffic()
         assert hot.messages_sent == ref.messages_sent
         assert hot.fault_summary() == ref.fault_summary()
+
+
+class TestEmptyPlanEqualsHealthy:
+    """A fabric armed with a plan of no events is a healthy fabric: the
+    premise that lets one body per kernel serve both.  On each kernel a
+    healthy fabric and an empty-plan fabric carry the same stream."""
+
+    NRANKS = 40  # three leaves: same-leaf and cross-spine routes
+
+    @given(
+        seed=st.integers(0, 3),
+        messages=st.lists(
+            st.tuples(
+                st.integers(0, NRANKS - 1),               # src
+                st.sampled_from([0, 1, 2, 17, 18, 39]),   # dst offset
+                st.sampled_from([0, 1, 64, 2048, 4096, 1 << 20]),
+                st.floats(0.0, 40.0),                     # gap after last
+                st.booleans(),                            # gate src HCA
+                st.booleans(),                            # pass the hook
+            ),
+            min_size=1, max_size=30,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_same_timings_and_bookkeeping(self, seed, messages):
+        messages = [
+            (src, (src + off) % self.NRANKS, *rest)
+            for src, off, *rest in messages
+        ]
+        for kernel in ("transfer", "transfer_hot"):
+            healthy = Fabric.for_ranks(self.NRANKS, seed=seed)
+            armed = Fabric.for_ranks(self.NRANKS, seed=seed)
+            armed.install_faults(
+                FaultPlan.from_events(FaultSpec(seed=0), [])
+            )
+            timings = {}
+            for fab in (healthy, armed):
+                calls = []
+                hook = _waking_hook(calls)
+                send = getattr(fab, kernel)
+                got = []
+                t = 0.0
+                for src, dst, size, gap, gate, hooked in messages:
+                    t += gap
+                    if gate:
+                        fab.host_link(src).mode = LinkPowerMode.LOW
+                    got.append(send(
+                        src, dst, size, t,
+                        on_power_block=hook if hooked else None,
+                    ))
+                timings[fab is armed] = (got, calls)
+            assert timings[False] == timings[True], kernel
+            assert _channel_state(healthy) == _channel_state(armed)
+            assert healthy.switch_traffic() == armed.switch_traffic()
+            assert healthy.messages_sent == armed.messages_sent
+            assert armed.fault_summary().events_applied == 0
