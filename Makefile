@@ -11,13 +11,16 @@
 #                     benchmarks/BENCH_pipeline.json (covers the compiled
 #                     fast kernel's stage timings)
 #   make bench-record re-record the smoke reference on this machine
-#   make topo-smoke   gate the topology sweep: one small cell per family
-#                     (fitted / torus / dragonfly / fattree2), each
-#                     verified fast == reference kernel
-#   make fault-smoke  gate the fault-injection sweep: one small faulted
-#                     cell per family (plus the clean control rows),
-#                     each verified fast == reference kernel under
-#                     faults — including identical partitions
+#   make sweep-smoke  gate the single-job sweep, every cell verified
+#                     fast == reference kernel (partitions included):
+#                     one small cell per topology family (fitted / torus /
+#                     dragonfly / fattree2); the same families under no
+#                     faults and under a moderate fault schedule; and one
+#                     cell per power policy (gate / width / scale on the
+#                     HCA class, plus trunk and switch management) on an
+#                     oversubscribed fat tree and a torus, whose many-port
+#                     switches pin the fast kernel's folded busy-end max
+#                     against the reference kernel's per-port scan
 #   make cluster-smoke gate the multi-job cluster sweep: small job
 #                     streams x placements x (fitted, torus), each cell
 #                     verified fast == reference kernel bit-for-bit
@@ -26,14 +29,6 @@
 #                     partitioning) torus and dragonfly, which pins the
 #                     compiled faulted kernel to the live faulted walk on
 #                     a shared fabric
-#   make policy-smoke gate the power-policy registry: one small cell per
-#                     policy family (gate / width / scale on the HCA
-#                     class, plus trunk and switch management) on an
-#                     oversubscribed fat tree and on a torus, each
-#                     verified fast == reference kernel including the
-#                     per-class savings rows; the torus's many-port
-#                     switches pin the fast kernel's folded busy-end max
-#                     against the reference kernel's per-port scan
 #   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3" [TRACE=1]
 #                     same-machine A/B of the perfbench benchmark: checks
 #                     BASE out into a temporary git worktree, runs
@@ -56,11 +51,13 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast bench bench-smoke bench-record bench-ab \
-	topo-smoke fault-smoke cluster-smoke policy-smoke service-smoke
+	sweep-smoke cluster-smoke service-smoke
 
 WORKLOAD ?= paper-grid
 SEEDS ?= 1 2 3
 TRACE ?=
+# sweep-smoke's fault schedule: moderately hostile, never partitioning
+SMOKE_FAULTS := faults:seed=7,link_fail=0.15,flap=0.2,degrade=0.2,wake_timeout=0.25,horizon_us=4000
 
 test:
 	$(PY) -m pytest -x -q
@@ -84,27 +81,22 @@ bench-ab:
 	$(PY) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) \
 		--seeds $(SEEDS) $(if $(TRACE),--trace)
 
-topo-smoke:
-	$(PY) -m repro.cli topo-sweep --apps alya --nranks 8 \
-		--iterations 6 --verify
-
-fault-smoke:
-	$(PY) -m repro.cli fault-sweep --apps alya --nranks 8 \
-		--iterations 6 --verify
+sweep-smoke:
+	$(PY) -m repro.cli sweep --apps alya --nranks 8 --iterations 6 --verify
+	$(PY) -m repro.cli sweep --apps alya --nranks 8 --iterations 6 \
+		--faults none $(SMOKE_FAULTS) --verify
+	$(PY) -m repro.cli sweep --apps alya --nranks 8 \
+		--iterations 6 --topologies fattree2:leaf=4,ratio=2 torus:k=3,n=2 \
+		--policies "policy:hca=gate" "policy:hca=width" \
+		"policy:hca=scale" "policy:hca=gate,trunk=gate" \
+		"policy:hca=gate,trunk=width:levels=3,switch=gate" \
+		--verify
 
 cluster-smoke:
 	$(PY) -m repro.cli cluster-sweep --iterations 6 --verify
 	$(PY) -m repro.cli cluster-sweep --iterations 6 --verify \
 		--faults faults:seed=7,degrade=0.3,wake_timeout=0.2 \
 		--topologies torus:k=4,n=2 dragonfly:a=4,p=2,h=2
-
-policy-smoke:
-	$(PY) -m repro.cli topo-sweep --apps alya --nranks 8 \
-		--iterations 6 --topologies fattree2:leaf=4,ratio=2 torus:k=3,n=2 \
-		--policies "policy:hca=gate" "policy:hca=width" \
-		"policy:hca=scale" "policy:hca=gate,trunk=gate" \
-		"policy:hca=gate,trunk=width:levels=3,switch=gate" \
-		--verify
 
 service-smoke:
 	$(PY) -m repro.service.smoke

@@ -11,8 +11,8 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli timeline --app gromacs --nranks 16
     python -m repro.cli gen --app alya --nranks 8 -o alya8.dim
     python -m repro.cli replay alya8.dim [--displacement 0.01]
-    python -m repro.cli topo-sweep [--topologies fitted torus:n=2 ...]
-    python -m repro.cli fault-sweep [--verify] [--faults none faults:...]
+    python -m repro.cli sweep [--verify] [--topologies fitted torus:n=2 ...]
+                              [--faults none faults:...] [--policies ...]
     python -m repro.cli cluster-sweep [--verify] [--jobs poisson:n=3,...]
     python -m repro.cli bench [--smoke] [--topology torus:n=2]
     python -m repro.cli serve [--socket PATH] [--queue-limit 32]
@@ -26,18 +26,18 @@ on any trace file (including hand-written ones); ``replay`` takes
 reference interpreter (bit-for-bit identical).  ``--workers N``
 (or ``REPRO_WORKERS``) fans the per-rank planning passes and the
 independent cells of the figure/table/sweep grids out over worker
-processes; results are identical to the sequential run.  ``topo-sweep``
-replays paper workloads across topology families (``--topology`` /
-``--topologies`` take spec strings like ``torus:k=4,n=2`` — the
-``repro.network.topologies`` registry documents each family's
-parameters).  ``fault-sweep`` runs the pipeline across topology
-families with deterministic fault injection armed (``--faults`` takes
-spec strings like ``faults:seed=7,link_fail=0.15`` — see
-``repro.network.faults``); a genuinely partitioned fabric becomes a
-``partitioned`` row instead of killing the grid, ``--verify`` pins the
-fast kernel bit-for-bit against the reference under faults, and
-``--checkpoint PATH`` journals completed cells so an interrupted sweep
-resumes.  ``cluster-sweep`` admits multi-job streams onto one shared
+processes; results are identical to the sequential run.  ``sweep``
+replays paper workloads over topology families x fault specs x
+power policies (``--topology`` / ``--topologies`` take spec strings
+like ``torus:k=4,n=2`` — the ``repro.network.topologies`` registry
+documents each family's parameters; ``--faults`` takes spec strings
+like ``faults:seed=7,link_fail=0.15`` — see ``repro.network.faults`` —
+and defaults to ``none``, a clean sweep; ``--policies`` takes
+``repro.power.policies`` specs); a genuinely partitioned fabric becomes
+a ``partitioned`` row instead of killing the grid, ``--verify`` pins
+the fast kernel bit-for-bit against the reference on every cell,
+and ``--checkpoint PATH`` journals completed cells so an interrupted
+sweep resumes.  ``cluster-sweep`` admits multi-job streams onto one shared
 fabric per cell (``--jobs`` takes job-stream specs like
 ``poisson:n=3,mean_gap_us=1500,seed=3`` — see ``repro.cluster.jobs`` —
 and ``--placements`` picks host-placement policies) and reports
@@ -76,23 +76,22 @@ from typing import Sequence
 from .analysis import render_timeline
 from .cluster import PLACEMENT_POLICIES, jobs_help
 from .experiments import (
+    SWEEP_COLUMNS,
     format_cluster_sweep,
-    format_fault_sweep,
     format_fig10,
     format_figure,
+    format_sweep,
     format_table1,
     format_table3,
     format_table4,
-    format_topo_sweep,
     run_cell,
     run_cluster_sweep,
-    run_fault_sweep,
     run_fig10,
     run_figure,
+    run_sweep,
     run_table1,
     run_table3,
     run_table4,
-    run_topo_sweep,
 )
 from .network import faults_help, topology_help
 from .power.policies import policy_help
@@ -252,37 +251,13 @@ def _cmd_replay(args) -> None:
     print(f"shutdowns       : {managed.total_shutdowns}")
 
 
-def _cmd_topo_sweep(args) -> None:
-    rows = run_topo_sweep(
-        apps=args.apps,
-        nranks_list=tuple(args.nranks),
-        topologies=args.topologies,
-        policies=args.policies,
-        displacement=args.displacement,
-        iterations=args.iterations,
-        workers=args.workers,
-        verify=args.verify,
-    )
-    print(format_topo_sweep(rows))
-    if args.verify:
-        print("[fast == reference kernel equality verified on every "
-              "(policy, family) pair]", file=sys.stderr)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["policy", "topology", "family", "app", "nranks", "hosts",
-             "switches", "links", "gt_us", "hit_rate_pct", "savings_pct",
-             "slowdown_pct", "trunk_savings_pct", "switch_savings_pct"],
-            [r.cells() for r in rows],
-        )
-
-
-def _cmd_fault_sweep(args) -> None:
-    rows = run_fault_sweep(
+def _cmd_sweep(args) -> None:
+    rows = run_sweep(
         apps=args.apps,
         nranks_list=tuple(args.nranks),
         topologies=args.topologies,
         fault_specs=args.faults,
+        policies=args.policies,
         displacement=args.displacement,
         iterations=args.iterations,
         workers=args.workers,
@@ -291,18 +266,12 @@ def _cmd_fault_sweep(args) -> None:
         retries=args.cell_retries,
         checkpoint=args.checkpoint,
     )
-    print(format_fault_sweep(rows))
+    print(format_sweep(rows))
     if args.verify:
-        print("[fast == reference kernel equality verified under faults "
-              "on every family]", file=sys.stderr)
+        print("[fast == reference kernel equality verified on every cell]",
+              file=sys.stderr)
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["topology", "faults", "app", "nranks", "status", "gt_us",
-             "savings_pct", "slowdown_pct", "events_applied", "reroutes",
-             "inflight_retries", "wake_timeouts", "detail"],
-            [r.cells() for r in rows],
-        )
+        _write_csv(args.csv, SWEEP_COLUMNS, [r.cells() for r in rows])
 
 
 def _cmd_cluster_sweep(args) -> None:
@@ -496,6 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "value wins over the REPRO_WORKERS env var "
                             "(default: REPRO_WORKERS or 1)")
 
+    def harness_options(p):
+        p.add_argument("--cell-timeout", type=float, default=None,
+                       help="per-cell wall-clock timeout in seconds "
+                            "(default: REPRO_CELL_TIMEOUT_S or none)")
+        p.add_argument("--cell-retries", type=int, default=None,
+                       help="re-attempts for crashed/stalled cells "
+                            "(default: REPRO_CELL_RETRIES or 2)")
+        p.add_argument("--checkpoint", default=None,
+                       help="journal file: completed cells are appended "
+                            "and a rerun resumes from it")
+
     def spec_option(p, flag, what, grammar, **kw):
         # the grammar text is generated from the spec's schema
         p.add_argument(flag, help=f"{what}. Grammar: {grammar()}", **kw)
@@ -542,53 +522,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cell)
 
     p = sub.add_parser(
-        "topo-sweep",
-        help="energy savings vs topology family (paper workloads x "
-             "families x nranks)",
+        "sweep",
+        help="savings/slowdown vs topology x faults x power policy "
+             "(paper workloads; partition-safe, crash/hang-proof grid)",
     )
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
     p.add_argument("--nranks", nargs="*", type=int, default=[16])
     spec_option(p, "--topologies", "topology specs (default: fitted + "
                 "torus + dragonfly + fattree2)", topology_help,
                 nargs="*", default=None)
+    spec_option(p, "--faults", "fault specs (default: 'none', a clean "
+                "sweep)", faults_help, nargs="*", default=None)
     spec_option(p, "--policies", "power-policy specs (default: the "
                 "paper's HCA-only gating)", policy_help,
                 nargs="*", default=None)
     p.add_argument("--displacement", type=float, default=0.05)
     p.add_argument("--verify", action="store_true",
                    help="re-run every cell on the reference replay kernel "
-                        "and fail on any fast/reference divergence")
-    common(p)
-    p.set_defaults(func=_cmd_topo_sweep)
-
-    p = sub.add_parser(
-        "fault-sweep",
-        help="savings/slowdown vs fault rate x topology (deterministic "
-             "fault injection; partition-safe, crash/hang-proof grid)",
-    )
-    p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
-    p.add_argument("--nranks", nargs="*", type=int, default=[8])
-    spec_option(p, "--topologies", "topology specs (default: fitted + "
-                "torus + dragonfly + fattree2)", topology_help,
-                nargs="*", default=None)
-    spec_option(p, "--faults", "fault specs (default: 'none' + a "
-                "moderate schedule)", faults_help, nargs="*", default=None)
-    p.add_argument("--displacement", type=float, default=0.05)
-    p.add_argument("--verify", action="store_true",
-                   help="re-run every cell on the reference replay kernel "
                         "and fail on any fast/reference divergence — "
                         "including divergent partitions")
-    p.add_argument("--cell-timeout", type=float, default=None,
-                   help="per-cell wall-clock timeout in seconds "
-                        "(default: REPRO_CELL_TIMEOUT_S or none)")
-    p.add_argument("--cell-retries", type=int, default=None,
-                   help="re-attempts for crashed/stalled cells "
-                        "(default: REPRO_CELL_RETRIES or 2)")
-    p.add_argument("--checkpoint", default=None,
-                   help="journal file: completed cells are appended and a "
-                        "rerun resumes from it")
+    harness_options(p)
     common(p)
-    p.set_defaults(func=_cmd_fault_sweep)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
         "cluster-sweep",
@@ -617,15 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run every cell on the reference kernel, fail "
                         "on any divergence, and check the per-job "
                         "energy-sum invariant")
-    p.add_argument("--cell-timeout", type=float, default=None,
-                   help="per-cell wall-clock timeout in seconds "
-                        "(default: REPRO_CELL_TIMEOUT_S or none)")
-    p.add_argument("--cell-retries", type=int, default=None,
-                   help="re-attempts for crashed/stalled cells "
-                        "(default: REPRO_CELL_RETRIES or 2)")
-    p.add_argument("--checkpoint", default=None,
-                   help="journal file: completed cells are appended and a "
-                        "rerun resumes from it")
+    harness_options(p)
     common(p)
     p.set_defaults(func=_cmd_cluster_sweep)
 

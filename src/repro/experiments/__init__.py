@@ -22,12 +22,6 @@ from .common import (
     run_cells,
     table2_parameters,
 )
-from .fault_sweep import (
-    DEFAULT_FAULT_SPECS,
-    FaultSweepRow,
-    format_fault_sweep,
-    run_fault_sweep,
-)
 from .fig10 import Fig10Curve, format_fig10, run_fig10
 from .figs7_9 import (
     FIGURE_DISPLACEMENTS,
@@ -39,11 +33,13 @@ from .figs7_9 import (
 from .table1 import Table1Row, format_table1, run_table1
 from .table3 import Table3Row, format_table3, run_table3
 from .table4 import Table4Row, format_table4, run_table4
-from .topo_sweep import (
+from .sweep import (
     DEFAULT_TOPOLOGIES,
-    TopoSweepRow,
-    format_topo_sweep,
-    run_topo_sweep,
+    SWEEP_COLUMNS,
+    SweepRow,
+    format_sweep,
+    run_sweep,
+    sweep_cell,
 )
 
 __all__ = [
@@ -72,13 +68,11 @@ __all__ = [
     "format_table4",
     "run_table4",
     "DEFAULT_TOPOLOGIES",
-    "TopoSweepRow",
-    "format_topo_sweep",
-    "run_topo_sweep",
-    "DEFAULT_FAULT_SPECS",
-    "FaultSweepRow",
-    "format_fault_sweep",
-    "run_fault_sweep",
+    "SWEEP_COLUMNS",
+    "SweepRow",
+    "format_sweep",
+    "run_sweep",
+    "sweep_cell",
     "DEFAULT_JOB_STREAMS",
     "DEFAULT_PLACEMENTS",
     "ClusterCell",

@@ -22,20 +22,19 @@ fault schedule (it plans from clean baseline gaps), and the
 slowdown-vs-isolated column should isolate *contention + faults*
 against a clean yardstick.
 
-The robustness properties mirror :mod:`~repro.experiments.fault_sweep`:
-a partitioned cell becomes a ``partitioned`` row instead of killing the
-grid; ``verify=True`` re-runs the cell on the reference kernel and
-asserts bit-for-bit equality, plus the energy-sum consistency check
-(per-job attributed link energy must sum to the fabric-level total
-integrated over the independent episode registry);
-the grid fans out through :func:`~repro.concurrency.run_journaled` with
-journal checkpointing.
+Each cell runs through :func:`~repro.experiments.sweep.sweep_cell`, the
+body the single-job sweep runs too: a partitioned cell becomes a
+``partitioned`` row instead of killing the grid, and ``verify=True``
+re-runs the cell on the reference kernel and asserts bit-for-bit
+equality of :func:`cluster_observables`.  Every run also passes the
+energy-sum consistency check (per-job attributed link energy must sum
+to the fabric-level total integrated over the independent episode
+registry).  The grid fans out through
+:func:`~repro.concurrency.run_journaled` with journal checkpointing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,7 +53,8 @@ from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
 from ..network.topologies import DEFAULT_TOPOLOGY, build_topology
 from ..power.states import WRPSParams
 from ..sim.dimemas import ReplayConfig, fabric_for
-from .common import default_iterations, run_cell, verify_same_partition
+from .common import default_iterations, run_cell
+from .sweep import sweep_cell
 
 #: the default stream axis: a deterministic two-job stream (the control
 #: — light contention) + a three-job two-tenant Poisson mix
@@ -244,80 +244,36 @@ def check_energy_sum(managed: ClusterResult) -> None:
         )
 
 
-def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
-    """One sweep cell in a worker process (module-level for pickling).
+def cluster_observables(spec: dict, cell: ClusterCell) -> dict:
+    """What ``verify`` requires the two kernels to agree on."""
 
-    With ``verify`` set, re-runs the cell on the reference kernel and
-    asserts bit-for-bit equality — cluster makespan, per-job spans,
-    windows, savings and event streams, or the *same* partition — and
-    checks the energy-sum invariant on both runs.
-    """
-
-    if multiprocessing.parent_process() is not None:
-        os.environ["REPRO_WORKERS"] = "1"  # no nested pools
-    spec = job["spec"]
-    verify = job["verify"]
-    where = (
-        f"{spec['topology']!r}/{spec['jobs_spec']!r}/{spec['placement']!r}"
-    )
-    try:
-        cell = run_cluster_cell(**spec)
-    except FabricPartitioned as exc:
-        if verify:
-            verify_same_partition(exc, run_cluster_cell, spec, where)
-        njobs = len(parse_jobs(spec["jobs_spec"]))
-        return ClusterSweepRow(
-            topology=spec["topology"],
-            jobs_spec=spec["jobs_spec"],
-            placement=spec["placement"],
-            status="partitioned",
-            njobs=njobs,
-            num_hosts=0,
-            makespan_us=0.0,
-            mean_savings_pct=0.0,
-            mean_slowdown_pct=0.0,
-            mean_queue_wait_us=0.0,
-            energy_mismatch_us=0.0,
-            wake_timeouts=0,
-            detail=str(exc),
-        )
     managed = cell.managed
-    check_energy_sum(managed)
-    if verify:
-        ref = run_cluster_cell(**dict(spec, kernel="reference"))
-        check_energy_sum(ref.managed)
-        mismatches = [
-            name
-            for name, got, want in (
-                ("baseline makespan", cell.baseline.exec_time_us,
-                 ref.baseline.exec_time_us),
-                ("managed makespan", managed.exec_time_us,
-                 ref.managed.exec_time_us),
-                ("job spans", [m.exec_time_us for m in managed.jobs],
-                 [m.exec_time_us for m in ref.managed.jobs]),
-                ("job windows",
-                 [(m.cluster.start_us, m.cluster.finish_us)
-                  for m in managed.jobs],
-                 [(m.cluster.start_us, m.cluster.finish_us)
-                  for m in ref.managed.jobs]),
-                ("job placements", [m.cluster.hosts for m in managed.jobs],
-                 [m.cluster.hosts for m in ref.managed.jobs]),
-                ("job savings", [m.power for m in managed.jobs],
-                 [m.power for m in ref.managed.jobs]),
-                ("event streams", [m.event_logs for m in managed.jobs],
-                 [m.event_logs for m in ref.managed.jobs]),
-                ("fabric energy", managed.fabric_link_energy_us,
-                 ref.managed.fabric_link_energy_us),
-                ("tenants", managed.tenants, ref.managed.tenants),
-                ("faults", managed.faults, ref.managed.faults),
-            )
-            if got != want
-        ]
-        if mismatches:
-            raise AssertionError(
-                f"fast != reference kernel on {where}: "
-                f"{', '.join(mismatches)} diverged"
-            )
+    return {
+        "baseline makespan": cell.baseline.exec_time_us,
+        "managed makespan": managed.exec_time_us,
+        "job spans": [m.exec_time_us for m in managed.jobs],
+        "job windows": [(m.cluster.start_us, m.cluster.finish_us)
+                        for m in managed.jobs],
+        "job placements": [m.cluster.hosts for m in managed.jobs],
+        "job savings": [m.power for m in managed.jobs],
+        "event streams": [m.event_logs for m in managed.jobs],
+        "fabric energy": managed.fabric_link_energy_us,
+        "tenants": managed.tenants,
+        "faults": managed.faults,
+    }
+
+
+def _checked_cluster_cell(**spec) -> ClusterCell:
+    """:func:`run_cluster_cell` plus the energy-sum invariant, which
+    every run of a sweep cell — fast or reference — must satisfy."""
+
+    cell = run_cluster_cell(**spec)
+    check_energy_sum(cell.managed)
+    return cell
+
+
+def _cluster_row(spec: dict, cell: ClusterCell) -> ClusterSweepRow:
+    managed = cell.managed
     summary = managed.faults
     n = len(managed.jobs)
     return ClusterSweepRow(
@@ -337,6 +293,39 @@ def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
         ) / n,
         energy_mismatch_us=managed.energy_mismatch_us(),
         wake_timeouts=summary.wake_timeouts if summary else 0,
+    )
+
+
+def _cluster_partition_row(
+    spec: dict, exc: FabricPartitioned
+) -> ClusterSweepRow:
+    return ClusterSweepRow(
+        topology=spec["topology"],
+        jobs_spec=spec["jobs_spec"],
+        placement=spec["placement"],
+        status="partitioned",
+        njobs=len(parse_jobs(spec["jobs_spec"])),
+        num_hosts=0,
+        makespan_us=0.0,
+        mean_savings_pct=0.0,
+        mean_slowdown_pct=0.0,
+        mean_queue_wait_us=0.0,
+        energy_mismatch_us=0.0,
+        wake_timeouts=0,
+        detail=str(exc),
+    )
+
+
+def _cluster_sweep_worker(job: dict) -> ClusterSweepRow:
+    """One sweep cell, in a worker process or in-process (module-level
+    for pickling); :func:`~repro.experiments.sweep.sweep_cell` runs it,
+    so ``verify`` pins the reference kernel to the same observables or
+    the same partition."""
+
+    return sweep_cell(
+        _checked_cluster_cell, job["spec"], verify=job["verify"],
+        where=_job_label(job), observables=cluster_observables,
+        row=_cluster_row, partition_row=_cluster_partition_row,
     )
 
 

@@ -111,7 +111,7 @@ from ..concurrency import (
     run_resilient,
 )
 from ..network.fabric import Fabric
-from ..network.faults import NO_FAULTS, FabricPartitioned
+from ..network.faults import NO_FAULTS
 from ..network.topologies import DEFAULT_TOPOLOGY
 from ..power.policies import DEFAULT_POLICY
 from ..power.states import WRPSParams
@@ -509,31 +509,6 @@ def _stripped(cell: CellResult) -> CellResult:
     out.programs = None
     out.trace = None
     return out
-
-
-def verify_same_partition(
-    exc: FabricPartitioned, run: Callable, spec: dict, where: str
-) -> None:
-    """Require the reference kernel to partition exactly like the fast one.
-
-    ``run(**spec)`` raised ``exc``; re-run on the reference kernel, the
-    cell must raise a :class:`FabricPartitioned` with the same key
-    (faulted pair and simulated time).  ``where`` names the cell.
-    """
-
-    try:
-        run(**dict(spec, kernel="reference"))
-    except FabricPartitioned as ref:
-        if ref.key != exc.key:
-            raise AssertionError(
-                f"fast != reference kernel on {where}: partitions "
-                f"diverged ({exc.key} vs {ref.key})"
-            ) from None
-    else:
-        raise AssertionError(
-            f"fast != reference kernel on {where}: only the fast "
-            "kernel partitioned"
-        ) from None
 
 
 def _cell_label(spec: dict) -> str:

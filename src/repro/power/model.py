@@ -88,7 +88,10 @@ class LinkEnergyAccount:
 
         Unlike the mode-only path this splits the timeline even when the
         mode is unchanged but the power differs — a multi-level policy
-        stepping 2X→1X stays in LOW while its draw drops.
+        stepping 2X→1X stays in LOW while its draw drops.  A ``power``
+        equal to the mode's nominal draw is recorded as ``None``, so a
+        rung at the nominal LOW draw leaves the same timeline as the
+        on/off gate.
         """
 
         if self._closed:
@@ -98,6 +101,8 @@ class LinkEnergyAccount:
                 f"time went backwards: {t_us} < {self._since_us}"
             )
         t_us = max(t_us, self._since_us)
+        if power is not None and power == self.params.power_of(mode):
+            power = None  # the mode's nominal draw: recorded as such
         if mode is self._mode and power == self._power:
             return
         if t_us > self._since_us:

@@ -73,6 +73,14 @@ SPEC_FIELDS = (
 )
 
 
+#: largest cell a request may ask for: well past the paper's grid
+#: (``PROCESS_COUNTS`` tops out at 128 ranks, the default trace length
+#: is 40 iterations), and small enough that one request cannot make the
+#: daemon build a cell that exhausts its memory
+MAX_NRANKS = 1024
+MAX_ITERATIONS = 1000
+
+
 def _int(raw: dict, name: str, default: int | None = None) -> int:
     value = raw.get(name, default)
     try:
@@ -101,8 +109,8 @@ def normalize_spec(raw: dict) -> dict:
     if app not in APPLICATIONS:
         raise SpecError(f"app must be one of {APPLICATIONS}, got {app!r}")
     nranks = _int(raw, "nranks")
-    if nranks < 2:
-        raise SpecError(f"nranks must be >= 2, got {nranks}")
+    if not 2 <= nranks <= MAX_NRANKS:
+        raise SpecError(f"nranks must be in [2, {MAX_NRANKS}], got {nranks}")
     try:
         displacement = float(raw.get("displacement", 0.01))
     except (TypeError, ValueError, OverflowError):
@@ -115,8 +123,10 @@ def normalize_spec(raw: dict) -> dict:
         default_iterations() if raw.get("iterations") is None
         else _int(raw, "iterations")
     )
-    if iterations < 1:
-        raise SpecError(f"iterations must be >= 1, got {iterations}")
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise SpecError(
+            f"iterations must be in [1, {MAX_ITERATIONS}], got {iterations}"
+        )
     scaling = raw.get("scaling", "strong")
     if scaling not in ("strong", "weak"):
         raise SpecError(f"scaling must be strong|weak, got {scaling!r}")

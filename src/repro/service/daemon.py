@@ -85,6 +85,14 @@ TIMEOUT_ENV = "REPRO_SERVICE_TIMEOUT_S"
 CACHE_ENV = "REPRO_SERVICE_CACHE_CELLS"
 RETRIES_ENV = "REPRO_SERVICE_RETRIES"
 
+#: most worker processes one sweep request may ask for
+MAX_SWEEP_WORKERS = 8
+
+#: what the daemon reads and discards after a bad frame before it
+#: closes the connection (see :func:`_drain`)
+DRAIN_BYTES = 1 << 20
+DRAIN_S = 0.5
+
 
 def default_socket_path() -> str:
     """``REPRO_SERVICE_SOCKET`` or a per-user path under the temp dir."""
@@ -179,9 +187,12 @@ class _Ticket:
         return max(0.0, self.deadline - time.monotonic())
 
 
-def _request_int(message: dict, name: str, minimum: int) -> int | None:
+def _request_int(
+    message: dict, name: str, minimum: int, maximum: int | None = None
+) -> int | None:
     """An optional integer request field (None when absent); anything
-    else but an integer ``>= minimum`` is a :class:`SpecError`."""
+    else but an integer in ``[minimum, maximum]`` is a
+    :class:`SpecError`."""
 
     value = message.get(name)
     if value is None:
@@ -190,11 +201,36 @@ def _request_int(message: dict, name: str, minimum: int) -> int | None:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n < minimum:
-        raise SpecError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
+    if n is None or n < minimum or (maximum is not None and n > maximum):
+        bound = (
+            f"in [{minimum}, {maximum}]" if maximum is not None
+            else f">= {minimum}"
         )
+        raise SpecError(f"{name} must be an integer {bound}, got {value!r}")
     return n
+
+
+def _drain(conn: socket.socket) -> None:
+    """Half-close ``conn`` and discard what the peer still sends.
+
+    Closing a socket with unread input resets it, and the reset can
+    cost the peer a reply it has not read yet.  The drain stops at EOF
+    or after :data:`DRAIN_BYTES` / :data:`DRAIN_S`, whichever comes
+    first, so a peer streaming a huge body cannot hold the thread.
+    """
+
+    conn.shutdown(socket.SHUT_WR)
+    deadline = time.monotonic() + DRAIN_S
+    budget = DRAIN_BYTES
+    while budget > 0:
+        left_s = deadline - time.monotonic()
+        if left_s <= 0:
+            return
+        conn.settimeout(left_s)
+        chunk = conn.recv(min(budget, 65536))
+        if not chunk:
+            return
+        budget -= len(chunk)
 
 
 def _spec_label(spec: dict) -> str:
@@ -389,6 +425,7 @@ class ServiceDaemon:
                             protocol.BAD_REQUEST, str(exc)
                         ),
                     )
+                    _drain(conn)
                 except OSError:
                     pass
                 return
@@ -622,7 +659,7 @@ class ServiceDaemon:
         if not isinstance(raw_specs, list) or not raw_specs:
             raise SpecError("sweep requires a non-empty 'specs' list")
         specs = [normalize_spec(s) for s in raw_specs]
-        workers = _request_int(message, "workers", 1)
+        workers = _request_int(message, "workers", 1, MAX_SWEEP_WORKERS)
         if workers is None:
             workers = resolve_workers(self.config.workers)
         retries = _request_int(message, "retries", 0)

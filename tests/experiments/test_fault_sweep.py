@@ -1,4 +1,4 @@
-"""The robustness sweep: control rows, verify gate, partition rows.
+"""The sweep's fault axis: control rows, verify gate, partition rows.
 
 The central contracts: the ``"none"`` fault rows reproduce the clean
 pipeline numbers *exactly* (fault machinery fully out of the replay path
@@ -10,15 +10,13 @@ instead of killing the grid.
 import pytest
 
 from repro.experiments.common import clear_cache, run_cell
-from repro.experiments.fault_sweep import (
-    DEFAULT_FAULT_SPECS,
-    FaultSweepRow,
-    format_fault_sweep,
-    run_fault_sweep,
-)
+from repro.experiments.sweep import SweepRow, format_sweep, run_sweep
 from repro.network.faults import NO_FAULTS, FaultSpecError
 
-FAULTS = DEFAULT_FAULT_SPECS[1]
+FAULTS = (
+    "faults:seed=7,link_fail=0.15,flap=0.2,degrade=0.2,wake_timeout=0.25,"
+    "horizon_us=4000"
+)
 PARTITION_FAULTS = "faults:seed=5,link_fail=1.0,hca=1,horizon_us=50"
 
 
@@ -35,7 +33,7 @@ def _sweep(**kwargs):
         iterations=3, verify=False,
     )
     defaults.update(kwargs)
-    return run_fault_sweep(**defaults)
+    return run_sweep(**defaults)
 
 
 class TestControlRows:
@@ -116,22 +114,21 @@ class TestSweepPlumbing:
         assert again == first  # frozen dataclass rows, served verbatim
 
     def test_format_groups_and_reports_partitions(self):
+        cell = dict(policy="policy:hca=gate", topology="fitted",
+                    family="fitted", app="alya", nranks=8, hosts=8,
+                    switches=6, links=16)
         rows = [
-            FaultSweepRow(
-                topology="fitted", faults=NO_FAULTS, app="alya", nranks=8,
-                status="ok", gt_us=375.0, savings_pct=4.5,
-                slowdown_pct=0.01, events_applied=0, reroutes=0,
-                inflight_retries=0, wake_timeouts=0,
+            SweepRow(
+                **cell, faults=NO_FAULTS, status="ok", gt_us=375.0,
+                savings_pct=4.5, slowdown_pct=0.01,
             ),
-            FaultSweepRow(
-                topology="fitted", faults=PARTITION_FAULTS, app="alya",
-                nranks=8, status="partitioned", gt_us=0.0, savings_pct=0.0,
-                slowdown_pct=0.0, events_applied=12, reroutes=0,
-                inflight_retries=0, wake_timeouts=0,
+            SweepRow(
+                **cell, faults=PARTITION_FAULTS, status="partitioned",
+                events_applied=12,
                 detail="fabric partitioned at t=53.0us: ...",
             ),
         ]
-        text = format_fault_sweep(rows)
+        text = format_sweep(rows)
         assert f"# fitted  [{NO_FAULTS}]" in text
         assert f"# fitted  [{PARTITION_FAULTS}]" in text
         assert "partitioned" in text

@@ -1,5 +1,7 @@
-"""Topology sweep: determinism across runs and workers, verify gate,
-and the tables' run_cells fan-out (parallel == serial rows)."""
+"""The sweep's topology axis (a clean sweep: faults ``none``):
+determinism across runs and workers, family coverage, the switch
+rollup and the verify gate; plus the tables' run_cells fan-out
+(parallel == serial rows)."""
 
 import pytest
 
@@ -8,9 +10,8 @@ from repro.experiments import (
     run_table1,
     run_table3,
     run_table4,
-    run_topo_sweep,
 )
-from repro.experiments.topo_sweep import format_topo_sweep
+from repro.experiments.sweep import format_sweep, run_sweep
 
 ITER = 3
 SWEEP_KWARGS = dict(
@@ -26,16 +27,16 @@ SWEEP_KWARGS = dict(
 class TestTopoSweep:
     def test_deterministic_across_runs_and_workers(self):
         clear_cache()
-        first = run_topo_sweep(**SWEEP_KWARGS)
+        first = run_sweep(**SWEEP_KWARGS)
         clear_cache()
-        again = run_topo_sweep(**SWEEP_KWARGS)
+        again = run_sweep(**SWEEP_KWARGS)
         clear_cache()
-        parallel = run_topo_sweep(**SWEEP_KWARGS, workers=2)
+        parallel = run_sweep(**SWEEP_KWARGS, workers=2)
         assert first == again == parallel
 
     def test_rows_cover_every_family_and_app(self):
         clear_cache()
-        rows = run_topo_sweep(**SWEEP_KWARGS)
+        rows = run_sweep(**SWEEP_KWARGS)
         assert [(r.topology, r.app) for r in rows] == [
             (t, "alya") for t in SWEEP_KWARGS["topologies"]
         ]
@@ -47,12 +48,12 @@ class TestTopoSweep:
 
     def test_verify_mode_passes(self):
         clear_cache()
-        rows = run_topo_sweep(**SWEEP_KWARGS, verify=True)
+        rows = run_sweep(**SWEEP_KWARGS, verify=True)
         assert len(rows) == 3
 
     def test_format(self):
         clear_cache()
-        text = format_topo_sweep(run_topo_sweep(**SWEEP_KWARGS))
+        text = format_sweep(run_sweep(**SWEEP_KWARGS))
         assert "torus:k=3,n=2" in text
         assert "savings%" in text
 

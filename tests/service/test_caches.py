@@ -6,7 +6,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.workloads import PROCESS_COUNTS
+
 from repro.service.caches import (
+    MAX_ITERATIONS,
+    MAX_NRANKS,
     LRUCache,
     SpecError,
     STAGES,
@@ -89,6 +93,24 @@ def test_normalize_fills_defaults():
 def test_normalize_rejects_bad_specs(broken, match):
     with pytest.raises(SpecError, match=match):
         normalize_spec(broken)
+
+
+@pytest.mark.parametrize("broken, match", [
+    ({"nranks": MAX_NRANKS + 1}, "nranks"),
+    ({"iterations": MAX_ITERATIONS + 1}, "iterations"),
+    ({"nranks": 10**9, "iterations": 10**9}, "nranks"),
+])
+def test_normalize_bounds_cell_size(broken, match):
+    with pytest.raises(SpecError, match=match):
+        normalize_spec({"app": "alya", "nranks": 8, **broken})
+
+
+def test_bounds_admit_every_paper_cell():
+    assert max(max(sizes) for sizes in PROCESS_COUNTS.values()) <= MAX_NRANKS
+    spec = normalize_spec({"app": "alya", "nranks": MAX_NRANKS,
+                           "iterations": MAX_ITERATIONS})
+    assert (spec["nranks"], spec["iterations"]) == (MAX_NRANKS,
+                                                    MAX_ITERATIONS)
 
 
 def test_cell_key_ignores_displacement_only():

@@ -12,7 +12,9 @@ import time
 
 import pytest
 
-from repro.service import ServiceClient
+from repro.service import ServiceClient, protocol
+from repro.service.caches import MAX_ITERATIONS, MAX_NRANKS
+from repro.service.daemon import MAX_SWEEP_WORKERS
 from repro.service.client import (
     ServiceBusy,
     ServiceError,
@@ -362,6 +364,32 @@ def test_bad_spec_string_is_bad_request(daemon_factory, bad):
     assert sum(daemon.stats()["stage_runs"].values()) == 0
 
 
+@pytest.mark.parametrize("bad", [
+    {"nranks": MAX_NRANKS + 1},
+    {"iterations": MAX_ITERATIONS + 1},
+    {"nranks": 10**9, "iterations": 10**9},
+])
+def test_oversized_cell_is_bad_request(daemon_factory, bad):
+    daemon, client = daemon_factory()
+    with pytest.raises(ServiceError) as excinfo:
+        client.cell(**{**SMALL_SPEC, **bad})
+    assert excinfo.value.code == "BAD_REQUEST"
+    with pytest.raises(ServiceError) as excinfo:
+        client.sweep([SMALL_SPEC, {**SMALL_SPEC, **bad}], workers=1)
+    assert excinfo.value.code == "BAD_REQUEST"
+    assert sum(daemon.stats()["stage_runs"].values()) == 0
+
+
+@pytest.mark.parametrize("workers", [MAX_SWEEP_WORKERS + 1, 10**6])
+def test_oversized_sweep_pool_is_bad_request(daemon_factory, workers):
+    daemon, client = daemon_factory()
+    with pytest.raises(ServiceError) as excinfo:
+        client.sweep([SMALL_SPEC, SMALL_SPEC], workers=workers)
+    assert excinfo.value.code == "BAD_REQUEST"
+    assert "workers" in str(excinfo.value)
+    assert sum(daemon.stats()["stage_runs"].values()) == 0
+
+
 def test_unknown_socket_is_service_unavailable(tmp_path):
     client = ServiceClient(str(tmp_path / "nothing.sock"), retries=1,
                            backoff_s=0.01)
@@ -390,6 +418,22 @@ def _open_fds() -> set[str]:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
+def test_bad_frame_with_trailing_bytes_keeps_its_reply(daemon_factory):
+    # an empty payload (not JSON) followed by one more byte: the daemon
+    # answers, and the byte it never parses must not reset the socket
+    # before the client has read that answer
+    daemon, _client = daemon_factory()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10.0)
+        sock.connect(daemon.config.socket_path)
+        sock.sendall(b"\x00\x00\x00\x00\x00")
+        # let the daemon reply and close before anything is read
+        time.sleep(0.2)
+        reply = protocol.recv_message(sock)
+        assert reply["error"]["code"] == protocol.BAD_REQUEST
+        assert protocol.recv_message(sock) is None  # EOF, not a reset
+
+
 def test_stop_is_prompt_and_leaves_no_service_thread(daemon_factory):
     # a client left in a reference cycle by an earlier test closes its
     # socket when collected: collect now, not between the fd snapshots

@@ -10,11 +10,10 @@ as shipped and once with ``ManagedLink.create`` (as the replay
 composition calls it) building a one-rung ``LeveledLink`` instead, and
 requires the same results bit for bit.
 
-Account intervals are compared by their effective draw.  A one-rung
-``LeveledLink`` records a LOW interval's power fraction explicitly
-where ``ManagedLink`` records ``None`` (the mode's nominal draw), the
-same number; ``test_raw_intervals_equal`` pins that gap as a strict
-xfail, to flip when ``gate`` moves onto ``LeveledLink``.
+The legs compare account intervals by their effective draw;
+``test_raw_intervals_equal`` compares them as recorded.  The account
+records a rung at the nominal LOW draw as ``None``, as ``ManagedLink``
+does, so the raw intervals are equal too.
 """
 
 import pytest
@@ -136,11 +135,6 @@ def test_cluster_stream_with_host_handoff(kernel, monkeypatch):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a one-rung LeveledLink names its LOW power fraction where "
-    "ManagedLink records None (the nominal draw)",
-)
 def test_raw_intervals_equal(monkeypatch):
     clear_schedule_cache()
     clear_cache()

@@ -29,11 +29,19 @@ class TestParser:
         assert "--scheduler" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["topo-sweep", "fault-sweep"])
+    def test_merged_sweep_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--verify"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestBadSpecs:
     @pytest.mark.parametrize("argv", [
-        ["topo-sweep", "--topologies", "torus:bogus=3"],
-        ["topo-sweep", "--policies", "policy:hca=gate:t_react_us=nan"],
-        ["fault-sweep", "--faults", "faults:bogus=1"],
+        ["sweep", "--topologies", "torus:bogus=3"],
+        ["sweep", "--policies", "policy:hca=gate:t_react_us=nan"],
+        ["sweep", "--faults", "faults:bogus=1"],
         ["cluster-sweep", "--jobs", "poisson:n=3,mean_gap_us=nan"],
     ])
     def test_one_line_and_exit_2(self, argv, capsys):
