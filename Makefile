@@ -5,17 +5,17 @@
 #   make test-fast    unit/property tiers only — skips the cross-kernel
 #                     differential matrix for local turnaround
 #                     (tests/README.md describes the tier structure)
-#   make bench        full perf benchmark (writes benchmarks/out/BENCH_pipeline.json)
-#   make bench-smoke  quick perf-regression gate: REPRO_ITERATIONS=10,
-#                     fails on a >3x stage slowdown vs the recorded
-#                     benchmarks/BENCH_pipeline.json (covers the compiled
-#                     fast kernel's stage timings)
-#   make bench-record re-record the smoke reference on this machine
+#   make bench-smoke  one short perfbench run per workload (seed 1,
+#                     --seconds 1, --trace 0); fails unless each run's
+#                     last JSON line says "correct": true, i.e. every
+#                     simulated output checked bit-identical and the
+#                     exact work counts equal to perfbench/out/counts/
+#                     (recorded by the first run of each workload)
 #   make sweep-smoke  gate the single-job sweep, every cell verified
 #                     fast == reference kernel (partitions included):
 #                     one small cell per topology family (fitted / torus /
-#                     dragonfly / fattree2); the same families under no
-#                     faults and under a moderate fault schedule; and one
+#                     dragonfly / fattree2) under no faults and under a
+#                     moderate fault schedule; and one
 #                     cell per power policy (gate / width / scale on the
 #                     HCA class, plus trunk and switch management) on an
 #                     oversubscribed fat tree and a torus, whose many-port
@@ -50,11 +50,14 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-smoke bench-record bench-ab \
+.PHONY: test test-fast bench-smoke bench-ab \
 	sweep-smoke cluster-smoke service-smoke
 
 WORKLOAD ?= paper-grid
 SEEDS ?= 1 2 3
+BENCH_WORKLOADS := paper-grid service-whatif cluster-faulted
+# exits 0 only if the JSON line on stdin says "correct": true
+export BENCH_CORRECT := import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)
 TRACE ?=
 # sweep-smoke's fault schedule: moderately hostile, never partitioning
 SMOKE_FAULTS := faults:seed=7,link_fail=0.15,flap=0.2,degrade=0.2,wake_timeout=0.25,horizon_us=4000
@@ -65,15 +68,15 @@ test:
 test-fast:
 	$(PY) -m pytest -x -q -m "not differential"
 
-bench:
-	$(PY) -m repro.cli bench
-
 bench-smoke:
-	REPRO_ITERATIONS=10 $(PY) -m repro.cli bench --smoke
-
-bench-record:
-	rm -f benchmarks/BENCH_pipeline.json
-	REPRO_ITERATIONS=10 $(PY) -m repro.cli bench --smoke
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$($(PY) perfbench/run.py --workload $$w --seed 1 \
+			--seconds 1 --trace 0); status=$$?; \
+		printf '%s\n' "$$out"; \
+		[ $$status -eq 0 ] && printf '%s\n' "$$out" | tail -n 1 \
+			| $(PY) -c "$$BENCH_CORRECT" \
+			|| { echo "bench-smoke: $$w is not correct" >&2; exit 1; }; \
+	done
 
 bench-ab:
 	@test -n "$(BASE)" || { echo 'usage: make bench-ab BASE=<rev>' \
@@ -82,7 +85,6 @@ bench-ab:
 		--seeds $(SEEDS) $(if $(TRACE),--trace)
 
 sweep-smoke:
-	$(PY) -m repro.cli sweep --apps alya --nranks 8 --iterations 6 --verify
 	$(PY) -m repro.cli sweep --apps alya --nranks 8 --iterations 6 \
 		--faults none $(SMOKE_FAULTS) --verify
 	$(PY) -m repro.cli sweep --apps alya --nranks 8 \

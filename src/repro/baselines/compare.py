@@ -1,18 +1,22 @@
 """Three-way policy comparison: PPA vs reactive hardware vs oracle.
 
-Used by the ablation bench and the policy-comparison example.  Runs the
-same trace through the managed replay under each policy's directives and
-collects (savings, slowdown, wake penalties).
+Used by the ablation bench and the policy-comparison example.  Builds
+one cell through the experiment pipeline (trace, programs, fabric,
+baseline, GT) and replays it managed under each policy's directives,
+collecting (savings, slowdown, wake penalties).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import RuntimeConfig, plan_trace_directives, select_gt
+from ..experiments.common import (
+    build_cell,
+    cell_key,
+    replay_directives,
+    replay_displacements,
+)
 from ..power.states import WRPSParams
-from ..sim import ReplayConfig, fabric_for, replay_baseline, replay_managed
-from ..workloads import make_trace
 from .planners import oracle_directives, reactive_directives
 
 
@@ -65,57 +69,41 @@ def compare_policies(
     reactive_threshold_us: float | None = None,
     wrps: WRPSParams | None = None,
 ) -> PolicyComparison:
-    """Run PPA, reactive and oracle policies over the same trace."""
+    """Run PPA, reactive and oracle policies over the same cell.
 
-    params = wrps or WRPSParams.paper()
-    trace = make_trace(app, nranks, iterations=iterations, seed=seed)
-    cfg = ReplayConfig(seed=seed)
-    # one fabric for the baseline and all three policy replays
-    fabric = fabric_for(nranks, cfg)
-    baseline = replay_baseline(trace, cfg, fabric=fabric)
-    gt = select_gt(baseline.event_logs)
-    # the mechanism requires GT >= 2*T_react: deep-sleep parameters can
-    # raise the break-even above the hit-rate-optimal threshold
-    gt_us = max(gt.gt_us, params.min_worthwhile_idle_us)
+    The cell (baseline, GT raised to the WRPS break-even, fabric and
+    programs) comes from :func:`~repro.experiments.common.build_cell`;
+    the ``ppa`` row is the pipeline's own managed replay, and the
+    comparators replay their directives on the same artefacts.
+    """
 
-    runs: list[tuple[str, list]] = []
-    ppa_cfg = RuntimeConfig(
-        gt_us=gt_us, displacement=displacement, wrps=params
-    )
-    ppa_directives, _ = plan_trace_directives(baseline.event_logs, ppa_cfg)
-    runs.append(("ppa", ppa_directives))
-    runs.append(
-        (
-            "reactive",
+    key = cell_key(dict(
+        app=app, nranks=nranks, iterations=iterations, seed=seed, wrps=wrps,
+    ))
+    cell = build_cell(key)
+    logs = cell.baseline.event_logs
+    runs = {
+        "ppa": replay_displacements(cell, key, [displacement])[displacement],
+        "reactive": replay_directives(
+            cell, key, displacement,
             reactive_directives(
-                baseline.event_logs, params,
-                idle_threshold_us=reactive_threshold_us,
+                logs, key.wrps, idle_threshold_us=reactive_threshold_us
             ),
+        ),
+        "oracle": replay_directives(
+            cell, key, displacement, oracle_directives(logs, key.wrps)
+        ),
+    }
+    outcomes = tuple(
+        PolicyOutcome(
+            policy=name,
+            savings_pct=managed.power_savings_pct,
+            slowdown_pct=managed.exec_time_increase_pct,
+            shutdowns=managed.total_shutdowns,
+            wake_penalty_us=managed.total_penalty_us,
         )
+        for name, managed in runs.items()
     )
-    runs.append(("oracle", oracle_directives(baseline.event_logs, params)))
-
-    outcomes = []
-    for name, directives in runs:
-        managed = replay_managed(
-            trace,
-            directives,
-            baseline_exec_time_us=baseline.exec_time_us,
-            displacement=displacement,
-            grouping_thresholds_us=[gt_us] * nranks,
-            config=cfg,
-            wrps=params,
-            fabric=fabric,
-        )
-        outcomes.append(
-            PolicyOutcome(
-                policy=name,
-                savings_pct=managed.power_savings_pct,
-                slowdown_pct=managed.exec_time_increase_pct,
-                shutdowns=managed.total_shutdowns,
-                wake_penalty_us=managed.total_penalty_us,
-            )
-        )
     return PolicyComparison(
-        app=app, nranks=nranks, gt_us=gt_us, outcomes=tuple(outcomes)
+        app=app, nranks=nranks, gt_us=cell.planned_gt_us, outcomes=outcomes
     )

@@ -14,20 +14,22 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli sweep [--verify] [--topologies fitted torus:n=2 ...]
                               [--faults none faults:...] [--policies ...]
     python -m repro.cli cluster-sweep [--verify] [--jobs poisson:n=3,...]
-    python -m repro.cli bench [--smoke] [--topology torus:n=2]
     python -m repro.cli serve [--socket PATH] [--queue-limit 32]
     python -m repro.cli query cell --app alya --nranks 8 [--timeout 30]
 
-Each subcommand prints the regenerated table/figure; ``--csv PATH``
-additionally writes machine-readable output.  ``gen``/``replay`` export
-synthetic traces to the text ``.dim`` format and run the full pipeline
-on any trace file (including hand-written ones); ``replay`` takes
-``--kernel`` to select the compiled-program fast kernel or the
-reference interpreter (bit-for-bit identical).  ``--workers N``
-(or ``REPRO_WORKERS``) fans the per-rank planning passes and the
+Each subcommand prints the regenerated table/figure; on the tables,
+figures and sweeps ``--csv PATH`` additionally writes machine-readable
+output.  ``gen``/``replay`` export synthetic traces to the text
+``.dim`` format and run the full pipeline on any trace file (including
+hand-written ones); ``replay`` takes ``--kernel`` to select the
+compiled-program fast kernel or the reference interpreter (bit-for-bit
+identical).  ``--workers N`` (or ``REPRO_WORKERS``; every subcommand
+that replays takes it) fans the per-rank planning passes and the
 independent cells of the figure/table/sweep grids out over worker
-processes; results are identical to the sequential run.  ``sweep``
-replays paper workloads over topology families x fault specs x
+processes; results are identical to the sequential run.  A shared
+option a subcommand would ignore (``--csv`` on ``cell``, ``--workers``
+on ``gen``, ``--iterations`` on ``replay``, ...) is a usage error.
+``sweep`` replays paper workloads over topology families x fault specs x
 power policies (``--topology`` / ``--topologies`` take spec strings
 like ``torus:k=4,n=2`` — the ``repro.network.topologies`` registry
 documents each family's parameters; ``--faults`` takes spec strings
@@ -45,15 +47,6 @@ per-tenant savings plus each job's slowdown against its own isolated
 run; ``--verify`` additionally pins the fast-kernel cluster replay
 bit-for-bit against the reference kernel and checks that
 per-job attributed link energies sum to the fabric-level total.
-``bench`` times
-the pipeline stages and writes ``BENCH_pipeline.json`` (schema 6:
-per-displacement managed replay detail, the helper-spawn counter
-(asserted 0 on the fast kernel) and the fault spec dimension); with
-``--smoke``
-it fails on a >3x slowdown against the recorded reference, and with
-``--profile`` it captures both the baseline and the managed replay
-stages under cProfile, prints the
-top functions and dumps the stats next to the benchmark output.
 ``serve`` runs the resident simulation daemon (``repro.service``): a
 Unix-socket server with warm LRU caches of compiled traces, built
 fabrics and planning passes, a bounded admission queue with explicit
@@ -151,7 +144,8 @@ def _cmd_table4(args) -> None:
 def _cmd_figure(args) -> None:
     result = run_figure(args.number, apps=args.apps,
                         iterations=args.iterations,
-                        sizes_limit=args.sizes_limit)
+                        sizes_limit=args.sizes_limit,
+                        workers=args.workers)
     print(format_figure(result))
     if args.csv:
         rows = []
@@ -305,69 +299,6 @@ def _cmd_cluster_sweep(args) -> None:
         )
 
 
-def _cmd_bench(args) -> None:
-    from . import perf
-
-    iterations = args.iterations
-    if args.smoke and iterations is None:
-        iterations = 10
-    profile_path = None
-    if args.profile:
-        if args.smoke or args.csv:
-            # profiling inflates the replay stages several-fold; gating,
-            # recording or exporting those timings would be meaningless
-            print("bench: --profile cannot be combined with --smoke "
-                  "or --csv", file=sys.stderr)
-            raise SystemExit(2)
-        profile_path = (
-            perf.output_path(args.topology, args.faults, args.policy).parent
-            / "replay_profile.prof"
-        )
-    result = perf.run_pipeline_benchmark(
-        app=args.app, nranks=args.nranks, iterations=iterations,
-        profile_path=profile_path, topology=args.topology,
-        faults=args.faults, policy=args.policy,
-    )
-    if args.profile:
-        print(result.pop("profile_top"))
-        print(f"[replay cProfile stats written to {result['profile_path']}]",
-              file=sys.stderr)
-    print(perf.format_benchmark(result))
-    if args.profile:
-        # profiled stage timings are inflated several-fold; never let
-        # them overwrite the last clean recording
-        print("[benchmark JSON not written: timings include cProfile "
-              "overhead]", file=sys.stderr)
-        return
-    out = perf.output_path(args.topology, args.faults, args.policy)
-    perf.write_benchmark(result, out)
-    print(f"[benchmark written to {out}]", file=sys.stderr)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["stage", "seconds"],
-            list(result["stages"].items()),
-        )
-    if not args.smoke:
-        return
-    ref_path = perf.reference_path(args.topology, args.faults, args.policy)
-    if not ref_path.exists():
-        perf.write_benchmark(result, ref_path)
-        print(f"[no reference found; recorded {ref_path}]", file=sys.stderr)
-        return
-    import json
-
-    reference = json.loads(ref_path.read_text(encoding="utf-8"))
-    problems = perf.compare_benchmark(result, reference)
-    if problems:
-        print("perf regression gate FAILED:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        raise SystemExit(1)
-    print("perf regression gate passed (all stages within "
-          f"{perf.MAX_SLOWDOWN:.0f}x of the reference)")
-
-
 def _cmd_serve(args) -> None:
     from .service import ServiceConfig, ServiceDaemon
 
@@ -455,15 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--iterations", type=int, default=None,
-                       help="trace length (default: REPRO_ITERATIONS or 40)")
-        p.add_argument("--csv", default=None, help="also write CSV here")
-        p.add_argument("--workers", type=_positive_int, default=None,
-                       help="worker processes (>= 1) for per-rank planning "
-                            "passes and independent grid cells; explicit "
-                            "value wins over the REPRO_WORKERS env var "
-                            "(default: REPRO_WORKERS or 1)")
+    def common(p, *flags):
+        # only the shared options a subcommand honours (default: all
+        # three): anywhere else the flag is a usage error, not a no-op
+        flags = flags or ("--iterations", "--csv", "--workers")
+        if "--iterations" in flags:
+            p.add_argument("--iterations", type=int, default=None,
+                           help="trace length (default: REPRO_ITERATIONS "
+                                "or 40)")
+        if "--csv" in flags:
+            p.add_argument("--csv", default=None,
+                           help="also write CSV here")
+        if "--workers" in flags:
+            p.add_argument("--workers", type=_positive_int, default=None,
+                           help="worker processes (>= 1) for per-rank "
+                                "planning passes and independent grid "
+                                "cells; explicit value wins over the "
+                                "REPRO_WORKERS env var (default: "
+                                "REPRO_WORKERS or 1)")
 
     def harness_options(p):
         p.add_argument("--cell-timeout", type=float, default=None,
@@ -518,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nranks", type=int, required=True)
     p.add_argument("--displacement", type=float, default=0.01)
     topology_option(p)
-    common(p)
+    common(p, "--iterations", "--workers")
     p.set_defaults(func=_cmd_cell)
 
     p = sub.add_parser(
@@ -581,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nranks", type=int, default=16)
     p.add_argument("--displacement", type=float, default=0.10)
     p.add_argument("--bins", type=int, default=96)
-    common(p)
+    common(p, "--iterations", "--workers")
     p.set_defaults(func=_cmd_timeline)
 
     p = sub.add_parser("gen", help="write a synthetic trace to a .dim file")
@@ -590,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--scaling", default="strong", choices=("strong", "weak"))
     p.add_argument("-o", "--output", required=True)
-    common(p)
+    common(p, "--iterations")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("replay", help="full pipeline on a trace file")
@@ -602,31 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-message route walk (reference); bit-for-bit "
                         "identical")
     topology_option(p)
-    common(p)
+    common(p, "--workers")
     p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("bench", help="pipeline perf-regression benchmark")
-    p.add_argument("--app", default="alya", choices=APPLICATIONS)
-    p.add_argument("--nranks", type=int, default=64)
-    p.add_argument("--smoke", action="store_true",
-                   help="compare against the recorded reference JSON and "
-                        "fail on a >3x stage slowdown (iterations "
-                        "defaults to 10)")
-    p.add_argument("--profile", action="store_true",
-                   help="capture the replay stages under cProfile, print "
-                        "the top functions and dump the stats next to the "
-                        "benchmark output")
-    spec_option(p, "--faults", "fault spec for the replay stages "
-                "(default none; faulted benchmarks are written/compared "
-                "separately from the clean reference)", faults_help,
-                default="none")
-    spec_option(p, "--policy", "power-policy spec for the managed "
-                "replays (default: the paper's HCA-only gating; "
-                "non-default recordings are written/compared "
-                "separately)", policy_help, default=None)
-    topology_option(p)
-    common(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "serve",

@@ -19,7 +19,9 @@ baseline replay, GT selection) and :func:`replay_displacements` (steps
 4-5, the planning pass run lazily once per cell).  ``run_cell`` is a
 memo around the two; the simulation service
 (:class:`repro.service.caches.WarmPipeline`) runs the same two behind
-its own LRU caches.
+its own LRU caches, and the policy comparison
+(:func:`repro.baselines.compare_policies`) runs them on one cell and
+replays its comparator plans through :func:`replay_directives`.
 
 Results are memoised per cell so that Figs. 7, 8 and 9 (three
 displacement factors over the same grid) share baselines and GT
@@ -351,15 +353,11 @@ def replay_displacements(
         jobs = []
         for disp in displacements:
             on_stage("managed_replay")
-            directives, stats = cell.plan.rebind_displacement(disp)
-            jobs.append({
-                "key": key,
-                "displacement": disp,
-                "directives": directives,
-                "stats": stats,
-                "baseline_exec_time_us": cell.baseline.exec_time_us,
-                "gt_us": cell.planned_gt_us,
-            })
+            jobs.append(
+                _managed_job(
+                    cell, key, disp, *cell.plan.rebind_displacement(disp)
+                )
+            )
         nworkers = resolve_workers(None)
         if nworkers > 1 and len(jobs) > 1:
             replays = parallel_map(_managed_replay_worker, jobs, nworkers)
@@ -373,6 +371,41 @@ def replay_displacements(
     # survive the reset, the O(messages x hops) busy arrays do not
     cell.fabric.reset()
     return dict(zip(displacements, replays))
+
+
+def replay_directives(
+    cell: CellResult,
+    key: CellKey,
+    displacement: float,
+    directives: Sequence[dict],
+) -> ManagedResult:
+    """A managed replay of directives planned outside the cell (a
+    comparator policy's plan, see :mod:`repro.baselines`) on the cell's
+    own programs and fabric, through the body of every managed replay."""
+
+    return _replay_job(
+        _managed_job(cell, key, displacement, directives, None),
+        cell.trace, cell.programs, cell.fabric,
+    )
+
+
+def _managed_job(
+    cell: CellResult,
+    key: CellKey,
+    displacement: float,
+    directives: Sequence[dict],
+    stats: Sequence[RuntimeStats] | None,
+) -> dict:
+    """One managed replay's inputs: picklable, so a worker can run it."""
+
+    return {
+        "key": key,
+        "displacement": displacement,
+        "directives": directives,
+        "stats": stats,
+        "baseline_exec_time_us": cell.baseline.exec_time_us,
+        "gt_us": cell.planned_gt_us,
+    }
 
 
 def _replay_job(

@@ -72,12 +72,13 @@ def run_figure(
     iterations: int | None = None,
     seed: int = 1234,
     sizes_limit: int | None = None,
+    workers: int | None = None,
 ) -> FigureResult:
     """Regenerate one of Figures 7/8/9.
 
     ``sizes_limit`` truncates the size axis (smoke tests); the full grid
     is used when it is None.  The grid's cells are independent, so with
-    ``REPRO_WORKERS > 1`` (or ``--workers N``) they fan out across
+    ``workers`` (default: ``REPRO_WORKERS``) > 1 they fan out across
     worker processes through :func:`~repro.experiments.common.run_cells`
     — results are bit-for-bit identical to the serial sweep.
     """
@@ -97,7 +98,8 @@ def run_figure(
             dict(app=app, nranks=nranks, displacements=(disp,),
                  iterations=iterations, seed=seed)
             for app, nranks in grid
-        ]
+        ],
+        workers=workers,
     )
     for (app, nranks), cell in zip(grid, cells):
         series = result.series.get(app)

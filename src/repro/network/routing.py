@@ -25,7 +25,6 @@ topology family.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -235,15 +234,14 @@ class RouteTable:
     depends on the order pairs are first used — still deterministic for
     a fixed traffic pattern.
 
-    ``pairs_compiled`` / ``compile_seconds`` instrument the lazy
-    compilation for the perf benchmark's replay detail.
+    ``pairs_compiled`` counts the lazy compilations (per table, so per
+    fabric and per run).
     """
 
     topo: Topology
     seed: int | None = None
     router: Router | None = None
     pairs_compiled: int = 0
-    compile_seconds: float = 0.0
     _paths: dict[tuple[int, int], tuple[NodeId, ...]] = field(
         default_factory=dict, repr=False
     )
@@ -254,11 +252,9 @@ class RouteTable:
         key = (src_host, dst_host)
         cached = self._paths.get(key)
         if cached is None:
-            t0 = time.perf_counter()
             cached = tuple(self._compile(src_host, dst_host))
             self._paths[key] = cached
             self.pairs_compiled += 1
-            self.compile_seconds += time.perf_counter() - t0
         return cached
 
     def route(self, src_host: int, dst_host: int) -> list[NodeId]:

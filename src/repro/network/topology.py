@@ -135,8 +135,7 @@ class Topology:
     neighbours``; every physical cable appears exactly once in ``edges``.
     ``spec`` is the family's parameter object; every spec exposes
     ``num_hosts`` / ``num_switches`` so :meth:`validate` is generic.
-    ``family`` names the builder that produced the graph (reporting and
-    the bench's topology dimension).
+    ``family`` names the builder that produced the graph (reporting).
     """
 
     spec: object

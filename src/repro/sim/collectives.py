@@ -314,7 +314,7 @@ _ROOTED = frozenset(
 #: memoised relative schedules, keyed (call, rank, nranks, size, root)
 _SCHEDULE_CACHE: dict[tuple, tuple[Step, ...]] = {}
 
-#: cache instrumentation surfaced by ``repro.perf`` (replay detail)
+#: cache instrumentation: process-cumulative hit/miss counters
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 
@@ -326,8 +326,8 @@ def schedule_cache_stats(
     The module-level counters are *process-cumulative*: a worker process
     that replays several cells keeps counting across them.  A caller
     that reports per-run numbers must therefore either start from
-    :func:`clear_schedule_cache` (what the bench does — destructive: the
-    memoised schedules go too) or take a snapshot before the run and
+    :func:`clear_schedule_cache` (destructive: the memoised schedules
+    go too) or take a snapshot before the run and
     pass it as ``since`` afterwards — the returned dict is then the
     delta attributable to the run alone, not to the process's whole
     history.

@@ -301,8 +301,8 @@ class MPIWorld:
         spawn site, so only the per-rank replay processes ever hit
         ``Engine.spawn`` and this is 0 on **both** kernels.  Counted
         from the engine's lifetime spawn counter rather than hardcoded,
-        so a reintroduced helper spawn trips the bench detail and the
-        regression tests immediately.
+        so a reintroduced helper spawn trips perfbench's output checks
+        and the regression tests immediately.
         """
 
         spawned = self.engine.spawn_count

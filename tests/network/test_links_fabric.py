@@ -384,8 +384,9 @@ class TestFaultedHotEqualsReference:
         )
         hot.install_faults(plan)
         ref.install_faults(plan)
-        # static-route records come from the precompiled hop tables for
-        # a prefix of the pairs, from a fresh compile for the rest
+        # the faulted kernel resolves its routes per fault epoch and
+        # ignores the static ``_hops`` entries precompiled here for a
+        # prefix of the pairs: they must not change any result
         hot.precompile_pairs(pairs[:precompiled])
         hot_calls, ref_calls = [], []
         hot_hook, ref_hook = _waking_hook(hot_calls), _waking_hook(ref_calls)

@@ -1,17 +1,22 @@
-"""Per-replay counter hygiene: bench detail must be per-run, not
+"""Per-replay counter hygiene: reported detail must be per-run, not
 process-cumulative.
 
 Module-level counters (the collective schedule-cache hit/miss stats)
 keep counting across every replay a process runs — a worker process
 serving several cells accumulates all of them.  Anything that *reports*
 such a counter must therefore report a delta over the run, never the
-raw process total.  Per-instance counters (``RouteTable.pairs_compiled``
-/ ``compile_seconds``, ``Fabric.messages_sent``) are audited here too:
+raw process total.  Per-instance counters (``RouteTable.pairs_compiled``,
+``Fabric.messages_sent``) are audited here too:
 they reset with their owning object, so a fresh fabric per run is
 per-run by construction.
 """
 
-from repro import perf
+from repro.constants import DISPLACEMENT_FACTORS
+from repro.experiments.common import (
+    build_cell,
+    cell_key,
+    replay_displacements,
+)
 from repro.sim import ReplayConfig, fabric_for, replay_baseline
 from repro.sim.collectives import clear_schedule_cache, schedule_cache_stats
 from repro.workloads import make_trace
@@ -54,49 +59,41 @@ class TestScheduleCacheStats:
         assert fabric_b.routes.pairs_compiled > 0
 
 
+def _cell_detail(key):
+    """One cold cell through the pipeline: its per-run counters."""
+
+    before = schedule_cache_stats()
+    cell = build_cell(key)
+    managed = replay_displacements(cell, key, DISPLACEMENT_FACTORS)
+    return {
+        "route_pairs_compiled": cell.fabric.routes.pairs_compiled,
+        "compiled_instructions": cell.programs.total_instructions,
+        "helper_spawns": cell.baseline.helper_spawns + sum(
+            m.helper_spawns for m in managed.values()
+        ),
+        "schedule_cache": schedule_cache_stats(since=before),
+        "exec_time_us": {d: m.exec_time_us for d, m in managed.items()},
+    }
+
+
 class TestBenchDetailPerRun:
     def test_replay_detail_identical_across_back_to_back_runs(self):
-        """A worker process running the bench after other cells (or
-        twice) must report identical per-run replay detail."""
+        """A worker process running a cell after other cells (or twice)
+        must report identical per-run replay detail."""
 
-        # dirty the process first, as a cell-worker's history would
-        _replay_once(seed=17)
-        kwargs = dict(app="alya", nranks=8, iterations=2)
-        first = perf.run_pipeline_benchmark(**kwargs)
-        _replay_once(seed=23)
-        second = perf.run_pipeline_benchmark(**kwargs)
+        key = cell_key(dict(app="alya", nranks=4, iterations=2))
+        details = []
+        for seed in (17, 23):
+            # a cold schedule cache for the cell's shapes, then dirty
+            # the process counters as a cell-worker's history would
+            # (alya@8 shares no schedule shape with alya@4)
+            clear_schedule_cache()
+            _replay_once(seed=seed)
+            assert schedule_cache_stats()["hits"] > 0
+            details.append(_cell_detail(key))
 
-        def counters(result):
-            # drop wall-clock fields (incl. the per-displacement managed
-            # stage seconds); only the counters must be per-run
-            detail = {
-                k: v for k, v in result["replay_detail"].items()
-                if not k.endswith("_s")
-            }
-            detail["managed"] = [
-                {k: v for k, v in row.items() if k != "seconds"}
-                for row in detail.get("managed", ())
-            ]
-            return detail
-
-        assert counters(first) == counters(second)
-        assert first["replay_detail"]["collective_schedule_misses"] > 0
-
-    def test_bench_records_topology_dimension(self):
-        result = perf.run_pipeline_benchmark(
-            app="alya", nranks=8, iterations=2, topology="torus:n=2"
-        )
-        assert result["schema"] == perf.SCHEMA
-        assert result["config"]["topology"] == "torus:n=2"
-
-    def test_reference_path_is_per_family(self):
-        """Smoke references are one file per topology spec: recording a
-        torus reference must never clobber or cross-gate the default."""
-
-        default = perf.reference_path()
-        torus = perf.reference_path("torus:k=4,n=2")
-        assert default.name == "BENCH_pipeline.json"
-        assert torus != default
-        assert torus.parent == default.parent
-        assert perf.reference_path("torus:k=4,n=2") == torus
-        assert perf.output_path("torus:k=4,n=2").name == torus.name
+        first, second = details
+        assert first == second
+        assert first["schedule_cache"]["misses"] > 0
+        assert first["helper_spawns"] == 0
+        assert first["route_pairs_compiled"] > 0

@@ -29,12 +29,42 @@ class TestParser:
         assert "--scheduler" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("command", ["topo-sweep", "fault-sweep"])
+    @pytest.mark.parametrize("command", ["topo-sweep", "fault-sweep", "bench"])
     def test_merged_sweep_commands_are_unknown(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--verify"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["cell", "--app", "alya", "--nranks", "4"], id="cell-csv"),
+        pytest.param(["timeline"], id="timeline-csv"),
+        pytest.param(["gen", "--app", "alya", "--nranks", "4", "-o", "a.dim"],
+                     id="gen-csv"),
+        pytest.param(["replay", "a.dim"], id="replay-csv"),
+    ])
+    def test_csv_where_nothing_writes_one_is_a_usage_error(
+        self, argv, tmp_path, capsys
+    ):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--csv", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen", "--app", "alya", "--nranks", "4", "-o", "a.dim",
+                      "--workers", "2"], id="gen-workers"),
+        pytest.param(["replay", "a.dim", "--iterations", "4"],
+                     id="replay-iterations"),
+    ])
+    def test_ignored_shared_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 class TestBadSpecs:
@@ -85,6 +115,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "power modes" in out
         assert "rank   0" in out
+
+    def test_figure_workers_output_equals_serial(self, monkeypatch, capsys):
+        from repro.experiments import clear_cache, figs7_9
+
+        seen = []
+        run_cells = figs7_9.run_cells
+
+        def spy(specs, **kw):
+            seen.append(kw.get("workers"))
+            return run_cells(specs, **kw)
+
+        monkeypatch.setattr(figs7_9, "run_cells", spy)
+        argv = ["figure", "--number", "9", "--apps", "alya",
+                "--sizes-limit", "2", "--iterations", "6"]
+        outputs = []
+        for extra in ([], ["--workers", "2"]):
+            clear_cache()  # the parallel run must not be a memo hit
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert seen == [None, 2]
+        assert outputs[0] == outputs[1]
+
+    def test_cell_workers_reach_the_planning_pass(self, monkeypatch, capsys):
+        from repro.core import runtime
+        from repro.experiments import clear_cache
+
+        seen = []
+
+        def serial_map(fn, items, workers):
+            seen.append(workers)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(runtime, "parallel_map", serial_map)
+        clear_cache()
+        assert main(["cell", "--app", "alya", "--nranks", "4",
+                     "--iterations", "6", "--workers", "2"]) == 0
+        assert seen == [2]
 
     def test_fig10(self, capsys):
         rc = main(["fig10", "--app", "alya", "--sizes", "8",
