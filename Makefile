@@ -29,6 +29,13 @@
 #                     partitioning) torus and dragonfly, which pins the
 #                     compiled faulted kernel to the live faulted walk on
 #                     a shared fabric
+#                     (both smokes run the argument vectors listed in
+#                     tests/golden/smoke_argv.txt; tests/test_smoke_goldens.py
+#                     reruns them and diffs their stdout against the
+#                     committed tests/golden/<target>.out)
+#   make golden-update rewrite tests/golden/<target>.out from a fresh
+#                     run of both smokes (name each moved line and why)
+#   make examples     run every examples/*.py; fails on a non-zero exit
 #   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3" [TRACE=1]
 #                     same-machine A/B of the perfbench benchmark: checks
 #                     BASE out into a temporary git worktree, runs
@@ -50,8 +57,8 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench-smoke bench-ab \
-	sweep-smoke cluster-smoke service-smoke
+.PHONY: test test-fast bench-smoke bench-ab sweep-smoke cluster-smoke \
+	golden-update examples service-smoke
 
 WORKLOAD ?= paper-grid
 SEEDS ?= 1 2 3
@@ -59,8 +66,7 @@ BENCH_WORKLOADS := paper-grid service-whatif cluster-faulted
 # exits 0 only if the JSON line on stdin says "correct": true
 export BENCH_CORRECT := import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)
 TRACE ?=
-# sweep-smoke's fault schedule: moderately hostile, never partitioning
-SMOKE_FAULTS := faults:seed=7,link_fail=0.15,flap=0.2,degrade=0.2,wake_timeout=0.25,horizon_us=4000
+SMOKE_ARGV := tests/golden/smoke_argv.txt
 
 test:
 	$(PY) -m pytest -x -q
@@ -84,21 +90,22 @@ bench-ab:
 	$(PY) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) \
 		--seeds $(SEEDS) $(if $(TRACE),--trace)
 
-sweep-smoke:
-	$(PY) -m repro.cli sweep --apps alya --nranks 8 --iterations 6 \
-		--faults none $(SMOKE_FAULTS) --verify
-	$(PY) -m repro.cli sweep --apps alya --nranks 8 \
-		--iterations 6 --topologies fattree2:leaf=4,ratio=2 torus:k=3,n=2 \
-		--policies "policy:hca=gate" "policy:hca=width" \
-		"policy:hca=scale" "policy:hca=gate,trunk=gate" \
-		"policy:hca=gate,trunk=width:levels=3,switch=gate" \
-		--verify
+sweep-smoke cluster-smoke:
+	@sed -n 's/^$@ //p' $(SMOKE_ARGV) | while read -r argv; do \
+		echo "repro.cli $$argv" >&2; \
+		$(PY) -m repro.cli $$argv < /dev/null || exit 1; \
+	done
 
-cluster-smoke:
-	$(PY) -m repro.cli cluster-sweep --iterations 6 --verify
-	$(PY) -m repro.cli cluster-sweep --iterations 6 --verify \
-		--faults faults:seed=7,degrade=0.3,wake_timeout=0.2 \
-		--topologies torus:k=4,n=2 dragonfly:a=4,p=2,h=2
+golden-update:
+	@for t in sweep-smoke cluster-smoke; do \
+		$(MAKE) -s --no-print-directory $$t > tests/golden/$$t.out \
+			|| exit 1; \
+	done
+
+examples:
+	@for e in examples/*.py; do \
+		echo "== $$e"; $(PY) $$e || { echo "examples: $$e failed" >&2; exit 1; }; \
+	done
 
 service-smoke:
 	$(PY) -m repro.service.smoke

@@ -2,62 +2,56 @@
 """Quickstart: run the full power-saving pipeline on one workload.
 
 This walks the paper's methodology end to end on the ALYA-like workload
-at 8 processes:
+at 8 processes, through the same two steps every table, figure and the
+``repro.cli`` commands run:
 
-1. generate a trace (per-rank CPU bursts + MPI operations);
-2. baseline replay on the fat-tree fabric (always-on links);
-3. pick the grouping threshold (GT) by hit-rate sweep;
-4. run the PMPI runtime (PPA + power mode control) over the baseline
-   event streams to plan lane shutdowns;
-5. managed replay -> power savings and execution-time increase.
+* ``build_cell`` — 1. generate a trace (per-rank CPU bursts + MPI
+  operations), 2. baseline replay on the fat-tree fabric (always-on
+  links), 3. pick the grouping threshold (GT) by hit-rate sweep;
+* ``replay_displacements`` — 4. run the PMPI runtime (PPA + power mode
+  control) over the baseline event streams to plan lane shutdowns,
+  5. managed replay -> power savings and execution-time increase.
+
+Each step reports the pipeline stages it runs as they start.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.core import RuntimeConfig, plan_trace_directives, select_gt
-from repro.sim import replay_baseline, replay_managed
-from repro.workloads import make_trace
+from repro import build_cell, cell_key, replay_displacements
+from repro.experiments.common import STAGES
+
+
+def narrate(stage: str) -> None:
+    print(f"   [{STAGES.index(stage) + 1}/{len(STAGES)}] {stage}")
 
 
 def main() -> None:
-    nranks = 8
     displacement = 0.01  # the paper's best case (Fig. 9)
+    key = cell_key({"app": "alya", "nranks": 8, "iterations": 40})
 
-    print("== 1. generate the ALYA-like trace")
-    trace = make_trace("alya", nranks, iterations=40)
-    print(f"   {trace.nranks} ranks, {trace.total_mpi_calls} MPI calls, "
-          f"{trace.total_records} records")
-
-    print("== 2. baseline replay (power-unaware, links always on)")
-    baseline = replay_baseline(trace)
-    print(f"   execution time: {baseline.exec_time_us / 1e3:.2f} ms, "
+    print("== build_cell: ALYA-like trace, baseline replay, GT selection")
+    cell = build_cell(key, narrate)
+    baseline = cell.baseline
+    print(f"   {cell.nranks} ranks, "
+          f"{sum(len(log) for log in baseline.event_logs)} MPI calls, "
+          f"{cell.programs.total_records} records")
+    print(f"   baseline execution time: {baseline.exec_time_us / 1e3:.2f} ms, "
           f"{baseline.messages_sent} network messages")
     dist = baseline.idle_distribution()
     print(f"   idle intervals: {dist.total_intervals} total; "
           f"{dist.long.time_share_pct:.1f}% of idle time in >200us windows")
+    print(f"   chosen GT = {cell.gt_us:.0f} us, "
+          f"predicted-call hit rate = {cell.hit_rate_pct:.1f}%")
 
-    print("== 3. grouping-threshold selection (Section IV-C)")
-    gt = select_gt(baseline.event_logs)
-    print(f"   chosen GT = {gt.gt_us:.0f} us, "
-          f"predicted-call hit rate = {gt.hit_rate_pct:.1f}%")
-
-    print("== 4. PMPI runtime pass: plan shutdowns + overheads")
-    cfg = RuntimeConfig(gt_us=gt.gt_us, displacement=displacement)
-    directives, stats = plan_trace_directives(baseline.event_logs, cfg)
-    planned = sum(s.shutdowns_planned for s in stats)
-    mispred = sum(s.pattern_mispredictions for s in stats)
-    print(f"   {planned} shutdown directives, "
-          f"{mispred} pattern mispredictions across ranks")
-
-    print("== 5. managed replay (WRPS lane shutdown active)")
-    managed = replay_managed(
-        trace,
-        directives,
-        baseline_exec_time_us=baseline.exec_time_us,
-        displacement=displacement,
-        grouping_thresholds_us=[gt.gt_us] * nranks,
-        runtime_stats=stats,
-    )
+    print(f"== replay_displacements: plan shutdowns, managed replay at "
+          f"displacement {displacement:.0%}")
+    managed = replay_displacements(cell, key, [displacement], narrate)[
+        displacement
+    ]
+    stats = managed.runtime_stats
+    print(f"   {sum(s.shutdowns_planned for s in stats)} shutdown directives, "
+          f"{sum(s.pattern_mispredictions for s in stats)} pattern "
+          f"mispredictions across ranks")
     print(f"   power savings in IB links:   {managed.power_savings_pct:6.2f}%")
     print(f"   execution time increase:     {managed.exec_time_increase_pct:6.2f}%")
     print(f"   low-power residency:         "

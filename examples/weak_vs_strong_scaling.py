@@ -10,25 +10,13 @@ both modes, so this example measures the prediction.
 Run:  python examples/weak_vs_strong_scaling.py
 """
 
-from repro.core import RuntimeConfig, plan_trace_directives, select_gt
-from repro.sim import replay_baseline, replay_managed
-from repro.workloads import make_trace
+from repro import run_cell
 
 
-def run(app: str, nranks: int, scaling: str, displacement: float = 0.01):
-    trace = make_trace(app, nranks, iterations=30, scaling=scaling)
-    baseline = replay_baseline(trace)
-    gt = select_gt(baseline.event_logs)
-    cfg = RuntimeConfig(gt_us=gt.gt_us, displacement=displacement)
-    directives, stats = plan_trace_directives(baseline.event_logs, cfg)
-    managed = replay_managed(
-        trace, directives,
-        baseline_exec_time_us=baseline.exec_time_us,
-        displacement=displacement,
-        grouping_thresholds_us=[gt.gt_us] * nranks,
-        runtime_stats=stats,
-    )
-    return managed
+def savings(app: str, nranks: int, scaling: str, displacement=0.01) -> float:
+    cell = run_cell(app, nranks, displacements=(displacement,),
+                    iterations=30, scaling=scaling)
+    return cell.savings_pct(displacement)
 
 
 def main() -> None:
@@ -36,19 +24,14 @@ def main() -> None:
     sizes = (9, 16, 36, 64)
     print(f"{app}: power savings [%] by scaling mode (displacement 1%)\n")
     print(f"{'P':>5s} {'strong':>10s} {'weak':>10s}")
-    strong_last = weak_last = None
     for n in sizes:
-        strong = run(app, n, "strong")
-        weak = run(app, n, "weak")
-        strong_last, weak_last = strong, weak
-        print(f"{n:>5d} {strong.power_savings_pct:>10.2f} "
-              f"{weak.power_savings_pct:>10.2f}")
+        strong, weak = savings(app, n, "strong"), savings(app, n, "weak")
+        print(f"{n:>5d} {strong:>10.2f} {weak:>10.2f}")
     print()
-    assert weak_last is not None and strong_last is not None
-    delta = weak_last.power_savings_pct - strong_last.power_savings_pct
-    print(f"at the largest size, weak scaling saves {delta:.1f} points more "
-          f"power than strong scaling — confirming the paper's Section VI "
-          f"expectation that the mechanism benefits more under weak scaling")
+    print(f"at the largest size, weak scaling saves {weak - strong:.1f} points "
+          f"more power than strong scaling — confirming the paper's Section "
+          f"VI expectation that the mechanism benefits more under weak "
+          f"scaling")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ Quickstart::
 
 from . import constants
 from .core import (
-    PMPIRuntime,
     PPA,
     PPAConfig,
     RuntimeConfig,
@@ -39,19 +38,18 @@ from .core import (
     TracePlan,
     build_grams,
     gt_sweep,
-    plan_trace_directives,
     plan_trace_directives_shared,
-    select_gt,
     select_gt_detailed,
 )
 from .experiments import run_cell, run_figure, run_table1, run_table3, run_table4
+from .experiments.common import (
+    build_cell, cell_key, replay_displacements, trace_cell_key,
+)
 from .power import WRPSParams
 from .sim import (
     BaselineResult,
     ManagedResult,
     ReplayConfig,
-    replay_baseline,
-    replay_managed,
 )
 from .trace import MPICall, MPIEvent, Trace
 from .workloads import APPLICATIONS, PROCESS_COUNTS, make_trace
@@ -60,7 +58,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "constants",
-    "PMPIRuntime",
     "PPA",
     "PPAConfig",
     "RuntimeConfig",
@@ -68,21 +65,21 @@ __all__ = [
     "TracePlan",
     "build_grams",
     "gt_sweep",
-    "plan_trace_directives",
     "plan_trace_directives_shared",
-    "select_gt",
     "select_gt_detailed",
+    "build_cell",
+    "cell_key",
+    "replay_displacements",
     "run_cell",
     "run_figure",
     "run_table1",
     "run_table3",
     "run_table4",
+    "trace_cell_key",
     "WRPSParams",
     "BaselineResult",
     "ManagedResult",
     "ReplayConfig",
-    "replay_baseline",
-    "replay_managed",
     "MPICall",
     "MPIEvent",
     "Trace",

@@ -18,44 +18,39 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli query cell --app alya --nranks 8 [--timeout 30]
 
 Each subcommand prints the regenerated table/figure; on the tables,
-figures and sweeps ``--csv PATH`` additionally writes machine-readable
-output.  ``gen``/``replay`` export synthetic traces to the text
-``.dim`` format and run the full pipeline on any trace file (including
-hand-written ones); ``replay`` takes ``--kernel`` to select the
-compiled-program fast kernel or the reference interpreter (bit-for-bit
+figures and sweeps ``--csv PATH`` also writes machine-readable output.
+``gen`` exports a synthetic trace to the text ``.dim`` format; ``replay``
+runs any trace file (hand-written ones included) through the cell
+pipeline ``cell`` runs, so on a ``gen``-written trace it prints what
+``cell`` prints for the same inputs, on either ``--kernel`` (the
+compiled-program fast kernel or the reference interpreter; bit-for-bit
 identical).  ``--workers N`` (or ``REPRO_WORKERS``; every subcommand
 that replays takes it) fans the per-rank planning passes and the
-independent cells of the figure/table/sweep grids out over worker
-processes; results are identical to the sequential run.  A shared
+independent cells of the grids out over worker processes; results are
+identical to the sequential run.  Usage errors (exit 2): a shared
 option a subcommand would ignore (``--csv`` on ``cell``, ``--workers``
-on ``gen``, ``--iterations`` on ``replay``, ...) is a usage error.
-``sweep`` replays paper workloads over topology families x fault specs x
-power policies (``--topology`` / ``--topologies`` take spec strings
-like ``torus:k=4,n=2`` — the ``repro.network.topologies`` registry
-documents each family's parameters; ``--faults`` takes spec strings
-like ``faults:seed=7,link_fail=0.15`` — see ``repro.network.faults`` —
-and defaults to ``none``, a clean sweep; ``--policies`` takes
-``repro.power.policies`` specs); a genuinely partitioned fabric becomes
-a ``partitioned`` row instead of killing the grid, ``--verify`` pins
-the fast kernel bit-for-bit against the reference on every cell,
-and ``--checkpoint PATH`` journals completed cells so an interrupted
-sweep resumes.  ``cluster-sweep`` admits multi-job streams onto one shared
-fabric per cell (``--jobs`` takes job-stream specs like
-``poisson:n=3,mean_gap_us=1500,seed=3`` — see ``repro.cluster.jobs`` —
-and ``--placements`` picks host-placement policies) and reports
-per-tenant savings plus each job's slowdown against its own isolated
-run; ``--verify`` additionally pins the fast-kernel cluster replay
-bit-for-bit against the reference kernel and checks that
-per-job attributed link energies sum to the fabric-level total.
-``serve`` runs the resident simulation daemon (``repro.service``): a
-Unix-socket server with warm LRU caches of compiled traces, built
-fabrics and planning passes, a bounded admission queue with explicit
-``SERVICE_BUSY`` shedding, per-request deadlines, idempotent request
-keys and drain-then-exit on SIGTERM; warm results are bit-for-bit
-identical to cold runs.  ``query`` is the matching blocking client
-(``ping``/``stats``/``cell``/``shutdown``) with capped jittered retry
-backoff; structured failures map to exit codes (3 busy, 4 deadline,
-5 execution error, 6 unavailable).
+on ``gen``, ``--iterations`` on ``replay``, ...), a count below its
+minimum (``--iterations`` 1, ``--nranks`` 2, ...), a displacement outside
+[0, 1), a bad spec string, a missing or malformed trace file.
+``sweep`` replays paper workloads over topology x fault x power-policy
+specs (each option's help gives its grammar; ``--faults`` defaults to
+``none``, a clean sweep); a genuinely partitioned fabric becomes a
+``partitioned`` row instead of killing the grid, ``--verify`` pins the
+fast kernel bit-for-bit against the reference on every cell, and
+``--checkpoint PATH`` journals completed cells so an interrupted sweep
+resumes.  ``cluster-sweep`` admits multi-job streams (``--jobs``) onto
+one shared fabric per cell under host-placement policies
+(``--placements``) and reports per-tenant savings plus each job's
+slowdown against its own isolated run; its ``--verify`` also checks
+that per-job link energies sum to the fabric-level total.  ``serve``
+runs the resident simulation daemon (``repro.service``): warm LRU caches
+of compiled traces, fabrics and planning passes, a bounded admission
+queue shedding ``SERVICE_BUSY``, per-request deadlines, idempotent
+request keys and drain-then-exit on SIGTERM; warm results are
+bit-for-bit identical to cold runs.  ``query`` is the matching blocking
+client (``ping``/``stats``/``cell``/``shutdown``) with capped jittered
+retry backoff; structured failures map to exit codes (3 busy,
+4 deadline, 5 execution error, 6 unavailable).
 """
 
 from __future__ import annotations
@@ -70,6 +65,7 @@ from .analysis import render_timeline
 from .cluster import PLACEMENT_POLICIES, jobs_help
 from .experiments import (
     SWEEP_COLUMNS,
+    default_iterations,
     format_cluster_sweep,
     format_fig10,
     format_figure,
@@ -86,59 +82,58 @@ from .experiments import (
     run_table3,
     run_table4,
 )
+from .experiments.common import build_cell, replay_displacements, trace_cell_key
 from .network import faults_help, topology_help
 from .power.policies import policy_help
 from .specs import SpecError
+from .trace.io import TraceParseError, load_trace
 from .workloads import APPLICATIONS
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"[csv written to {path}]", file=sys.stderr)
+class _UsageError(Exception):
+    """A bad input named on the command line (exit 2, one line)."""
+
+
+def _report(text: str, csv_path: str | None, header: Sequence[str],
+            rows: Sequence[Sequence]) -> None:
+    """Print a table or figure; with ``--csv`` also write its rows."""
+
+    print(text)
+    if csv_path:
+        with open(csv_path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            writer.writerows(rows)
+        print(f"[csv written to {csv_path}]", file=sys.stderr)
 
 
 def _cmd_table1(args) -> None:
     rows = run_table1(apps=args.apps, iterations=args.iterations,
                       workers=args.workers)
-    print(format_table1(rows))
-    if args.csv:
-        _write_csv(
-            args.csv,
+    _report(format_table1(rows), args.csv,
             ["app", "nranks",
              "short_n", "short_int_pct", "short_time_pct",
              "med_n", "med_int_pct", "med_time_pct",
              "long_n", "long_int_pct", "long_time_pct"],
-            [r.cells() for r in rows],
-        )
+            [r.cells() for r in rows])
 
 
 def _cmd_table3(args) -> None:
     rows = run_table3(apps=args.apps, iterations=args.iterations,
                       workers=args.workers)
-    print(format_table3(rows))
-    if args.csv:
-        _write_csv(
-            args.csv,
+    _report(format_table3(rows), args.csv,
             ["app", "nranks", "gt_us", "hit_rate_pct"],
-            [(r.app, r.nranks, r.gt_us, r.hit_rate_pct) for r in rows],
-        )
+            [(r.app, r.nranks, r.gt_us, r.hit_rate_pct) for r in rows])
 
 
 def _cmd_table4(args) -> None:
     rows = run_table4(apps=args.apps, nranks=args.nranks,
                       iterations=args.iterations, workers=args.workers)
-    print(format_table4(rows))
-    if args.csv:
-        _write_csv(
-            args.csv,
+    _report(format_table4(rows), args.csv,
             ["app", "ppa_call_fraction_pct", "per_invoked_call_us",
              "per_all_calls_us"],
             [(r.app, r.ppa_call_fraction_pct, r.per_invoked_call_us,
-              r.per_all_calls_us) for r in rows],
-        )
+              r.per_all_calls_us) for r in rows])
 
 
 def _cmd_figure(args) -> None:
@@ -146,38 +141,29 @@ def _cmd_figure(args) -> None:
                         iterations=args.iterations,
                         sizes_limit=args.sizes_limit,
                         workers=args.workers)
-    print(format_figure(result))
-    if args.csv:
-        rows = []
-        for app, series in result.series.items():
-            for n, sav, slow in zip(series.sizes, series.savings_pct,
-                                    series.slowdown_pct):
-                rows.append((app, n, sav, slow))
-        _write_csv(args.csv,
-                   ["app", "nranks", "savings_pct", "slowdown_pct"], rows)
+    _report(format_figure(result), args.csv,
+            ["app", "nranks", "savings_pct", "slowdown_pct"],
+            [(app, n, sav, slow) for app, series in result.series.items()
+             for n, sav, slow in zip(series.sizes, series.savings_pct,
+                                     series.slowdown_pct)])
 
 
 def _cmd_fig10(args) -> None:
     curves = run_fig10(args.app, sizes=tuple(args.sizes),
                        iterations=args.iterations)
-    print(format_fig10(curves))
-    if args.csv:
-        rows = []
-        for c in curves:
-            for p in c.points:
-                rows.append((c.app, c.nranks, p.gt_us, p.hit_rate_pct))
-        _write_csv(args.csv,
-                   ["app", "nranks", "gt_us", "hit_rate_pct"], rows)
+    _report(format_fig10(curves), args.csv,
+            ["app", "nranks", "gt_us", "hit_rate_pct"],
+            [(c.app, c.nranks, p.gt_us, p.hit_rate_pct)
+             for c in curves for p in c.points])
 
 
-def _cmd_cell(args) -> None:
-    cell = run_cell(args.app, args.nranks,
-                    displacements=(args.displacement,),
-                    iterations=args.iterations,
-                    topology=args.topology)
-    m = cell.managed[args.displacement]
-    print(f"{args.app} @ {args.nranks} ranks, displacement "
-          f"{args.displacement * 100:.0f}%, topology {args.topology}")
+def _print_cell(name: str, cell, displacement: float, topology: str) -> None:
+    """The report of ``cell`` and ``replay``: one cell, one displacement."""
+
+    m = cell.managed[displacement]
+    print(f"{name} @ {cell.nranks} ranks, displacement "
+          f"{displacement * 100:.0f}%, topology {topology}")
+    print(f"  baseline        : {cell.baseline.exec_time_us / 1e3:.3f} ms")
     print(f"  GT              : {cell.gt_us:.0f} us")
     print(f"  hit rate        : {cell.hit_rate_pct:.1f} %")
     print(f"  power savings   : {m.power_savings_pct:.2f} %")
@@ -185,6 +171,14 @@ def _cmd_cell(args) -> None:
     print(f"  shutdowns       : {m.total_shutdowns}")
     print(f"  mispredictions  : {m.total_mispredictions} "
           f"({m.total_penalty_us:.0f} us penalty)")
+
+
+def _cmd_cell(args) -> None:
+    cell = run_cell(args.app, args.nranks,
+                    displacements=(args.displacement,),
+                    iterations=args.iterations,
+                    topology=args.topology)
+    _print_cell(args.app, cell, args.displacement, args.topology)
 
 
 def _cmd_timeline(args) -> None:
@@ -202,8 +196,8 @@ def _cmd_gen(args) -> None:
     from .trace.io import save_trace
     from .workloads import make_trace
 
-    iters = args.iterations or 40
-    trace = make_trace(args.app, args.nranks, iterations=iters,
+    trace = make_trace(args.app, args.nranks,
+                       iterations=args.iterations or default_iterations(),
                        seed=args.seed, scaling=args.scaling)
     save_trace(trace, args.output)
     print(f"wrote {args.output}: {trace.nranks} ranks, "
@@ -212,37 +206,22 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_replay(args) -> None:
-    from .core import RuntimeConfig, plan_trace_directives, select_gt
-    from .sim import ReplayConfig, replay_baseline, replay_managed
-    from .trace.io import load_trace
-
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except OSError as exc:
+        raise _UsageError(f"{args.trace}: {exc.strerror}") from None
+    except TraceParseError as exc:
+        raise _UsageError(f"{args.trace}: {exc}") from None
     problems = trace.check_p2p_balance()
     if problems:
         print("trace is not communication-balanced:", file=sys.stderr)
         for p in problems[:10]:
             print(f"  {p}", file=sys.stderr)
         raise SystemExit(2)
-    replay_cfg = ReplayConfig(kernel=args.kernel, topology=args.topology)
-    baseline = replay_baseline(trace, replay_cfg)
-    print(f"{trace.name}: {trace.nranks} ranks, baseline "
-          f"{baseline.exec_time_us / 1e3:.3f} ms "
-          f"[{args.kernel} kernel, {args.topology} topology]")
-    gt = select_gt(baseline.event_logs)
-    print(f"GT = {gt.gt_us:.0f} us, hit rate = {gt.hit_rate_pct:.1f}%")
-    cfg = RuntimeConfig(gt_us=gt.gt_us, displacement=args.displacement)
-    directives, stats = plan_trace_directives(baseline.event_logs, cfg)
-    managed = replay_managed(
-        trace, directives,
-        baseline_exec_time_us=baseline.exec_time_us,
-        displacement=args.displacement,
-        grouping_thresholds_us=[gt.gt_us] * trace.nranks,
-        config=replay_cfg,
-        runtime_stats=stats,
-    )
-    print(f"power savings   : {managed.power_savings_pct:.2f} %")
-    print(f"exec-time incr. : {managed.exec_time_increase_pct:.3f} %")
-    print(f"shutdowns       : {managed.total_shutdowns}")
+    key = trace_cell_key(trace, topology=args.topology, kernel=args.kernel)
+    cell = build_cell(key, trace=trace)
+    cell.managed = replay_displacements(cell, key, [args.displacement])
+    _print_cell(trace.name, cell, args.displacement, args.topology)
 
 
 def _cmd_sweep(args) -> None:
@@ -260,12 +239,11 @@ def _cmd_sweep(args) -> None:
         retries=args.cell_retries,
         checkpoint=args.checkpoint,
     )
-    print(format_sweep(rows))
+    _report(format_sweep(rows), args.csv, SWEEP_COLUMNS,
+            [r.cells() for r in rows])
     if args.verify:
         print("[fast == reference kernel equality verified on every cell]",
               file=sys.stderr)
-    if args.csv:
-        _write_csv(args.csv, SWEEP_COLUMNS, [r.cells() for r in rows])
 
 
 def _cmd_cluster_sweep(args) -> None:
@@ -283,20 +261,16 @@ def _cmd_cluster_sweep(args) -> None:
         retries=args.cell_retries,
         checkpoint=args.checkpoint,
     )
-    print(format_cluster_sweep(rows))
-    if args.verify:
-        print("[fast == reference kernel cluster equality verified; "
-              "per-job energy rollups sum to the fabric total]",
-              file=sys.stderr)
-    if args.csv:
-        _write_csv(
-            args.csv,
+    _report(format_cluster_sweep(rows), args.csv,
             ["topology", "jobs", "placement", "status", "njobs",
              "num_hosts", "makespan_us", "mean_savings_pct",
              "mean_slowdown_pct", "mean_queue_wait_us",
              "energy_mismatch_us", "wake_timeouts", "detail"],
-            [r.cells() for r in rows],
-        )
+            [r.cells() for r in rows])
+    if args.verify:
+        print("[fast == reference kernel cluster equality verified; "
+              "per-job energy rollups sum to the fabric total]",
+              file=sys.stderr)
 
 
 def _cmd_serve(args) -> None:
@@ -335,13 +309,9 @@ def _cmd_query(args) -> None:
         connect_timeout_s=args.connect_timeout,
     )
     try:
-        if args.op == "ping":
-            reply = {"result": client.ping()}
-        elif args.op == "stats":
-            reply = {"result": client.stats()}
-        elif args.op == "shutdown":
-            reply = {"result": client.shutdown()}
-        else:  # cell
+        if args.op != "cell":  # ping, stats, shutdown
+            reply = {"result": getattr(client, args.op)()}
+        else:
             spec = {"app": args.app, "nranks": args.nranks}
             for field in ("displacement", "iterations", "seed", "scaling",
                           "topology", "kernel", "faults", "policy"):
@@ -365,18 +335,26 @@ def _cmd_query(args) -> None:
     print(json.dumps(reply, indent=2, sort_keys=True))
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for counts that must be >= 1 (e.g. ``--workers``)."""
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(raw)``, a usage error unless ``ok``."""
 
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
-    return value
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__}, got {raw!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {raw}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_nranks = _checked(int, lambda v: v >= 2, ">= 2")
+_displacement = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         # three): anywhere else the flag is a usage error, not a no-op
         flags = flags or ("--iterations", "--csv", "--workers")
         if "--iterations" in flags:
-            p.add_argument("--iterations", type=int, default=None,
+            p.add_argument("--iterations", type=_positive_int, default=None,
                            help="trace length (default: REPRO_ITERATIONS "
                                 "or 40)")
         if "--csv" in flags:
@@ -436,27 +414,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table4", help="PPA overheads")
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
-    p.add_argument("--nranks", type=int, default=16)
+    p.add_argument("--nranks", type=_nranks, default=16)
     common(p)
     p.set_defaults(func=_cmd_table4)
 
     p = sub.add_parser("figure", help="Figs. 7/8/9: savings & slowdown")
     p.add_argument("--number", type=int, required=True, choices=(7, 8, 9))
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
-    p.add_argument("--sizes-limit", type=int, default=None)
+    p.add_argument("--sizes-limit", type=_positive_int, default=None)
     common(p)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("fig10", help="hit rate vs GT sweep")
     p.add_argument("--app", default="gromacs", choices=APPLICATIONS)
-    p.add_argument("--sizes", nargs="*", type=int, default=[64, 128])
+    p.add_argument("--sizes", nargs="*", type=_nranks, default=[64, 128])
     common(p)
     p.set_defaults(func=_cmd_fig10)
 
     p = sub.add_parser("cell", help="one (app, nranks) pipeline run")
     p.add_argument("--app", required=True, choices=APPLICATIONS)
-    p.add_argument("--nranks", type=int, required=True)
-    p.add_argument("--displacement", type=float, default=0.01)
+    p.add_argument("--nranks", type=_nranks, required=True)
+    p.add_argument("--displacement", type=_displacement, default=0.01)
     topology_option(p)
     common(p, "--iterations", "--workers")
     p.set_defaults(func=_cmd_cell)
@@ -467,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(paper workloads; partition-safe, crash/hang-proof grid)",
     )
     p.add_argument("--apps", nargs="*", default=None, choices=APPLICATIONS)
-    p.add_argument("--nranks", nargs="*", type=int, default=[16])
+    p.add_argument("--nranks", nargs="*", type=_nranks, default=[16])
     spec_option(p, "--topologies", "topology specs (default: fitted + "
                 "torus + dragonfly + fattree2)", topology_help,
                 nargs="*", default=None)
@@ -476,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec_option(p, "--policies", "power-policy specs (default: the "
                 "paper's HCA-only gating)", policy_help,
                 nargs="*", default=None)
-    p.add_argument("--displacement", type=float, default=0.05)
+    p.add_argument("--displacement", type=_displacement, default=0.05)
     p.add_argument("--verify", action="store_true",
                    help="re-run every cell on the reference replay kernel "
                         "and fail on any fast/reference divergence — "
@@ -504,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shared-fabric host count (default: every job at "
                         "once when the family allows, else the family's "
                         "natural size — the FCFS queue absorbs overflow)")
-    p.add_argument("--displacement", type=float, default=0.05)
+    p.add_argument("--displacement", type=_displacement, default=0.05)
     spec_option(p, "--faults", "fault spec armed on the shared fabric "
                 "(isolated references stay pristine)", faults_help,
                 default="none")
@@ -518,15 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timeline", help="Fig. 6 power-mode timeline")
     p.add_argument("--app", default="gromacs", choices=APPLICATIONS)
-    p.add_argument("--nranks", type=int, default=16)
-    p.add_argument("--displacement", type=float, default=0.10)
-    p.add_argument("--bins", type=int, default=96)
+    p.add_argument("--nranks", type=_nranks, default=16)
+    p.add_argument("--displacement", type=_displacement, default=0.10)
+    p.add_argument("--bins", type=_positive_int, default=96)
     common(p, "--iterations", "--workers")
     p.set_defaults(func=_cmd_timeline)
 
     p = sub.add_parser("gen", help="write a synthetic trace to a .dim file")
     p.add_argument("--app", required=True, choices=APPLICATIONS)
-    p.add_argument("--nranks", type=int, required=True)
+    p.add_argument("--nranks", type=_nranks, required=True)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--scaling", default="strong", choices=("strong", "weak"))
     p.add_argument("-o", "--output", required=True)
@@ -535,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="full pipeline on a trace file")
     p.add_argument("trace", help="path to a .dim trace file")
-    p.add_argument("--displacement", type=float, default=0.01)
+    p.add_argument("--displacement", type=_displacement, default=0.01)
     p.add_argument("--kernel", default="fast", choices=("fast", "reference"),
                    help="replay kernel: compiled programs + flat hop "
                         "tables (fast) or the record interpreter + "
@@ -584,9 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Unix socket path (default: REPRO_SERVICE_SOCKET "
                         "or the per-user default)")
     p.add_argument("--app", default="alya", choices=APPLICATIONS)
-    p.add_argument("--nranks", type=int, default=8)
-    p.add_argument("--displacement", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--nranks", type=_nranks, default=8)
+    p.add_argument("--displacement", type=_displacement, default=None)
+    p.add_argument("--iterations", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scaling", default=None, choices=("strong", "weak"))
     p.add_argument("--kernel", default=None, choices=("fast", "reference"))
@@ -623,7 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.environ["REPRO_WORKERS"] = str(workers)
     try:
         args.func(args)
-    except SpecError as exc:  # a bad spec string: one line, no traceback
+    except (SpecError, _UsageError) as exc:  # one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -19,9 +19,12 @@ baseline replay, GT selection) and :func:`replay_displacements` (steps
 4-5, the planning pass run lazily once per cell).  ``run_cell`` is a
 memo around the two; the simulation service
 (:class:`repro.service.caches.WarmPipeline`) runs the same two behind
-its own LRU caches, and the policy comparison
+its own LRU caches, the policy comparison
 (:func:`repro.baselines.compare_policies`) runs them on one cell and
-replays its comparator plans through :func:`replay_directives`.
+replays its comparator plans through :func:`replay_directives`, and
+``repro.cli replay`` runs them on a loaded trace in place of step 1: a
+cell on a loaded trace is keyed by the trace's content digest
+(:func:`trace_cell_key`) and keeps the trace, which it cannot regenerate.
 
 Results are memoised per cell so that Figs. 7, 8 and 9 (three
 displacement factors over the same grid) share baselines and GT
@@ -84,6 +87,7 @@ Environment knobs:
 from __future__ import annotations
 
 import copy
+import hashlib
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -127,7 +131,7 @@ from ..sim import (
     replay_baseline,
     replay_managed,
 )
-from ..trace import Trace
+from ..trace import Trace, dumps_trace
 from ..workloads import PROCESS_COUNTS, make_trace
 
 
@@ -209,6 +213,19 @@ def cell_key(spec: dict) -> CellKey:
     )
 
 
+#: app prefix of a loaded trace's cell; no generated workload has it
+LOADED_TRACE = "trace:"
+
+
+def trace_cell_key(trace: Trace, **spec) -> CellKey:
+    """The key of a cell on a loaded ``trace``, other inputs as for
+    :func:`cell_key`: app = content digest, iterations = 0."""
+
+    digest = hashlib.sha256(dumps_trace(trace).encode()).hexdigest()
+    return cell_key({**spec, "app": LOADED_TRACE + digest,
+                     "nranks": trace.nranks, "iterations": 0})
+
+
 @dataclass(slots=True)
 class CellResult:
     """Everything the tables/figures need for one (app, nranks) cell."""
@@ -236,8 +253,8 @@ class CellResult:
     #: the trace's compiled rank programs, shared by the baseline and
     #: every managed replay of the cell (compilation is replay-invariant)
     programs: CompiledTrace | None = None
-    #: the trace itself, kept only on the reference kernel (it
-    #: interprets records; the fast kernel replays ``programs``)
+    #: the trace itself, kept only on the reference kernel (the fast
+    #: one replays ``programs``) and for a loaded, unregenerable trace
     trace: Trace | None = None
 
     @property
@@ -256,9 +273,12 @@ class CellResult:
 
 
 def _build_artefacts(
-    key: CellKey, on_stage: Callable[[str], None] = _no_stage
-) -> tuple[Trace, CompiledTrace, Fabric]:
-    """A cell's trace, compiled programs and fabric.
+    key: CellKey,
+    on_stage: Callable[[str], None] = _no_stage,
+    trace: Trace | None = None,
+) -> tuple[Trace | None, CompiledTrace, Fabric]:
+    """A cell's trace (generated unless a loaded one is given; None
+    where the cell need not keep it), compiled programs and fabric.
 
     One fabric per cell: construction and route compilation are shared
     by the baseline and every managed replay (reset between); one
@@ -267,35 +287,36 @@ def _build_artefacts(
     manager programs tables before traffic).
     """
 
-    on_stage("trace_generation")
-    trace = make_trace(
-        key.app, key.nranks, iterations=key.iterations, seed=key.seed,
-        scaling=key.scaling,
-    )
+    if trace is None:
+        on_stage("trace_generation")
+        trace = make_trace(
+            key.app, key.nranks, iterations=key.iterations, seed=key.seed,
+            scaling=key.scaling,
+        )
     on_stage("program_compile")
     programs = compile_trace(trace)
     on_stage("fabric_build")
     fabric = fabric_for(key.nranks, key.replay_config())
     fabric.precompile_pairs(programs.comm_pairs())
+    if key.kernel != "reference" and not key.app.startswith(LOADED_TRACE):
+        trace = None  # the fast kernel replays the programs alone
     return trace, programs, fabric
 
 
-def _kept_trace(key: CellKey, trace: Trace) -> Trace | None:
-    """The trace a cell keeps: only the reference kernel replays it."""
-
-    return trace if key.kernel == "reference" else None
-
-
 def build_cell(
-    key: CellKey, on_stage: Callable[[str], None] = _no_stage
+    key: CellKey,
+    on_stage: Callable[[str], None] = _no_stage,
+    trace: Trace | None = None,
 ) -> CellResult:
     """The artefact + baseline step: trace, programs and fabric, the
-    baseline replay and GT selection, as a cell with no managed run."""
+    baseline replay and GT selection, as a cell with no managed run; a
+    loaded ``trace`` (keyed by :func:`trace_cell_key`) skips generation."""
 
-    trace, programs, fabric = _build_artefacts(key, on_stage)
+    trace, programs, fabric = _build_artefacts(key, on_stage, trace)
     on_stage("baseline_replay")
     baseline = replay_baseline(
-        trace, key.replay_config(), fabric=fabric, programs=programs
+        programs if trace is None else trace, key.replay_config(),
+        fabric=fabric, programs=programs,
     )
     on_stage("gt_select")
     selection = select_gt_detailed(baseline.event_logs)
@@ -313,7 +334,7 @@ def build_cell(
         gt_sweep=selection.sweep,
         fabric=fabric,
         programs=programs,
-        trace=_kept_trace(key, trace),
+        trace=trace,
     )
 
 
@@ -335,7 +356,8 @@ def replay_displacements(
 
     With several displacements and ``REPRO_WORKERS`` > 1 the replays
     fan out over processes (each worker rebuilds the artefacts, which
-    are deterministic); results are bit-for-bit the serial ones.
+    are deterministic, from the key or the trace the cell keeps);
+    results are bit-for-bit the serial ones.
     """
 
     replays: list[ManagedResult] = []
@@ -405,6 +427,7 @@ def _managed_job(
         "stats": stats,
         "baseline_exec_time_us": cell.baseline.exec_time_us,
         "gt_us": cell.planned_gt_us,
+        "trace": cell.trace,
     }
 
 
@@ -435,17 +458,16 @@ def _managed_replay_worker(job: dict) -> ManagedResult:
     """One displacement's managed replay in a worker process.
 
     Module-level for pickling.  The worker rebuilds the cell's
-    artefacts (deterministic in the key), so the fanned-out result is
-    bit-for-bit the serial one.  Nested parallelism is disabled the
-    same way ``_run_cell_worker`` does.
+    artefacts (deterministic in the key and the kept trace, if any), so
+    the fanned-out result is bit-for-bit the serial one.  Nested
+    parallelism is disabled the same way ``_run_cell_worker`` does.
     """
 
     if multiprocessing.parent_process() is not None:
         # no nested pools inside a worker; guarded so the in-process
         # fallback path of run_resilient cannot pollute the parent's env
         os.environ["REPRO_WORKERS"] = "1"
-    trace, programs, fabric = _build_artefacts(job["key"])
-    return _replay_job(job, _kept_trace(job["key"], trace), programs, fabric)
+    return _replay_job(job, *_build_artefacts(job["key"], trace=job["trace"]))
 
 
 _CACHE: dict[CellKey, CellResult] = {}
@@ -506,8 +528,7 @@ def run_cell(
     elif cell.programs is None:
         # computed in a run_cells worker or loaded from a journal, both
         # of which strip the heavy artefacts: rebuild them once here
-        trace, cell.programs, cell.fabric = _build_artefacts(key)
-        cell.trace = _kept_trace(key, trace)
+        cell.trace, cell.programs, cell.fabric = _build_artefacts(key)
     missing = [d for d in displacements if d not in cell.managed]
     cell.managed.update(replay_displacements(cell, key, missing))
     if missing and not cell.runtime_stats:

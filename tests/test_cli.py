@@ -160,25 +160,85 @@ class TestCommands:
         assert "best GT" in capsys.readouterr().out
 
 
+class TestBadNumbers:
+    """Counts and displacements are checked by argparse: a bad value
+    exits 2 with one error line, no traceback (each of these ended in a
+    ``ValueError`` traceback and exit 1 when it reached the pipeline)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["cell", "--app", "alya", "--nranks", "8", "--iterations", "0"],
+         "--iterations"),
+        (["cell", "--app", "alya", "--nranks", "0"], "--nranks"),
+        (["replay", "t.dim", "--displacement", "1.5"], "--displacement"),
+        (["cell", "--app", "alya", "--nranks", "8", "--displacement", "-1"],
+         "--displacement"),
+        (["gen", "--app", "alya", "--nranks", "4", "-o", "a.dim",
+          "--iterations", "0"], "--iterations"),
+        (["fig10", "--sizes", "8", "0"], "--sizes"),
+        (["timeline", "--bins", "0"], "--bins"),
+        (["figure", "--number", "7", "--sizes-limit", "0"], "--sizes-limit"),
+    ])
+    def test_exit_2_with_one_error_line(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: must be" in errors[0]
+        assert "Traceback" not in captured.err
+
+    def test_gen_reads_repro_iterations(self, tmp_path, monkeypatch, capsys):
+        from repro.trace.io import load_trace
+
+        monkeypatch.setenv("REPRO_ITERATIONS", "4")
+        path = tmp_path / "a.dim"
+        assert main(["gen", "--app", "alya", "--nranks", "4",
+                     "-o", str(path)]) == 0
+        assert load_trace(path).meta["iterations"] == 4
+
+
 class TestGenReplay:
+    """``replay`` runs a trace file through the cell pipeline: on a
+    ``gen``-written trace it prints what ``cell`` prints for the same
+    app, ranks, iterations and topology, on either kernel."""
+
     def test_gen_then_replay(self, tmp_path, capsys):
-        path = tmp_path / "alya8.dim"
-        rc = main(["gen", "--app", "alya", "--nranks", "8",
+        path = tmp_path / "gromacs16.dim"
+        rc = main(["gen", "--app", "gromacs", "--nranks", "16",
                    "--iterations", "10", "-o", str(path)])
         assert rc == 0
-        assert path.exists()
         assert "wrote" in capsys.readouterr().out
 
-        rc = main(["replay", str(path), "--displacement", "0.05"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "power savings" in out
-        assert "GT =" in out
+        for topology in ("fitted", "torus:k=4,n=2"):
+            shared = ["--displacement", "0.05", "--topology", topology]
+            assert main(["cell", "--app", "gromacs", "--nranks", "16",
+                         "--iterations", "10", *shared]) == 0
+            want = capsys.readouterr().out
+            assert "power savings" in want
+            for kernel in ("fast", "reference"):
+                assert main(["replay", str(path), "--kernel", kernel,
+                             *shared]) == 0
+                assert capsys.readouterr().out == want, (topology, kernel)
 
     def test_replay_rejects_unbalanced(self, tmp_path, capsys):
         bad = tmp_path / "bad.dim"
         bad.write_text(
             "#TRACE name=bad nranks=2\n#RANK 0\nP 1 1 64 0\n#RANK 1\n"
         )
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["replay", str(bad)])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("content", [None, "garbage\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_trace_file_is_a_usage_error(self, content, tmp_path, capsys):
+        path = tmp_path / "t.dim"
+        if content is not None:
+            path.write_text(content)
+        assert main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")

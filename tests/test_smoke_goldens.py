@@ -1,0 +1,59 @@
+"""The smoke grids' printed tables, pinned to committed goldens.
+
+`make sweep-smoke` and `make cluster-smoke` run the argument vectors of
+`tests/golden/smoke_argv.txt`; this test reruns the same vectors, each in
+a fresh interpreter as make does, and requires the joined stdout of each
+target to equal `tests/golden/<target>.out` byte for byte. Every row is
+also verified fast == reference kernel by the grid itself (`--verify`),
+so the goldens say that neither kernel drifted. After a change that
+really moves a printed digit, `make golden-update` rewrites the goldens.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def smoke_vectors() -> dict[str, list[list[str]]]:
+    """``{target: [argv, ...]}`` from the shared argument-vector file."""
+
+    vectors: dict[str, list[list[str]]] = {}
+    for line in (GOLDEN / "smoke_argv.txt").read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            target, *argv = line.split()
+            vectors.setdefault(target, []).append(argv)
+    return vectors
+
+
+def _run(argv: list[str]) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
+def test_every_target_has_a_golden():
+    targets = smoke_vectors()
+    assert sorted(targets) == ["cluster-smoke", "sweep-smoke"]
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(targets)
+
+
+@pytest.mark.parametrize("target", ["sweep-smoke", "cluster-smoke"])
+def test_smoke_stdout_equals_golden(target):
+    out = "".join(_run(argv) for argv in smoke_vectors()[target])
+    assert out == (GOLDEN / f"{target}.out").read_text(), (
+        f"{target} output moved; if that is intended, run "
+        "`make golden-update` and name each moved line"
+    )
