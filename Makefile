@@ -34,15 +34,20 @@
 #                     reruns them and diffs their stdout against the
 #                     committed tests/golden/<target>.out)
 #   make golden-update rewrite tests/golden/<target>.out from a fresh
-#                     run of both smokes (name each moved line and why)
+#                     run of both smokes, and
+#                     tests/golden/policy-comparison.out from
+#                     examples/policy_comparison.py (name each moved line
+#                     and why)
 #   make examples     run every examples/*.py; fails on a non-zero exit
 #   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3" [TRACE=1]
 #                     same-machine A/B of the perfbench benchmark: checks
 #                     BASE out into a temporary git worktree, runs
 #                     perfbench/run.py --trace 0 per seed on BASE and on
 #                     this working tree, interleaved, and prints every
-#                     end-to-end metric's per-side median (benchmarks/ab.py);
-#                     fails if the two sides' exact counts differ.
+#                     end-to-end metric's per-side median, pair wins and
+#                     verdict: gain / worse / unresolved / flat
+#                     (benchmarks/ab.py); fails if the two sides' exact
+#                     counts differ.
 #                     TRACE=1 adds one --trace 1 pair per seed and the
 #                     per-layer head/base ratios
 #   make service-smoke gate the simulation service end-to-end against a
@@ -101,6 +106,8 @@ golden-update:
 		$(MAKE) -s --no-print-directory $$t > tests/golden/$$t.out \
 			|| exit 1; \
 	done
+	@$(PY) examples/policy_comparison.py \
+		> tests/golden/policy-comparison.out
 
 examples:
 	@for e in examples/*.py; do \

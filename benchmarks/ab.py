@@ -12,8 +12,9 @@ for even ones — so slow drift of the host's speed lands on both sides
 alike.  The head side is the working tree this script lives in.  Prints
 every end-to-end metric of ``BENCHMARK.json`` with its per-side median,
 the head/base ratio of the medians, the base runs' quartile distance
-relative to their median, and in how many same-seed pairs head beat
-base (the evidence a speed claim needs).
+relative to their median, in how many same-seed pairs head beat base,
+and a verdict (:func:`verdict`): ``gain``, ``worse``, ``unresolved`` or
+``flat``.
 
 Exact work: after each seed pair the two trees' exact-count files
 (``perfbench/out/counts/<workload>-seed<s>-s<seconds>.json``) must be
@@ -89,6 +90,48 @@ def _medians(runs: dict, name: str) -> tuple[list, list, float, float]:
             statistics.median(values["head"]))
 
 
+def _iqr(values: list) -> float:
+    """Distance between the quartiles (0 for a single value)."""
+
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def _wins(base: list, head: list, better: str) -> int:
+    """Same-seed pairs head won; a tie counts for neither side."""
+
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (h - b) > 0 for b, h in zip(base, head))
+
+
+def verdict(base: list, head: list, better: str, bound: float) -> str:
+    """One metric's A/B verdict from same-seed pairs of runs.
+
+    ``gain``: head won at least nine tenths of the pairs and the medians
+    differ, in head's favour, by more than the base runs' quartile
+    distance.  ``worse``: head's median is worse than base's by more
+    than ``bound`` (relative, as in ``BENCHMARK.json``).
+    ``unresolved``: the base runs' quartile distance exceeds ``bound``
+    of their median, so no-regression cannot be told, unless every head
+    run beats every base run.  ``flat``: none of these.
+    """
+
+    sign = 1 if better == "higher" else -1
+    base_med = statistics.median(base)
+    gap = sign * (statistics.median(head) - base_med)
+    iqr = _iqr(base)
+    if 10 * _wins(base, head, better) >= 9 * len(base) and gap > iqr:
+        return "gain"
+    if -gap > bound * abs(base_med):
+        return "worse"
+    beats_all = all(sign * (h - b) > 0 for h in head for b in base)
+    if iqr > bound * abs(base_med) and not beats_all:
+        return "unresolved"
+    return "flat"
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -150,20 +193,20 @@ def main(argv=None) -> int:
     ))
     print(f"  {'metric':20s} {'unit':6s} {'better':6s} "
           f"{'base median':>14s} {'head median':>14s} {'head/base':>9s} "
-          f"{'base iqr/med':>12s} {'head wins':>9s}")
+          f"{'base iqr/med':>12s} {'head wins':>9s} {'verdict':>10s}")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         base_vals, head_vals, base_med, head_med = _medians(runs, name)
         ratio = head_med / base_med if base_med else float("nan")
         spread = float("nan")
         if len(base_vals) > 1 and base_med:
-            q1, _, q3 = statistics.quantiles(base_vals, n=4)
-            spread = (q3 - q1) / base_med
-        sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(sign * (h - b) > 0 for b, h in zip(base_vals, head_vals))
+            spread = _iqr(base_vals) / base_med
+        wins = _wins(base_vals, head_vals, metric["better"])
+        call = verdict(base_vals, head_vals, metric["better"],
+                       metric["bound"])
         print(f"  {name:20s} {metric['unit']:6s} {metric['better']:6s} "
               f"{base_med:14.4f} {head_med:14.4f} {ratio:9.3f} "
-              f"{spread:12.3f} {wins:>4d}/{len(head_vals):<4d}")
+              f"{spread:12.3f} {wins:>4d}/{len(head_vals):<4d} {call:>10s}")
     if args.trace:
         print("  per layer (--trace 1, one pair per seed):")
         print(f"  {'layer metric':34s} {'unit':6s} "

@@ -57,12 +57,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from typing import Sequence
 
 from .analysis import render_timeline
 from .cluster import PLACEMENT_POLICIES, jobs_help
+from .concurrency import MIN_CELL_TIMEOUT_S
 from .experiments import (
     SWEEP_COLUMNS,
     default_iterations,
@@ -353,6 +355,11 @@ def _checked(convert, ok, what: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, ">= 0")
+_timeout_s = _checked(
+    float, lambda v: math.isfinite(v) and v >= MIN_CELL_TIMEOUT_S,
+    f"finite and >= {MIN_CELL_TIMEOUT_S}",
+)
 _nranks = _checked(int, lambda v: v >= 2, ">= 2")
 _displacement = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
@@ -384,10 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "REPRO_WORKERS or 1)")
 
     def harness_options(p):
-        p.add_argument("--cell-timeout", type=float, default=None,
+        p.add_argument("--cell-timeout", type=_timeout_s, default=None,
                        help="per-cell wall-clock timeout in seconds "
                             "(default: REPRO_CELL_TIMEOUT_S or none)")
-        p.add_argument("--cell-retries", type=int, default=None,
+        p.add_argument("--cell-retries", type=_non_negative_int,
+                       default=None,
                        help="re-attempts for crashed/stalled cells "
                             "(default: REPRO_CELL_RETRIES or 2)")
         p.add_argument("--checkpoint", default=None,
@@ -478,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spec_option(p, "--topologies", "topology specs (default: fitted + "
                 "torus)", topology_help, nargs="*", default=None)
-    p.add_argument("--num-hosts", type=int, default=None,
+    p.add_argument("--num-hosts", type=_positive_int, default=None,
                    help="shared-fabric host count (default: every job at "
                         "once when the family allows, else the family's "
                         "natural size — the FCFS queue absorbs overflow)")

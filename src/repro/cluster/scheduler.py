@@ -304,7 +304,7 @@ class ClusterScheduler:
             # routes for every global pair this job communicates on,
             # before its first byte (the subnet-manager convention)
             self.fabric.precompile_pairs(
-                {(hosts[s], hosts[d]) for s, d in programs.comm_pairs()}
+                {(hosts[s], hosts[d]) for s, d in programs.comm_pair_set}
             )
         run.world, run.rank_links = self.composition.admit(
             hosts, cj.trace, programs, cj.directives,

@@ -28,6 +28,7 @@ failure.  :func:`run_journaled` adds checkpointing: it serves items a
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import time
@@ -44,6 +45,8 @@ _R = TypeVar("_R")
 WORKERS_ENV = "REPRO_WORKERS"
 #: environment knob: per-cell wall-clock timeout (seconds) for grids
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT_S"
+#: the shortest per-cell timeout accepted, in seconds
+MIN_CELL_TIMEOUT_S = 0.001
 #: environment knob: re-attempts after the first try for crashed/stalled
 #: cells
 CELL_RETRIES_ENV = "REPRO_CELL_RETRIES"
@@ -83,20 +86,25 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _resolve_env_number(env: str, value, cast, minimum, what: str):
+    """``value`` if given, else ``env``'s value, else None; either one
+    must be a finite number >= ``minimum`` (NaN compares false with
+    every bound, so it is rejected by name, as are the infinities)."""
+
     if value is not None:
-        v = cast(value)
-        if v < minimum:
-            raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
-        return v
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return None
+        name, raw = what, value
+    else:
+        raw = os.environ.get(env, "").strip()
+        if not raw:
+            return None
+        name = env
     try:
         v = cast(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be a number, got {raw!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {raw!r}")
     if v < minimum:
-        raise ValueError(f"{env} must be >= {minimum}, got {raw!r}")
+        raise ValueError(f"{name} must be >= {minimum}, got {raw!r}")
     return v
 
 
@@ -104,7 +112,7 @@ def resolve_cell_timeout(timeout_s: float | None = None) -> float | None:
     """Per-cell timeout: explicit > ``REPRO_CELL_TIMEOUT_S`` > None."""
 
     return _resolve_env_number(
-        CELL_TIMEOUT_ENV, timeout_s, float, 0.001, "timeout_s"
+        CELL_TIMEOUT_ENV, timeout_s, float, MIN_CELL_TIMEOUT_S, "timeout_s"
     )
 
 

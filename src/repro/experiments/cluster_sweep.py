@@ -2,8 +2,9 @@
 
 Every other sweep replays one job on a private fabric.  This one admits
 a whole job *stream* (:mod:`repro.cluster.jobs`) onto one shared fabric
-per (topology, stream, placement) cell and reports what multi-tenancy
-does to the paper's metrics: per-job savings still come out of each
+in each (topology, stream, placement) cell, pooled across cells and
+reset after each (see below), and reports what multi-tenancy does to
+the paper's metrics: per-job savings still come out of each
 job's own directives, but concurrent jobs now contend on trunk links,
 so the interesting column is **slowdown vs isolated** — each job's
 in-cluster span against its own single-job managed replay.
@@ -22,6 +23,13 @@ fault schedule (it plans from clean baseline gaps), and the
 slowdown-vs-isolated column should isolate *contention + faults*
 against a clean yardstick.
 
+The shared fabric comes from the pipeline's fabric pool
+(:func:`~repro.experiments.common.pooled_fabric`): every cell with the
+same host count and build signature (seed, topology, routing) replays
+on one fabric whose routes and hop tables were compiled once, and the
+cell resets it after its replays, on return and on a raise, so the
+pool holds no busy logs and the next cell starts pristine.
+
 Each cell runs through :func:`~repro.experiments.sweep.sweep_cell`, the
 body the single-job sweep runs too: a partitioned cell becomes a
 ``partitioned`` row instead of killing the grid, and ``verify=True``
@@ -35,6 +43,7 @@ registry).  The grid fans out through
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,8 +61,9 @@ from ..concurrency import run_journaled, unique_by
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
 from ..network.topologies import DEFAULT_TOPOLOGY, build_topology
 from ..power.states import WRPSParams
-from ..sim.dimemas import ReplayConfig, fabric_for
-from .common import default_iterations, run_cell
+from ..sim.dimemas import ReplayConfig
+from ..specs import SpecError
+from .common import default_iterations, pooled_fabric, run_cell
 from .sweep import sweep_cell
 
 #: the default stream axis: a deterministic two-job stream (the control
@@ -100,8 +110,17 @@ def resolve_cluster_hosts(topology: str, jobs: Sequence[Job]) -> int:
     largest single job fails here, named.
     """
 
-    desired = sum(job.nranks for job in jobs)
-    biggest = max(job.nranks for job in jobs)
+    return _cluster_hosts(
+        topology, sum(job.nranks for job in jobs),
+        max(job.nranks for job in jobs),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _cluster_hosts(topology: str, desired: int, biggest: int) -> int:
+    """:func:`resolve_cluster_hosts` on its pure inputs, memoised: the
+    topology built to size the cluster is thrown away."""
+
     try:
         return build_topology(topology, desired).num_hosts
     except ValueError:
@@ -125,7 +144,8 @@ def run_cluster_cell(
     Isolated single-job pipelines (one per distinct (app, nranks), on a
     pristine fabric — see the module docstring) produce each job's
     directives and its slowdown yardstick; then the whole stream replays
-    twice on one shared fabric, baseline and managed.
+    twice on the pool's shared fabric, baseline and managed, and the
+    fabric is reset afterwards.
     """
 
     jobs = parse_jobs(jobs_spec)
@@ -183,16 +203,21 @@ def run_cluster_cell(
         return out
 
     # one shared fabric for both replays (reset in between), exactly the
-    # single-job drivers' fabric= idiom
-    fabric = fabric_for(num_hosts, cfg)
-    baseline = replay_cluster_baseline(
-        cluster_jobs(managed=False), cfg, num_hosts=num_hosts,
-        placement=placement, fabric=fabric,
-    )
-    managed = replay_cluster_managed(
-        cluster_jobs(managed=True), cfg, num_hosts=num_hosts,
-        placement=placement, wrps=WRPSParams.paper(), fabric=fabric,
-    )
+    # single-job drivers' fabric= idiom; it outlives the cell in the pool
+    fabric = pooled_fabric(num_hosts, cfg)
+    try:
+        baseline = replay_cluster_baseline(
+            cluster_jobs(managed=False), cfg, num_hosts=num_hosts,
+            placement=placement, fabric=fabric,
+        )
+        managed = replay_cluster_managed(
+            cluster_jobs(managed=True), cfg, num_hosts=num_hosts,
+            placement=placement, wrps=WRPSParams.paper(), fabric=fabric,
+        )
+    finally:
+        # drop the last replay's busy logs (also after a partition
+        # unwinds it); routes and hop tables survive for the next cell
+        fabric.reset()
     return ClusterCell(
         jobs=jobs,
         placement=placement,
@@ -352,16 +377,23 @@ def run_cluster_sweep(
 ) -> list[ClusterSweepRow]:
     """The multi-tenancy table (topology-major row order).
 
-    Stream, placement and fault specs are validated up front; a typo
-    fails the sweep before any cell runs.  Parallel output is
-    bit-for-bit equal to serial (pinned by the cluster sweep tests).
+    Stream, placement and fault specs are validated up front, and so is
+    ``num_hosts`` against every stream's largest job; a typo fails the
+    sweep before any cell runs.  Parallel output is bit-for-bit equal
+    to serial (pinned by the cluster sweep tests).
     """
 
     job_streams = tuple(job_streams or DEFAULT_JOB_STREAMS)
     placements = tuple(placements or DEFAULT_PLACEMENTS)
     topologies = tuple(topologies or DEFAULT_CLUSTER_TOPOLOGIES)
     for stream in job_streams:
-        parse_jobs(stream)  # fail fast, with the spec named in the error
+        # fail fast, with the spec named in the error
+        biggest = max(job.nranks for job in parse_jobs(stream))
+        if num_hosts is not None and num_hosts < biggest:
+            raise SpecError(
+                f"num_hosts={num_hosts} is smaller than the {biggest}-rank "
+                f"job of stream {stream!r}: it could never be admitted"
+            )
     for p in placements:
         if p not in PLACEMENT_POLICIES:
             raise ValueError(

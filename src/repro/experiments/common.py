@@ -60,7 +60,16 @@ outermost in:
   each managed run — ``reset()``s it instead of rebuilding, so compiled
   routes are paid for once per cell.  The replay itself runs on the
   fast kernel (memoised collective schedules, precompiled routes,
-  batched link accounting; see :mod:`repro.sim`).
+  batched link accounting; see :mod:`repro.sim`).  Each compiled
+  program set carries its communicating pair set
+  (``CompiledTrace.comm_pair_set``), walked once at compile time.
+* **fabric pool** — the cluster path's shared fabrics
+  (:func:`pooled_fabric`), one per (host count, build signature):
+  ``run_cluster_cell`` replays every cell of one signature on the same
+  fabric and resets it afterwards, so topology construction and route
+  compilation are paid once per signature, not once per cell
+  (``clear_cache`` empties the pool too).  Single-job cells keep one
+  fabric each, and ``run_cell(use_cache=False)`` stays fully cold.
 * **warm what-if = one managed replay** — a new displacement on a
   memoised cell costs one copy-on-write rebind (fresh directives only
   where a shutdown timer lands; every other entry is shared with the
@@ -297,7 +306,7 @@ def _build_artefacts(
     programs = compile_trace(trace)
     on_stage("fabric_build")
     fabric = fabric_for(key.nranks, key.replay_config())
-    fabric.precompile_pairs(programs.comm_pairs())
+    fabric.precompile_pairs(programs.comm_pair_set)
     if key.kernel != "reference" and not key.app.startswith(LOADED_TRACE):
         trace = None  # the fast kernel replays the programs alone
     return trace, programs, fabric
@@ -472,9 +481,33 @@ def _managed_replay_worker(job: dict) -> ManagedResult:
 
 _CACHE: dict[CellKey, CellResult] = {}
 
+#: the cluster path's shared fabrics, keyed by host count + build
+#: signature (see :func:`pooled_fabric`)
+_FABRICS: dict[tuple, Fabric] = {}
+
+
+def pooled_fabric(num_hosts: int, config: ReplayConfig) -> Fabric:
+    """The pool's fabric for ``num_hosts`` hosts, built as ``config``
+    says.
+
+    A fabric is a pure function of its host count and build signature,
+    and its routes are seeded order-independently, so one fabric serves
+    every cell on that signature: :func:`fabric_for` builds it on first
+    use, and its routes and compiled hop tables survive every later
+    cell.  The caller ``reset()``s it when its replays are done (also
+    when they raise), so no replay's busy logs wait in the pool.
+    """
+
+    key = (num_hosts,) + config.build_signature
+    fabric = _FABRICS.get(key)
+    if fabric is None:
+        fabric = _FABRICS[key] = fabric_for(num_hosts, config)
+    return fabric
+
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _FABRICS.clear()
     # the memoised collective schedules grow with every distinct
     # (kind, rank, nranks, size) shape the cells replayed; free them
     # together with the cells so long sweep sessions stay bounded

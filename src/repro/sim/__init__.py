@@ -53,7 +53,8 @@ per-message hot path touches only flat, already-compiled state:
    :class:`~repro.network.routing.RouteTable` compiles each pair once,
    the fabric flattens it into per-pair ``(link, channel, switch)`` hop
    tables, and ``Fabric.precompile_pairs`` builds them ahead of traffic
-   from the compiled trace's ``comm_pairs()``.  ``Fabric.transfer_hot``
+   from the compiled trace's pair set (``CompiledTrace.comm_pair_set``,
+   walked once at compile time).  ``Fabric.transfer_hot``
    walks that flat table; the per-message route walk is kept as
    ``Fabric.transfer`` (``ReplayConfig(kernel="reference")``) and
    property-tested bit-for-bit identical.  Channel busy intervals append to flat start/end arrays;

@@ -113,6 +113,14 @@ class ReplayConfig:
         # and for the policy spec (controllers built per managed replay)
         parse_policy(self.policy)
 
+    @property
+    def build_signature(self) -> tuple:
+        """The fields a fabric's construction reads: (seed,
+        hosts_per_leaf, random_routing, topology)."""
+
+        return (self.seed, self.hosts_per_leaf, self.random_routing,
+                self.topology)
+
 
 def fabric_for(nranks: int, config: ReplayConfig | None = None) -> Fabric:
     """Build the fabric one replay of ``config`` would build.
@@ -133,9 +141,7 @@ def fabric_for(nranks: int, config: ReplayConfig | None = None) -> Fabric:
     )
     # remember the build parameters so a later replay with a different
     # config cannot silently run on the wrong topology/routes
-    fabric.build_signature = (
-        cfg.seed, cfg.hosts_per_leaf, cfg.random_routing, cfg.topology
-    )
+    fabric.build_signature = cfg.build_signature
     return fabric
 
 
@@ -484,10 +490,7 @@ class Composition:
         if fabric is None:
             fabric = fabric_for(num_hosts, config)
         else:
-            expected = (
-                config.seed, config.hosts_per_leaf, config.random_routing,
-                config.topology,
-            )
+            expected = config.build_signature
             signature = getattr(fabric, "build_signature", None)
             if signature is not None and signature != expected:
                 raise ValueError(

@@ -205,6 +205,11 @@ class CompiledTrace:
     nranks: int
     total_records: int
     programs: tuple[RankProgram, ...]
+    #: :meth:`comm_pairs` of the base set, computed once by
+    #: :func:`compile_trace` and passed on to every woven set (weaving
+    #: adds no communication), so drivers read it instead of walking
+    #: the instructions per replay
+    comm_pair_set: frozenset[tuple[int, int]]
     trace_meta: tuple = ()
     managed: bool = False
 
@@ -227,28 +232,11 @@ class CompiledTrace:
         it to :meth:`repro.network.fabric.Fabric.precompile_pairs` so
         route/hop-table compilation happens at build time (the way an IB
         subnet manager programs forwarding tables ahead of traffic)
-        instead of lazily inside the first timed replay.
+        instead of lazily inside the first timed replay.  This walk is
+        the set's definition; :attr:`comm_pair_set` keeps its result.
         """
 
-        pairs: set[tuple[int, int]] = set()
-        for prog in self.programs:
-            rank = prog.rank
-            for ins in prog.code:
-                op = ins[0]
-                if op in (OP_SEND, OP_ISEND):
-                    pairs.add((rank, ins[2]))
-                elif op == OP_SENDRECV:
-                    pairs.add((rank, ins[2]))
-                    pairs.add((ins[5], rank))
-                elif op in (OP_RECV, OP_IRECV):
-                    pairs.add((ins[2], rank))
-                elif op == OP_COLLECTIVE:
-                    for sop, peer, _size, _tag in ins[2]:
-                        if sop == STEP_RECV:
-                            pairs.add((peer, rank))
-                        else:
-                            pairs.add((rank, peer))
-        return pairs
+        return _comm_pairs(self.programs)
 
     def matches(self, trace: Trace) -> bool:
         return (
@@ -301,9 +289,34 @@ class CompiledTrace:
                 RankProgram(p.rank, _weave_directives(p.code, rank_dirs))
                 for p, rank_dirs in zip(self.programs, directives)
             ),
+            comm_pair_set=self.comm_pair_set,
             trace_meta=self.trace_meta,
             managed=True,
         )
+
+
+def _comm_pairs(programs: Sequence[RankProgram]) -> set[tuple[int, int]]:
+    """The (src, dst) pairs ``programs`` send or receive on."""
+
+    pairs: set[tuple[int, int]] = set()
+    for prog in programs:
+        rank = prog.rank
+        for ins in prog.code:
+            op = ins[0]
+            if op in (OP_SEND, OP_ISEND):
+                pairs.add((rank, ins[2]))
+            elif op == OP_SENDRECV:
+                pairs.add((rank, ins[2]))
+                pairs.add((ins[5], rank))
+            elif op in (OP_RECV, OP_IRECV):
+                pairs.add((ins[2], rank))
+            elif op == OP_COLLECTIVE:
+                for sop, peer, _size, _tag in ins[2]:
+                    if sop == STEP_RECV:
+                        pairs.add((peer, rank))
+                    else:
+                        pairs.add((rank, peer))
+    return pairs
 
 
 def _meta_signature(trace: Trace) -> tuple:
@@ -386,14 +399,16 @@ def compile_trace(
     """
 
     nranks = trace.nranks
+    programs = tuple(
+        RankProgram(p.rank, compile_records(p.records, p.rank, nranks))
+        for p in trace.processes
+    )
     compiled = CompiledTrace(
         trace_name=trace.name,
         nranks=nranks,
         total_records=trace.total_records,
-        programs=tuple(
-            RankProgram(p.rank, compile_records(p.records, p.rank, nranks))
-            for p in trace.processes
-        ),
+        programs=programs,
+        comm_pair_set=frozenset(_comm_pairs(programs)),
         trace_meta=_meta_signature(trace),
     )
     if directives is None:

@@ -18,6 +18,7 @@ from repro.experiments.cluster_sweep import (
 )
 from repro.cluster import parse_jobs
 from repro.experiments.common import run_cell
+from repro.specs import SpecError
 
 pytestmark = pytest.mark.cluster
 
@@ -112,6 +113,9 @@ class TestSweep:
             run_cluster_sweep(["surge:n=2"], iterations=ITERS)
         with pytest.raises(ValueError, match="placement"):
             run_cluster_sweep([STREAM], placements=("bogus",),
+                              iterations=ITERS)
+        with pytest.raises(SpecError, match="4-rank job"):
+            run_cluster_sweep(["static:n=1,ranks=2", STREAM], num_hosts=3,
                               iterations=ITERS)
 
     def test_formatter_groups_rows(self):

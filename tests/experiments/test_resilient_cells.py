@@ -177,6 +177,24 @@ class TestResolveKnobs:
         with pytest.raises(ValueError, match=CELL_TIMEOUT_ENV):
             resolve_cell_timeout()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_explicit_knobs_rejected(self, bad, monkeypatch):
+        monkeypatch.delenv(CELL_TIMEOUT_ENV, raising=False)
+        monkeypatch.delenv(CELL_RETRIES_ENV, raising=False)
+        with pytest.raises(ValueError, match="timeout_s"):
+            resolve_cell_timeout(float(bad))
+        with pytest.raises(ValueError, match="retries"):
+            resolve_cell_retries(float(bad))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_env_knobs_rejected(self, bad, monkeypatch):
+        monkeypatch.setenv(CELL_TIMEOUT_ENV, bad)
+        with pytest.raises(ValueError, match=CELL_TIMEOUT_ENV):
+            resolve_cell_timeout()
+        monkeypatch.setenv(CELL_RETRIES_ENV, bad)
+        with pytest.raises(ValueError, match=CELL_RETRIES_ENV):
+            resolve_cell_retries()
+
     def test_cell_retries_resolution(self, monkeypatch):
         monkeypatch.delenv(CELL_RETRIES_ENV, raising=False)
         assert resolve_cell_retries() == 2

@@ -136,6 +136,17 @@ class TestWeaveRules:
         )
         assert woven.comm_pairs() == base.comm_pairs()
 
+    def test_woven_sets_carry_the_base_pair_set(self):
+        trace = make_trace("gromacs", 8, iterations=2, seed=7)
+        base = compile_trace(trace)
+        directives = [{0: RankDirective(pre_overhead_us=1.0,
+                                        shutdown_timer_us=300.0)}
+                      for _ in range(8)]
+        assert base.comm_pair_set == base.comm_pairs()
+        for woven in (base.with_directives(directives),
+                      compile_trace(trace, directives)):
+            assert woven.comm_pair_set == base.comm_pairs()
+
     def test_empty_directives_share_code(self):
         trace = _two_rank_trace()
         base = compile_trace(trace)

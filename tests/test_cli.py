@@ -177,6 +177,10 @@ class TestBadNumbers:
         (["fig10", "--sizes", "8", "0"], "--sizes"),
         (["timeline", "--bins", "0"], "--bins"),
         (["figure", "--number", "7", "--sizes-limit", "0"], "--sizes-limit"),
+        (["cluster-sweep", "--num-hosts", "0"], "--num-hosts"),
+        (["cluster-sweep", "--cell-retries", "-1"], "--cell-retries"),
+        (["cluster-sweep", "--cell-timeout", "0"], "--cell-timeout"),
+        (["sweep", "--cell-timeout", "nan"], "--cell-timeout"),
     ])
     def test_exit_2_with_one_error_line(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -188,6 +192,16 @@ class TestBadNumbers:
                   if "error:" in line]
         assert len(errors) == 1 and f"argument {flag}: must be" in errors[0]
         assert "Traceback" not in captured.err
+
+    def test_num_hosts_below_a_job_fails_before_any_cell(self, capsys):
+        # 1 host passes argparse, but every default stream has 8-rank jobs
+        assert main(["cluster-sweep", "--num-hosts", "1",
+                     "--iterations", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "num_hosts=1" in errors[0]
 
     def test_gen_reads_repro_iterations(self, tmp_path, monkeypatch, capsys):
         from repro.trace.io import load_trace

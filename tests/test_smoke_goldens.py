@@ -5,8 +5,10 @@
 a fresh interpreter as make does, and requires the joined stdout of each
 target to equal `tests/golden/<target>.out` byte for byte. Every row is
 also verified fast == reference kernel by the grid itself (`--verify`),
-so the goldens say that neither kernel drifted. After a change that
-really moves a printed digit, `make golden-update` rewrites the goldens.
+so the goldens say that neither kernel drifted. The example scripts of
+`EXAMPLES` are pinned the same way, to `tests/golden/<name>.out`. After
+a change that really moves a printed digit, `make golden-update`
+rewrites the goldens.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ import pytest
 import repro
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parents[1]
+
+#: examples whose stdout is committed: golden name -> script
+EXAMPLES = {"policy-comparison": "examples/policy_comparison.py"}
 
 
 def smoke_vectors() -> dict[str, list[list[str]]]:
@@ -34,11 +40,13 @@ def smoke_vectors() -> dict[str, list[list[str]]]:
     return vectors
 
 
-def _run(argv: list[str]) -> str:
+def _run(args: list[str]) -> str:
+    """stdout of ``python *args`` in a fresh interpreter."""
+
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv],
+        [sys.executable, *args],
         env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
         check=True,
     ).stdout
@@ -47,13 +55,25 @@ def _run(argv: list[str]) -> str:
 def test_every_target_has_a_golden():
     targets = smoke_vectors()
     assert sorted(targets) == ["cluster-smoke", "sweep-smoke"]
-    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(targets)
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(
+        [*targets, *EXAMPLES]
+    )
+
+
+def _assert_golden(name: str, out: str) -> None:
+    assert out == (GOLDEN / f"{name}.out").read_text(), (
+        f"{name} output moved; if that is intended, run "
+        "`make golden-update` and name each moved line"
+    )
 
 
 @pytest.mark.parametrize("target", ["sweep-smoke", "cluster-smoke"])
 def test_smoke_stdout_equals_golden(target):
-    out = "".join(_run(argv) for argv in smoke_vectors()[target])
-    assert out == (GOLDEN / f"{target}.out").read_text(), (
-        f"{target} output moved; if that is intended, run "
-        "`make golden-update` and name each moved line"
-    )
+    _assert_golden(target, "".join(
+        _run(["-m", "repro.cli", *argv]) for argv in smoke_vectors()[target]
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_stdout_equals_golden(name):
+    _assert_golden(name, _run([str(ROOT / EXAMPLES[name])]))
