@@ -360,6 +360,9 @@ _timeout_s = _checked(
     float, lambda v: math.isfinite(v) and v >= MIN_CELL_TIMEOUT_S,
     f"finite and >= {MIN_CELL_TIMEOUT_S}",
 )
+_seconds = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"
+)
 _nranks = _checked(int, lambda v: v >= 2, ">= 2")
 _displacement = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
@@ -542,13 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded admission queue depth; beyond it requests "
                         "are shed with SERVICE_BUSY (default: "
                         "REPRO_SERVICE_QUEUE or 32)")
-    p.add_argument("--deadline", type=float, default=None,
+    p.add_argument("--deadline", type=_seconds, default=None,
                    help="default per-request deadline in seconds (default: "
                         "REPRO_SERVICE_TIMEOUT_S or none)")
     p.add_argument("--cache-cells", type=_positive_int, default=None,
                    help="LRU capacity for warm cells "
                         "(default: REPRO_SERVICE_CACHE_CELLS or 8)")
-    p.add_argument("--retries", type=int, default=None,
+    p.add_argument("--retries", type=_non_negative_int, default=None,
                    help="worker retries for sweep fan-outs (default: "
                         "REPRO_SERVICE_RETRIES or 0)")
     p.add_argument("--workers", type=_positive_int, default=None,
@@ -582,15 +585,15 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None)
     spec_option(p, "--policy", "power-policy spec", policy_help,
                 default=None)
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="server-side deadline for this request in seconds; "
                         "expiry returns a structured DEADLINE_EXCEEDED "
                         "error (exit code 4)")
-    p.add_argument("--retries", type=int, default=3,
+    p.add_argument("--retries", type=_non_negative_int, default=3,
                    help="client retries for connect failures and "
                         "SERVICE_BUSY sheds, with capped jittered "
                         "exponential backoff (default 3)")
-    p.add_argument("--connect-timeout", type=float, default=5.0,
+    p.add_argument("--connect-timeout", type=_seconds, default=5.0,
                    help="socket connect timeout in seconds (default 5)")
     p.set_defaults(func=_cmd_query, workers=None)
 

@@ -38,7 +38,6 @@ from .placement import (
     leaf_groups,
     place_job,
 )
-from ..sim.dimemas import FabricSlice
 from .scheduler import (
     ClusterBaselineResult,
     ClusterJob,
@@ -68,7 +67,6 @@ __all__ = [
     "ClusterJob",
     "ClusterResult",
     "ClusterScheduler",
-    "FabricSlice",
     "JobAttribution",
     "JobSpan",
     "TenantRollup",

@@ -38,6 +38,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
+from .specs import SpecError
+
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
@@ -60,13 +62,15 @@ def resolve_workers(workers: int | None = None) -> int:
     ``--workers`` flag) applies; otherwise sequential (1).  Zero or
     negative values are rejected rather than silently clamped — a
     caller asking for "0 workers" is a bug, not a request for
-    sequential execution.
+    sequential execution.  A bad value raises :class:`~repro.specs.
+    SpecError` (a ``ValueError``), which the CLI reports as one
+    ``error:`` line and exit status 2.
     """
 
     if workers is not None:
         n = int(workers)
         if n < 1:
-            raise ValueError(
+            raise SpecError(
                 f"workers must be >= 1, got {workers!r} (use workers=None "
                 f"to defer to {WORKERS_ENV} or the sequential default)"
             )
@@ -77,18 +81,19 @@ def resolve_workers(workers: int | None = None) -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(
+        raise SpecError(
             f"{WORKERS_ENV} must be an integer, got {raw!r}"
         ) from None
     if n < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {raw!r}")
+        raise SpecError(f"{WORKERS_ENV} must be >= 1, got {raw!r}")
     return n
 
 
 def _resolve_env_number(env: str, value, cast, minimum, what: str):
     """``value`` if given, else ``env``'s value, else None; either one
     must be a finite number >= ``minimum`` (NaN compares false with
-    every bound, so it is rejected by name, as are the infinities)."""
+    every bound, so it is rejected by name, as are the infinities).
+    A bad value raises :class:`~repro.specs.SpecError`."""
 
     if value is not None:
         name, raw = what, value
@@ -100,11 +105,11 @@ def _resolve_env_number(env: str, value, cast, minimum, what: str):
     try:
         v = cast(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
+        raise SpecError(f"{name} must be a number, got {raw!r}") from None
     if not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {raw!r}")
+        raise SpecError(f"{name} must be finite, got {raw!r}")
     if v < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {raw!r}")
+        raise SpecError(f"{name} must be >= {minimum}, got {raw!r}")
     return v
 
 

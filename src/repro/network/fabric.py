@@ -32,12 +32,14 @@ There are two transfer bodies, and a healthy fabric is a faulted one
 with no events.  :meth:`Fabric.transfer` is the reference kernel: a
 live per-message walk, which also backs ``transfer_hot`` when
 ``use_fast_path=False``.  :meth:`Fabric.transfer_hot` is the replay
-kernel over compiled hop records: the static tables on a healthy
-fabric, records cached per fault epoch under fault injection
-(:meth:`Fabric.install_faults`).  Records read bandwidth live from the
-channel, so degradation never invalidates them.  The two kernels are
-property-tested to be bit-for-bit identical, on healthy fabrics and on
-hand-built fault plans (see :mod:`repro.network.faults`).
+kernel over compiled hop records: the static tables, also under fault
+injection (:meth:`Fabric.install_faults`) for every pair resolved to
+its static route; only failover paths compile records of their own.
+Records read bandwidth live from the channel and scheduled down times
+from the link, so neither degradation nor a fault plan invalidates
+them.  The two kernels are property-tested to be bit-for-bit identical,
+on healthy fabrics and on hand-built fault plans (see
+:mod:`repro.network.faults`).
 """
 
 from __future__ import annotations
@@ -207,16 +209,15 @@ class Fabric:
 
     # -- transfer timing -----------------------------------------------------
 
-    def _path_hops(self, path: Sequence[NodeId], down_times=None) -> tuple:
+    def _path_hops(self, path: Sequence[NodeId]) -> tuple:
         """Flatten a vertex path into per-hop records.
 
-        Each record is ``(link, channel, switch, downs, busy_starts.append,
-        busy_ends.append)``: ``switch`` is None at the destination host and
-        ``downs`` holds the link's scheduled down times from
-        ``down_times`` (a plan's), None when it has none.  Links, channels
-        and busy-log lists are cleared in place by :meth:`reset`, never
-        rebuilt, and bandwidth is read live from the channel, so a record
-        stays valid for the fabric's whole lifetime.
+        Each record is ``(link, channel, switch, busy_starts.append,
+        busy_ends.append)``; ``switch`` is None at the destination host.
+        Links, channels and busy-log lists are cleared in place by
+        :meth:`reset`, never rebuilt, and bandwidth (from the channel) and
+        scheduled down times (``Link.downs``) are read live, so a record
+        stays valid for the fabric's whole lifetime, healthy or faulted.
         """
 
         hops = []
@@ -229,8 +230,6 @@ class Fabric:
                     link,
                     channel,
                     switch,
-                    None if down_times is None
-                    else down_times.get((link.a, link.b)),
                     channel.busy_starts.append,
                     channel.busy_ends.append,
                 )
@@ -421,13 +420,15 @@ class Fabric:
 
         The MPI replay layer only consumes those two fields, so its hot
         path skips the per-message :class:`TransferTiming` construction.
-        A healthy fabric serves the pair's static-route records from
-        ``_hops``.  Under faults a pair's resolved route is compiled once
-        per fault epoch (see :class:`~repro.network.faults.FaultState`)
-        and served from ``route_cache`` while the epoch holds; an
-        in-flight retry, which resolves around the dying link, bypasses
-        the cache, and pending events are applied only once the clock
-        reaches the next event time.  Same arithmetic, same bookkeeping
+        The pair's static-route records come from ``_hops``.  Under
+        faults a pair's route is resolved once per fault epoch (see
+        :class:`~repro.network.faults.FaultState`) and served from
+        ``route_cache`` while the epoch holds: the ``_hops`` records if
+        it is the static route, records compiled for the path if it
+        fails over.  An in-flight retry, which resolves around the dying
+        link, bypasses the cache, and pending events are applied only
+        once the clock reaches the next event time.  Same arithmetic,
+        same bookkeeping
         and the same fault-state mutations as the reference walk; with
         ``use_fast_path`` off it simply wraps that walk.
         """
@@ -490,7 +491,12 @@ class Fabric:
                         head_ready = heal + state.plan.spec.retry_delay_us
                         exclude = None
                         continue
-                    route = self._path_hops(path, state.plan.down_times)
+                    if path is self.routes.path(src_host, dst_host):
+                        route = self._hops.get(key)
+                        if route is None:
+                            route = self._compile_hops(src_host, dst_host)
+                    else:
+                        route = self._path_hops(path)
                     if exclude is None:
                         state.route_cache[key] = (state.epoch, route)
                     if migrated:
@@ -499,7 +505,7 @@ class Fabric:
                         head_ready += penalty
                         t_applied = head_ready
             src_release = None
-            for link, channel, switch, downs, s_append, e_append in route:
+            for link, channel, switch, s_append, e_append in route:
                 if link.mode is not full:
                     if on_power_block is not None:
                         usable = on_power_block(link, head_ready)
@@ -514,9 +520,10 @@ class Fabric:
                 bandwidth = channel.bandwidth_bytes_per_us
                 serial = size / bandwidth
                 end = start + serial
-                if downs is not None:
-                    # FaultState.next_down, inlined (downs is None on a
-                    # healthy fabric, so t_applied is always bound here)
+                if state is not None and link.downs is not None:
+                    # FaultState.next_down, inlined over the link's copy
+                    # of the plan's down times
+                    downs = link.downs
                     i = bisect_right(downs, t_applied)
                     if i < len(downs) and downs[i] < end:
                         down = downs[i]
@@ -560,14 +567,14 @@ class Fabric:
         """
 
         if isinstance(plan, str):
-            spec = parse_faults(plan)
-            if spec is None:
-                self._faults = None
-                return
-            plan = spec
+            plan = parse_faults(plan)  # None for "none"
         if isinstance(plan, FaultSpec):
             plan = compile_fault_plan(plan, self)
-        self._faults = FaultState(plan)
+        # each link carries its own down times for the fast kernel
+        down_times = {} if plan is None else plan.down_times
+        for key, link in self.links.items():
+            link.downs = down_times.get(key)
+        self._faults = None if plan is None else FaultState(plan)
 
     def fault_summary(self):
         """The active replay's :class:`~repro.network.faults.
@@ -609,12 +616,12 @@ class Fabric:
     def reset(self) -> None:
         """Clear all per-replay state so the fabric can be reused.
 
-        Links (channels, busy logs, power mode, ``t_react_us``), switch
-        traffic counters and the message counter are cleared; the static
-        route table and compiled hop tables survive — routes are a
-        property of (topology, seed), not of a run — which is exactly
-        what makes back-to-back replays on one fabric equal fresh-fabric
-        replays.
+        Links (channels, busy logs, power mode, ``t_react_us``, down
+        times), switch traffic counters and the message counter are
+        cleared; the static route table and compiled hop tables survive —
+        routes are a property of (topology, seed), not of a run — which
+        is exactly what makes back-to-back replays on one fabric equal
+        fresh-fabric replays.
         """
 
         if self._faults is not None:

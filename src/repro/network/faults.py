@@ -42,9 +42,11 @@ reference kernel (``Fabric.transfer``, and ``transfer_hot`` with
 ``use_fast_path`` off) resolves each message's route and walks it live,
 vertex by vertex.  The fast kernel (``Fabric.transfer_hot``) serves
 each pair's route from a cache of compiled hop records keyed by the
-fault epoch (see :class:`FaultState`), reads channel bandwidth live so
-degradation needs no recompile, and skips ``apply_until`` while the
-clock is below the next event time.  Both kernels issue the same
+fault epoch (see :class:`FaultState`; a pair on its static route gets
+the fabric's precompiled records), reads channel bandwidth live so
+degradation needs no recompile, reads down times from ``Link.downs``
+(the walk reads ``FaultPlan.down_times``), and skips ``apply_until``
+while the clock is below the next event time.  Both kernels issue the same
 transfers at the same simulated times in the same order, so they must
 observe the same fault state; that they do is not structural but
 tested, message by message against hand-built plans in
@@ -543,6 +545,8 @@ class FaultState:
     def route_alive(self, path, exclude=None) -> bool:
         """Whether ``path`` avoids every failed element (and ``exclude``)."""
 
+        if not (exclude or self.failed_links or self.failed_switches):
+            return True
         for node in path[1:-1]:
             if node in self.failed_switches:
                 return False

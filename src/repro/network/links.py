@@ -123,6 +123,9 @@ class Link:
     t_react_us: float = T_REACT_US
     mode: LinkPowerMode = LinkPowerMode.FULL
     reactivation_done_us: float = 0.0
+    #: the installed fault plan's sorted down times of this link (None:
+    #: none), set by ``Fabric.install_faults``, cleared by :meth:`reset`
+    downs: "tuple[float, ...] | None" = None
     forward: DirectedChannel = field(init=False)   # a -> b
     backward: DirectedChannel = field(init=False)  # b -> a
 
@@ -189,11 +192,13 @@ class Link:
 
         Restores ``t_react_us`` too: a managed replay retunes it per
         :class:`~repro.power.states.WRPSParams`, and a reused fabric must
-        not leak one run's reactivation latency into the next.
+        not leak one run's reactivation latency (or down times) into the
+        next.
         """
 
         self.mode = LinkPowerMode.FULL
         self.reactivation_done_us = 0.0
         self.t_react_us = T_REACT_US
+        self.downs = None
         self.forward.reset()
         self.backward.reset()

@@ -219,58 +219,6 @@ def check_rank_inputs(
         )
 
 
-class _SliceTopo:
-    """The one topology member :class:`MPIWorld` reads: the host count."""
-
-    __slots__ = ("num_hosts",)
-
-    def __init__(self, num_hosts: int) -> None:
-        self.num_hosts = num_hosts
-
-
-class FabricSlice:
-    """A world's rank->host windowed view of the shared fabric.
-
-    :class:`MPIWorld` touches its fabric through exactly two members —
-    ``topo.num_hosts`` (capacity validation) and ``transfer_hot`` (both
-    kernels' transfer path) — so this view, which forwards
-    ``transfer_hot`` with both endpoints translated (``hosts[rank]`` is
-    the global host carrying that rank), places a world on any host set
-    with zero changes to the replay hot loops.  The traffic reserves the
-    *shared* links, so worlds contend on trunks.
-    """
-
-    __slots__ = ("fabric", "hosts", "topo")
-
-    def __init__(self, fabric, hosts: Sequence[int]) -> None:
-        hosts = tuple(hosts)
-        if len(set(hosts)) != len(hosts):
-            raise ValueError(f"placement repeats hosts: {hosts}")
-        n = fabric.topo.num_hosts
-        for h in hosts:
-            if not 0 <= h < n:
-                raise ValueError(
-                    f"placement host {h} outside fabric (0..{n - 1})"
-                )
-        self.fabric = fabric
-        self.hosts = hosts
-        self.topo = _SliceTopo(len(hosts))
-
-    def transfer_hot(
-        self,
-        src_rank: int,
-        dst_rank: int,
-        size_bytes: int,
-        earliest_us: float,
-        on_power_block=None,
-    ) -> tuple[float, float]:
-        hosts = self.hosts
-        return self.fabric.transfer_hot(
-            hosts[src_rank], hosts[dst_rank], size_bytes, earliest_us,
-            on_power_block,
-        )
-
-
 class PowerDomain:
     """Every power controller of one replay, behind one fabric hook.
 
@@ -461,13 +409,6 @@ class PowerDomain:
         })
 
 
-def _then(body, on_exit):
-    """Run a rank's ``body``, then report its exit."""
-
-    yield from body
-    on_exit()
-
-
 class Composition:
     """One engine, one checked-out fabric, its worlds, one power domain.
 
@@ -536,22 +477,30 @@ class Composition:
         """Place one world on ``hosts`` (rank r on ``hosts[r]``) now.
 
         Ranks run the compiled ``programs`` when given, else interpret
-        ``trace``'s records with ``directives``.  A world on hosts
-        ``0..n-1`` talks to the fabric directly, any other host set
-        through a :class:`FabricSlice`.  ``name`` prefixes the world's
-        process names; ``on_exit()`` runs as each rank finishes.
-        Returns the world and its per-rank HCA controllers (None on a
-        baseline composition).
+        ``trace``'s records with ``directives``.  The world hands its
+        ranks' hosts to the shared fabric itself, so ``hosts`` must be
+        distinct hosts of the fabric (``ValueError`` otherwise).
+        ``name`` prefixes the world's process names; ``on_exit()`` runs
+        as each rank finishes.  Returns the world and its per-rank HCA
+        controllers (None on a baseline composition).
         """
 
         hosts = tuple(hosts)
         nranks = len(hosts)
+        if len(set(hosts)) != nranks:
+            raise ValueError(f"placement repeats hosts: {hosts}")
+        n = self.fabric.topo.num_hosts
+        for h in hosts:
+            if not 0 <= h < n:
+                raise ValueError(
+                    f"placement host {h} outside fabric (0..{n - 1})"
+                )
         engine, power, cfg = self.engine, self.power, self.cfg
         world = MPIWorld(
             engine,
-            self.fabric if hosts == tuple(range(nranks))
-            else FabricSlice(self.fabric, hosts),
+            self.fabric,
             nranks,
+            hosts=hosts,
             eager_threshold_bytes=cfg.eager_threshold_bytes,
             power_hook=power.hook if power is not None else None,
             cpu_speedup=cfg.cpu_speedup,
@@ -580,10 +529,7 @@ class Composition:
                 for p in trace.processes
             )
         for rank, body in bodies:
-            engine.spawn(
-                body if on_exit is None else _then(body, on_exit),
-                name=f"{name}rank{rank}",
-            )
+            engine.spawn(body, name=f"{name}rank{rank}", on_exit=on_exit)
             self._ranks += 1
         return world, links
 

@@ -17,7 +17,9 @@ queue is a single binary heap (:mod:`heapq`) ordered on ``(time_us, seq)``.
 Hot-path layout: queue entries are plain ``(time_us, seq, fn, arg)``
 tuples (ordered on the first two fields; ``seq`` is unique so the
 payload is never compared) and the engine schedules bound methods with an
-explicit argument instead of allocating a closure per event.  Processes
+explicit argument instead of allocating a closure per event; an entry
+whose ``fn`` is :data:`RESUME` resumes process ``arg`` inline in
+:meth:`Engine.run`, with no callback frame.  Processes
 waiting on a :class:`Signal` are stored directly in the waiter list, and
 :class:`AllOf` barriers register a single :class:`_Barrier` object's
 bound method on each pending signal (no per-call lambda closures), so
@@ -30,10 +32,12 @@ Parking: a process that knows who will wake it needs no Signal at all.
 It leaves its own process handle where its waker will find it (the MPI
 layer's posted-receive queue, or a rendezvous send) and yields
 :data:`PARK`, which the engine leaves alone: no event, no waiter list.
-The waker resumes the handle directly (``Engine._resume_none``) or
-schedules that resume.  A process reads its handle in its first step
-from :attr:`Engine.starting`, which the engine sets just before it runs
-a spawned process for the first time.
+The waker resumes the handle directly (``Engine._resume(handle, None)``)
+or schedules that resume (``_schedule(t, RESUME, handle)``).  A process
+reads its handle in its first step from :attr:`Engine.starting`, which
+the engine sets just before it runs a spawned process for the first
+time.  ``spawn(..., on_exit=hook)`` runs ``hook()`` at the instant the
+generator returns, before the next queued event, then drops it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, NoReturn
 
 class SimulationError(RuntimeError):
     """Deadlock or protocol violation detected by the engine."""
@@ -175,12 +179,20 @@ class AllOf:
         self.signals = list(signals)
 
 
+#: the ``fn`` of a queue entry ``(time_us, seq, fn, arg)`` that resumes
+#: process ``arg`` (:meth:`Engine.run` runs it inline); any other ``fn``
+#: is dispatched as ``fn(arg)``
+RESUME = None
+
+
 @dataclass(slots=True)
 class _Process:
     name: str
     gen: Generator
     done: bool = False
     result: Any = None
+    #: called (once) when the generator returns, then dropped
+    on_exit: Callable[[], None] | None = None
 
 
 class _Barrier:
@@ -209,10 +221,6 @@ class _Barrier:
         self.remaining -= 1
         if self.remaining == 0:
             self.engine._resume(self.proc, [s.value for s in self.signals])
-
-
-#: Queue entry: ``(time_us, seq, fn, arg)``; dispatched as ``fn(arg)``.
-_QueueEntry = tuple
 
 
 class Engine:
@@ -257,11 +265,13 @@ class Engine:
 
     # -- public API ----------------------------------------------------------
 
-    def spawn(self, gen: Generator, name: str = "proc") -> _Process:
-        """Register a generator as a simulation process, started at t=now."""
+    def spawn(self, gen: Generator, name: str = "proc",
+              on_exit: Callable[[], None] | None = None) -> _Process:
+        """Register a generator as a simulation process, started at t=now;
+        ``on_exit()`` runs once, when the generator returns."""
 
         self.spawn_count += 1
-        proc = _Process(name=name, gen=gen)
+        proc = _Process(name=name, gen=gen, on_exit=on_exit)
         self._processes.append(proc)
         self._active += 1
         self._schedule(self.now, self._start, proc)
@@ -303,6 +313,7 @@ class Engine:
         """
 
         queue = self._queue
+        seq_next = self._seq.__next__
         now = self.now
         limit = float("inf") if until_us is None else until_us
         while queue:
@@ -317,7 +328,47 @@ class Engine:
                 self.now = t_us
             elif t_us < now - 1e-9:
                 raise SimulationError("time went backwards in event queue")
-            entry[2](entry[3])
+            fn = entry[2]
+            if fn is not None:
+                fn(entry[3])
+                continue
+            # RESUME: _resume(proc, None) inlined, for the hottest event;
+            # it pushes the next resume itself, clamped to now as the
+            # schedule closure would (a NaN delay lands on now too)
+            proc = entry[3]
+            if proc.done:
+                continue
+            try:
+                request = proc.gen.send(None)
+            except StopIteration as stop:
+                self._retire(proc, stop.value)
+                continue
+            cls = request.__class__
+            if cls is float:
+                if request < 0:
+                    self._reject(proc, request)
+                heappush(queue, (now + request if request > 0 else now,
+                                 seq_next(), None, proc))
+            elif cls is Park:
+                pass
+            elif cls is At:
+                t_next = request.t_us
+                if t_next < now - 1e-9:
+                    self._reject(proc, request)
+                heappush(queue, (t_next if t_next > now else now,
+                                 seq_next(), None, proc))
+            elif cls is Delay:
+                duration = request.duration_us
+                if duration < 0:
+                    self._reject(proc, request)
+                heappush(queue, (now + duration if duration > 0 else now,
+                                 seq_next(), None, proc))
+            elif cls is Signal:
+                request._add_waiter_process(proc)
+            elif cls is AllOf:
+                self._await_all(proc, request)
+            else:
+                self._reject(proc, request)
         self._check_deadlock()
         return self.now
 
@@ -375,54 +426,18 @@ class Engine:
         """A spawned process's first step: publish its handle, run it."""
 
         self.starting = proc
-        self._resume_none(proc)
+        self._resume(proc, None)
 
-    def _resume_none(self, proc: _Process) -> None:
-        # the scheduled form of every Delay/spawn resume — the hottest
-        # callback in a replay, so the dispatch body is duplicated from
-        # _resume instead of paying a second frame per event
-        if proc.done:
-            return
-        try:
-            request = proc.gen.send(None)
-        except StopIteration as stop:
-            proc.done = True
-            proc.result = stop.value
-            self._active -= 1
-            return
-        cls = request.__class__
-        if cls is float:
-            if request < 0:
-                raise SimulationError(
-                    f"process {proc.name} yielded a negative delay"
-                )
-            self._schedule(self.now + request, self._resume_none, proc)
-        elif cls is Park:
-            pass
-        elif cls is Delay:
-            duration = request.duration_us
-            if duration < 0:
-                raise SimulationError(
-                    f"process {proc.name} yielded a negative delay"
-                )
-            self._schedule(self.now + duration, self._resume_none, proc)
-        elif cls is At:
-            t_us = request.t_us
-            if t_us < self.now - 1e-9:
-                raise SimulationError(
-                    f"process {proc.name} yielded At({t_us}) in the past "
-                    f"(now={self.now})"
-                )
-            self._schedule(t_us, self._resume_none, proc)
-        elif cls is Signal:
-            request._add_waiter_process(proc)
-        elif cls is AllOf:
-            self._await_all(proc, request)
-        else:
-            raise SimulationError(
-                f"process {proc.name} yielded unsupported request "
-                f"{request!r}; yield Delay, At, Signal, AllOf or PARK"
-            )
+    def _retire(self, proc: _Process, result: Any) -> None:
+        """``proc``'s generator returned: mark it done, run its exit hook."""
+
+        proc.done = True
+        proc.result = result
+        self._active -= 1
+        on_exit = proc.on_exit
+        if on_exit is not None:
+            proc.on_exit = None
+            on_exit()
 
     def _resume(self, proc: _Process, send_value: Any) -> None:
         if proc.done:
@@ -430,9 +445,7 @@ class Engine:
         try:
             request = proc.gen.send(send_value)
         except StopIteration as stop:
-            proc.done = True
-            proc.result = stop.value
-            self._active -= 1
+            self._retire(proc, stop.value)
             return
         # dispatch on exact type: float is the allocation-free delay the
         # compiled programs yield, Delay the interpreter's boxed form —
@@ -440,36 +453,41 @@ class Engine:
         cls = request.__class__
         if cls is float:
             if request < 0:
-                raise SimulationError(
-                    f"process {proc.name} yielded a negative delay"
-                )
-            self._schedule(self.now + request, self._resume_none, proc)
+                self._reject(proc, request)
+            self._schedule(self.now + request, None, proc)
         elif cls is Park:
             pass
         elif cls is Delay:
             duration = request.duration_us
             if duration < 0:
-                raise SimulationError(
-                    f"process {proc.name} yielded a negative delay"
-                )
-            self._schedule(self.now + duration, self._resume_none, proc)
+                self._reject(proc, request)
+            self._schedule(self.now + duration, None, proc)
         elif cls is At:
             t_us = request.t_us
             if t_us < self.now - 1e-9:
-                raise SimulationError(
-                    f"process {proc.name} yielded At({t_us}) in the past "
-                    f"(now={self.now})"
-                )
-            self._schedule(t_us, self._resume_none, proc)
+                self._reject(proc, request)
+            self._schedule(t_us, None, proc)
         elif cls is Signal:
             request._add_waiter_process(proc)
         elif cls is AllOf:
             self._await_all(proc, request)
         else:
-            raise SimulationError(
-                f"process {proc.name} yielded unsupported request "
-                f"{request!r}; yield Delay, At, Signal, AllOf or PARK"
+            self._reject(proc, request)
+
+    def _reject(self, proc: _Process, request: Any) -> NoReturn:
+        """Raise the error for a request the engine cannot serve."""
+
+        cls = request.__class__
+        if cls is float or cls is Delay:
+            what = "a negative delay"
+        elif cls is At:
+            what = f"At({request.t_us}) in the past (now={self.now})"
+        else:
+            what = (
+                f"unsupported request {request!r}; yield Delay, At, "
+                "Signal, AllOf or PARK"
             )
+        raise SimulationError(f"process {proc.name} yielded {what}")
 
     def _resume_barrier(self, barrier: _Barrier) -> None:
         self._resume(barrier.proc, [s.value for s in barrier.signals])

@@ -39,9 +39,9 @@ unexpected queue until a receive matches it, and completed by
 transfer, schedules its arrival straight onto the receive's wait target
 and schedules the sender's completion at source drain.  Blocking and
 nonblocking sends share it; no helper process and no handshake signal
-is created (``MPIWorld.helper_spawns`` stays 0 and the replay drivers
-assert it).  On the fast kernel a rank that blocks — a receive with
-nothing to match, a rendezvous send — leaves its own process handle in
+is created (``Composition.helper_spawns`` stays 0 and the replay
+drivers assert it).  On the fast kernel a rank that blocks — a receive
+with nothing to match, a rendezvous send — leaves its own process handle in
 the posted queue or on the rendezvous and yields
 :data:`~repro.sim.engine.PARK`; the matching layer resumes it directly.
 The reference interpreter waits on Signals instead and stays the
@@ -63,6 +63,10 @@ prediction-driven one, the reactive trunk and switch gates) and returns
 when the last of them has the link back at full width; a mispredicted
 HCA pays its emergency reactivation there.  The world only forwards the
 hook to the fabric.
+
+Placement: the world translates ranks to fabric hosts
+(``MPIWorld.hosts``) on every transfer, so worlds placed on one shared
+fabric contend on its links.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from . import collectives as coll
 from .collectives import COLLECTIVE_TAG_BASE, COLLECTIVE_TAG_STRIDE
 from .engine import (
     PARK,
+    RESUME,
     AllOf,
     At,
     Delay,
@@ -205,12 +210,13 @@ class _RendezvousSend:
         engine = world.engine
         schedule = engine._schedule
         now = engine.now
+        hosts = world.hosts
         arrive_us, src_release = world.fabric.transfer_hot(
-            self.src, self.dst, self.size_bytes, now + MPI_LATENCY_US,
-            world.power_hook,
+            hosts[self.src], hosts[self.dst], self.size_bytes,
+            now + MPI_LATENCY_US, world.power_hook,
         )
         if target.__class__ is _Process:
-            schedule(arrive_us, engine._resume_none, target)
+            schedule(arrive_us, RESUME, target)
         else:
             schedule(arrive_us, target.fire, arrive_us)
         sender = self.sender
@@ -227,11 +233,11 @@ class _RendezvousSend:
         if src_release > now:
             t_us = now + (src_release - now)
             if sender.__class__ is _Process:
-                schedule(t_us, engine._resume_none, sender)
+                schedule(t_us, RESUME, sender)
             else:
                 schedule(t_us, sender.fire, t_us)
         elif sender.__class__ is _Process:
-            engine._resume_none(sender)
+            engine._resume(sender, None)
         else:
             sender.fire(now)
 
@@ -246,7 +252,11 @@ class _RendezvousSend:
 
 
 class MPIWorld:
-    """Shared state of one replay: engine + fabric + matching layer."""
+    """Shared state of one replay: engine + fabric + matching layer.
+
+    Rank ``r`` runs on fabric host ``hosts[r]`` (default ``0..n-1``);
+    :meth:`~repro.sim.dimemas.Composition.admit` validates placements.
+    """
 
     def __init__(
         self,
@@ -254,6 +264,7 @@ class MPIWorld:
         fabric: Fabric,
         nranks: int,
         *,
+        hosts: Sequence[int] | None = None,
         eager_threshold_bytes: int = EAGER_THRESHOLD_BYTES,
         power_hook: PowerHook | None = None,
         cpu_speedup: float = 1.0,
@@ -269,6 +280,8 @@ class MPIWorld:
         self.engine = engine
         self.fabric = fabric
         self.nranks = nranks
+        #: rank -> fabric host
+        self.hosts = tuple(range(nranks)) if hosts is None else tuple(hosts)
         self.eager_threshold = eager_threshold_bytes
         self.power_hook = power_hook
         self.cpu_speedup = cpu_speedup
@@ -291,22 +304,6 @@ class MPIWorld:
         engine.blocked_reporter = self._blocked_helpers
 
     # ------------------------------------------------------------ reporting
-
-    @property
-    def helper_spawns(self) -> int:
-        """Helper processes spawned by the MPI layer (the no-spawn
-        invariant).
-
-        The zero-spawn rendezvous/irecv refactor removed every helper
-        spawn site, so only the per-rank replay processes ever hit
-        ``Engine.spawn`` and this is 0 on **both** kernels.  Counted
-        from the engine's lifetime spawn counter rather than hardcoded,
-        so a reintroduced helper spawn trips perfbench's output checks
-        and the regression tests immediately.
-        """
-
-        spawned = self.engine.spawn_count
-        return spawned - self.nranks if spawned > self.nranks else 0
 
     def _blocked_helpers(self) -> list[str]:
         """Deadlock-report entries for processless in-flight helpers."""
@@ -406,6 +403,8 @@ class MPIWorld:
         ctx = self.ranks[rank]
         log_append = self.event_logs[rank].append
         fabric = self.fabric
+        hosts = self.hosts
+        host = hosts[rank]
         eager_threshold = self.eager_threshold
         speed = self.cpu_speedup
         power_hook = self.power_hook
@@ -483,7 +482,8 @@ class MPIWorld:
                         tag = rel_tag + base_tag
                         if size <= eager_threshold:
                             arrive_us, src_release = transfer(
-                                rank, peer, size, engine.now, power_hook
+                                host, hosts[peer], size, engine.now,
+                                power_hook,
                             )
                             schedule(arrive_us, arrive, (peer, (rank, tag), None))
                             now_us = engine.now
@@ -498,7 +498,8 @@ class MPIWorld:
                         tag = rel_tag + base_tag
                         if size <= eager_threshold:
                             arrive_us, src_release = transfer(
-                                rank, peer, size, engine.now, power_hook
+                                host, hosts[peer], size, engine.now,
+                                power_hook,
                             )
                             schedule(arrive_us, arrive, (peer, (rank, tag), None))
                             now_us = engine.now
@@ -527,7 +528,7 @@ class MPIWorld:
                 peer, size, tag = ins[2], ins[3], ins[4]
                 if size <= eager_threshold:
                     arrive_us, src_release = transfer(
-                        rank, peer, size, engine.now, power_hook
+                        host, hosts[peer], size, engine.now, power_hook
                     )
                     schedule(arrive_us, arrive, (peer, (rank, tag), None))
                     now_us = engine.now
@@ -563,7 +564,7 @@ class MPIWorld:
                 peer, size, tag = ins[2], ins[3], ins[4]
                 if size <= eager_threshold:
                     arrive_us, src_release = transfer(
-                        rank, peer, size, engine.now, power_hook
+                        host, hosts[peer], size, engine.now, power_hook
                     )
                     schedule(arrive_us, arrive, (peer, (rank, tag), None))
                     now_us = engine.now
@@ -593,7 +594,7 @@ class MPIWorld:
                 peer, size, tag = ins[2], ins[3], ins[4]
                 if size <= eager_threshold:
                     arrive_us, src_release = transfer(
-                        rank, peer, size, engine.now, power_hook
+                        host, hosts[peer], size, engine.now, power_hook
                     )
                     schedule(arrive_us, arrive, (peer, (rank, tag), None))
                     now_us = engine.now
@@ -695,7 +696,7 @@ class MPIWorld:
         if rts is not None:
             rts.match(target)
         elif target.__class__ is _Process:
-            self.engine._resume_none(target)
+            self.engine._resume(target, None)
         else:
             target.fire(self.engine.now)
 
@@ -734,8 +735,9 @@ class MPIWorld:
         the arrival as unexpected)."""
 
         engine = self.engine
+        hosts = self.hosts
         arrive_us, src_release = self.fabric.transfer_hot(
-            rank, dst, size, engine.now, self.power_hook
+            hosts[rank], hosts[dst], size, engine.now, self.power_hook
         )
         engine._schedule(arrive_us, self._arrive, (dst, (rank, tag), None))
         return src_release

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cluster import (
     ClusterJob,
-    FabricSlice,
     Job,
     replay_cluster_baseline,
     replay_cluster_managed,
@@ -22,7 +21,12 @@ from repro.cluster import (
 from repro.experiments.common import run_cell
 from repro.power.policies import DEFAULT_POLICY, parse_policy
 from repro.power.states import WRPSParams
-from repro.sim.dimemas import ReplayConfig, fabric_for, replay_managed
+from repro.sim.dimemas import (
+    Composition,
+    ReplayConfig,
+    fabric_for,
+    replay_managed,
+)
 from repro.sim.program import compile_trace
 from repro.workloads import make_trace
 from tests.sim.test_policy_replay import MATRIX_POLICIES, TOPOLOGY
@@ -283,13 +287,17 @@ class TestValidation:
                 num_hosts=NRANKS, placement="bogus",
             )
 
-    def test_fabric_slice_validation(self, prepared):
+    def test_admit_rejects_bad_placement(self, prepared):
         cfg = ReplayConfig(seed=SEED)
-        fabric = fabric_for(4, cfg)
-        with pytest.raises(ValueError, match="repeats"):
-            FabricSlice(fabric, (0, 0, 1))
-        with pytest.raises(ValueError, match="outside"):
-            FabricSlice(fabric, (0, 99))
+        comp = Composition(cfg, 4, fabric=fabric_for(4, cfg))
+        programs = prepared["cell"].programs
+        with pytest.raises(ValueError, match="placement repeats hosts"):
+            comp.admit((0, 0, 1), None, programs)
+        with pytest.raises(ValueError, match=r"placement host 99 outside "
+                           r"fabric \(0\.\.3\)"):
+            comp.admit((0, 99), None, programs)
+        # a rejected placement admits nothing
+        assert comp.worlds == [] and comp.engine.spawn_count == 0
 
     def test_job_smaller_than_its_programs_rejected(self, prepared):
         cj = one_job(prepared, managed=True)

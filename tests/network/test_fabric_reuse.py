@@ -15,7 +15,13 @@ import pytest
 from repro.constants import T_REACT_US
 from repro.core import RuntimeConfig, plan_trace_directives, select_gt
 from repro.network.fabric import Fabric
-from repro.network.faults import DEGRADE, FaultEvent, FaultPlan, FaultSpec
+from repro.network.faults import (
+    DEGRADE,
+    LINK_DOWN,
+    FaultEvent,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.network.links import LinkPowerMode
 from repro.power.states import WRPSParams
 from repro.sim import (
@@ -34,6 +40,20 @@ class TestResetAudit:
         # the replay kernel, so the pairs' hop tables get compiled
         fab.transfer_hot(0, 5, 1 << 16, 0.0)
         fab.transfer_hot(5, 0, 4096, 3.0)
+        # then a faulted run: a trunk of the (0, 5) route dies mid-flight,
+        # so the fast kernel reads the link's down times and fails over
+        path = fab.routes.path(0, 5)
+        trunk = next(
+            (a, b) if a <= b else (b, a)
+            for a, b in zip(path, path[1:])
+            if not (a.is_host or b.is_host)
+        )
+        fab.install_faults(FaultPlan.from_events(
+            FaultSpec(seed=3), [FaultEvent(60.0, LINK_DOWN, trunk)]
+        ))
+        assert fab.links[trunk].downs == (60.0,)
+        fab.transfer_hot(0, 5, 1 << 20, 50.0)
+        assert fab.fault_summary().inflight_retries == 1
         link = fab.host_link(0)
         link.mode = LinkPowerMode.LOW
         link.reactivation_done_us = 42.0
@@ -45,7 +65,9 @@ class TestResetAudit:
 
         assert fab.messages_sent == 0
         assert fab.total_bytes_carried() == 0
+        assert fab.fault_summary() is None
         for l in fab.all_links():
+            assert l.downs is None
             assert l.mode is LinkPowerMode.FULL
             assert l.reactivation_done_us == 0.0
             assert l.t_react_us == T_REACT_US
@@ -56,8 +78,11 @@ class TestResetAudit:
                 assert ch.bytes_carried == 0
         assert all(m == 0 and b == 0 for m, b in fab.switch_traffic().values())
         # static routing state survives: same compiled pairs, same tables
+        # (the faulted run served the live static route from them and
+        # compiled its failover path outside them)
         assert fab.routes.pairs_compiled == pairs_before
         assert fab._hops == hops_before and len(hops_before) == 2
+        assert all(fab._hops[k] is v for k, v in hops_before.items())
 
     def test_mismatched_fabric_rejected(self):
         trace = ring_trace(nranks=4, iterations=2)

@@ -222,6 +222,22 @@ def resolves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def path_hops(monkeypatch):
+    """Every ``Fabric._path_hops`` call (the hop-record compiler), as
+    the compiled vertex path."""
+
+    calls = []
+    real = Fabric._path_hops
+
+    def spy(self, path):
+        calls.append(tuple(path))
+        return real(self, path)
+
+    monkeypatch.setattr(Fabric, "_path_hops", spy)
+    return calls
+
+
 #: a cross-leaf pair whose static route shares no trunk link with (SRC, DST)
 OTHER_SRC, OTHER_DST = 8, 12
 
@@ -316,6 +332,29 @@ class TestRouteCache:
             assert got == (want.arrive_us, want.src_release_us)
         assert resolves.count((SRC, DST, None)) == 1 + 2  # hot once, ref twice
         assert hot.fault_summary().degrades == 1
+
+    def test_live_static_route_compiles_no_records(self, path_hops):
+        fab = make_fabric()
+        victim, mine = self._off_route_trunk(fab)
+        assert victim not in mine
+        fab.precompile_pairs([(SRC, DST)])
+        key = SRC * fab.topo.num_hosts + DST
+        static = fab._hops[key]
+        fab.install_faults(FaultPlan.from_events(
+            FaultSpec(seed=1), [FaultEvent(1.0, LINK_DOWN, victim)]
+        ))
+        path_hops.clear()
+        # (SRC, DST) keeps its live static route: served from _hops
+        self._send(fab, (5.0, 6.0))
+        assert path_hops == []
+        assert fab._faults.route_cache[key][1] is static
+        # the other pair fails over: its path compiles once, then the
+        # epoch cache serves it
+        self._send(fab, (7.0, 8.0), pair=(OTHER_SRC, OTHER_DST))
+        assert fab.fault_summary().reroutes == 1
+        overlay = fab._faults.overlay[(OTHER_SRC, OTHER_DST)]
+        assert path_hops == [tuple(overlay)]
+        assert overlay != fab.routes.path(OTHER_SRC, OTHER_DST)
 
     def test_inflight_retry_bypasses_the_cache(self, resolves):
         fab = make_fabric()

@@ -385,8 +385,9 @@ class TestFaultedHotEqualsReference:
         hot.install_faults(plan)
         ref.install_faults(plan)
         # the faulted kernel resolves its routes per fault epoch and
-        # ignores the static ``_hops`` entries precompiled here for a
-        # prefix of the pairs: they must not change any result
+        # serves a pair on its live static route from ``_hops``: here a
+        # prefix of the pairs is precompiled and the rest compile on
+        # first use, and precompiling must not change any result
         hot.precompile_pairs(pairs[:precompiled])
         hot_calls, ref_calls = [], []
         hot_hook, ref_hook = _waking_hook(hot_calls), _waking_hook(ref_calls)

@@ -177,7 +177,7 @@ class TestPark:
 
         def waker():
             yield 4.0
-            eng._resume_none(handles[0])
+            eng._resume(handles[0], None)
             log.append(("waker", eng.now))
 
         eng.spawn(sleeper())
@@ -198,6 +198,87 @@ class TestPark:
         with pytest.raises(SimulationError, match="parked"):
             eng.run()
 
+
+class TestExitHook:
+    """``spawn(..., on_exit=hook)``: the engine runs the hook once, when
+    the generator returns, and then lets go of it."""
+
+    def test_runs_once_at_return_before_next_event(self):
+        eng = Engine()
+        log = []
+
+        def worker():
+            yield 1.0
+            yield 1.0
+            log.append(("return", eng.now))
+
+        def other():
+            # queued for t=2 right after the worker's last resume
+            yield 1.0
+            yield 1.0
+            log.append(("other", eng.now))
+
+        eng.spawn(worker(), on_exit=lambda: log.append(("exit", eng.now)))
+        eng.spawn(other())
+        assert eng.run() == 2.0
+        assert log == [("return", 2.0), ("exit", 2.0), ("other", 2.0)]
+
+    def test_runs_for_a_synchronously_resumed_process(self):
+        eng = Engine()
+        handles, log = [], []
+
+        def sleeper():
+            handles.append(eng.starting)
+            yield PARK
+
+        def waker():
+            yield 3.0
+            eng._resume(handles[0], None)
+            log.append(("waker", eng.now))
+
+        eng.spawn(sleeper(), on_exit=lambda: log.append(("exit", eng.now)))
+        eng.spawn(waker())
+        eng.run()
+        # the hook runs inside the waker's step, at the return instant
+        assert log == [("exit", 3.0), ("waker", 3.0)]
+
+    def test_never_runs_for_a_parked_process(self):
+        eng = Engine()
+        calls = []
+
+        def proc():
+            yield PARK
+
+        eng.spawn(proc(), name="parked", on_exit=lambda: calls.append(1))
+        with pytest.raises(SimulationError, match="parked"):
+            eng.run()
+        assert calls == []
+
+    def test_engine_drops_the_hook(self):
+        import gc
+        import weakref
+
+        class Hook:
+            calls = 0
+
+            def __call__(self):
+                Hook.calls += 1
+
+        eng = Engine()
+
+        def proc():
+            yield 1.0
+
+        hook = Hook()
+        ref = weakref.ref(hook)
+        handle = eng.spawn(proc(), on_exit=hook)
+        del hook
+        assert ref() is not None  # held by the process until it returns
+        eng.run()
+        assert Hook.calls == 1
+        assert handle.on_exit is None
+        gc.collect()
+        assert ref() is None
 
 class TestSignal:
     def test_wait_then_fire(self):

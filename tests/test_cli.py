@@ -193,6 +193,49 @@ class TestBadNumbers:
         assert len(errors) == 1 and f"argument {flag}: must be" in errors[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["query", "ping", "--timeout", "nan"], "--timeout"),
+        (["query", "ping", "--retries", "-1"], "--retries"),
+        (["query", "ping", "--connect-timeout", "nan"], "--connect-timeout"),
+        (["serve", "--retries", "-1"], "--retries"),
+        (["serve", "--deadline", "0"], "--deadline"),
+    ])
+    def test_service_numbers_checked_before_any_socket(
+        self, argv, flag, monkeypatch, capsys
+    ):
+        import socket
+
+        def no_socket(*_args, **_kwargs):
+            raise AssertionError("a bad number must not open a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: must be" in errors[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("env, value, message", [
+        ("REPRO_CELL_TIMEOUT_S", "nan", "must be finite"),
+        ("REPRO_CELL_RETRIES", "-1", "must be >= 0"),
+        ("REPRO_WORKERS", "0", "must be >= 1"),
+    ])
+    def test_bad_env_knob_is_one_error_line(
+        self, env, value, message, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(env, value)
+        assert main(["cluster-sweep", "--iterations", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert errors == [f"error: {env} {message}, got {value!r}"]
+        assert "Traceback" not in captured.err
+
     def test_num_hosts_below_a_job_fails_before_any_cell(self, capsys):
         # 1 host passes argparse, but every default stream has 8-rank jobs
         assert main(["cluster-sweep", "--num-hosts", "1",
