@@ -38,11 +38,12 @@ specs (each option's help gives its grammar; ``--faults`` defaults to
 ``partitioned`` row instead of killing the grid, ``--verify`` pins the
 fast kernel bit-for-bit against the reference on every cell, and
 ``--checkpoint PATH`` journals completed cells so an interrupted sweep
-resumes.  ``cluster-sweep`` admits multi-job streams (``--jobs``) onto
-one shared fabric per cell under host-placement policies
-(``--placements``) and reports per-tenant savings plus each job's
-slowdown against its own isolated run; its ``--verify`` also checks
-that per-job link energies sum to the fabric-level total.  ``serve``
+resumes (a cell whose inputs changed is recomputed).  ``cluster-sweep``
+admits multi-job streams (``--jobs``) onto one shared fabric per cell
+under host-placement policies (``--placements``) and reports
+per-tenant savings plus each job's slowdown against its own isolated
+run; its ``--verify`` also checks that per-job link energies sum to the
+fabric-level total.  ``serve``
 runs the resident simulation daemon (``repro.service``): warm LRU caches
 of compiled traces, fabrics and planning passes, a bounded admission
 queue shedding ``SERVICE_BUSY``, per-request deadlines, idempotent
@@ -403,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_CELL_RETRIES or 2)")
         p.add_argument("--checkpoint", default=None,
                        help="journal file: completed cells are appended "
-                            "and a rerun resumes from it")
+                            "and a rerun resumes from it; a rerun with "
+                            "any changed input recomputes that cell")
 
     def spec_option(p, flag, what, grammar, **kw):
         # the grammar text is generated from the spec's schema

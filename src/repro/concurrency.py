@@ -1,28 +1,34 @@
-"""Opt-in parallel rank execution and crash/hang-proof cell fan-out.
+"""One process fan-out for everything: :func:`run_resilient`.
 
 The mechanism's software side (gram formation + PPA + monitor) is a
-purely per-rank computation, so the planning pass and the GT sweep can
-fan ranks out across worker processes.  Parallelism is opt-in — the
-default stays sequential so results remain cheap to reason about and the
-test suite exercises the exact same code paths — and is enabled either
-programmatically (``workers=N``) or globally via the ``REPRO_WORKERS``
-environment variable (the ``--workers`` CLI flag sets it).
+purely per-rank computation, and the experiment grids are independent
+cells, so both fan out across worker processes.  Parallelism is opt-in
+— the default stays sequential so results remain cheap to reason about
+and the test suite exercises the exact same code paths — and is
+enabled either programmatically (``workers=N``) or globally via the
+``REPRO_WORKERS`` environment variable (the ``--workers`` CLI flag sets
+it).
 
-Determinism: ``parallel_map`` preserves input order, every worker runs
-the identical sequential code on one item, and no shared mutable state
+:func:`run_resilient` is the only code that starts a process pool: the
+per-rank planning pass, the GT sweep, a cell's displacement replays,
+``run_cells``, both sweeps and the daemon's sweep all call it.  With
+``workers <= 1`` (or one item to run) it is a plain in-process loop.
+Determinism: results come back in input order, every worker runs the
+identical sequential code on one item, and no shared mutable state
 crosses the process boundary — parallel output is bit-for-bit equal to
 the sequential output (asserted by the replay property tests).
 
-:func:`run_resilient` is the hardened variant the experiment grids use:
-a worker that dies without raising (OOM kill, interpreter abort,
+A worker that dies without raising (OOM kill, interpreter abort,
 ``BrokenProcessPool``) or stalls past a per-item timeout produces a
 structured retry instead of hanging the whole grid, and after the retry
 budget is spent the item either falls back to an in-process run or
 surfaces as a :class:`CellExecutionError` naming the offending item.
 Deterministic worker exceptions (the item itself is bad) propagate
 unchanged on the first attempt — retrying them would just repeat the
-failure.  :func:`run_journaled` adds checkpointing: it serves items a
-:class:`ResultJournal` already holds and journals each new result.
+failure.  ``checkpoint=`` names a :class:`ResultJournal`: an item the
+journal already holds is served from it, and each new result is
+appended as it lands.  A record is keyed on the SHA-256 of the item's
+pickle, so a rerun whose item differs in any input recomputes it.
 """
 
 from __future__ import annotations
@@ -154,21 +160,6 @@ def unique_by(
     return unique, index_of
 
 
-def parallel_map(
-    fn: Callable[[_T], _R], items: Sequence[_T], workers: int
-) -> list[_R]:
-    """Order-preserving map, fanned out over processes when ``workers>1``.
-
-    ``fn`` must be a module-level callable and the items picklable; with
-    ``workers <= 1`` (or a single item) this is a plain sequential map.
-    """
-
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def backoff_delay(
     attempt: int,
     base_s: float,
@@ -265,16 +256,19 @@ def run_resilient(
     timeout_s: float | None = None,
     retries: int = 2,
     backoff_s: float = 0.25,
-    backoff_cap_s: float = 5.0,
     label: Callable[[_T], str] | None = None,
     fallback: bool = True,
-    on_result: Callable[[int, _R], None] | None = None,
+    checkpoint: str | None = None,
 ) -> list[_R]:
-    """Order-preserving process fan-out that survives dying workers.
+    """Order-preserving map of ``fn`` over ``items`` that survives dying
+    workers.
 
-    Like :func:`parallel_map` but each item gets up to ``1 + retries``
-    attempts, and three failure modes that would normally hang or
-    poison the whole grid become per-item events:
+    ``fn`` must be a module-level callable and the items picklable.
+    With ``workers <= 1``, or one item left to run, this is a plain
+    in-process loop.  Otherwise items fan out over a process pool and
+    each gets up to ``1 + retries`` attempts, and three failure modes
+    that would normally hang or poison the whole grid become per-item
+    events:
 
     * **crash** — the worker process dies without raising (OOM kill,
       SIGKILL, interpreter abort); surfaces as ``BrokenProcessPool`` or
@@ -287,36 +281,53 @@ def run_resilient(
 
     A worker exception that *was* raised normally (bad item, assertion)
     is deterministic and re-raised immediately, unchanged.  ``label``
-    renders an item for error messages; ``on_result`` observes each
-    ``(index, result)`` as it lands (checkpointing hook).  Results are
-    returned in input order.
+    renders an item for error messages.  ``checkpoint`` names a
+    :class:`ResultJournal`: items it holds under the digest of their
+    pickle are served without calling ``fn``, and every new result is
+    appended as it lands, so a killed grid resumes where it died.
+    Results are returned in input order.
 
     Between retry rounds the fan-out sleeps :func:`backoff_delay`:
-    exponential in the round number, capped at ``backoff_cap_s``, with
-    deterministic jitter — a 300-cell grid cannot end up sleeping
-    minutes because of a linear-in-rounds backoff, and two reruns of
-    the same grid sleep identically.  Every failed attempt is recorded
-    as an :class:`AttemptFailure`; when the budget is spent the raised
+    exponential in the round number, capped, with deterministic jitter
+    — a 300-cell grid cannot end up sleeping minutes because of a
+    linear-in-rounds backoff, and two reruns of the same grid sleep
+    identically.  Every failed attempt is recorded as an
+    :class:`AttemptFailure`; when the budget is spent the raised
     :class:`CellExecutionError` carries the full per-attempt history.
     """
 
     items = list(items)
     name = label or (lambda it: repr(it))
+    results: list = [None] * len(items)
+    pending = list(range(len(items)))
+    if checkpoint:
+        journal = ResultJournal(checkpoint)
+        journalled = journal.load()
+        # every input an item carries is in its key; two equal items
+        # that pickle to different bytes only cost a recomputation
+        keys = [
+            hashlib.sha256(
+                pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+            ).hexdigest()
+            for item in items
+        ]
+        pending = []
+        for idx, key in enumerate(keys):
+            if key in journalled:
+                results[idx] = journalled[key]
+            else:
+                pending.append(idx)
 
     def _record(idx: int, value: _R) -> None:
         results[idx] = value
-        if on_result is not None:
-            on_result(idx, value)
+        if checkpoint:
+            journal.append(keys[idx], value)
 
-    results: list = [None] * len(items)
-    if not items:
-        return results
-    if workers <= 1 or len(items) == 1:
-        for idx, item in enumerate(items):
-            _record(idx, fn(item))
+    if workers <= 1 or len(pending) <= 1:
+        for idx in pending:
+            _record(idx, fn(items[idx]))
         return results
 
-    pending = list(range(len(items)))
     attempts = [0] * len(items)
     history: list[list[AttemptFailure]] = [[] for _ in items]
     round_no = 0
@@ -324,8 +335,7 @@ def run_resilient(
         if round_no:
             time.sleep(
                 backoff_delay(
-                    round_no, backoff_s, backoff_cap_s,
-                    token=f"run_resilient:{len(items)}",
+                    round_no, backoff_s, token=f"run_resilient:{len(items)}"
                 )
             )
         round_no += 1
@@ -482,58 +492,9 @@ class ResultJournal:
         return out
 
     def append(self, key, value) -> None:
-        # flush + fsync before returning: once run_cells reports a cell
+        # flush + fsync before returning: once an item is reported
         # checkpointed, not even a power cut may un-checkpoint it
         with open(self.path, "ab") as fh:
             pickle.dump((key, value), fh, protocol=pickle.HIGHEST_PROTOCOL)
             fh.flush()
             os.fsync(fh.fileno())
-
-
-def run_journaled(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    *,
-    label: Callable[[_T], str],
-    workers: int | None = None,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-    checkpoint: str | None = None,
-) -> list[_R]:
-    """:func:`run_resilient` over ``items``, checkpointed to a journal.
-
-    ``label(item)`` names an item in error messages and keys it in the
-    ``checkpoint`` journal (:class:`ResultJournal`): items the journal
-    already holds are served from it, every new result is appended as
-    it lands, so a killed sweep resumes where it died.  ``workers``,
-    ``timeout_s`` and ``retries`` resolve through their environment
-    knobs.  Results come back in item order.
-    """
-
-    journal = ResultJournal(checkpoint) if checkpoint else None
-    done = journal.load() if journal is not None else {}
-    results: list = [None] * len(items)
-    pending: list[int] = []
-    for i, item in enumerate(items):
-        key = label(item)
-        if key in done:
-            results[i] = done[key]
-        else:
-            pending.append(i)
-
-    def _on_result(j: int, result) -> None:
-        if journal is not None:
-            journal.append(label(items[pending[j]]), result)
-
-    computed = run_resilient(
-        fn,
-        [items[i] for i in pending],
-        workers=resolve_workers(workers),
-        timeout_s=resolve_cell_timeout(timeout_s),
-        retries=resolve_cell_retries(retries),
-        label=label,
-        on_result=_on_result,
-    )
-    for i, result in zip(pending, computed):
-        results[i] = result
-    return results

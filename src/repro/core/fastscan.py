@@ -324,13 +324,13 @@ def scan_ranks(
     over processes, each handling all GT values for its rank.
     """
 
-    from ..concurrency import parallel_map
+    from ..concurrency import run_resilient
 
     cfg = ppa or PPAConfig()
-    per_rank = parallel_map(
+    per_rank = run_resilient(
         _scan_rank_worker,
         [(scan, list(gt_values), cfg, charge_overheads) for scan in scans],
-        workers,
+        workers=workers,
     )
     return [
         [rank_outcomes[g] for rank_outcomes in per_rank]

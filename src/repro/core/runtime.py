@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..concurrency import parallel_map, resolve_workers
+from ..concurrency import resolve_workers, run_resilient
 from ..constants import T_REACT_US
 from ..power.states import WRPSParams
 from ..sim.mpi import RankDirective
@@ -421,10 +421,10 @@ def plan_trace_directives(
     """
 
     configs = _broadcast_configs(event_logs, config)
-    results = parallel_map(
+    results = run_resilient(
         _plan_rank,
         [(events, cfg, False) for events, cfg in zip(event_logs, configs)],
-        resolve_workers(workers),
+        workers=resolve_workers(workers),
     )
     return [r[0] for r in results], [r[1] for r in results]
 
@@ -443,10 +443,10 @@ def plan_trace_directives_shared(
     """
 
     configs = _broadcast_configs(event_logs, config)
-    results = parallel_map(
+    results = run_resilient(
         _plan_rank,
         [(events, cfg, True) for events, cfg in zip(event_logs, configs)],
-        resolve_workers(workers),
+        workers=resolve_workers(workers),
     )
     return TracePlan(
         ranks=[

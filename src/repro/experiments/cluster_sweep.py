@@ -38,7 +38,7 @@ equality of :func:`cluster_observables`.  Every run also passes the
 energy-sum consistency check (per-job attributed link energy must sum
 to the fabric-level total integrated over the independent episode
 registry).  The grid fans out through
-:func:`~repro.concurrency.run_journaled` with journal checkpointing.
+:func:`~repro.concurrency.run_resilient` with journal checkpointing.
 """
 
 from __future__ import annotations
@@ -57,7 +57,13 @@ from ..cluster import (
     replay_cluster_baseline,
     replay_cluster_managed,
 )
-from ..concurrency import run_journaled, unique_by
+from ..concurrency import (
+    resolve_cell_retries,
+    resolve_cell_timeout,
+    resolve_workers,
+    run_resilient,
+    unique_by,
+)
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
 from ..network.topologies import DEFAULT_TOPOLOGY, build_topology
 from ..power.states import WRPSParams
@@ -401,6 +407,8 @@ def run_cluster_sweep(
                 f"{', '.join(PLACEMENT_POLICIES)}"
             )
     parse_faults(faults)
+    if iterations is None:
+        iterations = default_iterations()
     jobs = [
         {
             "spec": dict(
@@ -414,9 +422,13 @@ def run_cluster_sweep(
         for stream in job_streams
         for placement in placements
     ]
-    return run_journaled(
-        _cluster_sweep_worker, jobs, label=_job_label, workers=workers,
-        timeout_s=timeout_s, retries=retries, checkpoint=checkpoint,
+    return run_resilient(
+        _cluster_sweep_worker, jobs,
+        workers=resolve_workers(workers),
+        timeout_s=resolve_cell_timeout(timeout_s),
+        retries=resolve_cell_retries(retries),
+        label=_job_label,
+        checkpoint=checkpoint,
     )
 
 

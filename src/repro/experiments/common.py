@@ -95,7 +95,6 @@ Environment knobs:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import multiprocessing
 import os
@@ -118,8 +117,6 @@ from ..core import (
     select_gt_detailed,
 )
 from ..concurrency import (
-    ResultJournal,
-    parallel_map,
     resolve_cell_retries,
     resolve_cell_timeout,
     resolve_workers,
@@ -280,6 +277,16 @@ class CellResult:
     def slowdown_pct(self, displacement: float) -> float:
         return self.managed[displacement].exec_time_increase_pct
 
+    def __getstate__(self):
+        # a pickled cell (a worker's reply, a journal record) leaves the
+        # heavy artefacts behind: they are deterministic to rebuild, and
+        # run_cell rebuilds them when the cell is asked for more
+        heavy = ("fabric", "programs", "trace")
+        return None, {
+            name: None if name in heavy else getattr(self, name)
+            for name in self.__slots__
+        }
+
 
 def _build_artefacts(
     key: CellKey,
@@ -391,7 +398,9 @@ def replay_displacements(
             )
         nworkers = resolve_workers(None)
         if nworkers > 1 and len(jobs) > 1:
-            replays = parallel_map(_managed_replay_worker, jobs, nworkers)
+            replays = run_resilient(
+                _managed_replay_worker, jobs, workers=nworkers
+            )
         else:
             replays = [
                 _replay_job(job, cell.trace, cell.programs, cell.fabric)
@@ -559,8 +568,8 @@ def run_cell(
         if use_cache:
             _CACHE[key] = cell
     elif cell.programs is None:
-        # computed in a run_cells worker or loaded from a journal, both
-        # of which strip the heavy artefacts: rebuild them once here
+        # a pickled cell (a worker's reply, a journal record) comes
+        # without its heavy artefacts: rebuild them once here
         cell.trace, cell.programs, cell.fabric = _build_artefacts(key)
     missing = [d for d in displacements if d not in cell.managed]
     cell.managed.update(replay_displacements(cell, key, missing))
@@ -570,32 +579,21 @@ def run_cell(
 
 
 def _run_cell_worker(spec: dict) -> CellResult:
-    """Run one cell in a worker process (module-level for pickling).
+    """Run one cell (module-level for pickling).
 
-    The worker computes the whole cell from scratch (its process has an
-    empty cache) with nested parallelism disabled, and strips the
-    trace, fabric and compiled programs before the result crosses the
-    process boundary — all are heavy, deterministic to rebuild, and
-    ``run_cell`` re-creates them on demand when the parent later asks
-    the cached cell for more displacements.
+    In a worker process the cell is computed from scratch (its process
+    has an empty cache) with nested parallelism disabled; the reply
+    leaves the trace, fabric and compiled programs behind
+    (``CellResult.__getstate__``), and ``run_cell`` re-creates them on
+    demand when the parent later asks the cell for more displacements.
+    In-process the cell keeps them.
     """
 
     if multiprocessing.parent_process() is not None:
         # no nested pools inside a cell worker; guarded so the
         # in-process fallback path cannot pollute the parent's env
         os.environ["REPRO_WORKERS"] = "1"
-    return _stripped(run_cell(**spec))
-
-
-def _stripped(cell: CellResult) -> CellResult:
-    """A shallow copy without the heavy rebuild-on-demand fields, for
-    worker results and journaling/checkpointing."""
-
-    out = copy.copy(cell)
-    out.fabric = None
-    out.programs = None
-    out.trace = None
-    return out
+    return run_cell(**spec)
 
 
 def _cell_label(spec: dict) -> str:
@@ -628,96 +626,64 @@ def run_cells(
 ) -> list[CellResult]:
     """Run many independent (app, nranks) cells, possibly in parallel.
 
-    ``specs`` is a sequence of :func:`run_cell` keyword dicts.  With
-    ``workers > 1`` (explicit, or via ``REPRO_WORKERS`` — the same knob
-    that fans out the per-rank planning passes) cells whose results are
-    not already cached are computed in worker processes; cached cells
-    are served from the parent's memo as usual.  Results come back in
-    spec order and are merged into the parent cache deterministically,
-    so a parallel figure grid is bit-for-bit identical to the serial
-    one (each cell's pipeline is sequential and deterministic; the
-    fan-out only changes *where* a cell runs).
+    ``specs`` is a sequence of :func:`run_cell` keyword dicts.  A spec
+    whose cell is memoised is finished here by ``run_cell`` (the cell
+    keeps its fabric and programs); every other spec goes through one
+    :func:`repro.concurrency.run_resilient` call, and the results are
+    merged into the memo.  With ``workers > 1`` (explicit, or via
+    ``REPRO_WORKERS`` — the same knob that fans out the per-rank
+    planning passes) those cells run in worker processes, and with one
+    worker, or one such cell, in this process.  Results come back in
+    spec order, so a parallel figure grid is bit-for-bit identical to
+    the serial one (each cell's pipeline is sequential and
+    deterministic; the fan-out only changes *where* a cell runs).
 
-    The fan-out is crash/hang-proof (:func:`repro.concurrency.
-    run_resilient`): a worker that dies without raising (OOM kill,
-    ``BrokenProcessPool``) or stalls past ``timeout_s`` wall-clock
-    seconds (``REPRO_CELL_TIMEOUT_S``; default: no timeout) is retried
-    up to ``retries`` times (``REPRO_CELL_RETRIES``; default 2) in a
-    fresh pool, then falls back to an in-process run — or, with
+    The fan-out is crash/hang-proof: a worker that dies without raising
+    (OOM kill, ``BrokenProcessPool``) or stalls past ``timeout_s``
+    wall-clock seconds (``REPRO_CELL_TIMEOUT_S``; default: no timeout)
+    is retried up to ``retries`` times (``REPRO_CELL_RETRIES``; default
+    2) in a fresh pool, then falls back to an in-process run — or, with
     ``fallback=False``, raises a structured
     :class:`~repro.concurrency.CellExecutionError` naming the cell.  A
     cell that raises a *deterministic* exception propagates it to the
     caller unchanged, immediately.  ``checkpoint`` names a journal file
-    (:class:`~repro.concurrency.ResultJournal`): completed cells are
-    appended as they land and served without recomputation on a rerun,
-    so an interrupted grid resumes where it died.
+    (:class:`~repro.concurrency.ResultJournal`) keyed on each whole
+    spec: completed cells are appended as they land and served without
+    recomputation on a rerun of the same spec, so an interrupted grid
+    resumes where it died.
 
     ``_worker`` is a test seam (must be a module-level callable taking
     one spec dict).
     """
 
-    nworkers = resolve_workers(workers)
-    timeout = resolve_cell_timeout(timeout_s)
-    budget = resolve_cell_retries(retries)
-    specs = [dict(spec) for spec in specs]
-    journal = ResultJournal(checkpoint) if checkpoint else None
-    if journal is not None:
-        for key, cell in journal.load().items():
-            # journalled cells were stripped before the append;
-            # run_cell rebuilds fabric/programs on demand
-            _CACHE.setdefault(key, cell)
-    if nworkers <= 1:
-        results = []
-        for spec in specs:
-            journalable = (
-                journal is not None
-                and spec.get("use_cache", True)
-                and cell_key(spec) not in _CACHE
-            )
-            cell = run_cell(**spec)
-            if journalable:
-                journal.append(cell_key(spec), _stripped(cell))
-            results.append(cell)
-        return results
-    results: list[CellResult | None] = [None] * len(specs)
-    remote: list[int] = []
-    for i, spec in enumerate(specs):
-        if spec.get("use_cache", True) and cell_key(spec) in _CACHE:
-            # cached cells (possibly short a few displacements) are
-            # cheap to finish locally and keep their fabric/programs
-            results[i] = run_cell(**spec)
+    results: list = []
+    todo: list[int] = []
+    pending: list[dict] = []
+    for spec in specs:
+        key = cell_key(spec)
+        if spec.get("use_cache", True) and key in _CACHE:
+            results.append(run_cell(**spec))
         else:
-            remote.append(i)
-    if len(remote) == 1:
-        # a lone uncached cell is cheaper run locally than through a
-        # one-worker pool (and keeps its fabric/programs)
-        i = remote[0]
-        results[i] = run_cell(**specs[i])
-        if journal is not None and specs[i].get("use_cache", True):
-            journal.append(cell_key(specs[i]), _stripped(results[i]))
-    elif remote:
-        def _on_result(j: int, cell: CellResult) -> None:
-            if journal is not None and specs[remote[j]].get("use_cache", True):
-                journal.append(
-                    cell_key(specs[remote[j]]), _stripped(cell)
-                )
-
-        computed = run_resilient(
-            _worker,
-            [specs[i] for i in remote],
-            workers=nworkers,
-            timeout_s=timeout,
-            retries=budget,
-            label=_cell_label,
-            fallback=fallback,
-            on_result=_on_result,
-        )
-        for i, cell in zip(remote, computed):
-            if specs[i].get("use_cache", True):
-                _CACHE[cell_key(specs[i])] = cell
-            results[i] = cell
-    assert all(cell is not None for cell in results)
-    return results  # type: ignore[return-value]
+            todo.append(len(results))
+            results.append(None)
+            # the resolved trace length too: a journal record is keyed
+            # on every input of its spec
+            pending.append(dict(spec, iterations=key.iterations))
+    computed = run_resilient(
+        _worker,
+        pending,
+        workers=resolve_workers(workers),
+        timeout_s=resolve_cell_timeout(timeout_s),
+        retries=resolve_cell_retries(retries),
+        label=_cell_label,
+        fallback=fallback,
+        checkpoint=checkpoint,
+    )
+    for i, spec, cell in zip(todo, pending, computed):
+        if spec.get("use_cache", True):
+            _CACHE.setdefault(cell_key(spec), cell)
+        results[i] = cell
+    return results
 
 
 def paper_grid(app: str) -> tuple[int, ...]:

@@ -22,10 +22,11 @@ runs through :func:`sweep_cell`, the one body the cluster sweep shares:
 * ``verify=True`` re-runs the cell on the reference replay kernel and
   requires bit-for-bit equality of a named list of observables, or the
   *same* partition (pair and simulated time);
-* the grid fans out through :func:`~repro.concurrency.run_journaled`,
+* the grid fans out through :func:`~repro.concurrency.run_resilient`,
   so a crashed or stalled worker retries instead of hanging the sweep,
   results are bit-for-bit independent of ``workers``, and
-  ``checkpoint=`` resumes a killed grid from its journal.
+  ``checkpoint=`` resumes a killed grid from its journal; a job whose
+  inputs changed since it was journalled is recomputed.
 """
 
 from __future__ import annotations
@@ -35,11 +36,16 @@ import os
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
-from ..concurrency import run_journaled
+from ..concurrency import (
+    resolve_cell_retries,
+    resolve_cell_timeout,
+    resolve_workers,
+    run_resilient,
+)
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
 from ..network.topologies import build_topology, parse_topology
 from ..power.policies import DEFAULT_POLICY, parse_policy
-from .common import CellResult, run_cell
+from .common import CellResult, default_iterations, run_cell
 
 #: the default family set: the paper fabric + the three other families
 DEFAULT_TOPOLOGIES: tuple[str, ...] = (
@@ -264,6 +270,8 @@ def run_sweep(
     policies = tuple(
         parse_policy(p).describe() for p in (policies or (DEFAULT_POLICY,))
     )
+    if iterations is None:
+        iterations = default_iterations()
     jobs = [
         {
             "spec": dict(
@@ -279,9 +287,13 @@ def run_sweep(
         for app in apps
         for nranks in nranks_list
     ]
-    return run_journaled(
-        _sweep_worker, jobs, label=_job_label, workers=workers,
-        timeout_s=timeout_s, retries=retries, checkpoint=checkpoint,
+    return run_resilient(
+        _sweep_worker, jobs,
+        workers=resolve_workers(workers),
+        timeout_s=resolve_cell_timeout(timeout_s),
+        retries=resolve_cell_retries(retries),
+        label=_job_label,
+        checkpoint=checkpoint,
     )
 
 

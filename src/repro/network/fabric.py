@@ -563,13 +563,17 @@ class Fabric:
         timed events lazily at the simulation clock (see
         :mod:`repro.network.faults` for the determinism argument) and
         handles failover, in-flight retries and partitions.
-        :meth:`reset` restores the fabric to pristine and disarms it.
+        :meth:`reset` restores the fabric to pristine and disarms it;
+        arming over an armed plan first undoes that plan's degraded
+        bandwidths.
         """
 
         if isinstance(plan, str):
             plan = parse_faults(plan)  # None for "none"
         if isinstance(plan, FaultSpec):
             plan = compile_fault_plan(plan, self)
+        if self._faults is not None:
+            self._faults.restore(self)
         # each link carries its own down times for the fast kernel
         down_times = {} if plan is None else plan.down_times
         for key, link in self.links.items():

@@ -130,13 +130,22 @@ class TestRunResilient:
                 _bad_worker, [1, 2, 3], workers=2, backoff_s=0.01
             )
 
-    def test_on_result_observes_every_completion(self):
-        seen = {}
-        run_resilient(
-            _double, [5, 6, 7], workers=2,
-            on_result=lambda i, v: seen.__setitem__(i, v),
-        )
-        assert seen == {0: 10, 1: 12, 2: 14}
+    def test_checkpoint_is_keyed_on_the_item_not_its_label(self, tmp_path):
+        journal = str(tmp_path / "items.journal")
+        same = dict(label=lambda it: "one label for all")
+        assert run_resilient(
+            _double, [5, 6, 7], workers=2, checkpoint=journal, **same
+        ) == [10, 12, 14]
+        assert len(ResultJournal(journal).load()) == 3
+        # every item journalled: served without calling the worker
+        assert run_resilient(
+            _bad_worker, [5, 6, 7], workers=2, checkpoint=journal, **same
+        ) == [10, 12, 14]
+        # a changed item misses, whatever its label says
+        assert run_resilient(
+            _double, [5, 6, 8], checkpoint=journal, **same
+        ) == [10, 12, 16]
+        assert len(ResultJournal(journal).load()) == 4
 
     def test_cell_execution_error_survives_pickling(self):
         exc = CellExecutionError("alya@8", "stalled", 3, detail="timeout_s=5")

@@ -112,6 +112,32 @@ class TestDegradation:
         # restore returns the exact pristine timing (same arithmetic)
         assert back == ref
 
+    def test_rearming_undoes_the_armed_plans_degrades(self):
+        clean = make_fabric()
+        ref = clean.transfer(SRC, DST, SIZE, 1e5)
+
+        fab = make_fabric()
+        victim = trunk_edges_of(fab, SRC, DST)[0]
+        fab.install_faults(FaultPlan.from_events(
+            FaultSpec(seed=1), [FaultEvent(1.0, DEGRADE, victim, factor=0.25)]
+        ))
+        fab.transfer(SRC, DST, 4096, 5.0)  # applies the degrade
+        assert fab.fault_summary().degrades == 1
+        # re-arm without a reset in between
+        fab.install_faults("none")
+        assert fab.fault_summary() is None
+        bandwidths = {
+            key: (link.forward.bandwidth_bytes_per_us,
+                  link.backward.bandwidth_bytes_per_us)
+            for key, link in fab.links.items()
+        }
+        assert bandwidths == {
+            key: (link.forward.bandwidth_bytes_per_us,
+                  link.backward.bandwidth_bytes_per_us)
+            for key, link in clean.links.items()
+        }
+        assert fab.transfer(SRC, DST, SIZE, 1e5) == ref
+
 
 class TestInflightRetry:
     def test_mid_reservation_cut_retries_on_new_route(self):

@@ -143,11 +143,11 @@ class TestCommands:
 
         seen = []
 
-        def serial_map(fn, items, workers):
+        def serial_map(fn, items, *, workers):
             seen.append(workers)
             return [fn(item) for item in items]
 
-        monkeypatch.setattr(runtime, "parallel_map", serial_map)
+        monkeypatch.setattr(runtime, "run_resilient", serial_map)
         clear_cache()
         assert main(["cell", "--app", "alya", "--nranks", "4",
                      "--iterations", "6", "--workers", "2"]) == 0

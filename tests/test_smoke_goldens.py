@@ -8,7 +8,9 @@ also verified fast == reference kernel by the grid itself (`--verify`),
 so the goldens say that neither kernel drifted. The example scripts of
 `EXAMPLES` are pinned the same way, to `tests/golden/<name>.out`. After
 a change that really moves a printed digit, `make golden-update`
-rewrites the goldens.
+rewrites the goldens. The first sweep vector is also run twice against
+one `--checkpoint` journal: the resumed run prints the same section of
+the golden and appends no record.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.concurrency import ResultJournal
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = GOLDEN.parents[1]
@@ -77,3 +80,31 @@ def test_smoke_stdout_equals_golden(target):
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_example_stdout_equals_golden(name):
     _assert_golden(name, _run([str(ROOT / EXAMPLES[name])]))
+
+
+def golden_sections(text: str) -> list[str]:
+    """A target's joined stdout split into one section per vector.
+
+    Within one table the blocks are separated by a blank line, so a
+    block header right after a row starts the next vector's table.
+    """
+
+    sections: list[list[str]] = [[]]
+    for line in text.splitlines(keepends=True):
+        if line.startswith("# ") and sections[-1] and sections[-1][-1].strip():
+            sections.append([])
+        sections[-1].append(line)
+    return ["".join(lines) for lines in sections]
+
+
+def test_sweep_resumes_from_its_checkpoint(tmp_path):
+    vectors = smoke_vectors()["sweep-smoke"]
+    sections = golden_sections((GOLDEN / "sweep-smoke.out").read_text())
+    assert len(sections) == len(vectors)
+    journal = tmp_path / "sweep.journal"
+    argv = ["-m", "repro.cli", *vectors[0], "--checkpoint", str(journal)]
+    assert _run(argv) == sections[0]
+    size, records = journal.stat().st_size, len(ResultJournal(journal).load())
+    assert records == sections[0].count(" ok ")  # one record per cell
+    assert _run(argv) == sections[0]  # resumed: every cell journalled
+    assert journal.stat().st_size == size
