@@ -39,15 +39,15 @@
 #                     examples/policy_comparison.py (name each moved line
 #                     and why)
 #   make examples     run every examples/*.py; fails on a non-zero exit
-#   make bench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3" [TRACE=1]
-#                     same-machine A/B of the perfbench benchmark: checks
-#                     BASE out into a temporary git worktree, runs
-#                     perfbench/run.py --trace 0 per seed on BASE and on
-#                     this working tree, interleaved, and prints every
-#                     end-to-end metric's per-side median, pair wins and
-#                     verdict: gain / worse / unresolved / flat
-#                     (benchmarks/ab.py); fails if the two sides' exact
-#                     counts differ.
+#   make bench-ab BASE=<rev> WORKLOAD="<name> [<name> ...]" SEEDS="1 2 3" [TRACE=1]
+#                     same-machine A/B of the perfbench benchmark: exports
+#                     BASE into a temporary directory (git archive), runs
+#                     perfbench/run.py --trace 0 per seed and workload on
+#                     BASE and on this working tree, interleaved, and
+#                     prints every end-to-end metric's per-side median and
+#                     quartiles, pair wins and verdict: gain / worse /
+#                     unresolved / flat (benchmarks/ab.py); fails if the
+#                     two sides' exact counts differ.
 #                     TRACE=1 adds one --trace 1 pair per seed and the
 #                     per-layer head/base ratios
 #   make service-smoke gate the simulation service end-to-end against a
@@ -91,7 +91,7 @@ bench-smoke:
 
 bench-ab:
 	@test -n "$(BASE)" || { echo 'usage: make bench-ab BASE=<rev>' \
-		'WORKLOAD=<name> SEEDS="1 2 3"'; exit 2; }
+		'WORKLOAD="<name> ..." SEEDS="1 2 3"'; exit 2; }
 	$(PY) benchmarks/ab.py --base $(BASE) --workload $(WORKLOAD) \
 		--seeds $(SEEDS) $(if $(TRACE),--trace)
 

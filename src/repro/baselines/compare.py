@@ -71,10 +71,10 @@ def compare_policies(
 ) -> PolicyComparison:
     """Run PPA, reactive and oracle policies over the same cell.
 
-    The cell (baseline, GT raised to the WRPS break-even, fabric and
-    programs) comes from :func:`~repro.experiments.common.build_cell`;
-    the ``ppa`` row is the pipeline's own managed replay, and the
-    comparators replay their directives on the same artefacts.
+    The cell (baseline, GT raised to the WRPS break-even, programs)
+    comes from :func:`~repro.experiments.common.build_cell`; the ``ppa``
+    row is the pipeline's own managed replay, and the comparators replay
+    their directives on the same programs and the same pooled fabric.
     """
 
     key = cell_key(dict(

@@ -1,6 +1,6 @@
 """Per-tenant savings/slowdown under multi-job contention: the cluster sweep.
 
-Every other sweep replays one job on a private fabric.  This one admits
+Every other sweep replays one job at a time.  This one admits
 a whole job *stream* (:mod:`repro.cluster.jobs`) onto one shared fabric
 in each (topology, stream, placement) cell, pooled across cells and
 reset after each (see below), and reports what multi-tenancy does to
@@ -23,12 +23,12 @@ fault schedule (it plans from clean baseline gaps), and the
 slowdown-vs-isolated column should isolate *contention + faults*
 against a clean yardstick.
 
-The shared fabric comes from the pipeline's fabric pool
-(:func:`~repro.experiments.common.pooled_fabric`): every cell with the
-same host count and build signature (seed, topology, routing) replays
-on one fabric whose routes and hop tables were compiled once, and the
-cell resets it after its replays, on return and on a raise, so the
-pool holds no busy logs and the next cell starts pristine.
+The shared fabric is checked out of the pipeline's fabric pool
+(:func:`~repro.experiments.common.checked_out`), like every single-job
+replay's: every cell with the same host count and build signature
+(seed, topology, routing) replays on one fabric whose routes and hop
+tables were compiled once, and the pool resets it after the cell's
+replays, on return and on a raise, so the next cell starts pristine.
 
 Each cell runs through :func:`~repro.experiments.sweep.sweep_cell`, the
 body the single-job sweep runs too: a partitioned cell becomes a
@@ -69,7 +69,7 @@ from ..network.topologies import DEFAULT_TOPOLOGY, build_topology
 from ..power.states import WRPSParams
 from ..sim.dimemas import ReplayConfig
 from ..specs import SpecError
-from .common import default_iterations, pooled_fabric, run_cell
+from .common import checked_out, default_iterations, run_cell
 from .sweep import sweep_cell
 
 #: the default stream axis: a deterministic two-job stream (the control
@@ -150,8 +150,7 @@ def run_cluster_cell(
     Isolated single-job pipelines (one per distinct (app, nranks), on a
     pristine fabric — see the module docstring) produce each job's
     directives and its slowdown yardstick; then the whole stream replays
-    twice on the pool's shared fabric, baseline and managed, and the
-    fabric is reset afterwards.
+    twice on a pooled fabric, baseline and managed.
     """
 
     jobs = parse_jobs(jobs_spec)
@@ -208,10 +207,9 @@ def run_cluster_cell(
             )
         return out
 
-    # one shared fabric for both replays (reset in between), exactly the
-    # single-job drivers' fabric= idiom; it outlives the cell in the pool
-    fabric = pooled_fabric(num_hosts, cfg)
-    try:
+    # one pooled fabric for both replays; the scheduler compiles each
+    # job's pairs at its placement
+    with checked_out(num_hosts, cfg) as fabric:
         baseline = replay_cluster_baseline(
             cluster_jobs(managed=False), cfg, num_hosts=num_hosts,
             placement=placement, fabric=fabric,
@@ -220,10 +218,6 @@ def run_cluster_cell(
             cluster_jobs(managed=True), cfg, num_hosts=num_hosts,
             placement=placement, wrps=WRPSParams.paper(), fabric=fabric,
         )
-    finally:
-        # drop the last replay's busy logs (also after a partition
-        # unwinds it); routes and hop tables survive for the next cell
-        fabric.reset()
     return ClusterCell(
         jobs=jobs,
         placement=placement,

@@ -54,22 +54,18 @@ outermost in:
   ``TracePlan.rebind_displacement``, so Figs. 7-9 pay one planning pass
   instead of three.  Only the managed replay itself runs per
   displacement.
-* **shared fabric** — topology construction and static route/hop-table
-  compilation are displacement-independent too: ``build_cell`` builds
-  one fabric per cell (``fabric_for``) and every replay — the baseline and
-  each managed run — ``reset()``s it instead of rebuilding, so compiled
-  routes are paid for once per cell.  The replay itself runs on the
-  fast kernel (memoised collective schedules, precompiled routes,
-  batched link accounting; see :mod:`repro.sim`).  Each compiled
-  program set carries its communicating pair set
+* **fabric pool** — topology construction and static route/hop-table
+  compilation are displacement-independent, and a fabric is a pure
+  function of its host count and build signature: every replay — a
+  cell's baseline, each managed run, a cluster cell's two replays —
+  checks its fabric out of one bounded pool (:func:`checked_out`, at
+  most :data:`FABRIC_POOL_SIZE` fabrics in LRU order), which resets it
+  on the way back, so compiled routes are paid for once per signature,
+  not once per cell or replay (``clear_cache`` empties the pool).  The
+  replay itself runs on the fast kernel (memoised collective schedules,
+  precompiled routes, batched link accounting; see :mod:`repro.sim`).
+  Each compiled program set carries its communicating pair set
   (``CompiledTrace.comm_pair_set``), walked once at compile time.
-* **fabric pool** — the cluster path's shared fabrics
-  (:func:`pooled_fabric`), one per (host count, build signature):
-  ``run_cluster_cell`` replays every cell of one signature on the same
-  fabric and resets it afterwards, so topology construction and route
-  compilation are paid once per signature, not once per cell
-  (``clear_cache`` empties the pool too).  Single-job cells keep one
-  fabric each, and ``run_cell(use_cache=False)`` stays fully cold.
 * **warm what-if = one managed replay** — a new displacement on a
   memoised cell costs one copy-on-write rebind (fresh directives only
   where a shutdown timer lands; every other entry is shared with the
@@ -98,8 +94,9 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..constants import (
     DISPLACEMENT_FACTORS,
@@ -253,9 +250,6 @@ class CellResult:
     gt_sweep: tuple[GTEvaluation, ...] = ()
     #: displacement-independent planning pass, shared by all managed runs
     plan: TracePlan | None = None
-    #: the cell's fabric, built once and reset between replays (routes
-    #: and compiled hop tables are displacement-independent)
-    fabric: Fabric | None = None
     #: the trace's compiled rank programs, shared by the baseline and
     #: every managed replay of the cell (compilation is replay-invariant)
     programs: CompiledTrace | None = None
@@ -281,7 +275,7 @@ class CellResult:
         # a pickled cell (a worker's reply, a journal record) leaves the
         # heavy artefacts behind: they are deterministic to rebuild, and
         # run_cell rebuilds them when the cell is asked for more
-        heavy = ("fabric", "programs", "trace")
+        heavy = ("programs", "trace")
         return None, {
             name: None if name in heavy else getattr(self, name)
             for name in self.__slots__
@@ -292,16 +286,10 @@ def _build_artefacts(
     key: CellKey,
     on_stage: Callable[[str], None] = _no_stage,
     trace: Trace | None = None,
-) -> tuple[Trace | None, CompiledTrace, Fabric]:
+) -> tuple[Trace | None, CompiledTrace]:
     """A cell's trace (generated unless a loaded one is given; None
-    where the cell need not keep it), compiled programs and fabric.
-
-    One fabric per cell: construction and route compilation are shared
-    by the baseline and every managed replay (reset between); one
-    compiled program set likewise.  Routes for every pair the trace
-    communicates on are compiled ahead of the first replay (the subnet
-    manager programs tables before traffic).
-    """
+    where the cell need not keep it) and compiled programs, shared by
+    the baseline and every managed replay of the cell."""
 
     if trace is None:
         on_stage("trace_generation")
@@ -311,12 +299,9 @@ def _build_artefacts(
         )
     on_stage("program_compile")
     programs = compile_trace(trace)
-    on_stage("fabric_build")
-    fabric = fabric_for(key.nranks, key.replay_config())
-    fabric.precompile_pairs(programs.comm_pair_set)
     if key.kernel != "reference" and not key.app.startswith(LOADED_TRACE):
         trace = None  # the fast kernel replays the programs alone
-    return trace, programs, fabric
+    return trace, programs
 
 
 def build_cell(
@@ -328,12 +313,15 @@ def build_cell(
     baseline replay and GT selection, as a cell with no managed run; a
     loaded ``trace`` (keyed by :func:`trace_cell_key`) skips generation."""
 
-    trace, programs, fabric = _build_artefacts(key, on_stage, trace)
-    on_stage("baseline_replay")
-    baseline = replay_baseline(
-        programs if trace is None else trace, key.replay_config(),
-        fabric=fabric, programs=programs,
-    )
+    trace, programs = _build_artefacts(key, on_stage, trace)
+    config = key.replay_config()
+    on_stage("fabric_build")
+    with checked_out(key.nranks, config, programs.comm_pair_set) as fabric:
+        on_stage("baseline_replay")
+        baseline = replay_baseline(
+            programs if trace is None else trace, config,
+            fabric=fabric, programs=programs,
+        )
     on_stage("gt_select")
     selection = select_gt_detailed(baseline.event_logs)
     return CellResult(
@@ -348,7 +336,6 @@ def build_cell(
         ),
         runtime_stats=[],
         gt_sweep=selection.sweep,
-        fabric=fabric,
         programs=programs,
         trace=trace,
     )
@@ -365,8 +352,8 @@ def replay_displacements(
     The planning pass (gram formation + PPA + monitor) does not depend
     on the displacement: it runs once per cell, the first time a
     displacement is asked for, and each displacement is one
-    copy-on-write rebind of it.  The replays run on the cell's own
-    fabric and programs, then the fabric is reset.  The results are
+    copy-on-write rebind of it.  The replays run on the cell's programs
+    and a pooled fabric (:func:`checked_out`).  The results are
     returned, not stored on the cell: ``run_cell`` memoises them, the
     service caches only their payloads.
 
@@ -403,13 +390,8 @@ def replay_displacements(
             )
         else:
             replays = [
-                _replay_job(job, cell.trace, cell.programs, cell.fabric)
-                for job in jobs
+                _replay_job(job, cell.trace, cell.programs) for job in jobs
             ]
-    # drop the last replay's busy logs before the cell lingers in a
-    # cache — compiled routes/hop tables (the expensive, reusable part)
-    # survive the reset, the O(messages x hops) busy arrays do not
-    cell.fabric.reset()
     return dict(zip(displacements, replays))
 
 
@@ -421,11 +403,11 @@ def replay_directives(
 ) -> ManagedResult:
     """A managed replay of directives planned outside the cell (a
     comparator policy's plan, see :mod:`repro.baselines`) on the cell's
-    own programs and fabric, through the body of every managed replay."""
+    own programs, through the body of every managed replay."""
 
     return _replay_job(
         _managed_job(cell, key, displacement, directives, None),
-        cell.trace, cell.programs, cell.fabric,
+        cell.trace, cell.programs,
     )
 
 
@@ -450,35 +432,36 @@ def _managed_job(
 
 
 def _replay_job(
-    job: dict,
-    trace: Trace | None,
-    programs: CompiledTrace,
-    fabric: Fabric,
+    job: dict, trace: Trace | None, programs: CompiledTrace
 ) -> ManagedResult:
-    """One displacement's managed replay on a cell's artefacts."""
+    """One displacement's managed replay on a cell's artefacts and a
+    pooled fabric."""
 
     key = job["key"]
-    return replay_managed(
-        programs if trace is None else trace,
-        job["directives"],
-        baseline_exec_time_us=job["baseline_exec_time_us"],
-        displacement=job["displacement"],
-        grouping_thresholds_us=[job["gt_us"]] * key.nranks,
-        config=key.replay_config(),
-        wrps=key.wrps,
-        runtime_stats=job["stats"],
-        fabric=fabric,
-        programs=programs,
-    )
+    config = key.replay_config()
+    with checked_out(key.nranks, config, programs.comm_pair_set) as fabric:
+        return replay_managed(
+            programs if trace is None else trace,
+            job["directives"],
+            baseline_exec_time_us=job["baseline_exec_time_us"],
+            displacement=job["displacement"],
+            grouping_thresholds_us=[job["gt_us"]] * key.nranks,
+            config=config,
+            wrps=key.wrps,
+            runtime_stats=job["stats"],
+            fabric=fabric,
+            programs=programs,
+        )
 
 
 def _managed_replay_worker(job: dict) -> ManagedResult:
     """One displacement's managed replay in a worker process.
 
     Module-level for pickling.  The worker rebuilds the cell's
-    artefacts (deterministic in the key and the kept trace, if any), so
-    the fanned-out result is bit-for-bit the serial one.  Nested
-    parallelism is disabled the same way ``_run_cell_worker`` does.
+    artefacts (deterministic in the key and the kept trace, if any) and
+    uses its own fabric pool, so the fanned-out result is bit-for-bit
+    the serial one.  Nested parallelism is disabled the same way
+    ``_run_cell_worker`` does.
     """
 
     if multiprocessing.parent_process() is not None:
@@ -490,28 +473,41 @@ def _managed_replay_worker(job: dict) -> ManagedResult:
 
 _CACHE: dict[CellKey, CellResult] = {}
 
-#: the cluster path's shared fabrics, keyed by host count + build
-#: signature (see :func:`pooled_fabric`)
+#: the most fabrics the pool keeps: the daemon's default ``cache_cells``,
+#: so a resident daemon's fabrics stay bounded
+FABRIC_POOL_SIZE = 8
+
+#: the pooled fabrics, least recently returned first, keyed by host
+#: count + build signature (see :func:`checked_out`)
 _FABRICS: dict[tuple, Fabric] = {}
 
 
-def pooled_fabric(num_hosts: int, config: ReplayConfig) -> Fabric:
+@contextmanager
+def checked_out(num_hosts: int, config: ReplayConfig,
+                pairs: Iterable = ()) -> Iterator[Fabric]:
     """The pool's fabric for ``num_hosts`` hosts, built as ``config``
-    says.
+    says, with routes for ``pairs`` compiled before traffic.
 
-    A fabric is a pure function of its host count and build signature,
-    and its routes are seeded order-independently, so one fabric serves
-    every cell on that signature: :func:`fabric_for` builds it on first
-    use, and its routes and compiled hop tables survive every later
-    cell.  The caller ``reset()``s it when its replays are done (also
-    when they raise), so no replay's busy logs wait in the pool.
+    A fabric is a pure function of its host count and build signature
+    (routes are seeded order-independently), so one serves every replay
+    on that signature: :func:`fabric_for` builds it on a miss only.  It
+    is reset on the way back, also when the body raises, so no busy
+    logs or fault plan wait in the pool, which then drops its least
+    recently used fabric beyond :data:`FABRIC_POOL_SIZE`.
     """
 
     key = (num_hosts,) + config.build_signature
-    fabric = _FABRICS.get(key)
+    fabric = _FABRICS.pop(key, None)
     if fabric is None:
-        fabric = _FABRICS[key] = fabric_for(num_hosts, config)
-    return fabric
+        fabric = fabric_for(num_hosts, config)
+    try:
+        fabric.precompile_pairs(pairs)
+        yield fabric
+    finally:
+        fabric.reset()
+        _FABRICS[key] = fabric
+        while len(_FABRICS) > FABRIC_POOL_SIZE:
+            del _FABRICS[next(iter(_FABRICS))]
 
 
 def clear_cache() -> None:
@@ -570,7 +566,7 @@ def run_cell(
     elif cell.programs is None:
         # a pickled cell (a worker's reply, a journal record) comes
         # without its heavy artefacts: rebuild them once here
-        cell.trace, cell.programs, cell.fabric = _build_artefacts(key)
+        cell.trace, cell.programs = _build_artefacts(key)
     missing = [d for d in displacements if d not in cell.managed]
     cell.managed.update(replay_displacements(cell, key, missing))
     if missing and not cell.runtime_stats:
@@ -583,7 +579,7 @@ def _run_cell_worker(spec: dict) -> CellResult:
 
     In a worker process the cell is computed from scratch (its process
     has an empty cache) with nested parallelism disabled; the reply
-    leaves the trace, fabric and compiled programs behind
+    leaves the trace and compiled programs behind
     (``CellResult.__getstate__``), and ``run_cell`` re-creates them on
     demand when the parent later asks the cell for more displacements.
     In-process the cell keeps them.
@@ -628,7 +624,7 @@ def run_cells(
 
     ``specs`` is a sequence of :func:`run_cell` keyword dicts.  A spec
     whose cell is memoised is finished here by ``run_cell`` (the cell
-    keeps its fabric and programs); every other spec goes through one
+    keeps its programs); every other spec goes through one
     :func:`repro.concurrency.run_resilient` call, and the results are
     merged into the memo.  With ``workers > 1`` (explicit, or via
     ``REPRO_WORKERS`` — the same knob that fans out the per-rank

@@ -15,7 +15,6 @@ from .model import (
     PowerReport,
     StateInterval,
     aggregate,
-    switch_level_savings_pct,
 )
 from .policies import (
     DEFAULT_POLICY,
@@ -44,7 +43,6 @@ __all__ = [
     "PowerReport",
     "StateInterval",
     "aggregate",
-    "switch_level_savings_pct",
     "WRPSParams",
     "SwitchPowerModel",
     "fleet_switch_savings_pct",

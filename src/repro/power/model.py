@@ -14,7 +14,7 @@ power times wall time).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..network.links import LinkPowerMode
 from .states import WRPSParams
@@ -222,18 +222,3 @@ def aggregate(
         total_transitions_to_low=transitions,
         wall_time_us=wall_time_us,
     )
-
-
-def switch_level_savings_pct(
-    link_savings_pct: float, link_share: float
-) -> float:
-    """Scale link-level savings to whole-switch power.
-
-    The paper's headline numbers follow the link-power convention; this
-    helper expresses them against total switch power using the IBM 64 %
-    link-share datum, for the discussion section of EXPERIMENTS.md.
-    """
-
-    if not 0.0 <= link_share <= 1.0:
-        raise ValueError("link_share must be in [0, 1]")
-    return link_savings_pct * link_share

@@ -1,8 +1,8 @@
 """Switch-level power aggregation and the Section VI deep-sleep extension.
 
 The paper's headline numbers follow the *link power* convention (LOW mode
-at 43 % of nominal link power).  This module adds two refinements used in
-EXPERIMENTS.md and the ablation benches:
+at 43 % of nominal link power).  This module adds two refinements used by
+the ablation benches:
 
 1. **Whole-switch scaling** — the IBM 8-port 12X datum says links account
    for 64 % of switch power; the rest (input buffers, crossbar, control)

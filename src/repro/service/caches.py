@@ -25,11 +25,12 @@ fabric-build on a cache hit" is asserted by the service tests and the
 smoke gate rather than assumed.  LRU hits/misses/evictions are counted per cache and exposed
 through the daemon's ``stats`` endpoint.
 
-Determinism: the warm path reuses the cell's fabric via
-``Fabric.reset()`` and its compiled programs — the very code
-``run_cell`` runs, pinned bit-for-bit by ``tests/network/
-test_fabric_reuse.py`` and the differential tier — so a warm hit is
-byte-identical to a cold run.  :func:`cell_payload` fixes the canonical
+Determinism: the warm path reuses the cell's compiled programs and a
+fabric from the pipeline's pool (bounded by the default cell cache
+size, reset on return) — the very code ``run_cell`` runs, pinned
+bit-for-bit by ``tests/experiments/test_fabric_pool.py`` and the
+differential tier — so a warm hit is byte-identical to a cold run.
+:func:`cell_payload` fixes the canonical
 JSON-able result (including a deep sha256 fingerprint over the power
 report, per-link savings, per-rank counters and event-stream extents),
 and the service tier pins daemon-served payloads against direct

@@ -65,11 +65,12 @@ per-message hot path touches only flat, already-compiled state:
    Plain-tuple entries, no per-event closures, pooled signals, and
    synchronous resume of pre-registered signal waiters.
 
-Drivers reuse fabrics and compiled programs across replays
-(``fabric_for`` / ``compile_trace`` + the ``fabric=`` / ``programs=``
-parameters of the replay entry points): construction, route compilation
-and program lowering are run-invariant, and :meth:`Fabric.reset` clears
-the rest, with back-to-back-equals-fresh covered by regression tests.
+Fabrics and compiled programs are reused across replays (a pooled
+fabric, :func:`repro.experiments.common.checked_out`, and
+``compile_trace``, via the replays' ``fabric=`` / ``programs=``):
+construction, route compilation and program lowering are run-invariant,
+and :meth:`Fabric.reset` clears the rest, with back-to-back-equals-fresh
+covered by regression tests.
 On the fast kernel a replay may take the compiled programs alone in
 place of the trace (they carry the rank set, ``nranks`` and name), so a
 warm what-if never regenerates its trace; only the reference kernel
@@ -91,12 +92,7 @@ from .engine import AllOf, Delay, Engine, Signal, SimulationError
 from .mpi import MPIWorld, RankDirective
 from .program import CompiledTrace, RankProgram, compile_trace
 from .results import BaselineResult, ManagedResult
-from .venus import (
-    LinkUsage,
-    fabric_usage,
-    host_link_idle_distribution,
-    link_usage,
-)
+from .venus import LinkUsage, fabric_usage, link_usage
 
 __all__ = [
     "KERNELS",
@@ -120,6 +116,5 @@ __all__ = [
     "ManagedResult",
     "LinkUsage",
     "fabric_usage",
-    "host_link_idle_distribution",
     "link_usage",
 ]

@@ -125,10 +125,12 @@ class ReplayConfig:
 def fabric_for(nranks: int, config: ReplayConfig | None = None) -> Fabric:
     """Build the fabric one replay of ``config`` would build.
 
-    Exposed so drivers can construct the fabric once and pass it to
-    several replays (``fabric=`` below): construction and route
-    compilation are displacement-independent, only the per-replay busy /
-    power state differs, and :meth:`Fabric.reset` clears that.
+    Exposed so a fabric can be built once and passed to several
+    replays (``fabric=`` below; the pipeline's fabric pool,
+    :func:`repro.experiments.common.checked_out`, builds through it):
+    construction and route compilation are displacement-independent,
+    only the per-replay busy / power state differs, and
+    :meth:`Fabric.reset` clears that.
     """
 
     cfg = config or ReplayConfig()

@@ -1,25 +1,15 @@
 """Network-level probes (the Venus role's reporting side).
 
 The detailed network behaviour itself lives in :mod:`repro.network`; this
-module extracts the per-link views the experiments need from a fabric
-after a replay: utilisation, busy/idle interval populations per link, and
-contention summaries.
+module extracts per-link traffic and utilisation from a fabric after a
+replay (the differential tiers compare kernels with these rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
 from ..network.fabric import Fabric
 from ..network.links import Link
-from ..trace.intervals import (
-    IdleDistribution,
-    busy_to_idle_intervals,
-    distribution_from_gaps,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +30,7 @@ class LinkUsage:
 
 def link_usage(link: Link, t_end_us: float) -> LinkUsage:
     # allocation-free sums over the raw busy arrays (interval widths are
-    # coalescing-invariant); the merged busy_log view is only needed by
-    # gap-structure queries like host_link_idle_distribution
+    # coalescing-invariant)
     busy = link.forward.busy_us() + link.backward.busy_us()
     return LinkUsage(
         name=f"{link.a}-{link.b}",
@@ -59,35 +48,3 @@ def fabric_usage(fabric: Fabric, t_end_us: float) -> list[LinkUsage]:
     rows = [link_usage(l, t_end_us) for l in fabric.all_links()]
     rows.sort(key=lambda u: (not u.is_host_link, -u.bytes_total))
     return rows
-
-
-def host_link_idle_distribution(
-    fabric: Fabric, host: int, t_end_us: float
-) -> IdleDistribution:
-    """Table-I-style distribution of *wire-level* idle gaps on one HCA link.
-
-    This is the hardware-observed counterpart of the PMPI-observed
-    inter-communication intervals: gaps between busy periods of the host's
-    link (both directions merged).
-    """
-
-    link = fabric.host_link(host)
-    merged = sorted(link.forward.busy_log + link.backward.busy_log)
-    gaps = busy_to_idle_intervals(merged, 0.0, t_end_us)
-    return distribution_from_gaps(np.asarray(gaps))
-
-
-def wire_vs_software_idle_ratio(
-    wire: IdleDistribution, software: IdleDistribution
-) -> float:
-    """Ratio of wire-level to software-level accumulated idle time.
-
-    The wire sees slightly *more* idle time than the PMPI layer (software
-    call durations include protocol time while the wire is silent); this
-    diagnostic is used in EXPERIMENTS.md to justify measuring idle
-    intervals at the PMPI layer as the paper does.
-    """
-
-    if software.total_idle_us <= 0:
-        return float("inf") if wire.total_idle_us > 0 else 1.0
-    return wire.total_idle_us / software.total_idle_us

@@ -19,7 +19,6 @@ from .events import (
 from .intervals import (
     BucketStat,
     IdleDistribution,
-    busy_to_idle_intervals,
     distribution_from_events,
     distribution_from_gaps,
     merge_gap_streams,
@@ -32,14 +31,6 @@ from .io import (
     loads_trace,
     parse_trace,
     save_trace,
-)
-from .stats import (
-    GapSummary,
-    TraceSummary,
-    calls_per_second,
-    communication_fraction,
-    event_stream_gaps,
-    summarize_trace,
 )
 from .trace import ProcessTrace, Trace
 
@@ -54,7 +45,6 @@ __all__ = [
     "mpi_records",
     "BucketStat",
     "IdleDistribution",
-    "busy_to_idle_intervals",
     "distribution_from_events",
     "distribution_from_gaps",
     "merge_gap_streams",
@@ -65,12 +55,6 @@ __all__ = [
     "loads_trace",
     "parse_trace",
     "save_trace",
-    "GapSummary",
-    "TraceSummary",
-    "calls_per_second",
-    "communication_fraction",
-    "event_stream_gaps",
-    "summarize_trace",
     "ProcessTrace",
     "Trace",
 ]

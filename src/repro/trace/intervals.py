@@ -108,58 +108,3 @@ def merge_gap_streams(streams: Sequence[Sequence[float]]) -> np.ndarray:
     if not streams:
         return np.empty(0, dtype=np.float64)
     return np.concatenate([np.asarray(s, dtype=np.float64) for s in streams])
-
-
-def busy_to_idle_intervals(
-    busy: Sequence[tuple[float, float]],
-    t_start: float,
-    t_end: float,
-    *,
-    include_boundaries: bool = False,
-) -> list[float]:
-    """Convert a link's busy intervals into idle-gap durations.
-
-    ``busy`` is a list of (start, end) pairs; overlapping or unsorted
-    intervals are normalised first.  ``include_boundaries`` additionally
-    counts the lead-in before the first busy period and the tail after the
-    last one (the paper's Table I measures *between* communications, so
-    the default excludes them).
-    """
-
-    if t_end < t_start:
-        raise ValueError("t_end before t_start")
-    norm = _normalise_intervals(busy)
-    gaps: list[float] = []
-    if not norm:
-        if include_boundaries and t_end > t_start:
-            gaps.append(t_end - t_start)
-        return gaps
-    if include_boundaries and norm[0][0] > t_start:
-        gaps.append(norm[0][0] - t_start)
-    for (s0, e0), (s1, _e1) in zip(norm, norm[1:]):
-        if s1 > e0:
-            gaps.append(s1 - e0)
-    if include_boundaries and t_end > norm[-1][1]:
-        gaps.append(t_end - norm[-1][1])
-    return gaps
-
-
-def _normalise_intervals(
-    intervals: Sequence[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """Sort and merge overlapping/adjacent (start, end) intervals."""
-
-    cleaned = []
-    for s, e in intervals:
-        if e < s:
-            raise ValueError(f"interval ends before it starts: ({s}, {e})")
-        cleaned.append((float(s), float(e)))
-    cleaned.sort()
-    merged: list[tuple[float, float]] = []
-    for s, e in cleaned:
-        if merged and s <= merged[-1][1]:
-            prev_s, prev_e = merged[-1]
-            merged[-1] = (prev_s, max(prev_e, e))
-        else:
-            merged.append((s, e))
-    return merged

@@ -24,12 +24,7 @@ from .registry import (
     make_trace,
     reference_ranks,
 )
-from .synthetic import (
-    allreduce_storm,
-    irregular_stream,
-    ring_sweep,
-    stencil_2d_exchange,
-)
+from .synthetic import allreduce_storm, ring_sweep
 
 __all__ = [
     "PointToPointMatcher",
@@ -47,7 +42,5 @@ __all__ = [
     "make_trace",
     "reference_ranks",
     "allreduce_storm",
-    "irregular_stream",
     "ring_sweep",
-    "stencil_2d_exchange",
 ]

@@ -7,12 +7,7 @@ distributions) and for the library's quickstart examples.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from .base import WorkloadSpec, make_builders, ring_neighbors
-from ..trace.events import MPICall
 from ..trace.trace import Trace
 
 
@@ -43,25 +38,6 @@ def ring_sweep(spec: WorkloadSpec, *, message_bytes: int = 8192,
     return trace
 
 
-def stencil_2d_exchange(spec: WorkloadSpec, *, message_bytes: int = 32768,
-                        compute_us: float = 800.0) -> Trace:
-    """A 1-D-decomposed 2-point stencil with nonblocking halo exchange."""
-
-    trace = Trace.empty("stencil", spec.nranks,
-                        iterations=spec.iterations, seed=spec.seed)
-    builders = make_builders(trace, spec)
-    for it in range(spec.iterations):
-        for b in builders:
-            right, left = ring_neighbors(b.rank, spec.nranks)
-            b.irecv(left, message_bytes, tag=it % 3)
-            b.irecv(right, message_bytes, tag=it % 3)
-            b.isend(right, message_bytes, tag=it % 3)
-            b.isend(left, message_bytes, tag=it % 3)
-            b.waitall()
-            b.compute(compute_us * spec.compute_scale())
-    return trace
-
-
 def allreduce_storm(spec: WorkloadSpec, *, payload_bytes: int = 4096,
                     compute_us: float = 300.0) -> Trace:
     """Back-to-back Allreduce iterations (collective-dominated)."""
@@ -72,37 +48,5 @@ def allreduce_storm(spec: WorkloadSpec, *, payload_bytes: int = 4096,
     for _ in range(spec.iterations):
         for b in builders:
             b.allreduce(payload_bytes)
-            b.compute(compute_us * spec.compute_scale())
-    return trace
-
-
-def irregular_stream(spec: WorkloadSpec, *, break_probability: float = 0.5,
-                     compute_us: float = 400.0) -> Trace:
-    """A stream whose per-iteration structure changes at random.
-
-    Stress input for the PPA: with high ``break_probability`` patterns
-    rarely persist for three consecutive iterations, so prediction should
-    mostly stay off (and the power mechanism must not hurt correctness).
-    """
-
-    trace = Trace.empty("irregular", spec.nranks,
-                        iterations=spec.iterations, seed=spec.seed)
-    builders = make_builders(trace, spec)
-    struct_rng = np.random.default_rng(spec.seed ^ 0xBAD)
-    variants = [
-        int(struct_rng.integers(0, 3)) if struct_rng.random() < break_probability
-        else 0
-        for _ in range(spec.iterations)
-    ]
-    for it in range(spec.iterations):
-        v = variants[it]
-        for b in builders:
-            right, left = ring_neighbors(b.rank, spec.nranks)
-            for k in range(2 + v):
-                b.sendrecv(right, left, 4096 << k, tag=50 + k)
-                b.compute(3.0)
-            if v == 2:
-                b.barrier()
-            b.allreduce(128)
             b.compute(compute_us * spec.compute_scale())
     return trace

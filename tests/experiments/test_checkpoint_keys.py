@@ -132,4 +132,4 @@ class TestRunCellsRerun:
         (again,) = run_cells([dict(self.SPEC)], checkpoint=journal,
                              _worker=_never_called_worker)
         assert again.baseline.exec_time_us == first.baseline.exec_time_us
-        assert again.fabric is None  # journalled cells travel without it
+        assert again.programs is None  # journalled cells travel without it

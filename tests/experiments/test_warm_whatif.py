@@ -6,8 +6,9 @@ trace (``run_cell``, ``run_cluster_cell`` on a warm isolated memo,
 ``WarmPipeline.query``); the reference kernel, which interprets
 records, builds its trace once per cold cell and keeps it on the cell.
 All three run the one cell pipeline of :mod:`repro.experiments.common`.
-And the warm answer must equal a cold
-``run_cell(..., use_cache=False)`` at the same displacement bit for bit.
+And the warm answer must equal a fresh run (after ``clear_cache()``,
+which empties the cell memo and the fabric pool) at the same
+displacement bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def trace_calls(monkeypatch):
     return calls
 
 
+def _fresh(**spec):
+    """The cell run cold on a fresh fabric."""
+
+    clear_cache()
+    return run_cell(**spec)
+
+
 def _managed_signature(managed) -> tuple:
     """Everything a warm what-if must reproduce exactly."""
 
@@ -96,10 +104,10 @@ class TestRunCellWarmWhatIf:
     @pytest.mark.parametrize("disp", [0.0, 0.03, 0.07, 0.2])
     def test_warm_whatif_equals_cold_run(self, disp):
         # warm: the cell already holds the paper's three displacements
-        # (plan, fabric and programs built, fabric reset twice since)
+        # (plan and programs built, the pooled fabric reused since)
         warm = run_cell(**SPEC)
         warm = run_cell(**SPEC, displacements=(disp,))
-        cold = run_cell(**SPEC, displacements=(disp,), use_cache=False)
+        cold = _fresh(**SPEC, displacements=(disp,))
         assert cold is not warm
         assert warm.baseline.exec_time_us == cold.baseline.exec_time_us
         assert _managed_signature(warm.managed[disp]) == _managed_signature(
@@ -110,12 +118,12 @@ class TestRunCellWarmWhatIf:
         self, trace_calls
     ):
         cell = run_cell(**SPEC, displacements=(0.05,))
-        cell.programs = cell.fabric = None  # as run_cells workers strip it
+        cell.programs = None  # as run_cells workers strip it
         trace_calls.clear()
         again = run_cell(**SPEC, displacements=(0.07,))
         assert trace_calls == [("alya", 8)]
-        assert again.programs is not None and again.fabric is not None
-        cold = run_cell(**SPEC, displacements=(0.07,), use_cache=False)
+        assert again.programs is not None
+        cold = _fresh(**SPEC, displacements=(0.07,))
         assert _managed_signature(again.managed[0.07]) == _managed_signature(
             cold.managed[0.07]
         )
@@ -175,7 +183,7 @@ class TestWarmPipelineWhatIf:
         assert ran == ["managed_replay"]
         assert trace_calls == []
         assert _cached_cell(pipeline, self.BASE).trace is None
-        cold = run_cell(**SPEC, displacements=(0.25,), use_cache=False)
+        cold = _fresh(**SPEC, displacements=(0.25,))
         assert payload["exec_time_us"] == cold.managed[0.25].exec_time_us
         assert payload == caches.cell_payload(
             caches.normalize_spec(dict(self.BASE, displacement=0.25)),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constants import LOW_POWER_FRACTION
 from repro.network.links import LinkPowerMode
-from repro.power.model import LinkEnergyAccount, aggregate, switch_level_savings_pct
+from repro.power.model import LinkEnergyAccount, aggregate
 from repro.power.states import WRPSParams
 from repro.power.switchpower import SwitchPowerModel, fleet_switch_savings_pct
 
@@ -112,11 +112,6 @@ class TestAggregate:
 
 
 class TestSwitchPower:
-    def test_scaling(self):
-        assert switch_level_savings_pct(50.0, 0.64) == pytest.approx(32.0)
-        with pytest.raises(ValueError):
-            switch_level_savings_pct(50.0, 1.5)
-
     def test_model(self):
         m = SwitchPowerModel()
         assert m.other_share == pytest.approx(0.36)

@@ -8,13 +8,16 @@ such a counter must therefore report a delta over the run, never the
 raw process total.  Per-instance counters (``RouteTable.pairs_compiled``,
 ``Fabric.messages_sent``) are audited here too:
 they reset with their owning object, so a fresh fabric per run is
-per-run by construction.
+per-run by construction (a cell's fabric is the pool's, which
+``clear_cache`` empties).
 """
 
 from repro.constants import DISPLACEMENT_FACTORS
+from repro.experiments import common
 from repro.experiments.common import (
     build_cell,
     cell_key,
+    clear_cache,
     replay_displacements,
 )
 from repro.sim import ReplayConfig, fabric_for, replay_baseline
@@ -60,13 +63,15 @@ class TestScheduleCacheStats:
 
 
 def _cell_detail(key):
-    """One cold cell through the pipeline: its per-run counters."""
+    """One cell through the pipeline: its per-run counters."""
 
     before = schedule_cache_stats()
     cell = build_cell(key)
     managed = replay_displacements(cell, key, DISPLACEMENT_FACTORS)
+    pool_key = (key.nranks,) + key.replay_config().build_signature
+    fabric = common._FABRICS[pool_key]
     return {
-        "route_pairs_compiled": cell.fabric.routes.pairs_compiled,
+        "route_pairs_compiled": fabric.routes.pairs_compiled,
         "compiled_instructions": cell.programs.total_instructions,
         "helper_spawns": cell.baseline.helper_spawns + sum(
             m.helper_spawns for m in managed.values()
@@ -84,10 +89,11 @@ class TestBenchDetailPerRun:
         key = cell_key(dict(app="alya", nranks=4, iterations=2))
         details = []
         for seed in (17, 23):
-            # a cold schedule cache for the cell's shapes, then dirty
-            # the process counters as a cell-worker's history would
-            # (alya@8 shares no schedule shape with alya@4)
-            clear_schedule_cache()
+            # a cold schedule cache for the cell's shapes and an empty
+            # fabric pool, then dirty the process counters as a
+            # cell-worker's history would (alya@8 shares no schedule
+            # shape with alya@4)
+            clear_cache()
             _replay_once(seed=seed)
             assert schedule_cache_stats()["hits"] > 0
             details.append(_cell_detail(key))

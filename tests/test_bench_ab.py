@@ -1,7 +1,9 @@
-"""The A/B script's per-metric verdict (``benchmarks/ab.py``), on
-hand-made runs: ten same-seed pairs unless a case needs fewer."""
+"""The A/B script (``benchmarks/ab.py``): its per-metric verdict on
+hand-made runs (ten same-seed pairs unless a case needs fewer), and its
+several-workload call on stubbed runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,90 @@ class TestVerdict:
         sign = 1 if better == "higher" else -1
         assert ab.verdict([1.0], [1.0 + sign], better, 0.25) == "gain"
         assert ab.verdict([1.0], [1.0], better, 0.25) == "flat"
+
+
+class TestQuartiles:
+    def test_quartiles_of_ten_runs(self):
+        assert ab._quartiles(BASE) == (98.75, 100, 101.25)
+        assert ab._iqr(BASE) == 2.5
+
+    def test_one_run_is_its_own_quartiles(self):
+        assert ab._quartiles([7.0]) == (7.0, 7.0, 7.0)
+        assert ab._iqr([7.0]) == 0.0
+
+
+def _bench():
+    with open(Path(ab.ROOT) / "BENCHMARK.json") as f:
+        return json.load(f)
+
+
+def _fake_result(value):
+    return {
+        "correct": True,
+        "metrics": {m["name"]: {"value": value}
+                    for m in _bench()["end_to_end"]},
+    }
+
+
+class TestSeveralWorkloads:
+    """Several workloads in one call, interleaved per seed, on stubbed
+    benchmark runs (no subprocess, no git)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def run(tree, workload, seed, seconds, trace=0):
+            side = "head" if tree == ab.ROOT else "base"
+            made.append((seed, workload, side, trace))
+            return _fake_result(float(seed) + (side == "head"))
+
+        monkeypatch.setattr(ab, "_run", run)
+        monkeypatch.setattr(ab, "_counts", lambda tree, *a: {"n": 1})
+        monkeypatch.setattr(ab, "_export", lambda rev, tree: None)
+        return made
+
+    def test_runs_interleave_per_seed_and_alternate_the_first_side(
+        self, calls
+    ):
+        results = ab.run_pairs("base-tree", ["paper-grid", "cluster-faulted"],
+                               [1, 2], 25, trace=True)
+        assert calls == [
+            (1, "paper-grid", "base", 0), (1, "paper-grid", "head", 0),
+            (1, "paper-grid", "base", 1), (1, "paper-grid", "head", 1),
+            (1, "cluster-faulted", "base", 0),
+            (1, "cluster-faulted", "head", 0),
+            (1, "cluster-faulted", "base", 1),
+            (1, "cluster-faulted", "head", 1),
+            (2, "paper-grid", "head", 0), (2, "paper-grid", "base", 0),
+            (2, "paper-grid", "head", 1), (2, "paper-grid", "base", 1),
+            (2, "cluster-faulted", "head", 0),
+            (2, "cluster-faulted", "base", 0),
+            (2, "cluster-faulted", "head", 1),
+            (2, "cluster-faulted", "base", 1),
+        ]
+        for res in results.values():
+            assert len(res["runs"]["base"]) == len(res["runs"]["head"]) == 2
+            assert res["count_problems"] == []
+
+    def test_report_prints_each_sides_median_and_quartiles(self, calls,
+                                                           capsys):
+        seeds = list(range(1, 11))
+        assert ab.main(["--base", "HEAD", "--workload", "paper-grid",
+                        "service-whatif", "--seeds", *map(str, seeds)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("runs correct") == 4  # two sides x two workloads
+        assert "paper-grid: base" in out and "service-whatif: base" in out
+        # base runs read seeds 1..10, head runs 2..11
+        q1, median, q3 = ab._quartiles([float(s) for s in seeds])
+        assert f"{median:12.4f} [{q1:.4f}, {q3:.4f}]" in out
+        assert f"{median + 1:12.4f} [{q1 + 1:.4f}, {q3 + 1:.4f}]" in out
+        assert "identical on every seed" in out
+
+    def test_a_count_difference_fails_the_call(self, calls, monkeypatch):
+        monkeypatch.setattr(
+            ab, "_counts",
+            lambda tree, *a: {"n": 2 if tree == ab.ROOT else 1},
+        )
+        assert ab.main(["--base", "HEAD", "--workload", "paper-grid",
+                        "cluster-faulted", "--seeds", "1"]) == 1

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.trace.events import MPICall, MPIEvent
 from repro.trace.intervals import (
-    busy_to_idle_intervals,
     distribution_from_events,
     distribution_from_gaps,
     merge_gap_streams,
@@ -79,40 +78,6 @@ class TestMergeStreams:
         assert merge_gap_streams([]).size == 0
 
 
-class TestBusyToIdle:
-    def test_simple_gaps(self):
-        busy = [(0.0, 10.0), (30.0, 40.0), (100.0, 110.0)]
-        gaps = busy_to_idle_intervals(busy, 0.0, 200.0)
-        assert gaps == [20.0, 60.0]
-
-    def test_boundaries_included(self):
-        busy = [(10.0, 20.0)]
-        gaps = busy_to_idle_intervals(busy, 0.0, 50.0, include_boundaries=True)
-        assert gaps == [10.0, 30.0]
-
-    def test_overlapping_intervals_merged(self):
-        busy = [(0.0, 10.0), (5.0, 15.0), (20.0, 30.0)]
-        gaps = busy_to_idle_intervals(busy, 0.0, 30.0)
-        assert gaps == [5.0]
-
-    def test_unsorted_input(self):
-        busy = [(30.0, 40.0), (0.0, 10.0)]
-        assert busy_to_idle_intervals(busy, 0.0, 40.0) == [20.0]
-
-    def test_empty_busy(self):
-        assert busy_to_idle_intervals([], 0.0, 10.0) == []
-        assert busy_to_idle_intervals([], 0.0, 10.0,
-                                      include_boundaries=True) == [10.0]
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            busy_to_idle_intervals([(5.0, 1.0)], 0.0, 10.0)
-
-    def test_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            busy_to_idle_intervals([], 10.0, 0.0)
-
-
 # ---------------------------------------------------------------- property
 
 @given(gaps=st.lists(st.floats(min_value=0.0, max_value=1e7,
@@ -127,29 +92,3 @@ def test_distribution_invariants(gaps):
         assert sum(b.interval_share_pct for b in d.buckets) == pytest.approx(100.0)
     if d.total_idle_us > 0:
         assert sum(b.time_share_pct for b in d.buckets) == pytest.approx(100.0)
-
-
-@given(
-    busy=st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=1e5, allow_nan=False),
-            st.floats(min_value=0, max_value=1e5, allow_nan=False),
-        ).map(lambda p: (min(p), max(p))),
-        max_size=50,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_busy_idle_partition(busy):
-    """Busy + idle time must equal the window length (with boundaries)."""
-
-    t_end = 2e5
-    gaps = busy_to_idle_intervals(busy, 0.0, t_end, include_boundaries=True)
-    # merged busy time
-    merged: list[tuple[float, float]] = []
-    for s, e in sorted(busy):
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    busy_total = sum(e - s for s, e in merged)
-    assert busy_total + sum(gaps) == pytest.approx(t_end, rel=1e-9)
