@@ -1,7 +1,8 @@
 """Experiment drivers: one module per table/figure of the paper.
 
-See DESIGN.md's per-experiment index for the mapping.  All drivers share
-the memoised :func:`repro.experiments.common.run_cell` pipeline.
+Each module's docstring names the table or figure it reproduces.  All
+drivers share the memoised :func:`repro.experiments.common.run_cell`
+pipeline.
 """
 
 from .cluster_sweep import (

@@ -144,6 +144,9 @@ class Fabric:
         self._num_hosts = self.topo.num_hosts
         #: active fault-injection state (None = healthy fabric)
         self._faults: FaultState | None = None
+        #: the last pair set :meth:`precompile_pairs` compiled; only a
+        #: frozenset is kept, as it cannot change behind the fabric
+        self._compiled_pairs: frozenset | None = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -250,9 +253,14 @@ class Fabric:
         :meth:`~repro.sim.program.CompiledTrace.comm_pairs` so the timed
         replay never pays lazy route compilation (loopback and
         already-compiled pairs are skipped).  Returns the number of
-        pairs compiled.
+        pairs compiled.  A pooled fabric is handed the same
+        ``comm_pair_set`` on every replay of a cell, and hop tables
+        survive :meth:`reset`, so the last frozenset compiled is
+        remembered and not walked again.
         """
 
+        if pairs is self._compiled_pairs:
+            return 0
         compiled = 0
         hops = self._hops
         n = self._num_hosts
@@ -261,6 +269,8 @@ class Fabric:
                 continue
             self._compile_hops(src, dst)
             compiled += 1
+        if type(pairs) is frozenset:
+            self._compiled_pairs = pairs
         return compiled
 
     def transfer(

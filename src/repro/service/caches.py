@@ -44,7 +44,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 
 from ..experiments.common import (
     STAGES,
@@ -232,7 +232,7 @@ def _jsonable(value):
     """Dataclass trees -> JSON-able structures (tuples become lists)."""
 
     if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

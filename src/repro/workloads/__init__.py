@@ -3,7 +3,8 @@
 Substitutes the proprietary production traces (GROMACS, ALYA, WRF,
 NAS BT, NAS MG from MareNostrum-class hardware) with parameterised
 generators that reproduce the communication *structure* the mechanism
-feeds on; see DESIGN.md section 2 for the substitution rationale.
+feeds on.  :mod:`repro.workloads.base` gives the substitution rationale,
+and each application module's docstring the structure it reproduces.
 """
 
 from .base import (

@@ -1,8 +1,9 @@
-"""Generic SPMD generators used by tests, examples and ablations.
+"""Generic SPMD generators for tests.
 
 These are not tied to any of the paper's five applications; they provide
 controlled inputs for unit tests (perfectly periodic streams, known gap
-distributions) and for the library's quickstart examples.
+distributions).  ROADMAP item 8a plans ring and barrier-storm goldens on
+them.
 """
 
 from __future__ import annotations

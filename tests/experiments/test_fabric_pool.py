@@ -221,6 +221,19 @@ class TestPooledFabricIsClean:
         assert_pristine(fabric)
 
 
+def test_a_pooled_fabric_walks_a_cells_pair_set_once():
+    cell = run_cell(**dict(CELL, app="alya"), displacements=(0.05,))
+    pairs = cell.programs.comm_pair_set
+    (fabric,) = common._FABRICS.values()
+    assert fabric._compiled_pairs is pairs
+    # a pair dropped from the hop tables shows which call walks the set
+    src, dst = min(p for p in pairs if p[0] != p[1])
+    del fabric._hops[src * fabric.topo.num_hosts + dst]
+    assert fabric.precompile_pairs(pairs) == 0  # remembered: not walked
+    assert fabric.precompile_pairs(frozenset(list(pairs))) == 1  # a copy
+    assert fabric.precompile_pairs(set(pairs)) == 0
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestSingleJobCells:
     def test_cells_of_one_signature_share_a_fabric(self, kernel):

@@ -4,8 +4,12 @@ what-if costs exactly one managed replay)."""
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, is_dataclass
+
 import pytest
 
+from repro.experiments.common import run_cell
 from repro.workloads import PROCESS_COUNTS
 
 from repro.service.caches import (
@@ -15,6 +19,7 @@ from repro.service.caches import (
     SpecError,
     STAGES,
     WarmPipeline,
+    _jsonable,
     cell_key,
     normalize_spec,
     spec_key,
@@ -189,3 +194,48 @@ def test_rebuilt_bundle_reproduces_payload_bit_for_bit():
     second, second_ran = pipe.query(spec)
     assert second_ran == list(STAGES)
     assert second == first
+
+
+# -- cell_payload's dataclass walk ------------------------------------
+
+
+def _jsonable_via_asdict(value):
+    """The detail record's former walk: ``asdict`` first, then a walk
+    of the copy."""
+
+    if is_dataclass(value) and not isinstance(value, type):
+        return _jsonable_via_asdict(asdict(value))
+    if isinstance(value, dict):
+        return {str(k): _jsonable_via_asdict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_via_asdict(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+@pytest.mark.parametrize("options", [
+    {},
+    {"policy": "policy:hca=width"},
+    {"topology": "fattree2:leaf=8,ratio=4",
+     "policy": "policy:hca=gate,trunk=width:levels=3,switch=gate"},
+    {"faults": "faults:seed=7,link_fail=0.15,flap=0.2,degrade=0.2,"
+               "wake_timeout=0.25,horizon_us=4000"},
+], ids=["gate", "width", "trunk-switch", "faulted"])
+def test_jsonable_walks_fields_like_asdict(options):
+    cell = run_cell("alya", 8, iterations=4, displacements=(0.5,),
+                    use_cache=False, **options)
+    managed = cell.managed[0.5]
+    parts = [managed.power, list(managed.counters),
+             list(managed.class_savings), managed.faults]
+    if "trunk" in options.get("policy", ""):
+        assert {r.link_class for r in managed.class_savings} >= {
+            "trunk", "switch"}
+    if "faults" in options:
+        assert managed.faults
+    for part in parts:
+        got = _jsonable(part)
+        want = _jsonable_via_asdict(part)
+        assert got == want
+        assert (json.dumps(got, sort_keys=True)
+                == json.dumps(want, sort_keys=True))
