@@ -39,6 +39,10 @@
 #                     examples/policy_comparison.py (name each moved line
 #                     and why)
 #   make examples     run every examples/*.py; fails on a non-zero exit
+#   make paper-claims run the paper and ablation asserts in
+#                     benchmarks/bench_*.py (Figs. 7-10, Tables 1-4, the
+#                     ablations) at the two smallest process counts per
+#                     app; needs pytest-benchmark
 #   make bench-ab BASE=<rev> WORKLOAD="<name> [<name> ...]" SEEDS="1 2 3" [TRACE=1]
 #                     same-machine A/B of the perfbench benchmark: exports
 #                     BASE into a temporary directory (git archive), runs
@@ -63,7 +67,7 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast bench-smoke bench-ab sweep-smoke cluster-smoke \
-	golden-update examples service-smoke
+	golden-update examples service-smoke paper-claims
 
 WORKLOAD ?= paper-grid
 SEEDS ?= 1 2 3
@@ -116,3 +120,6 @@ examples:
 
 service-smoke:
 	$(PY) -m repro.service.smoke
+
+paper-claims:
+	REPRO_MAX_SIZES=2 $(PY) -m pytest benchmarks -q -o python_files='bench_*.py'

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..network.links import LinkPowerMode
 from ..power.model import LinkEnergyAccount, StateInterval
+from ..power.rollup import link_low_residency_pct
 
 _GLYPH = {
     LinkPowerMode.FULL: ".",
@@ -76,7 +77,7 @@ def timeline_rows(
     *,
     bins: int = 96,
 ) -> list[TimelineRow]:
-    """One rendered row per rank's HCA link."""
+    """One rendered row per rank's closed HCA-link account."""
 
     rows: list[TimelineRow] = []
     for rank, acc in enumerate(accounts):
@@ -85,7 +86,7 @@ def timeline_rows(
             TimelineRow(
                 rank=rank,
                 cells="".join(_GLYPH[m] for m in modes),
-                low_residency_pct=100.0 * acc.low_power_fraction_of_time(),
+                low_residency_pct=link_low_residency_pct(acc),
             )
         )
     return rows

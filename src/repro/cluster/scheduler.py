@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..power import rollup
 from ..power.states import WRPSParams
 from ..sim.dimemas import Composition, ReplayConfig, check_rank_inputs
 from ..sim.mpi import MPIWorld
@@ -159,8 +160,11 @@ class ClusterResult:
     whose ``cluster`` field carries the :class:`JobAttribution` and
     whose class rows cover its HCA episodes; ``class_savings`` holds the
     fabric-level trunk/switch rows, whose controllers span the whole
-    run.  ``fabric_link_energy_us`` is integrated independently over the
-    HCA episode registry, so ``energy_mismatch_us()`` is a real
+    run.  Every energy number comes from :mod:`repro.power.rollup`,
+    which reads each closed account's one integral.
+    ``fabric_link_energy_us`` sums it over the domain's HCA episode
+    registry, each job's ``link_energy_us`` over that job's own account
+    list: two different lists, so ``energy_mismatch_us()`` is a real
     consistency check (a mis-attributed or dropped episode shows up as
     a nonzero mismatch), not an identity.
     """
@@ -384,7 +388,7 @@ class ClusterScheduler:
                 start_us=run.start_us,
                 finish_us=run.finish_us,
                 hosts=run.hosts,
-                link_energy_us=sum(a.energy() for a in mr.accounts),
+                link_energy_us=rollup.energy_us(mr.accounts),
                 isolated_exec_time_us=cj.isolated_exec_time_us,
             )
             job_results.append(mr)
@@ -410,20 +414,19 @@ class ClusterScheduler:
             )
             for tenant, group in sorted(tenants.items())
         }
+        # the left arm of the energy-sum check: the episode registry,
+        # not the per-job account lists summed above
+        fabric_energy_us, fabric_classes = rollup.fabric_power(comp.power)
         return ClusterResult(
             topology=self.cfg.topology,
             num_hosts=self.num_hosts,
             exec_time_us=self.exec_time_us,
             jobs=job_results,
             tenants=rollups,
-            # integrated over the episode registry, independent of the
-            # per-job lists — the energy-sum consistency check's left arm
-            fabric_link_energy_us=sum(
-                ml.account.energy() for ml in comp.power.episodes
-            ),
+            fabric_link_energy_us=fabric_energy_us,
             helper_spawns=self.composition.helper_spawns,
             faults=comp.fault_summary(),
-            class_savings=comp.power.fabric_rows(),
+            class_savings=fabric_classes,
         )
 
 

@@ -9,7 +9,9 @@ end-to-end MPI latency dominates).  The switch object therefore carries:
 * counters used by the experiments (messages forwarded, bytes switched).
 
 Input-buffer/crossbar power for the Section VI deep-sleep extension is
-modelled in :mod:`repro.power.switchpower`.
+gated by :class:`repro.power.policies.GatedSwitch` and rolled up per
+switch, with :class:`repro.power.switchpower.SwitchPowerModel`'s link
+share, by :mod:`repro.power.rollup`.
 """
 
 from __future__ import annotations

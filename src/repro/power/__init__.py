@@ -2,26 +2,23 @@
 
 Implements the hardware side of the paper's mechanism: the Mellanox-style
 Width Reduction Power Saving (43 % of nominal in 1X mode), the per-link
-hardware reactivation timer (Fig. 5), energy integration over power-state
-timelines, and switch-level aggregation for the Section VI extension —
-generalised by :mod:`repro.power.policies` into a registry of policy
-families (``gate``/``width``/``scale``) applicable per link class
-(``hca``/``trunk``/``switch``) via ``policy:...`` spec strings.
+hardware reactivation timer (Fig. 5) and energy accounting over
+power-state timelines, generalised by :mod:`repro.power.policies` into a
+registry of policy families (``gate``/``width``/``scale``) applicable
+per link class (``hca``/``trunk``/``switch``) via ``policy:...`` spec
+strings.  :mod:`repro.power.rollup` turns a replay's closed accounts
+into every savings number it reports — the per-run mean over HCA links,
+the per-class rows and the Section VI per-switch view with the link
+share of :class:`SwitchPowerModel`.
 """
 
 from .controller import ManagedLink, PowerEventCounters
-from .model import (
-    LinkEnergyAccount,
-    PowerReport,
-    StateInterval,
-    aggregate,
-)
+from .model import LinkEnergyAccount, StateInterval
 from .policies import (
     DEFAULT_POLICY,
     NO_POLICY,
     POLICIES,
     ClassPolicy,
-    ClassSavings,
     GatedSwitch,
     IdleGatedLink,
     LeveledLink,
@@ -29,12 +26,12 @@ from .policies import (
     PolicySpecError,
     PowerLevel,
     PowerPolicy,
-    class_savings_rows,
     parse_policy,
     policy_help,
 )
+from .rollup import ClassSavings, PowerReport, SwitchSavings
 from .states import WRPSParams
-from .switchpower import SwitchPowerModel, fleet_switch_savings_pct
+from .switchpower import SwitchPowerModel
 
 __all__ = [
     "ManagedLink",
@@ -42,15 +39,14 @@ __all__ = [
     "LinkEnergyAccount",
     "PowerReport",
     "StateInterval",
-    "aggregate",
     "WRPSParams",
     "SwitchPowerModel",
-    "fleet_switch_savings_pct",
     "DEFAULT_POLICY",
     "NO_POLICY",
     "POLICIES",
     "ClassPolicy",
     "ClassSavings",
+    "SwitchSavings",
     "GatedSwitch",
     "IdleGatedLink",
     "LeveledLink",
@@ -58,7 +54,6 @@ __all__ = [
     "PolicySpecError",
     "PowerLevel",
     "PowerPolicy",
-    "class_savings_rows",
     "parse_policy",
     "policy_help",
 ]

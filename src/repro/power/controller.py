@@ -34,6 +34,12 @@ from ..network.links import Link, LinkPowerMode
 from .model import LinkEnergyAccount
 from .states import WRPSParams
 
+# the members as module globals: reading ``LinkPowerMode.FULL`` inside a
+# function goes through the enum metaclass, several times slower
+_FULL_MODE = LinkPowerMode.FULL
+_LOW_MODE = LinkPowerMode.LOW
+_TRANSITION_MODE = LinkPowerMode.TRANSITION
+
 
 @dataclass(slots=True)
 class PowerEventCounters:
@@ -129,15 +135,15 @@ class ManagedLink:
             self.counters.skipped_too_short += 1
             return False
         self._settle(t_off_us)
-        if self.link.mode is not LinkPowerMode.FULL:
+        if self.link.mode is not _FULL_MODE:
             self.counters.skipped_not_full += 1
             return False
 
         t_low = t_off_us + self.params.t_deact_us
         t_fire = t_off_us + timer_us
-        self.account.switch_mode(t_off_us, LinkPowerMode.TRANSITION)
-        self.account.switch_mode(t_low, LinkPowerMode.LOW)
-        self.link.mode = LinkPowerMode.LOW
+        self.account.switch_mode(t_off_us, _TRANSITION_MODE)
+        self.account.switch_mode(t_low, _LOW_MODE)
+        self.link.mode = _LOW_MODE
         self._t_fire_us = t_fire
         self._t_deact_end_us = t_low
         if self.wake_faults is not None:
@@ -159,18 +165,18 @@ class ManagedLink:
 
         self._settle(t_us)
         mode = self.link.mode
-        if mode is LinkPowerMode.FULL:
+        if mode is _FULL_MODE:
             return t_us
-        if mode is LinkPowerMode.LOW:
+        if mode is _LOW_MODE:
             # Emergency reactivation: cancel the timer and pay T_react.
             # If the request lands while the deactivation is still in
             # flight ([t_off, t_off+t_deact)), the reactivation can only
             # start once the lanes have finished powering down.
             start = max(t_us, self._t_deact_end_us)
             ready = start + self.params.t_react_us + self._consume_spike()
-            self.account.switch_mode(start, LinkPowerMode.TRANSITION)
-            self.account.switch_mode(ready, LinkPowerMode.FULL)
-            self.link.mode = LinkPowerMode.FULL
+            self.account.switch_mode(start, _TRANSITION_MODE)
+            self.account.switch_mode(ready, _FULL_MODE)
+            self.link.mode = _FULL_MODE
             self._t_fire_us = None
             self.counters.emergency_reactivations += 1
             self.counters.total_penalty_us += ready - t_us
@@ -187,7 +193,7 @@ class ManagedLink:
         """Commit any pending timer event and close the account."""
 
         self._settle(t_end_us)
-        if self.link.mode is not LinkPowerMode.FULL:
+        if self.link.mode is not _FULL_MODE:
             # run ended inside a LOW window or reactivation; the account
             # keeps whatever mode was active until the end of time
             pass
@@ -204,15 +210,15 @@ class ManagedLink:
         t_full = t_fire + self.params.t_react_us + self._pending_spike_us
         if t_us >= t_fire:
             # the timer fired: reactivation runs [t_fire, t_fire + T_react)
-            self.account.switch_mode(t_fire, LinkPowerMode.TRANSITION)
+            self.account.switch_mode(t_fire, _TRANSITION_MODE)
             if t_us >= t_full:
-                self.account.switch_mode(t_full, LinkPowerMode.FULL)
-                self.link.mode = LinkPowerMode.FULL
+                self.account.switch_mode(t_full, _FULL_MODE)
+                self.link.mode = _FULL_MODE
                 self._t_fire_us = None
                 self.counters.timer_reactivations += 1
                 self._consume_spike()
             else:
-                self.link.mode = LinkPowerMode.TRANSITION
+                self.link.mode = _TRANSITION_MODE
                 self.link.reactivation_done_us = t_full
 
     def _consume_spike(self) -> float:

@@ -3,12 +3,8 @@
 Every managed link owns a :class:`LinkEnergyAccount` that records the
 piecewise-constant power-state timeline produced by the controller.  At
 the end of a run the account is *closed* at the simulation end time and
-integrated; the run-level savings number the paper reports —
-
-    power savings [%] = (1 - E_managed / E_always_on) * 100
-
-— is the residency-weighted average over links (E_always_on is nominal
-power times wall time).
+integrated once; :mod:`repro.power.rollup` turns those integrals into
+the run-level numbers the paper reports.
 
 An account changes state several times per shutdown, inside every
 managed replay, so it keeps its timeline as flat per-link columns
@@ -22,7 +18,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
 
 from ..network.links import LinkPowerMode
 from .states import WRPSParams
@@ -74,6 +69,10 @@ class LinkEnergyAccount:
     (``array('B')``) its mode code.  The three nominal draws are read
     from ``params`` once, at construction.
 
+    :meth:`close` integrates the timeline once and keeps the triple
+    (:attr:`integral`); a closed account takes no more writes, so the
+    triple cannot go stale.
+
     No per-interval object is built while a replay runs: ``intervals``
     builds the :class:`StateInterval` list on demand for its readers
     (timeline rendering, the differential tiers).  The override is not
@@ -86,6 +85,7 @@ class LinkEnergyAccount:
     __slots__ = (
         "params", "transitions_to_low", "_bounds", "_draws", "_modes",
         "_nominal", "_code", "_power", "_draw", "_since_us", "_closed",
+        "_integral",
     )
 
     def __init__(self, params: WRPSParams, start_us: float = 0.0) -> None:
@@ -102,6 +102,7 @@ class LinkEnergyAccount:
         self._draw = self._nominal[_FULL]
         self._since_us = start_us
         self._closed = False
+        self._integral: tuple[float, float, float] | None = None
 
     def __eq__(self, other: object) -> bool:
         # equal timelines and open state, as the dataclass this replaced
@@ -212,6 +213,16 @@ class LinkEnergyAccount:
             self._draws.append(self._draw)
             self._modes.append(self._code)
         self._closed = True
+        self._integral = self.integrate()
+
+    @property
+    def integral(self) -> tuple[float, float, float]:
+        """:meth:`integrate`'s ``(total_us, energy_us, low_us)``, computed
+        once by :meth:`close`."""
+
+        if self._integral is None:
+            raise RuntimeError("account still open: close() it first")
+        return self._integral
 
     @property
     def intervals(self) -> list[StateInterval]:
@@ -238,8 +249,8 @@ class LinkEnergyAccount:
         """One pass over the timeline: ``(total_us, energy_us, low_us)``.
 
         Exactly the sums the per-metric helpers below produce, accumulated
-        together so run-level aggregation touches each interval once
-        instead of four times.
+        together in one walk; :meth:`close` calls it once and keeps the
+        result as :attr:`integral`, which is what the rollup reads.
         """
 
         total = 0.0
@@ -289,61 +300,3 @@ class LinkEnergyAccount:
             out += draw * (end - start)
             start = end
         return out
-
-    def savings_fraction(self) -> float:
-        """1 - E/E_always_on over this link's timeline."""
-
-        total, energy, _ = self.integrate()
-        if total <= 0:
-            return 0.0
-        return 1.0 - energy / total
-
-    def low_power_fraction_of_time(self) -> float:
-        total, _, low = self.integrate()
-        if total <= 0:
-            return 0.0
-        return low / total
-
-
-@dataclass(frozen=True, slots=True)
-class PowerReport:
-    """Aggregated power outcome of one simulated run."""
-
-    mean_savings_pct: float
-    per_link_savings_pct: tuple[float, ...]
-    mean_low_residency_pct: float
-    total_transitions_to_low: int
-    wall_time_us: float
-
-
-def aggregate(
-    accounts: Sequence[LinkEnergyAccount], wall_time_us: float
-) -> PowerReport:
-    """Close and integrate all accounts; average over links.
-
-    The paper averages "over all MPI processes" — i.e. over HCA links —
-    which is what callers pass here.
-    """
-
-    if not accounts:
-        raise ValueError("no accounts to aggregate")
-    savings: list[float] = []
-    low_res: list[float] = []
-    transitions = 0
-    for acc in accounts:
-        acc.close(wall_time_us)
-        total, energy, low = acc.integrate()
-        if total > 0:
-            savings.append(100.0 * (1.0 - energy / total))
-            low_res.append(100.0 * (low / total))
-        else:
-            savings.append(0.0)
-            low_res.append(0.0)
-        transitions += acc.transitions_to_low
-    return PowerReport(
-        mean_savings_pct=sum(savings) / len(savings),
-        per_link_savings_pct=tuple(savings),
-        mean_low_residency_pct=sum(low_res) / len(low_res),
-        total_transitions_to_low=transitions,
-        wall_time_us=wall_time_us,
-    )

@@ -103,6 +103,12 @@ LINK_CLASSES = ("hca", "trunk", "switch")
 #: number of lanes in a 4X IB link (the width policy's descent domain)
 _LANES = 4
 
+# the members as module globals: reading ``LinkPowerMode.FULL`` inside a
+# function goes through the enum metaclass, several times slower
+_FULL_MODE = LinkPowerMode.FULL
+_LOW_MODE = LinkPowerMode.LOW
+_TRANSITION_MODE = LinkPowerMode.TRANSITION
+
 
 class PolicySpecError(SpecError):
     """A malformed ``policy:...`` spec string or parameter."""
@@ -528,14 +534,14 @@ class LeveledLink:
             self.counters.skipped_too_short += 1
             return False
         self._settle(t_off_us)
-        if self.link.mode is not LinkPowerMode.FULL:
+        if self.link.mode is not _FULL_MODE:
             self.counters.skipped_not_full += 1
             return False
         lv = self.levels[pick]
         t_low = t_off_us + lv.t_deact_us
-        self.account.switch_mode(t_off_us, LinkPowerMode.TRANSITION)
-        self.account.set_state(t_low, LinkPowerMode.LOW, lv.power_fraction)
-        self.link.mode = LinkPowerMode.LOW
+        self.account.switch_mode(t_off_us, _TRANSITION_MODE)
+        self.account.set_state(t_low, _LOW_MODE, lv.power_fraction)
+        self.link.mode = _LOW_MODE
         self._level = pick
         self._t_fire_us = t_off_us + timer_us
         self._t_deact_end_us = t_low
@@ -549,15 +555,15 @@ class LeveledLink:
     def request_full(self, t_us: float) -> float:
         self._settle(t_us)
         mode = self.link.mode
-        if mode is LinkPowerMode.FULL:
+        if mode is _FULL_MODE:
             return t_us
-        if mode is LinkPowerMode.LOW:
+        if mode is _LOW_MODE:
             lv = self.levels[self._level]
             start = max(t_us, self._t_deact_end_us)
             ready = start + lv.t_react_us + self._consume_spike()
-            self.account.switch_mode(start, LinkPowerMode.TRANSITION)
-            self.account.switch_mode(ready, LinkPowerMode.FULL)
-            self.link.mode = LinkPowerMode.FULL
+            self.account.switch_mode(start, _TRANSITION_MODE)
+            self.account.switch_mode(ready, _FULL_MODE)
+            self.link.mode = _FULL_MODE
             self._t_fire_us = None
             self.counters.emergency_reactivations += 1
             self.counters.total_penalty_us += ready - t_us
@@ -580,15 +586,15 @@ class LeveledLink:
         lv = self.levels[self._level]
         t_full = t_fire + lv.t_react_us + self._pending_spike_us
         if t_us >= t_fire:
-            self.account.switch_mode(t_fire, LinkPowerMode.TRANSITION)
+            self.account.switch_mode(t_fire, _TRANSITION_MODE)
             if t_us >= t_full:
-                self.account.switch_mode(t_full, LinkPowerMode.FULL)
-                self.link.mode = LinkPowerMode.FULL
+                self.account.switch_mode(t_full, _FULL_MODE)
+                self.link.mode = _FULL_MODE
                 self._t_fire_us = None
                 self.counters.timer_reactivations += 1
                 self._consume_spike()
             else:
-                self.link.mode = LinkPowerMode.TRANSITION
+                self.link.mode = _TRANSITION_MODE
                 self.link.reactivation_done_us = t_full
 
     def _consume_spike(self) -> float:
@@ -616,7 +622,7 @@ class _PowerShadow:
     __slots__ = ("mode", "reactivation_done_us", "t_react_us")
 
     def __init__(self) -> None:
-        self.mode = LinkPowerMode.FULL
+        self.mode = _FULL_MODE
         self.reactivation_done_us = 0.0
         self.t_react_us = 0.0
 
@@ -704,14 +710,14 @@ class IdleGatedLink:
             if t_us < cursor:
                 break
             deact_end = cursor + lv.t_deact_us
-            acc.switch_mode(cursor, LinkPowerMode.TRANSITION)
+            acc.switch_mode(cursor, _TRANSITION_MODE)
             reached += 1
             if t_us < deact_end:
                 # arrival mid-descent: the step completes, then the
                 # reactivation starts (the gate protocol's rule)
                 self._ready_us = max(self._ready_us, deact_end)
                 break
-            acc.set_state(deact_end, LinkPowerMode.LOW, lv.power_fraction)
+            acc.set_state(deact_end, _LOW_MODE, lv.power_fraction)
             cursor = max(deact_end, cursor + self.gate_after_us)
         return reached
 
@@ -743,8 +749,8 @@ class IdleGatedLink:
         lv = self.levels[reached - 1]
         start = max(t_us, self._ready_us)
         ready = start + lv.t_react_us
-        self.account.switch_mode(start, LinkPowerMode.TRANSITION)
-        self.account.switch_mode(ready, LinkPowerMode.FULL)
+        self.account.switch_mode(start, _TRANSITION_MODE)
+        self.account.switch_mode(ready, _FULL_MODE)
         self._ready_us = ready
         self.counters.shutdowns += 1
         self.counters.emergency_reactivations += 1
@@ -769,7 +775,8 @@ class GatedSwitch:
     transfer through any of the switch's ports, and the account tracks
     the switch's *other* (non-link) power component — the Section VI
     deep-sleep extension, now driven by the policy registry and rolled
-    up per switch by :func:`repro.power.switchpower.fabric_switch_rollup`.
+    up per switch by :mod:`repro.power.rollup`, which composes this
+    account's savings with the switch's diluted link savings.
 
     The inner ``gate`` owns every port's two channels, so its busy-end
     max (scanned by :meth:`request_full`, folded by :func:`fold_hook`)
@@ -829,7 +836,7 @@ class GatedSwitch:
 
     @property
     def sleep_power_fraction(self) -> float:
-        """Power draw of the deepest rung (the rollup's sleep fraction)."""
+        """Power draw of the deepest rung."""
 
         return self.gate.levels[-1].power_fraction if self.gate.levels else 1.0
 
@@ -897,66 +904,6 @@ def fold_hook(entries: dict):
     return hook
 
 
-# ---------------------------------------------------------------------------
-# per-class savings rollup
-
-
-@dataclass(frozen=True, slots=True)
-class ClassSavings:
-    """Energy outcome of one managed link class over a replay."""
-
-    link_class: str
-    policy: str
-    members: int
-    savings_pct: float
-    low_residency_pct: float
-    #: integral of normalised power over all members' timelines (us)
-    energy_us: float
-    #: sum of all members' timeline spans (us) — the always-on energy
-    total_us: float
-
-
-def class_savings_rows(
-    spec: PolicySpec,
-    class_accounts: "dict[str, list[LinkEnergyAccount]]",
-) -> tuple[ClassSavings, ...]:
-    """Fold per-controller accounts into one row per managed class.
-
-    ``class_accounts`` maps link class -> the (closed) accounts of its
-    controllers.  Energies sum account by account, so the rows'
-    ``energy_us`` totals reproduce the fabric-level link-energy invariant
-    exactly (the cluster tier's energy-sum check relies on this).
-    """
-
-    rows = []
-    for name in LINK_CLASSES:
-        accounts = class_accounts.get(name)
-        if not accounts:
-            continue
-        total = 0.0
-        energy = 0.0
-        low = 0.0
-        for acc in accounts:
-            t, e, l = acc.integrate()
-            total += t
-            energy += e
-            low += l
-        rows.append(
-            ClassSavings(
-                link_class=name,
-                policy=spec.for_class(name).describe(),
-                members=len(accounts),
-                savings_pct=(
-                    100.0 * (1.0 - energy / total) if total > 0 else 0.0
-                ),
-                low_residency_pct=100.0 * low / total if total > 0 else 0.0,
-                energy_us=energy,
-                total_us=total,
-            )
-        )
-    return tuple(rows)
-
-
 __all__ = [
     "DEFAULT_POLICY",
     "NO_POLICY",
@@ -976,7 +923,5 @@ __all__ = [
     "IdleGatedLink",
     "GatedSwitch",
     "fold_hook",
-    "ClassSavings",
-    "class_savings_rows",
     "ManagedLink",
 ]

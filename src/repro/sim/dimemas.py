@@ -35,8 +35,8 @@ from ..network.fabric import Fabric
 from ..network.faults import NO_FAULTS, FabricPartitioned, parse_faults
 from ..network.links import LinkPowerMode
 from ..network.topologies import DEFAULT_TOPOLOGY, parse_topology
+from ..power import rollup
 from ..power.controller import ManagedLink, PowerEventCounters
-from ..power.model import PowerReport, aggregate
 from ..power.policies import (
     DEFAULT_POLICY,
     GatedSwitch,
@@ -44,11 +44,9 @@ from ..power.policies import (
     LeveledLink,
     PolicySpec,
     _PowerShadow,
-    class_savings_rows,
     fold_hook,
     parse_policy,
 )
-from ..power.switchpower import fabric_switch_rollup
 from ..power.states import WRPSParams
 from ..trace.trace import Trace
 from .engine import Engine
@@ -58,6 +56,10 @@ from .results import BaselineResult, ManagedResult
 
 #: replay kernels selectable via ``ReplayConfig(kernel=...)``
 KERNELS = ("fast", "reference")
+
+# the member as a module global: reading ``LinkPowerMode.FULL`` inside a
+# function goes through the enum metaclass, several times slower
+_FULL_MODE = LinkPowerMode.FULL
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,7 +351,7 @@ class PowerDomain:
                 # own target (the link, or the shadow standing in for a
                 # pinned link) comes back up for the new one
                 prev.finish(t_us)
-                prev.link.mode = LinkPowerMode.FULL
+                prev.link.mode = _FULL_MODE
                 prev.link.reactivation_done_us = 0.0
             link = self.fabric.host_link(host)
             target = _PowerShadow() if spec.switch.active else link
@@ -401,14 +403,6 @@ class PowerDomain:
         for c in (*self._open.values(), *self.trunk_links,
                   *self.gated_switches):
             c.finish(t_end_us)
-
-    def fabric_rows(self) -> tuple:
-        """Class-savings rows of the fabric-level (trunk/switch) classes."""
-
-        return class_savings_rows(self.spec, {
-            "trunk": [tl.account for tl in self.trunk_links],
-            "switch": [gs.account for gs in self.gated_switches],
-        })
 
 
 class Composition:
@@ -599,25 +593,24 @@ class Composition:
         links: list,
         hosts: Sequence[int],
         *,
-        fabric_rows: bool = False,
+        whole_domain: bool = False,
         **fields,
     ) -> ManagedResult:
         """One world's :class:`ManagedResult` over its HCA controllers.
 
         ``fields`` carries the caller's identity and timing fields;
-        ``fabric_rows`` appends the trunk/switch class rows (a one-world
-        replay reports the whole domain).
+        ``whole_domain`` adds the trunk/switch class rows (a one-world
+        replay reports the whole domain).  Every number about energy
+        comes from :func:`repro.power.rollup.world_power`.
         """
 
         power = self.power
         owned = [(h, ml) for h, ml in zip(hosts, links) if ml is not None]
         accounts = [ml.account for _, ml in owned]
-        if accounts:
-            report = aggregate(accounts, self.exec_time_us)
-        else:
-            # hca class unmanaged: the paper's per-process average is vacuous
-            report = PowerReport(0.0, (), 0.0, 0, self.exec_time_us)
-        rows = class_savings_rows(power.spec, {"hca": accounts})
+        report, class_savings, switch_savings = rollup.world_power(
+            power, [h for h, _ in owned], accounts, self.exec_time_us,
+            whole_domain=whole_domain,
+        )
         return ManagedResult(
             nranks=world.nranks,
             power=report,
@@ -628,18 +621,9 @@ class Composition:
             event_logs=world.event_logs,
             accounts=accounts,
             topology=self.cfg.topology,
-            switch_savings=fabric_switch_rollup(
-                self.fabric,
-                accounts,
-                link_savings_pct=report.per_link_savings_pct,
-                hosts=[h for h, _ in owned],
-                switch_accounts=(
-                    {gs.node: gs.account for gs in power.gated_switches}
-                    or None
-                ),
-            ),
+            switch_savings=switch_savings,
             policy=power.spec.describe(),
-            class_savings=rows + power.fabric_rows() if fabric_rows else rows,
+            class_savings=class_savings,
             **fields,
         )
 
@@ -728,7 +712,7 @@ def replay_managed(
         world,
         links,
         hosts,
-        fabric_rows=True,
+        whole_domain=True,
         trace_name=source.name,
         exec_time_us=exec_time,
         baseline_exec_time_us=baseline_exec_time_us,

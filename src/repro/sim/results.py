@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..power.controller import PowerEventCounters
-from ..power.model import PowerReport
+from ..power.rollup import PowerReport, fleet_savings_pct
 from ..trace.events import MPIEvent, idle_gaps
 from ..trace.intervals import IdleDistribution, distribution_from_gaps, merge_gap_streams
 
@@ -30,9 +30,6 @@ class BaselineResult:
     #: :class:`repro.network.faults.FaultSummary` when fault injection
     #: was armed for this replay, else None
     faults: object | None = None
-
-    def rank_gaps(self, rank: int) -> np.ndarray:
-        return np.asarray(idle_gaps(self.event_logs[rank]), dtype=np.float64)
 
     def all_gaps(self) -> np.ndarray:
         return merge_gap_streams([idle_gaps(log) for log in self.event_logs])
@@ -63,9 +60,9 @@ class ManagedResult:
     accounts: list = field(default_factory=list)
     #: the fabric's topology spec string (``ReplayConfig.topology``)
     topology: str = "fitted"
-    #: per-switch whole-switch savings rollup
-    #: (:func:`repro.power.switchpower.fabric_switch_rollup`) — radix
-    #: aware, so heterogeneous families aggregate correctly
+    #: per-switch whole-switch savings (:class:`repro.power.rollup.
+    #: SwitchSavings` rows) — radix aware, so heterogeneous families
+    #: aggregate correctly
     switch_savings: tuple = ()
     #: helper processes spawned by the MPI layer during the replay —
     #: 0 since the zero-spawn rendezvous/irecv refactor (the bench and
@@ -87,7 +84,7 @@ class ManagedResult:
     #: (:meth:`repro.power.policies.PolicySpec.describe`)
     policy: str = "policy:hca=gate"
     #: per-link-class energy rollup
-    #: (:class:`repro.power.policies.ClassSavings` rows, canonical class
+    #: (:class:`repro.power.rollup.ClassSavings` rows, canonical class
     #: order) — one row per *managed* class, so the default spec yields
     #: a single hca row
     class_savings: tuple = ()
@@ -96,9 +93,7 @@ class ManagedResult:
     def fleet_switch_savings_pct(self) -> float:
         """Radix-weighted whole-switch savings over the fabric."""
 
-        from ..power.switchpower import rollup_fleet_savings_pct
-
-        return rollup_fleet_savings_pct(self.switch_savings)
+        return fleet_savings_pct(self.switch_savings)
 
     @property
     def exec_time_increase_pct(self) -> float:
@@ -144,12 +139,3 @@ class ManagedResult:
     @property
     def total_penalty_us(self) -> float:
         return sum(c.total_penalty_us for c in self.counters)
-
-    def summary_line(self) -> str:
-        return (
-            f"{self.trace_name:10s} P={self.nranks:<4d} "
-            f"savings={self.power_savings_pct:6.2f}% "
-            f"slowdown={self.exec_time_increase_pct:5.2f}% "
-            f"shutdowns={self.total_shutdowns} "
-            f"mispred={self.total_mispredictions}"
-        )

@@ -19,7 +19,6 @@ from .events import (
 from .intervals import (
     BucketStat,
     IdleDistribution,
-    distribution_from_events,
     distribution_from_gaps,
     merge_gap_streams,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "mpi_records",
     "BucketStat",
     "IdleDistribution",
-    "distribution_from_events",
     "distribution_from_gaps",
     "merge_gap_streams",
     "TraceParseError",

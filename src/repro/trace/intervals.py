@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from ..constants import IDLE_BUCKET_EDGES_US
-from .events import MPIEvent, idle_gaps
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,15 +86,6 @@ def distribution_from_gaps(
             )
         )
     return IdleDistribution(stats[0], stats[1], stats[2], n, total)
-
-
-def distribution_from_events(
-    events: Sequence[MPIEvent],
-    edges_us: tuple[float, float] = IDLE_BUCKET_EDGES_US,
-) -> IdleDistribution:
-    """Table I distribution for one rank's timed MPI event stream."""
-
-    return distribution_from_gaps(idle_gaps(events), edges_us)
 
 
 def merge_gap_streams(streams: Sequence[Sequence[float]]) -> np.ndarray:

@@ -8,7 +8,6 @@ and each application module's docstring the structure it reproduces.
 """
 
 from .base import (
-    PointToPointMatcher,
     TraceBuilder,
     WorkloadSpec,
     grid_2d,
@@ -28,7 +27,6 @@ from .registry import (
 from .synthetic import allreduce_storm, ring_sweep
 
 __all__ = [
-    "PointToPointMatcher",
     "TraceBuilder",
     "WorkloadSpec",
     "grid_2d",

@@ -125,9 +125,6 @@ class TraceBuilder:
     def irecv(self, src: int, size_bytes: int, tag: int = 0) -> None:
         self.proc.append(PointToPoint(MPICall.IRECV, src, size_bytes, tag))
 
-    def waitall(self) -> None:
-        self.proc.append(PointToPoint(MPICall.WAITALL, self.rank, 0, 0))
-
     def allreduce(self, size_bytes: int) -> None:
         self.proc.append(Collective(MPICall.ALLREDUCE, size_bytes))
 
@@ -180,24 +177,6 @@ def grid_coords(rank: int, rows: int, cols: int) -> tuple[int, int]:
 
 def grid_rank(r: int, c: int, rows: int, cols: int) -> int:
     return (r % rows) * cols + (c % cols)
-
-
-class PointToPointMatcher:
-    """Drift-free tag allocator for paired exchanges.
-
-    All generators emit *matched* traffic (every send has its receive).
-    To keep tags unambiguous across iterations we derive them from a
-    per-phase counter shared by construction (all ranks run the same
-    generator code), so the replay's (src, tag) matching never aliases.
-    """
-
-    def __init__(self, base: int = 100) -> None:
-        self._next = base
-
-    def tag(self) -> int:
-        t = self._next
-        self._next += 1
-        return t
 
 
 WorkloadFn = Callable[[WorkloadSpec], Trace]

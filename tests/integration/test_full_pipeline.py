@@ -49,7 +49,12 @@ class TestPerAppInvariants:
 
         n = PROCESS_COUNTS[app][0]
         _, _, managed = pipeline(app, n)
-        per_link = [100.0 * acc.savings_fraction() for acc in managed.accounts]
+        per_link = [
+            100.0 * (1.0 - energy / total)
+            for total, energy, _ in (
+                acc.integrate() for acc in managed.accounts
+            )
+        ]
         mean = sum(per_link) / len(per_link)
         assert managed.power_savings_pct == pytest.approx(mean, rel=1e-9)
 

@@ -134,5 +134,5 @@ class TestFinish:
         ml.shutdown(0.0, timer_us=510.0)
         ml.finish(1000.0)
         # LOW for 500 of 1000 us -> savings = 0.5 * 0.57
-        assert ml.account.savings_fraction() == pytest.approx(0.5 * 0.57,
-                                                              rel=1e-6)
+        total, energy, _ = ml.account.integrate()
+        assert 1.0 - energy / total == pytest.approx(0.5 * 0.57, rel=1e-6)

@@ -29,7 +29,6 @@ from repro.power.policies import (
     PolicySpecError,
     PowerPolicy,
     _static_floor,
-    class_savings_rows,
     fold_hook,
     gate_levels,
     parse_policy,
@@ -38,6 +37,7 @@ from repro.power.policies import (
     width_levels,
 )
 from repro.power.controller import ManagedLink
+from repro.power.rollup import class_rows
 from repro.power.states import WRPSParams
 
 PAPER = WRPSParams.paper()
@@ -403,7 +403,8 @@ class TestIdleGatedLink:
         acc = igl.account
         assert acc.residency_us(LinkPowerMode.LOW) == pytest.approx(960.0)
         # an always-idle trunk saves nearly the full LOW headroom
-        assert acc.savings_fraction() == pytest.approx(
+        total, energy, _ = acc.integrate()
+        assert 1.0 - energy / total == pytest.approx(
             (1.0 - 0.43) * 960.0 / 1000.0
         )
 
@@ -445,7 +446,8 @@ class TestGatedSwitch:
         _, gs = self.make()
         gs.finish(1000.0)
         assert gs.counters.shutdowns == 1
-        assert gs.account.savings_fraction() > 0.5
+        total, energy, _ = gs.account.integrate()
+        assert 1.0 - energy / total > 0.5
         assert gs.sleep_power_fraction == pytest.approx(0.43)
 
 
@@ -547,7 +549,7 @@ class TestClassSavingsRows:
                 acc.switch_mode(10.0 * (k + 1), LinkPowerMode.LOW)
                 acc.close(100.0)
                 accounts[cls].append(acc)
-        rows = class_savings_rows(spec, accounts)
+        rows = class_rows(spec, accounts)
         assert [r.link_class for r in rows] == ["hca", "trunk"]
         for row in rows:
             members = accounts[row.link_class]
@@ -559,5 +561,5 @@ class TestClassSavingsRows:
             )
 
     def test_unmanaged_classes_have_no_row(self):
-        rows = class_savings_rows(PolicySpec(), {"hca": []})
+        rows = class_rows(PolicySpec(), {"hca": []})
         assert rows == ()

@@ -1,13 +1,37 @@
 """Tests for power states, energy accounting and switch aggregation."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import LOW_POWER_FRACTION
 from repro.network.links import LinkPowerMode
-from repro.power.model import LinkEnergyAccount, StateInterval, aggregate
+from repro.network.topology import NodeId
+from repro.power.model import LinkEnergyAccount, StateInterval
+from repro.power.rollup import fleet_savings_pct, power_report, switch_rows
 from repro.power.states import WRPSParams
-from repro.power.switchpower import SwitchPowerModel, fleet_switch_savings_pct
+from repro.power.switchpower import SwitchPowerModel
+
+
+def _savings_fraction(acc):
+    """1 - E / E_always_on over ``acc``'s timeline (0 when empty)."""
+
+    total, energy, _ = acc.integrate()
+    return 1.0 - energy / total if total > 0 else 0.0
+
+
+class _OneSwitchFabric:
+    """The two fabric queries the per-switch rollup makes, for one
+    switch of ``radix`` ports with every host hanging off it."""
+
+    SWITCH = NodeId(1, 0)
+
+    def __init__(self, radix):
+        self.switches = {self.SWITCH: SimpleNamespace(radix=radix)}
+
+    def host_link(self, host):
+        return SimpleNamespace(endpoints=(NodeId(0, host), self.SWITCH))
 
 
 class TestWRPSParams:
@@ -43,7 +67,7 @@ class TestEnergyAccount:
         acc = self._acc()
         acc.close(100.0)
         assert acc.energy() == pytest.approx(100.0)
-        assert acc.savings_fraction() == pytest.approx(0.0)
+        assert _savings_fraction(acc) == pytest.approx(0.0)
 
     def test_full_low_cycle(self):
         acc = self._acc()
@@ -53,7 +77,7 @@ class TestEnergyAccount:
         # 50 us at 0.43, 50 us at 1.0
         assert acc.energy() == pytest.approx(50.0 + 50.0 * 0.43)
         assert acc.residency_us(LinkPowerMode.LOW) == pytest.approx(50.0)
-        assert acc.savings_fraction() == pytest.approx(0.5 * 0.57)
+        assert _savings_fraction(acc) == pytest.approx(0.5 * 0.57)
 
     def test_transition_charged_full(self):
         acc = self._acc()
@@ -82,6 +106,16 @@ class TestEnergyAccount:
         with pytest.raises(RuntimeError):
             acc.switch_mode(20.0, LinkPowerMode.LOW)
 
+    def test_integral_kept_at_close(self):
+        acc = self._acc()
+        acc.switch_mode(10.0, LinkPowerMode.LOW)
+        with pytest.raises(RuntimeError):
+            acc.integral  # still open
+        acc.close(100.0)
+        assert acc.integral == acc.integrate()
+        acc.close(200.0)  # a second close is a no-op
+        assert acc.integral == (100.0, 10.0 + 90.0 * 0.43, 90.0)
+
     def test_transitions_counted(self):
         acc = self._acc()
         acc.switch_mode(1.0, LinkPowerMode.LOW)
@@ -94,7 +128,7 @@ class TestEnergyAccount:
         acc = self._acc()
         acc.switch_mode(0.0, LinkPowerMode.LOW)
         acc.close(100.0)
-        assert acc.savings_fraction() == pytest.approx(1.0 - 0.43)
+        assert _savings_fraction(acc) == pytest.approx(1.0 - 0.43)
 
 
 class TestAggregate:
@@ -102,13 +136,20 @@ class TestAggregate:
         a1 = LinkEnergyAccount(WRPSParams.paper())
         a1.switch_mode(0.0, LinkPowerMode.LOW)     # 100% low
         a2 = LinkEnergyAccount(WRPSParams.paper())  # 100% full
-        report = aggregate([a1, a2], 100.0)
+        for acc in (a1, a2):
+            acc.close(100.0)
+        report = power_report([a1, a2], 100.0)
         assert report.mean_savings_pct == pytest.approx(100.0 * 0.57 / 2)
         assert report.mean_low_residency_pct == pytest.approx(50.0)
+        assert report.total_transitions_to_low == 1
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([], 10.0)
+    def test_no_links_is_vacuous(self):
+        # the hca class unmanaged: nothing to average over
+        report = power_report([], 10.0)
+        assert report.mean_savings_pct == 0.0
+        assert report.per_link_savings_pct == ()
+        assert report.mean_low_residency_pct == 0.0
+        assert report.total_transitions_to_low == 0
 
 
 class TestSwitchPower:
@@ -118,17 +159,31 @@ class TestSwitchPower:
         assert m.switch_savings_pct(57.0) == pytest.approx(57.0 * 0.64)
 
     def test_deep_sleep_adds_other_savings(self):
-        m = SwitchPowerModel()
-        base = m.switch_savings_pct(50.0)
-        deep = m.switch_savings_with_deep_sleep_pct(50.0, 80.0, 0.1)
-        assert deep > base
-        assert deep == pytest.approx(50.0 * 0.64 + 100.0 * 0.8 * 0.9 * 0.36)
+        # both ports' links save 50 %; the gated switch's non-link share
+        # sleeps 80 % of the time at 10 % of its power
+        fabric = _OneSwitchFabric(radix=2)
+        sleep = LinkEnergyAccount(WRPSParams(low_power_fraction=0.1))
+        sleep.switch_mode(20.0, LinkPowerMode.LOW)
+        sleep.close(100.0)
+        (base,) = switch_rows(fabric, [0, 1], [50.0, 50.0], {})
+        (deep,) = switch_rows(
+            fabric, [0, 1], [50.0, 50.0], {fabric.SWITCH: sleep}
+        )
+        assert base.switch_savings_pct == pytest.approx(50.0 * 0.64)
+        assert deep.switch_savings_pct > base.switch_savings_pct
+        assert deep.switch_savings_pct == pytest.approx(
+            50.0 * 0.64 + 100.0 * 0.8 * 0.9 * 0.36
+        )
 
     def test_fleet_helper(self):
         a = LinkEnergyAccount(WRPSParams.paper())
         a.switch_mode(0.0, LinkPowerMode.LOW)
         a.close(100.0)
-        assert fleet_switch_savings_pct([a]) == pytest.approx(57.0 * 0.64)
+        report = power_report([a], 100.0)
+        rows = switch_rows(
+            _OneSwitchFabric(radix=1), [0], report.per_link_savings_pct, {}
+        )
+        assert fleet_savings_pct(rows) == pytest.approx(57.0 * 0.64)
 
 
 # ---------------------------------------------------------------- property
@@ -156,7 +211,7 @@ def test_account_invariants(changes):
     # energy is bounded between all-low and all-full
     assert 0.43 * total - 1e-6 <= acc.energy() <= total + 1e-6
     # savings bounded by the LOW-mode ceiling
-    assert -1e-9 <= acc.savings_fraction() <= 0.57 + 1e-9
+    assert -1e-9 <= _savings_fraction(acc) <= 0.57 + 1e-9
 
 
 # ------------------------------------------------- columnar account vs objects
@@ -309,8 +364,9 @@ def test_columnar_account_equals_object_account(params, start_us, steps,
     assert acc.intervals == ref.intervals
     assert acc.transitions_to_low == ref.transitions_to_low
     assert acc.integrate() == ref.integrate()
+    assert acc.integral == ref.integrate()
     for mode in LinkPowerMode:
         assert acc.residency_us(mode) == ref.residency_us(mode)
     assert acc.total_us == ref.total_us
     assert acc.energy() == ref.energy()
-    assert acc.savings_fraction() == ref.savings_fraction()
+    assert _savings_fraction(acc) == ref.savings_fraction()

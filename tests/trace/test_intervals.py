@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace.events import MPICall, MPIEvent
-from repro.trace.intervals import (
-    distribution_from_events,
-    distribution_from_gaps,
-    merge_gap_streams,
-)
+from repro.trace.intervals import distribution_from_gaps, merge_gap_streams
 
 
 class TestDistribution:
@@ -57,16 +52,6 @@ class TestDistribution:
         assert d.reducible_time_share_pct == pytest.approx(
             100.0 * 550.0 / 555.0
         )
-
-    def test_from_events(self):
-        events = [
-            MPIEvent(MPICall.SEND, 0.0, 1.0),
-            MPIEvent(MPICall.SEND, 31.0, 32.0),
-            MPIEvent(MPICall.SEND, 332.0, 333.0),
-        ]
-        d = distribution_from_events(events)
-        assert d.medium.count == 1
-        assert d.long.count == 1
 
 
 class TestMergeStreams:

@@ -138,12 +138,3 @@ class TestSynthetic:
     def test_allreduce_storm(self):
         t = allreduce_storm(WorkloadSpec(nranks=4, iterations=5))
         assert t.collective_counts()[MPICall.ALLREDUCE] == 20
-
-
-class TestPointToPointMatcher:
-    def test_monotone_tags(self):
-        from repro.workloads import PointToPointMatcher
-
-        m = PointToPointMatcher(base=100)
-        tags = [m.tag() for _ in range(5)]
-        assert tags == [100, 101, 102, 103, 104]
