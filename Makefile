@@ -2,6 +2,9 @@
 #
 #   make test         tier-1 test suite (everything, the differential
 #                     matrix included; CI runs this)
+#   make test-export  tier-1 in a temporary `git archive HEAD` export, i.e.
+#                     on the committed files alone, without the .git
+#                     directory (as the benchmark and A/B runs see them)
 #   make test-fast    unit/property tiers only — skips the cross-kernel
 #                     differential matrix for local turnaround
 #                     (tests/README.md describes the tier structure)
@@ -66,7 +69,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench-smoke bench-ab sweep-smoke cluster-smoke \
+.PHONY: test test-export test-fast bench-smoke bench-ab sweep-smoke cluster-smoke \
 	golden-update examples service-smoke paper-claims
 
 WORKLOAD ?= paper-grid
@@ -79,6 +82,11 @@ SMOKE_ARGV := tests/golden/smoke_argv.txt
 
 test:
 	$(PY) -m pytest -x -q
+
+test-export:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		git archive HEAD | tar -x -C "$$tmp" && \
+		cd "$$tmp" && $(PY) -m pytest -x -q -p no:cacheprovider
 
 test-fast:
 	$(PY) -m pytest -x -q -m "not differential"

@@ -13,6 +13,7 @@ are where pytest-benchmark's statistics are meaningful:
 from repro.core import GramBuilder, PMPIRuntime, RuntimeConfig
 from repro.network.fabric import Fabric
 from repro.sim.engine import Delay, Engine
+from repro.trace.events import EventLog
 from tests.conftest import alya_like_stream
 
 
@@ -29,13 +30,13 @@ def test_ppa_runtime_throughput(benchmark):
 
 
 def test_gram_builder_throughput(benchmark):
-    events = alya_like_stream(400)
+    log = EventLog.of(alya_like_stream(400))
 
     def run():
         b = GramBuilder(20.0)
         n = 0
-        for ev in events:
-            if b.feed(ev) is not None:
+        for call, enter, exit_ in log.rows():
+            if b.feed(call, enter, exit_) is not None:
                 n += 1
         return n
 

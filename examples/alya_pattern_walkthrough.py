@@ -13,7 +13,7 @@ Run:  python examples/alya_pattern_walkthrough.py
 
 from repro.constants import MPI_ALLREDUCE_ID, MPI_SENDRECV_ID
 from repro.core import GramBuilder, PPA, format_pattern
-from repro.trace.events import MPICall, MPIEvent
+from repro.trace.events import EventLog, MPICall, MPIEvent
 
 
 def alya_stream(iterations: int = 5) -> list[MPIEvent]:
@@ -47,8 +47,9 @@ def main() -> None:
     declaration = None
 
     print(f"{'#':>3s} {'MPI ID':>6s}  {'gram array':40s} action")
-    for i, ev in enumerate(alya_stream(), start=1):
-        closed = builder.feed(ev)
+    log = EventLog.of(alya_stream())
+    for i, (call, enter, exit_) in enumerate(log.rows(), start=1):
+        closed = builder.feed(call, enter, exit_)
         action = "joins open gram"
         if closed is not None:
             decl = ppa.add_gram(closed)
@@ -58,7 +59,7 @@ def main() -> None:
                 declaration = decl
                 action += "  ** PREDICTION DECLARED **"
         grams_str = " ".join(str(len(g.signature)) for g in ppa.grams)
-        print(f"{i:>3d} {int(ev.call):>6d}  grams(sizes)=[{grams_str:36s}] {action}")
+        print(f"{i:>3d} {call:>6d}  grams(sizes)=[{grams_str:36s}] {action}")
 
     assert declaration is not None, "pattern was never declared"
     print()

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from ..power.states import WRPSParams
 from ..sim.mpi import RankDirective
-from ..trace.events import MPIEvent
+from ..trace.events import EventLog, MPIEvent
 
 #: a timer value that never fires within any simulated run: the reactive
 #: policy relies exclusively on on-demand (emergency) reactivation.
@@ -38,7 +38,7 @@ NEVER_US = 1.0e15
 
 
 def oracle_directives(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     wrps: WRPSParams | None = None,
 ) -> list[dict[int, RankDirective]]:
     """Perfect-knowledge shutdown plan from baseline event streams."""
@@ -47,8 +47,7 @@ def oracle_directives(
     plans: list[dict[int, RankDirective]] = []
     for events in event_logs:
         directives: dict[int, RankDirective] = {}
-        for k, (cur, nxt) in enumerate(zip(events, events[1:])):
-            gap = nxt.enter_us - cur.exit_us
+        for k, gap in enumerate(EventLog.of(events).gaps_us()):
             if gap <= params.min_worthwhile_idle_us:
                 continue
             # lanes back up exactly T_react before the next call enters
@@ -61,7 +60,7 @@ def oracle_directives(
 
 
 def reactive_directives(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     wrps: WRPSParams | None = None,
     *,
     idle_threshold_us: float | None = None,
@@ -87,8 +86,7 @@ def reactive_directives(
     plans: list[dict[int, RankDirective]] = []
     for events in event_logs:
         directives: dict[int, RankDirective] = {}
-        for k, (cur, nxt) in enumerate(zip(events, events[1:])):
-            gap = nxt.enter_us - cur.exit_us
+        for k, gap in enumerate(EventLog.of(events).gaps_us()):
             if gap <= tau + params.t_deact_us:
                 continue  # the idle counter would not have expired
             directives[k] = RankDirective(

@@ -41,6 +41,7 @@ from ..sim.dimemas import Composition, ReplayConfig, check_rank_inputs
 from ..sim.mpi import MPIWorld
 from ..sim.program import CompiledTrace
 from ..sim.results import ManagedResult
+from ..trace.events import EventLog
 from ..trace.trace import Trace
 from .jobs import Job
 from .placement import PLACEMENT_POLICIES, PlacementError, leaf_groups, place_job
@@ -115,7 +116,7 @@ class JobSpan:
     hosts: tuple[int, ...]
     start_us: float
     finish_us: float
-    event_logs: list = field(default_factory=list)
+    event_logs: list[EventLog] = field(default_factory=list)
 
     @property
     def span_us(self) -> float:

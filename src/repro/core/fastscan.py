@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ..constants import MIN_GROUPING_THRESHOLD_US
-from ..trace.events import MPIEvent
+from ..trace.events import EventLog, MPIEvent
 from .grams import Gram
 from .overheads import OverheadModel
 from .ppa import PPA, PPAConfig
@@ -62,11 +62,14 @@ class RankScan:
     gaps_us: np.ndarray   # float64 raw inter-call gaps (len n-1)
 
     @classmethod
-    def from_events(cls, events: Sequence[MPIEvent]) -> "RankScan":
-        n = len(events)
-        calls = np.fromiter((int(e.call) for e in events), np.int64, count=n)
-        enter = np.fromiter((e.enter_us for e in events), np.float64, count=n)
-        exit_ = np.fromiter((e.exit_us for e in events), np.float64, count=n)
+    def from_events(
+        cls, events: EventLog | Sequence[MPIEvent]
+    ) -> "RankScan":
+        log = EventLog.of(events)
+        n = len(log)
+        calls = np.array(log.calls, np.int64)
+        enter = np.array(log.enter_us, np.float64)
+        exit_ = np.array(log.exit_us, np.float64)
         gaps = enter[1:] - exit_[:-1] if n > 1 else np.empty(0, np.float64)
         return cls(calls=calls, enter_us=enter, exit_us=exit_, gaps_us=gaps)
 

@@ -7,7 +7,7 @@ where lanes can be shut down (GT >= 2*T_react guarantees the window is
 worth the toggle cost).
 
 :class:`GramBuilder` performs the grouping online: feed it timed MPI
-events one at a time; whenever an event's gap to its predecessor reaches
+calls one at a time; whenever a call's gap to its predecessor reaches
 GT the previous gram *closes* and is returned.  Call :meth:`flush` at the
 end of the stream to close the trailing gram.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..constants import MIN_GROUPING_THRESHOLD_US
-from ..trace.events import MPIEvent
+from ..trace.events import EventLog, MPIEvent
 
 #: A gram's identity is the ordered tuple of MPI call ids it contains.
 GramSignature = tuple[int, ...]
@@ -82,12 +82,12 @@ class GramBuilder:
 
         return tuple(self._calls)
 
-    def feed(self, event: MPIEvent) -> Gram | None:
-        """Consume one timed MPI event.
+    def feed(self, call: int, enter_us: float, exit_us: float) -> Gram | None:
+        """Consume one timed MPI call: its code and its bracket.
 
-        Returns the gram that this event *closed* (i.e. the gap between
-        the previous event's exit and this event's entry reached GT), or
-        ``None`` if the event joined the currently-open gram.
+        Returns the gram that this call *closed* (i.e. the gap between
+        the previous call's exit and this call's entry reached GT), or
+        ``None`` if the call joined the currently-open gram.
         """
 
         index = self._next_index
@@ -95,15 +95,15 @@ class GramBuilder:
         closed: Gram | None = None
 
         if self._last_exit_us is not None:
-            gap = event.enter_us - self._last_exit_us
+            gap = enter_us - self._last_exit_us
             if gap >= self.gt_us:
                 closed = self._close(index)
         if not self._calls:
-            self._start_us = event.enter_us
+            self._start_us = enter_us
             self._first_index = index
-        self._calls.append(int(event.call))
-        self._end_us = event.exit_us
-        self._last_exit_us = event.exit_us
+        self._calls.append(call)
+        self._end_us = exit_us
+        self._last_exit_us = exit_us
         return closed
 
     def flush(self) -> Gram | None:
@@ -126,14 +126,14 @@ class GramBuilder:
 
 
 def build_grams(
-    events: Sequence[MPIEvent], grouping_threshold_us: float
+    events: EventLog | Sequence[MPIEvent], grouping_threshold_us: float
 ) -> list[Gram]:
     """Batch helper: the full gram array of one rank's event stream."""
 
     builder = GramBuilder(grouping_threshold_us)
     grams: list[Gram] = []
-    for ev in events:
-        closed = builder.feed(ev)
+    for call, enter, exit_ in EventLog.of(events).rows():
+        closed = builder.feed(call, enter, exit_)
         if closed is not None:
             grams.append(closed)
     tail = builder.flush()

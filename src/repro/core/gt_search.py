@@ -29,7 +29,7 @@ import numpy as np
 from ..concurrency import resolve_workers
 from ..constants import MIN_GROUPING_THRESHOLD_US
 from ..power.states import WRPSParams
-from ..trace.events import MPIEvent
+from ..trace.events import EventLog, MPIEvent
 from .fastscan import RankScan, count_shutdowns, group_candidates, scan_ranks
 from .overheads import OverheadModel
 from .ppa import PPAConfig
@@ -92,7 +92,7 @@ def _aggregate(gt_us: float, stats: Sequence[RuntimeStats]) -> GTEvaluation:
 
 
 def _evaluate_gt_reference(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     gt_us: float,
     *,
     displacement: float = 0.01,
@@ -118,7 +118,7 @@ def _evaluate_gt_reference(
 
 
 def evaluate_gt(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     gt_us: float,
     *,
     displacement: float = 0.01,
@@ -154,7 +154,7 @@ def _sample_logs(event_logs, max_ranks):
 
 
 def gt_sweep(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     candidates: Iterable[float] | None = None,
     *,
     displacement: float = 0.01,
@@ -207,7 +207,7 @@ def gt_sweep(
 
 
 def select_gt_detailed(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     candidates: Iterable[float] | None = None,
     *,
     displacement: float = 0.01,
@@ -240,7 +240,7 @@ def select_gt_detailed(
 
 
 def select_gt(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     candidates: Iterable[float] | None = None,
     *,
     displacement: float = 0.01,

@@ -25,7 +25,7 @@ from ..concurrency import resolve_workers, run_resilient
 from ..constants import T_REACT_US
 from ..power.states import WRPSParams
 from ..sim.mpi import RankDirective
-from ..trace.events import MPIEvent
+from ..trace.events import EventLog, MPIEvent
 from .grams import GramBuilder
 from .overheads import OverheadModel, OverheadReport
 from .powerctl import (
@@ -127,17 +127,23 @@ class PMPIRuntime:
     def predicting(self) -> bool:
         return self.monitor is not None
 
-    def process_stream(self, events: Sequence[MPIEvent]) -> dict[int, RankDirective]:
+    def process_stream(
+        self, events: EventLog | Sequence[MPIEvent]
+    ) -> dict[int, RankDirective]:
         """Run the mechanism over one rank's timed event stream."""
 
-        for index, event in enumerate(events):
-            self.on_event(index, event)
+        log = EventLog.of(events)
+        on_event = self.on_event
+        for index, (call, enter, exit_) in enumerate(log.rows()):
+            on_event(index, call, enter, exit_)
         self.finish()
         self.stats.planning_passes = 1
         return self.directives
 
-    def on_event(self, index: int, event: MPIEvent) -> None:
-        """Handle one intercepted MPI call."""
+    def on_event(
+        self, index: int, call: int, enter_us: float, exit_us: float
+    ) -> None:
+        """Handle one intercepted MPI call: its code and its bracket."""
 
         cfg = self.config
         stats = self.stats
@@ -149,13 +155,13 @@ class PMPIRuntime:
 
         gap: float | None = None
         if self._last_exit_us is not None:
-            gap = event.enter_us - self._last_exit_us
-        self._last_exit_us = event.exit_us
+            gap = enter_us - self._last_exit_us
+        self._last_exit_us = exit_us
 
         # gram formation happens once per event regardless of mode; the
         # builder's >= GT rule is the same condition the monitor uses to
         # recognise a boundary, so the two stay consistent by design
-        closed = self.builder.feed(event)
+        closed = self.builder.feed(call, enter_us, exit_us)
         if closed is not None:
             self._gram_count += 1
             stats.grams_total += 1
@@ -163,7 +169,7 @@ class PMPIRuntime:
         if self.monitor is not None:
             if closed is not None:
                 self.ppa.append_only(closed)
-            shutdown = self._predict_step(index, event, gap)
+            shutdown = self._predict_step(index, call, gap)
         else:
             post = self._learn_step(closed)
 
@@ -231,7 +237,7 @@ class PMPIRuntime:
     # ------------------------------------------------------------ predicting
 
     def _predict_step(
-        self, index: int, event: MPIEvent, gap: float | None
+        self, index: int, call: int, gap: float | None
     ) -> ShutdownPlan | None:
         """Power-mode-control component for one call."""
 
@@ -242,7 +248,7 @@ class PMPIRuntime:
             if not monitor.begin_new_gram(gap):
                 self._mispredict()
                 return None
-        check = monitor.feed_call(int(event.call))
+        check = monitor.feed_call(call)
         if check is GramCheck.MISMATCH:
             self._mispredict()
             return None
@@ -381,7 +387,7 @@ class TracePlan:
 
 
 def _broadcast_configs(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     config: RuntimeConfig | Sequence[RuntimeConfig],
 ) -> list[RuntimeConfig]:
     if isinstance(config, RuntimeConfig):
@@ -395,7 +401,7 @@ def _broadcast_configs(
 
 
 def _plan_rank(
-    args: tuple[Sequence[MPIEvent], RuntimeConfig, bool],
+    args: tuple[EventLog | Sequence[MPIEvent], RuntimeConfig, bool],
 ) -> tuple[dict[int, RankDirective], RuntimeStats, list[ShutdownCandidate]]:
     """Worker body: one rank's full software-side pass (picklable)."""
 
@@ -406,7 +412,7 @@ def _plan_rank(
 
 
 def plan_trace_directives(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     config: RuntimeConfig | Sequence[RuntimeConfig],
     *,
     workers: int | None = None,
@@ -430,7 +436,7 @@ def plan_trace_directives(
 
 
 def plan_trace_directives_shared(
-    event_logs: Sequence[Sequence[MPIEvent]],
+    event_logs: Sequence[EventLog | Sequence[MPIEvent]],
     config: RuntimeConfig | Sequence[RuntimeConfig],
     *,
     workers: int | None = None,

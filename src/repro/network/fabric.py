@@ -261,17 +261,18 @@ class Fabric:
 
         if pairs is self._compiled_pairs:
             return 0
-        compiled = 0
         hops = self._hops
         n = self._num_hosts
-        for src, dst in sorted(pairs):
-            if src == dst or src * n + dst in hops:
-                continue
+        # sort only the pairs that compile, in the whole set's order
+        todo = sorted(
+            (src, dst) for src, dst in pairs
+            if src != dst and src * n + dst not in hops
+        )
+        for src, dst in todo:
             self._compile_hops(src, dst)
-            compiled += 1
         if type(pairs) is frozenset:
             self._compiled_pairs = pairs
-        return compiled
+        return len(todo)
 
     def transfer(
         self,

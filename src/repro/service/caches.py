@@ -264,8 +264,8 @@ def cell_payload(spec: dict, best_gt, baseline, managed) -> dict:
         "counters": _jsonable(list(managed.counters)),
         "per_rank_events": [
             [len(log),
-             log[0].enter_us if log else None,
-             log[-1].exit_us if log else None]
+             log.enter_us[0] if log else None,
+             log.exit_us[-1] if log else None]
             for log in managed.event_logs
         ],
         "class_savings": _jsonable(list(managed.class_savings)),

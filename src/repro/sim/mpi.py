@@ -80,10 +80,11 @@ from ..network.fabric import Fabric
 from ..trace.events import (
     Collective,
     Compute,
+    EventLog,
     MPICall,
-    MPIEvent,
     PointToPoint,
     TraceRecord,
+    exits_before_enters,
 )
 from . import collectives as coll
 from .collectives import COLLECTIVE_TAG_BASE, COLLECTIVE_TAG_STRIDE
@@ -289,7 +290,9 @@ class MPIWorld:
         #: dropped from its map and its deque parked here for reuse
         self._deques: list[deque] = []
         self.ranks = [_RankContext(r) for r in range(nranks)]
-        self.event_logs: list[list[MPIEvent]] = [[] for _ in range(nranks)]
+        #: per-rank columnar log of timed MPI calls, appended in place
+        #: by both kernels
+        self.event_logs: list[EventLog] = [EventLog() for _ in range(nranks)]
         #: free-list of completed rendezvous sends
         self._rdv_pool: list[_RendezvousSend] = []
         #: per-rank count of in-flight nonblocking rendezvous sends, for
@@ -341,6 +344,9 @@ class MPIWorld:
 
         engine = self.engine
         log = self.event_logs[rank]
+        log_call = log.calls.append
+        log_enter = log.enter_us.append
+        log_exit = log.exit_us.append
         call_index = 0
         for rec in records:
             if isinstance(rec, Compute):
@@ -356,7 +362,12 @@ class MPIWorld:
                 yield from self._execute_collective(rank, rec)
             else:  # pragma: no cover - record types are closed
                 raise SimulationError(f"unknown record {rec!r}")
-            log.append(MPIEvent(rec.call, enter, engine.now))
+            now = engine.now
+            if now < enter:
+                raise exits_before_enters(enter, now)
+            log_call(rec.call)
+            log_enter(enter)
+            log_exit(now)
             if directive and directive.post_overhead_us > 0:
                 yield Delay(directive.post_overhead_us)
             if (
@@ -401,7 +412,10 @@ class MPIWorld:
         #: rendezvous send leaves it with its waker and parks
         me = engine.starting
         ctx = self.ranks[rank]
-        log_append = self.event_logs[rank].append
+        log = self.event_logs[rank]
+        log_call = log.calls.append
+        log_enter = log.enter_us.append
+        log_exit = log.exit_us.append
         fabric = self.fabric
         hosts = self.hosts
         host = hosts[rank]
@@ -660,7 +674,12 @@ class MPIWorld:
                         yield at
             else:  # pragma: no cover - opcodes are closed
                 raise SimulationError(f"unknown opcode {op!r}")
-            log_append(MPIEvent(ins[1], enter, engine.now))
+            now = engine.now
+            if now < enter:
+                raise exits_before_enters(enter, now)
+            log_call(ins[1])
+            log_enter(enter)
+            log_exit(now)
 
     # ----------------------------------------------------------- primitives
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..power.controller import PowerEventCounters
 from ..power.rollup import PowerReport, fleet_savings_pct
-from ..trace.events import MPIEvent, idle_gaps
+from ..trace.events import EventLog, idle_gaps
 from ..trace.intervals import IdleDistribution, distribution_from_gaps, merge_gap_streams
 
 
@@ -20,7 +20,8 @@ class BaselineResult:
     trace_name: str
     nranks: int
     exec_time_us: float
-    event_logs: list[list[MPIEvent]]
+    #: per-rank columnar logs of the timed MPI calls
+    event_logs: list[EventLog]
     messages_sent: int
     bytes_carried: int
     #: helper processes spawned by the MPI layer during the replay —
@@ -50,7 +51,7 @@ class ManagedResult:
     baseline_exec_time_us: float
     power: PowerReport
     counters: list[PowerEventCounters]
-    event_logs: list[list[MPIEvent]]
+    event_logs: list[EventLog]
     displacement: float
     grouping_thresholds_us: list[float]
     #: per-rank PPA bookkeeping forwarded from the runtime pass

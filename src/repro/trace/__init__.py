@@ -1,4 +1,4 @@
-"""Trace substrate: MPI event records, trace containers, idle intervals.
+"""Trace substrate: MPI event records and logs, trace containers, idle intervals.
 
 This package plays the role of the Paraver/Dimemas trace tooling in the
 paper's methodology: it defines what a trace *is* (per-rank sequences of
@@ -9,6 +9,7 @@ intervals are extracted and bucketed (Table I).
 from .events import (
     Collective,
     Compute,
+    EventLog,
     MPICall,
     MPIEvent,
     PointToPoint,
@@ -36,6 +37,7 @@ from .trace import ProcessTrace, Trace
 __all__ = [
     "Collective",
     "Compute",
+    "EventLog",
     "MPICall",
     "MPIEvent",
     "PointToPoint",

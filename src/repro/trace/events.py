@@ -14,8 +14,11 @@ the paper's Figures 2 and 3 (``41`` = ``MPI_Sendrecv``, ``10`` =
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from itertools import islice
+from operator import sub
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class MPICall(enum.IntEnum):
@@ -163,17 +166,18 @@ def mpi_records(records: Iterable[TraceRecord]) -> list[TraceRecord]:
 class MPIEvent:
     """A *timed* MPI event, as observed by the PMPI interposition layer.
 
-    Produced by the replay engine (or directly by the workload generators
-    in "timeline" mode).  ``enter_us``/``exit_us`` bracket the MPI call;
+    The element type of an :class:`EventLog`: the replay records each
+    MPI call straight into its rank's log columns, and an ``MPIEvent``
+    is built only when a log is indexed or iterated (tests, examples,
+    hand-made streams).  ``enter_us``/``exit_us`` bracket the MPI call;
     the gap between one event's ``exit_us`` and the next event's
     ``enter_us`` is the inter-communication (idle) interval the paper's
     PPA feeds on.
 
-    Not frozen, on purpose: the replay appends one per MPI call on its
-    hot path, and a frozen dataclass pays three ``object.__setattr__``
-    round trips per construction.  Nothing mutates events after the
-    replay hands the logs out; ``unsafe_hash`` keeps the type hashable
-    (by field values, like the frozen form was) for set/dict users.
+    Not frozen: a frozen dataclass pays three ``object.__setattr__``
+    round trips per construction.  Nothing mutates events;
+    ``unsafe_hash`` keeps the type hashable by field values for
+    set/dict users.
     """
 
     call: MPICall
@@ -182,16 +186,110 @@ class MPIEvent:
 
     def __post_init__(self) -> None:
         if self.exit_us < self.enter_us:
-            raise ValueError(
-                f"event exits before it enters: {self.enter_us} > {self.exit_us}"
-            )
+            raise exits_before_enters(self.enter_us, self.exit_us)
 
     @property
     def duration_us(self) -> float:
         return self.exit_us - self.enter_us
 
 
-def idle_gaps(events: Sequence[MPIEvent]) -> list[float]:
+def exits_before_enters(enter_us: float, exit_us: float) -> ValueError:
+    """The error every event recorder raises for ``exit_us < enter_us``."""
+
+    return ValueError(f"event exits before it enters: {enter_us} > {exit_us}")
+
+
+#: code -> :class:`MPICall`; a code outside the registry (synthetic
+#: streams in tests) materialises as the bare int it was logged as
+_CALLS = {int(call): call for call in MPICall}
+
+
+class EventLog:
+    """One rank's timed MPI calls as three flat columns.
+
+    ``calls`` holds the :class:`MPICall` codes (``array('B')``),
+    ``enter_us``/``exit_us`` the call brackets (``array('d')``): 17
+    bytes per call and no per-call object.  The replay kernels append to
+    the three columns directly and every pipeline consumer reads them;
+    the sequence protocol (``len``, indexing, slices, iteration) builds
+    :class:`MPIEvent` rows on demand.  ``==`` compares columns, and a
+    log equals a list of ``MPIEvent`` with the same content.
+    """
+
+    __slots__ = ("calls", "enter_us", "exit_us")
+
+    def __init__(self) -> None:
+        self.calls = array("B")
+        self.enter_us = array("d")
+        self.exit_us = array("d")
+
+    @classmethod
+    def of(cls, events: EventLog | Iterable[MPIEvent]) -> "EventLog":
+        """The log of ``events``; a log is returned as it is."""
+
+        if isinstance(events, EventLog):
+            return events
+        log = cls()
+        for ev in events:
+            log.append(ev.call, ev.enter_us, ev.exit_us)
+        return log
+
+    def append(self, call: int, enter_us: float, exit_us: float) -> None:
+        if exit_us < enter_us:
+            raise exits_before_enters(enter_us, exit_us)
+        self.calls.append(call)
+        self.enter_us.append(enter_us)
+        self.exit_us.append(exit_us)
+
+    def rows(self) -> Iterator[tuple[int, float, float]]:
+        """``(call code, enter_us, exit_us)`` per call, without events."""
+
+        return zip(self.calls, self.enter_us, self.exit_us)
+
+    def gaps_us(self) -> Iterator[float]:
+        """Raw gap before each call but the first: its enter minus the
+        previous call's exit (``len - 1`` values, possibly negative)."""
+
+        return map(sub, islice(self.enter_us, 1, None), self.exit_us)
+
+    def __len__(self) -> int:
+        return len(self.calls)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            log = EventLog()
+            log.calls = self.calls[index]
+            log.enter_us = self.enter_us[index]
+            log.exit_us = self.exit_us[index]
+            return log
+        code = self.calls[index]
+        return MPIEvent(
+            _CALLS.get(code, code), self.enter_us[index], self.exit_us[index]
+        )
+
+    def __iter__(self) -> Iterator[MPIEvent]:
+        calls = _CALLS
+        for code, enter, exit_ in self.rows():
+            yield MPIEvent(calls.get(code, code), enter, exit_)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventLog):
+            return (
+                self.calls == other.calls
+                and self.enter_us == other.enter_us
+                and self.exit_us == other.exit_us
+            )
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventLog({list(self)!r})"
+
+
+def idle_gaps(events: EventLog | Sequence[MPIEvent]) -> list[float]:
     """Inter-communication intervals between consecutive timed events.
 
     Returns ``len(events) - 1`` non-negative gaps; the gap preceding the
@@ -199,8 +297,4 @@ def idle_gaps(events: Sequence[MPIEvent]) -> list[float]:
     measures idle link intervals between MPI calls.
     """
 
-    gaps: list[float] = []
-    for prev, nxt in zip(events, events[1:]):
-        gap = nxt.enter_us - prev.exit_us
-        gaps.append(max(0.0, gap))
-    return gaps
+    return [max(0.0, gap) for gap in EventLog.of(events).gaps_us()]

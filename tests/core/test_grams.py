@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constants import MIN_GROUPING_THRESHOLD_US
 from repro.core.grams import Gram, GramBuilder, build_grams, gram_gaps_us
-from repro.trace.events import MPICall, MPIEvent
+from repro.trace.events import EventLog, MPICall, MPIEvent
 from tests.conftest import alya_like_stream, make_event_stream
 
 
@@ -53,8 +53,9 @@ class TestGramBuilder:
 
     def test_flush_needed_for_tail(self):
         builder = GramBuilder(20.0)
-        for ev in make_event_stream([(MPICall.SEND, 0.0), (MPICall.SEND, 2.0)]):
-            assert builder.feed(ev) is None
+        events = make_event_stream([(MPICall.SEND, 0.0), (MPICall.SEND, 2.0)])
+        for call, enter, exit_ in EventLog.of(events).rows():
+            assert builder.feed(call, enter, exit_) is None
         tail = builder.flush()
         assert tail is not None
         assert tail.signature == (1, 1)
@@ -63,8 +64,8 @@ class TestGramBuilder:
     def test_open_calls(self):
         builder = GramBuilder(20.0)
         events = make_event_stream([(MPICall.SEND, 0.0), (MPICall.RECV, 1.0)])
-        for ev in events:
-            builder.feed(ev)
+        for call, enter, exit_ in EventLog.of(events).rows():
+            builder.feed(call, enter, exit_)
         assert builder.open_calls == (1, 2)
         assert builder.open_gram_size == 2
 

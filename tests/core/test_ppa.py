@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.grams import GramBuilder, build_grams
 from repro.core.ppa import PPA, PPAConfig
-from repro.trace.events import MPICall, MPIEvent
+from repro.trace.events import EventLog, MPICall, MPIEvent
 from tests.conftest import make_event_stream
 
 
@@ -24,8 +24,8 @@ def drive(events, gt=20.0, config=None):
     builder = GramBuilder(gt)
     ppa = PPA(config)
     declarations = []
-    for ev in events:
-        closed = builder.feed(ev)
+    for call, enter, exit_ in EventLog.of(events).rows():
+        closed = builder.feed(call, enter, exit_)
         if closed is not None:
             decl = ppa.add_gram(closed)
             if decl is not None:
@@ -103,8 +103,8 @@ class TestRelaunchAndRearm:
         extra = stream_from_units([(1,), (2,)], repeats=2)
         builder = GramBuilder(20.0)
         redecl = None
-        for ev in extra:
-            closed = builder.feed(ev)
+        for call, enter, exit_ in EventLog.of(extra).rows():
+            closed = builder.feed(call, enter, exit_)
             if closed is not None:
                 redecl = ppa.add_gram(closed) or redecl
         assert redecl is not None
@@ -124,8 +124,8 @@ class TestOperationsAccounting:
         builder = GramBuilder(20.0)
         ppa = PPA()
         last = 0
-        for ev in events:
-            closed = builder.feed(ev)
+        for call, enter, exit_ in EventLog.of(events).rows():
+            closed = builder.feed(call, enter, exit_)
             if closed is not None:
                 ppa.add_gram(closed)
             assert ppa.operations >= last

@@ -12,6 +12,7 @@ import pytest
 from repro.core.grams import GramBuilder
 from repro.core.patterns import format_pattern
 from repro.core.ppa import PPA
+from repro.trace.events import EventLog
 from tests.conftest import alya_like_stream
 
 
@@ -20,8 +21,8 @@ def drive(events, gt=20.0):
 
     builder = GramBuilder(gt)
     ppa = PPA()
-    for i, ev in enumerate(events, start=1):
-        closed = builder.feed(ev)
+    for i, (call, enter, exit_) in enumerate(EventLog.of(events).rows(), 1):
+        closed = builder.feed(call, enter, exit_)
         if closed is not None:
             decl = ppa.add_gram(closed)
             if decl is not None:

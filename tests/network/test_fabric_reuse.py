@@ -240,3 +240,38 @@ class TestBackToBackReplays:
         pristine = replay_baseline(trace, clean_cfg)
         assert after.faults is None
         assert after == pristine
+
+
+class TestPrecompilePairs:
+    """``precompile_pairs`` sorts and compiles only the pairs it must."""
+
+    @staticmethod
+    def _spied(monkeypatch) -> tuple[Fabric, list]:
+        fab = Fabric.for_ranks(8, seed=1)
+        seen = []
+        compile_hops = fab._compile_hops
+
+        def spy(src, dst):
+            seen.append((src, dst))
+            return compile_hops(src, dst)
+
+        monkeypatch.setattr(fab, "_compile_hops", spy)
+        return fab, seen
+
+    def test_compiles_a_mixed_set_in_ascending_order(self, monkeypatch):
+        fab, seen = self._spied(monkeypatch)
+        assert fab.precompile_pairs([(2, 7)]) == 1
+        mixed = {(5, 1), (3, 3), (2, 7), (0, 6), (5, 0), (1, 1), (0, 4)}
+        assert fab.precompile_pairs(set(mixed)) == 4
+        # loopback and already-compiled pairs are skipped
+        assert seen == [(2, 7), (0, 4), (0, 6), (5, 0), (5, 1)]
+
+    def test_a_fully_compiled_set_compiles_nothing(self, monkeypatch):
+        fab, seen = self._spied(monkeypatch)
+        pairs = {(s, d) for s in range(4) for d in range(4)}
+        assert fab.precompile_pairs(set(pairs)) == 12
+        seen.clear()
+        # a fresh set each call, as the cluster scheduler hands over
+        assert fab.precompile_pairs(set(pairs)) == 0
+        assert fab.precompile_pairs(set(pairs) | {(6, 6)}) == 0
+        assert seen == []

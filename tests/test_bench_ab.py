@@ -105,6 +105,7 @@ class TestSeveralWorkloads:
         monkeypatch.setattr(ab, "_run", run)
         monkeypatch.setattr(ab, "_counts", lambda tree, *a: {"n": 1})
         monkeypatch.setattr(ab, "_export", lambda rev, tree: None)
+        monkeypatch.setattr(ab, "_git", lambda *args: "0000000")
         return made
 
     def test_runs_interleave_per_seed_and_alternate_the_first_side(
